@@ -60,7 +60,8 @@ struct multicore {
   /// Opt-in ensemble batching: when > 1 (and the model is a tree model
   /// without custom rate laws), trajectories are sliced into SoA batch
   /// engines of this many lanes (cwc/batch/batch_engine.hpp) stepped
-  /// quantum-lockstep by a worker pool instead of the per-engine farm.
+  /// quantum-lockstep by the lane executor's worker pool
+  /// (core/lane_executor.hpp) instead of the per-engine farm.
   /// Sample paths, windows, and completions are bit-identical either way.
   /// 0 or 1 — and any unbatchable model, or capture_trace runs — keep the
   /// classic per-engine farm.

@@ -1,7 +1,9 @@
 // The master-side align -> sliding-window -> summarize composition shared
-// by every backend that runs the analysis stages inline on one thread (the
-// distributed master and the GPU host loop). Keeping it in one place is
-// what makes the cross-backend bit-exactness guarantee durable: every
+// by every backend that runs the analysis stages inline on one thread: the
+// lane_executor users that run whole ensembles (the batched multicore
+// driver and the gpu driver, between lockstep rounds), the distributed
+// master, and the run server's per-session state. Keeping it in one place
+// is what makes the cross-backend bit-exactness guarantee durable: every
 // deployment summarizes windows with the same cut assembly, the same
 // window grouping, and the same summarize_cut parameters.
 #pragma once

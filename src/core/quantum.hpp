@@ -1,11 +1,13 @@
 // The per-quantum advancement contract shared by the shared-memory farm
-// worker (sim_engine_node) and the distributed host runtime: run one
+// worker (sim_engine_node), the distributed host runtime, the run server,
+// the lane executor's scalar lanes and the DES workload capture: run one
 // scheduling quantum, fast-forward stalled trajectories to the horizon,
 // and report the samples, the service-time record, and completion.
 //
-// Keeping this in one place is what makes the distributed runtime's
-// bit-exactness guarantee durable: both deployments advance engines with
-// the same horizon clamp and the same stalled-tail handling.
+// Keeping this in one place is what makes the cross-backend bit-exactness
+// guarantee durable: every deployment advances engines with the same
+// horizon clamp and the same stalled-tail handling (batch_engine's
+// step_quantum replays it lane by lane).
 #pragma once
 
 #include <algorithm>

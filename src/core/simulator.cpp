@@ -3,9 +3,8 @@
 #include <memory>
 
 #include "core/backend.hpp"
+#include "core/lane_executor.hpp"
 #include "core/online_analysis.hpp"
-#include "cwc/batch/batch_engine.hpp"
-#include "ff/parallel_for.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
 
@@ -99,85 +98,38 @@ class multicore_driver final : public backend_driver {
   sim_config cfg_;
 };
 
-/// The opt-in batched shared-memory path (multicore{batch_width}): slices
-/// the campaign into SoA batch engines of batch_width lanes, advances them
-/// quantum-lockstep on a persistent worker pool, and runs the standard
-/// align -> window -> summarize analysis inline between rounds. Windows,
-/// completions, and sample paths are bit-identical to the per-engine farm
-/// (the batch engine's lane-exactness guarantee); only the scheduling
-/// differs. Trace capture stays on the farm (per-quantum wall clocks of a
-/// lockstep batch are not per-trajectory service times).
+/// The opt-in batched shared-memory path (multicore{batch_width}): the
+/// lane executor advances SoA batch groups of batch_width lanes
+/// quantum-lockstep on a persistent worker pool, and the standard
+/// align -> window -> summarize analysis runs inline between rounds.
+/// Windows, completions, and sample paths are bit-identical to the
+/// per-engine farm (the batch engine's lane-exactness guarantee); only the
+/// scheduling differs. Trace capture stays on the farm (per-quantum wall
+/// clocks of a lockstep batch are not per-trajectory service times).
 class batched_multicore_driver final : public backend_driver {
  public:
   batched_multicore_driver(const model_ref& model, const sim_config& cfg,
                            std::size_t batch_width)
-      : model_(model), cfg_(cfg), batch_width_(batch_width) {
-    model_.compile();  // idempotent; the groups share one artifact
-  }
+      : model_(model), cfg_(cfg), batch_width_(batch_width) {}
 
   const char* name() const noexcept override { return "multicore"; }
 
   void run(event_sink& sink, run_report& report) override {
     util::stopwatch wall;
-    struct batch_group {
-      std::unique_ptr<cwc::batch::batch_engine> eng;
-      std::vector<std::vector<cwc::trajectory_sample>> samples;
-      std::vector<std::uint8_t> retired;
-      std::size_t live = 0;
-    };
-    std::vector<batch_group> groups;
-    for (std::uint64_t first = 0; first < cfg_.num_trajectories;
-         first += batch_width_) {
-      const auto w = static_cast<std::size_t>(std::min<std::uint64_t>(
-          batch_width_, cfg_.num_trajectories - first));
-      batch_group g;
-      g.eng = std::make_unique<cwc::batch::batch_engine>(model_.compiled,
-                                                         cfg_.seed, first, w);
-      g.samples.resize(w);
-      g.retired.assign(w, 0);
-      g.live = w;
-      groups.push_back(std::move(g));
-    }
-
+    lane_executor lanes({model_.compiled}, cfg_,
+                        lane_executor::ensemble(cfg_.num_trajectories),
+                        batch_width_, cfg_.sim_workers);
     online_analysis analysis(cfg_, model_.num_observables(), sink);
-    ff::parallel_for pool(std::max<unsigned>(
-        1, std::min<unsigned>(cfg_.sim_workers,
-                              static_cast<unsigned>(groups.size()))));
-
-    std::uint64_t live_lanes = cfg_.num_trajectories;
-    std::uint64_t rounds = 0;
-    while (live_lanes > 0 && !sink.stop_requested()) {
-      // Parallel simulation round: every live group advances one quantum.
-      pool.for_each(0, static_cast<std::int64_t>(groups.size()), 1,
-                    [&](std::int64_t gi) {
-                      batch_group& g = groups[static_cast<std::size_t>(gi)];
-                      if (g.live == 0) return;
-                      for (auto& s : g.samples) s.clear();
-                      g.eng->step_quantum(cfg_.quantum, cfg_.t_end,
-                                          cfg_.sample_period, g.samples);
-                    });
-      ++rounds;
-      // Sequential gather in trajectory order: the cut assembler and the
-      // sliding windows see the exact same deterministic stream as the
-      // farm's alignment stage.
-      for (batch_group& g : groups) {
-        if (g.live == 0) continue;
-        for (std::size_t i = 0; i < g.samples.size(); ++i)
-          for (const auto& s : g.samples[i])
-            analysis.ingest(g.eng->lane_id(i), s);
-        for (std::size_t i = 0; i < g.samples.size(); ++i) {
-          if (g.retired[i] != 0 || g.eng->time(i) < cfg_.t_end) continue;
-          g.retired[i] = 1;
-          --g.live;
-          --live_lanes;
-          task_done d;
-          d.trajectory_id = g.eng->lane_id(i);
-          d.quanta = rounds;
-          d.steps = g.eng->steps(i);
-          report.result.completions.push_back(d);
-          sink.trajectory_done(d);
-        }
-      }
+    while (lanes.live() > 0 && !sink.stop_requested()) {
+      lanes.round(
+          [&](const lane_executor::lane_quantum& q) {
+            for (const auto& s : q.samples)
+              analysis.ingest(q.id.trajectory_id, s);
+          },
+          [&](std::uint32_t, const task_done& d) {
+            report.result.completions.push_back(d);
+            sink.trajectory_done(d);
+          });
     }
     analysis.finish();
 
@@ -199,8 +151,8 @@ std::unique_ptr<backend_driver> make_multicore_driver(const model_ref& model,
                                                       const multicore& b) {
   if (b.batch_width > 1 && !cfg.capture_trace) {
     model_ref m = model;
-    m.compile();
-    if (m.compiled != nullptr && cwc::batch::batch_engine::supports(*m.compiled))
+    m.compile();  // idempotent; the groups share one artifact
+    if (lane_executor::batches({m.compiled}, b.batch_width))
       return std::make_unique<batched_multicore_driver>(m, cfg, b.batch_width);
   }
   return std::make_unique<multicore_driver>(model, cfg);

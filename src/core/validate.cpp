@@ -82,6 +82,11 @@ void validate(const sim_config& cfg, const backend& b) {
       if (g.coherence_time < 0.0)
         throw config_error("gpu.coherence_time",
                            "coherence time must be non-negative");
+      if (cfg.capture_trace)
+        throw config_error("capture_trace",
+                           "trace capture is not supported on the gpu "
+                           "backend (lockstep kernels record no per-quantum "
+                           "service times)");
     }
   };
   std::visit(checker{cfg}, b);

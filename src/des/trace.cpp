@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/quantum.hpp"
 #include "stats/stats.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -72,23 +73,16 @@ workload capture_workload(const cwcsim::model_ref& model,
   w.quantum = cfg.quantum;
   w.quanta.resize(cfg.num_trajectories);
 
-  std::vector<cwc::trajectory_sample> scratch;
+  // The same per-quantum rule as every backend worker (core/quantum.hpp);
+  // the loop guard keeps t_end = 0 at zero quanta.
   for (std::uint64_t i = 0; i < cfg.num_trajectories; ++i) {
     auto eng = mr.make_engine(cfg.seed, i);
     auto& qs = w.quanta[i];
     while (eng.time() < cfg.t_end) {
-      const std::uint64_t steps_before = eng.steps();
-      const std::size_t samples_before = scratch.size();
-      const double horizon = std::min(eng.time() + cfg.quantum, cfg.t_end);
-      eng.run_to(horizon, cfg.sample_period, scratch);
-      if (eng.stalled() && eng.time() < cfg.t_end)
-        eng.run_to(cfg.t_end, cfg.sample_period, scratch);
-      quantum_work q;
-      q.steps = eng.steps() - steps_before;
-      q.samples = static_cast<std::uint32_t>(scratch.size() - samples_before);
-      qs.push_back(q);
+      const cwcsim::quantum_outcome out =
+          cwcsim::advance_one_quantum(eng, cfg, i, qs.size());
+      qs.push_back({out.record.ssa_steps, out.record.samples});
     }
-    scratch.clear();
   }
   return w;
 }

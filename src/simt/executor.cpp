@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <vector>
 
 #include "util/check.hpp"
 

@@ -1,11 +1,9 @@
-// Kernel-granularity SIMT scheduling model, plus the data-parallel map
-// primitive mirroring FastFlow's ff_mapCUDA: execute a kernel body per
-// element on the host while accounting the virtual device makespan.
+// Kernel-granularity SIMT scheduling model: the virtual device makespan of
+// one ff_mapCUDA-style kernel whose lanes the host has already executed.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "simt/device.hpp"
 
@@ -39,17 +37,5 @@ struct kernel_stats {
 kernel_stats kernel_makespan(std::span<const double> lane_seconds,
                              const device_spec& dev,
                              double path_divergence = 0.0);
-
-/// ff_mapCUDA analogue: run `kernel` over every item (host execution, real
-/// results); kernel returns the lane's virtual seconds. Returns the modeled
-/// device time for the whole map.
-template <typename T, typename Kernel>
-kernel_stats map_kernel(const device_spec& dev, std::span<T> items,
-                        Kernel&& kernel, double path_divergence = 0.0) {
-  std::vector<double> lanes;
-  lanes.reserve(items.size());
-  for (T& item : items) lanes.push_back(kernel(item));
-  return kernel_makespan(lanes, dev, path_divergence);
-}
 
 }  // namespace simt

@@ -5,4 +5,3 @@
 #include "simt/executor.hpp"
 #include "simt/gpu_backend.hpp"
 #include "simt/gpu_model.hpp"
-#include "simt/gpu_simulator.hpp"

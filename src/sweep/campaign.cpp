@@ -6,9 +6,7 @@
 #include <variant>
 
 #include "core/alignment.hpp"
-#include "core/quantum.hpp"
-#include "cwc/batch/batch_engine.hpp"
-#include "ff/parallel_for.hpp"
+#include "core/lane_executor.hpp"
 #include "stats/quantile.hpp"
 #include "util/check.hpp"
 
@@ -146,20 +144,17 @@ class campaign_state {
         sink_(&sink),
         done_in_cell_(rep.cells.size(), 0) {}
 
-  void lane_done(std::uint32_t cell, std::uint64_t trajectory,
-                 std::uint64_t quanta, std::uint64_t steps) {
-    task_done d;
+  /// `done` carries the per-cell trajectory id.
+  void lane_done(std::uint32_t cell, task_done done) {
     // Session-sink ids are campaign-global (cell-major) so subscribers can
     // tell cells apart; the per-cell id is trajectory % N.
-    d.trajectory_id =
-        static_cast<std::uint64_t>(cell) * cfg_->num_trajectories + trajectory;
-    d.quanta = quanta;
-    d.steps = steps;
-    sink_->trajectory_done(d);
+    done.trajectory_id +=
+        static_cast<std::uint64_t>(cell) * cfg_->num_trajectories;
+    sink_->trajectory_done(done);
 
     sweep::cell_report& cr = rep_->cells[cell];
     ++cr.trajectories;
-    cr.steps += steps;
+    cr.steps += done.steps;
     ++done_in_cell_[cell];
     sink_->cell_progress(cell, done_in_cell_[cell], cfg_->num_trajectories);
     if (done_in_cell_[cell] == cfg_->num_trajectories) {
@@ -178,125 +173,6 @@ class campaign_state {
   event_sink* sink_;
   std::vector<std::uint64_t> done_in_cell_;
 };
-
-/// Scalar farm path: one engine per (cell, trajectory) advanced in
-/// quantum-lockstep rounds over the worker pool, with the deterministic
-/// sequential gather between rounds (the batched driver's structure, per
-/// engine instead of per SoA batch).
-void run_farm(const std::vector<std::shared_ptr<const cwc::compiled_model>>&
-                  overlays,
-              const sim_config& cfg, std::vector<cell_reducer>& reducers,
-              campaign_state& state, event_sink& sink, sweep::report& rep) {
-  struct scalar_lane {
-    any_engine eng;
-    std::uint32_t cell = 0;
-    std::uint64_t traj = 0;
-    std::uint64_t quanta = 0;
-    quantum_outcome out;
-    std::uint8_t retired = 0;
-  };
-  std::vector<scalar_lane> lanes;
-  lanes.reserve(overlays.size() * cfg.num_trajectories);
-  for (std::uint32_t c = 0; c < overlays.size(); ++c)
-    for (std::uint64_t i = 0; i < cfg.num_trajectories; ++i)
-      lanes.push_back({any_engine(overlays[c], cfg.seed, i), c, i, 0, {}, 0});
-
-  ff::parallel_for pool(std::max<unsigned>(
-      1, std::min<unsigned>(cfg.sim_workers,
-                            static_cast<unsigned>(lanes.size()))));
-  std::size_t live = lanes.size();
-  while (live > 0 && !sink.stop_requested()) {
-    pool.for_each(0, static_cast<std::int64_t>(lanes.size()), 0,
-                  [&](std::int64_t li) {
-                    scalar_lane& L = lanes[static_cast<std::size_t>(li)];
-                    if (L.retired != 0) return;
-                    L.out = advance_one_quantum(L.eng, cfg, L.traj, L.quanta);
-                    ++L.quanta;
-                  });
-    // Sequential cell-major gather: reductions see the same stream on
-    // every worker count.
-    for (scalar_lane& L : lanes) {
-      if (L.retired != 0) continue;
-      for (const cwc::trajectory_sample& s : L.out.batch.samples)
-        reducers[L.cell].ingest(L.traj, s);
-      if (L.out.finished) {
-        L.retired = 1;
-        --live;
-        state.lane_done(L.cell, L.traj, L.out.done.quanta, L.out.done.steps);
-      }
-    }
-  }
-  rep.stopped = live > 0;
-}
-
-/// Batched path: the campaign's global cell-major lane list is sliced into
-/// multi-cell SoA batch engines of batch_width lanes — slices cross cell
-/// boundaries, so lanes of different parameter cells share strips and
-/// shape-family pools and the wide kernels vectorize across the sweep.
-void run_batched(const std::vector<std::shared_ptr<const cwc::compiled_model>>&
-                     overlays,
-                 const sim_config& cfg, std::size_t batch_width,
-                 std::vector<cell_reducer>& reducers, campaign_state& state,
-                 event_sink& sink, sweep::report& rep) {
-  using cwc::batch::batch_engine;
-  std::vector<batch_engine::lane_desc> all;
-  all.reserve(overlays.size() * cfg.num_trajectories);
-  for (std::uint32_t c = 0; c < overlays.size(); ++c)
-    for (std::uint64_t i = 0; i < cfg.num_trajectories; ++i)
-      all.push_back({i, c});
-
-  struct batch_group {
-    std::unique_ptr<batch_engine> eng;
-    std::vector<std::vector<cwc::trajectory_sample>> samples;
-    std::vector<std::uint8_t> retired;
-    std::size_t live = 0;
-  };
-  std::vector<batch_group> groups;
-  for (std::size_t first = 0; first < all.size(); first += batch_width) {
-    const std::size_t w = std::min(batch_width, all.size() - first);
-    batch_group g;
-    g.eng = std::make_unique<batch_engine>(
-        overlays, cfg.seed,
-        std::vector<batch_engine::lane_desc>(all.begin() + first,
-                                             all.begin() + first + w));
-    g.samples.resize(w);
-    g.retired.assign(w, 0);
-    g.live = w;
-    groups.push_back(std::move(g));
-  }
-
-  ff::parallel_for pool(std::max<unsigned>(
-      1, std::min<unsigned>(cfg.sim_workers,
-                            static_cast<unsigned>(groups.size()))));
-  std::size_t live = all.size();
-  std::uint64_t rounds = 0;
-  while (live > 0 && !sink.stop_requested()) {
-    pool.for_each(0, static_cast<std::int64_t>(groups.size()), 1,
-                  [&](std::int64_t gi) {
-                    batch_group& g = groups[static_cast<std::size_t>(gi)];
-                    if (g.live == 0) return;
-                    for (auto& s : g.samples) s.clear();
-                    g.eng->step_quantum(cfg.quantum, cfg.t_end,
-                                        cfg.sample_period, g.samples);
-                  });
-    ++rounds;
-    for (batch_group& g : groups) {
-      if (g.live == 0) continue;
-      for (std::size_t i = 0; i < g.samples.size(); ++i)
-        for (const cwc::trajectory_sample& s : g.samples[i])
-          reducers[g.eng->lane_cell(i)].ingest(g.eng->lane_id(i), s);
-      for (std::size_t i = 0; i < g.samples.size(); ++i) {
-        if (g.retired[i] != 0 || g.eng->time(i) < cfg.t_end) continue;
-        g.retired[i] = 1;
-        --g.live;
-        --live;
-        state.lane_done(g.eng->lane_cell(i), g.eng->lane_id(i), rounds,
-                        g.eng->steps(i));
-      }
-    }
-  }
-  rep.stopped = live > 0;
-}
 
 sweep::report run_campaign(model_ref model, const sim_config& cfg,
                            const multicore& mc, const sweep::plan& p,
@@ -327,13 +203,27 @@ sweep::report run_campaign(model_ref model, const sim_config& cfg,
     reducers.emplace_back(cfg, obs, rep.cells[i]);
   campaign_state state(cfg, rep, reducers, sink);
 
-  const bool batched = mc.batch_width > 1 && !cfg.capture_trace &&
-                       cwc::batch::batch_engine::supports(*model.compiled);
-  if (batched) {
-    run_batched(overlays, cfg, mc.batch_width, reducers, state, sink, rep);
-  } else {
-    run_farm(overlays, cfg, reducers, state, sink, rep);
+  // The campaign's global cell-major lane list. With batch lanes, groups
+  // slice it across cell boundaries, so lanes of different parameter cells
+  // share strips and shape-family pools and the wide kernels vectorize
+  // across the sweep. Rounds gather sequentially in lane order, so the
+  // reductions see the same stream on every worker count and width.
+  lane_executor lanes(
+      overlays, cfg,
+      lane_executor::ensemble(cfg.num_trajectories,
+                              static_cast<std::uint32_t>(overlays.size())),
+      mc.batch_width, cfg.sim_workers);
+  while (lanes.live() > 0 && !sink.stop_requested()) {
+    lanes.round(
+        [&](const lane_executor::lane_quantum& q) {
+          for (const cwc::trajectory_sample& s : q.samples)
+            reducers[q.id.cell].ingest(q.id.trajectory_id, s);
+        },
+        [&](std::uint32_t cell, const task_done& d) {
+          state.lane_done(cell, d);
+        });
   }
+  rep.stopped = lanes.live() > 0;
   return rep;
 }
 
@@ -344,6 +234,10 @@ void validate(const sim_config& cfg, const backend& b, const sweep::plan& p) {
   if (!std::holds_alternative<multicore>(b)) {
     throw config_error("backend",
                        "sweep campaigns run on the multicore backend");
+  }
+  if (cfg.capture_trace) {
+    throw config_error("capture_trace",
+                       "sweep campaigns produce no per-quantum trace");
   }
   for (std::size_t i = 0; i < p.axes().size(); ++i) {
     const sweep::axis_decl& a = p.axes()[i];

@@ -147,8 +147,9 @@ void lockstep_batch(const cwc::model& m, std::uint64_t seed,
   const auto cm = cwc::compiled_model::compile(m);
   ASSERT_TRUE(cwc::batch::batch_engine::supports(*cm));
   cwc::batch::batch_engine be(cm, seed, first_id, width, mode);
-  if (mode != cwc::batch::kernel_mode::automatic)
+  if (mode != cwc::batch::kernel_mode::automatic) {
     ASSERT_EQ(be.active_kernel(), mode);
+  }
 
   std::vector<cwc::engine> scalars;
   scalars.reserve(width);

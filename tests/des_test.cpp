@@ -3,6 +3,9 @@
 // links, trace capture invariants, and qualitative scaling properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "des/des.hpp"
 #include "models/models.hpp"
 
@@ -142,6 +145,57 @@ TEST(Trace, CaptureMatchesRealEngineTotals) {
     direct_steps += eng.steps();
   }
   EXPECT_EQ(w.total_steps(), direct_steps);
+}
+
+TEST(Trace, CapturePerQuantumMatchesFarmTrace) {
+  // Quantum by quantum, the DES capture and the multicore farm's
+  // capture_trace records agree on (steps, samples) — including the
+  // stalled-tail fast-forward of compartment_demo lanes, most of which
+  // stall before t_end with fast vesicle formation.
+  const auto neurospora = models::make_neurospora_cwc({});
+  models::compartment_demo_params fast_form;
+  fast_form.k_form = 0.2;
+  const auto cdemo = models::make_compartment_demo(fast_form);
+  for (const cwc::model* m : {&neurospora, &cdemo}) {
+    cwcsim::model_ref mr;
+    mr.tree = m;
+    cwcsim::sim_config cfg;
+    cfg.num_trajectories = 6;
+    cfg.t_end = 20.0;
+    cfg.sample_period = 0.5;
+    cfg.quantum = 1.5;
+    cfg.sim_workers = 3;
+    cfg.capture_trace = true;
+
+    const auto w = des::capture_workload(mr, cfg);
+    // Workers append records as they run; order them like the capture.
+    auto trace = cwcsim::simulate(*m, cfg).trace;
+    std::sort(trace.begin(), trace.end(), [](const auto& a, const auto& b) {
+      return std::tie(a.trajectory_id, a.quantum_index) <
+             std::tie(b.trajectory_id, b.quantum_index);
+    });
+    ASSERT_EQ(trace.size(), w.total_quanta());
+    std::size_t k = 0;
+    for (std::uint64_t i = 0; i < w.quanta.size(); ++i) {
+      for (std::uint64_t q = 0; q < w.quanta[i].size(); ++q, ++k) {
+        SCOPED_TRACE(testing::Message() << "trajectory " << i << " quantum "
+                                        << q);
+        ASSERT_EQ(trace[k].trajectory_id, i);
+        ASSERT_EQ(trace[k].quantum_index, q);
+        EXPECT_EQ(w.quanta[i][q].steps, trace[k].ssa_steps);
+        EXPECT_EQ(w.quanta[i][q].samples, trace[k].samples);
+      }
+    }
+  }
+
+  // t_end = 0: the loop guard records no quanta at all.
+  const auto m = models::make_neurospora_cwc({});
+  cwcsim::model_ref mr;
+  mr.tree = &m;
+  cwcsim::sim_config cfg;
+  cfg.num_trajectories = 2;
+  cfg.t_end = 0.0;
+  EXPECT_EQ(des::capture_workload(mr, cfg).total_quanta(), 0u);
 }
 
 TEST(Trace, CalibrationProducesSaneNumbers) {

@@ -307,6 +307,20 @@ TEST(Validate, RejectsDegenerateKnobsWithTypedDiagnostics) {
                util::precondition_error);
 }
 
+TEST(Validate, GpuRejectsTraceCapture) {
+  // Lockstep kernels record no per-quantum service times, so the flag
+  // would silently yield an empty trace.
+  auto cfg = small_config();
+  cfg.capture_trace = true;
+  try {
+    cwcsim::validate(cfg, cwcsim::gpu{simt::devices::tesla_k40()});
+    FAIL() << "expected config_error";
+  } catch (const cwcsim::config_error& e) {
+    EXPECT_EQ(e.field(), "capture_trace");
+  }
+  EXPECT_NO_THROW(cwcsim::validate(cfg, cwcsim::multicore{}));
+}
+
 TEST(Validate, BuilderRejectsBeforeLaunch) {
   const auto m = models::make_neurospora_cwc({});
   auto cfg = small_config();

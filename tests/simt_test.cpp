@@ -1,6 +1,6 @@
 // Tests for the SIMT execution model: warp packing, divergence accounting,
-// slot scheduling, the map primitive, the GPU pipeline model, and
-// functional equivalence of the GPU simulator with the multicore one.
+// slot scheduling, the GPU pipeline model, and functional equivalence of
+// the gpu backend with the multicore one.
 #include <gtest/gtest.h>
 
 #include "core/cwcsim.hpp"
@@ -64,17 +64,6 @@ TEST(KernelMakespan, PartialLastWarp) {
   EXPECT_DOUBLE_EQ(st.device_seconds, 2.0);  // both warps fit in the 2 slots
 }
 
-TEST(MapKernel, ExecutesBodyAndAccountsTime) {
-  auto dev = tiny_device();
-  std::vector<int> items = {1, 2, 3, 4};
-  const auto st = simt::map_kernel(dev, std::span<int>(items), [](int& x) {
-    x *= 10;
-    return static_cast<double>(x) / 40.0;
-  });
-  EXPECT_EQ(items, (std::vector<int>{10, 20, 30, 40}));
-  EXPECT_DOUBLE_EQ(st.device_seconds, 1.0);  // max lane = 40/40
-}
-
 TEST(GpuModel, CompletesAllCutsAndReportsDivergence) {
   const auto m = models::make_neurospora_cwc({});
   cwcsim::model_ref mr;
@@ -134,7 +123,8 @@ TEST(GpuSimulator, MatchesMulticoreResultsExactly) {
   cfg.window_slide = 5;
 
   const auto mc = cwcsim::simulate(m, cfg);
-  auto gpu = simt::gpu_simulator(m, cfg, simt::devices::tesla_k40()).run();
+  const auto gpu =
+      cwcsim::run(m, cfg, cwcsim::gpu{simt::devices::tesla_k40()});
 
   ASSERT_EQ(gpu.result.windows.size(), mc.windows.size());
   for (std::size_t i = 0; i < mc.windows.size(); ++i) {
@@ -149,8 +139,8 @@ TEST(GpuSimulator, MatchesMulticoreResultsExactly) {
       ASSERT_EQ(a.medians, b.medians);
     }
   }
-  EXPECT_GT(gpu.device_seconds, 0.0);
-  EXPECT_GE(gpu.divergence_factor, 1.0);
+  EXPECT_GT(gpu.device->device_seconds, 0.0);
+  EXPECT_GE(gpu.device->divergence_factor, 1.0);
   EXPECT_EQ(gpu.result.completions.size(), cfg.num_trajectories);
 }
 
@@ -166,9 +156,9 @@ TEST(GpuSimulator, QuantumChangesTimingNotResults) {
   auto b = a;
   b.quantum = 5.0;
 
-  auto ra = simt::gpu_simulator(m, a, simt::devices::tesla_k40()).run();
-  auto rb = simt::gpu_simulator(m, b, simt::devices::tesla_k40()).run();
-  EXPECT_GT(ra.kernels, rb.kernels);
+  const auto ra = cwcsim::run(m, a, cwcsim::gpu{simt::devices::tesla_k40()});
+  const auto rb = cwcsim::run(m, b, cwcsim::gpu{simt::devices::tesla_k40()});
+  EXPECT_GT(ra.device->kernels, rb.device->kernels);
 
   const auto ca = ra.result.all_cuts();
   const auto cb = rb.result.all_cuts();
