@@ -252,9 +252,9 @@ void bm_summarize_cut(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::rng_stream rng(4, 4);
   stats::trajectory_cut cut;
-  cut.values.assign(n, std::vector<double>(3, 0.0));
-  for (auto& row : cut.values)
-    for (auto& v : row) v = 100.0 + 40.0 * rng.next_normal();
+  cut.dims = 3;
+  cut.values.resize(n * cut.dims);
+  for (auto& v : cut.values) v = 100.0 + 40.0 * rng.next_normal();
   for (auto _ : state) {
     auto s = stats::summarize_cut(cut, 2, 1);
     benchmark::DoNotOptimize(s.moments[0].mean());
@@ -266,11 +266,10 @@ BENCHMARK(bm_summarize_cut)->Arg(128)->Arg(512)->Arg(1024)->Unit(benchmark::kMic
 void bm_kmeans(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::rng_stream rng(5, 5);
-  std::vector<std::vector<double>> pts(n, std::vector<double>(3, 0.0));
-  for (auto& p : pts)
-    for (auto& v : p) v = rng.next_uniform() * 100.0;
+  std::vector<double> pts(n * 3);
+  for (auto& v : pts) v = rng.next_uniform() * 100.0;
   for (auto _ : state) {
-    auto r = stats::kmeans(pts, 2, 1);
+    auto r = stats::kmeans(pts, 3, 2, 1);
     benchmark::DoNotOptimize(r.inertia);
   }
 }

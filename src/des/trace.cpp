@@ -87,27 +87,31 @@ workload capture_workload(const cwcsim::model_ref& model,
   return w;
 }
 
-calibration calibrate(const cwcsim::model_ref& model,
-                      const cwcsim::sim_config& cfg) {
-  calibration c;
+double measure_sim_ns_per_step(const cwcsim::model_ref& model,
+                               const cwcsim::sim_config& cfg) {
   cwcsim::model_ref mr = model;
   mr.compile();
 
-  // --- simulation cost: run a few trajectories to t_end (capped) ---------
-  {
-    const double horizon = std::min(cfg.t_end, 50.0 * cfg.sample_period);
-    std::vector<cwc::trajectory_sample> scratch;
-    std::uint64_t steps = 0;
-    util::stopwatch sw;
-    for (std::uint64_t i = 0; i < 3; ++i) {
-      auto eng = mr.make_engine(cfg.seed ^ 0xCA11B8A7E, i);
-      eng.run_to(horizon, cfg.sample_period, scratch);
-      steps += eng.steps();
-      scratch.clear();
-    }
-    const double ns = static_cast<double>(sw.elapsed_ns());
-    if (steps > 100) c.sim_ns_per_step = ns / static_cast<double>(steps);
+  // Run a few trajectories to t_end (capped).
+  const double horizon = std::min(cfg.t_end, 50.0 * cfg.sample_period);
+  std::vector<cwc::trajectory_sample> scratch;
+  std::uint64_t steps = 0;
+  util::stopwatch sw;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    auto eng = mr.make_engine(cfg.seed ^ 0xCA11B8A7E, i);
+    eng.run_to(horizon, cfg.sample_period, scratch);
+    steps += eng.steps();
+    scratch.clear();
   }
+  const double ns = static_cast<double>(sw.elapsed_ns());
+  return steps > 100 ? ns / static_cast<double>(steps)
+                     : calibration{}.sim_ns_per_step;
+}
+
+calibration calibrate(const cwcsim::model_ref& model,
+                      const cwcsim::sim_config& cfg) {
+  calibration c;
+  c.sim_ns_per_step = measure_sim_ns_per_step(model, cfg);
 
   // --- statistics cost: summarize representative synthetic cuts ----------
   {
@@ -115,9 +119,9 @@ calibration calibrate(const cwcsim::model_ref& model,
     const std::size_t d = std::max<std::size_t>(model.num_observables(), 1);
     util::rng_stream rng(7, 7);
     stats::trajectory_cut cut;
-    cut.values.assign(n, std::vector<double>(d, 0.0));
-    for (auto& row : cut.values)
-      for (auto& v : row) v = 100.0 + 50.0 * rng.next_normal();
+    cut.dims = d;
+    cut.values.resize(n * d);
+    for (auto& v : cut.values) v = 100.0 + 50.0 * rng.next_normal();
     const int reps = 20;
     util::stopwatch sw;
     for (int r = 0; r < reps; ++r)

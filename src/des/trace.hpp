@@ -60,6 +60,12 @@ struct calibration {
   double align_ns_per_sample = 150.0;
 };
 
+/// Measure the engine's cost per SSA step by timing a few short runs of the
+/// real engine; the calibration default when those runs take too few steps
+/// to time.
+double measure_sim_ns_per_step(const cwcsim::model_ref& model,
+                               const cwcsim::sim_config& cfg);
+
 /// Measure unit costs by timing short runs of the real engine and the real
 /// statistics kernel on representative data.
 calibration calibrate(const cwcsim::model_ref& model,

@@ -27,7 +27,7 @@ gpu_driver::gpu_driver(const cwcsim::model_ref& model,
   // Compile once: the calibration engines below and every kernel lane later
   // derive from the same shared artifact.
   model_.compile();
-  ns_per_step_ = des::calibrate(model_, cfg_).sim_ns_per_step;
+  ns_per_step_ = des::measure_sim_ns_per_step(model_, cfg_);
 }
 
 void gpu_driver::run(cwcsim::event_sink& sink, cwcsim::run_report& report) {

@@ -1,6 +1,7 @@
 #include "stats/cut.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/check.hpp"
 
@@ -13,23 +14,28 @@ cut_summary summarize_cut(const trajectory_cut& cut, std::uint32_t kmeans_k,
   s.time = cut.time;
   if (cut.values.empty()) return s;
 
-  const std::size_t dims = cut.values.front().size();
+  const std::size_t dims = cut.dims;
+  util::expects(dims > 0 && cut.values.size() % dims == 0,
+                "malformed trajectory cut");
+  const std::size_t n = cut.trajectories();
   s.moments.resize(dims);
   s.medians.resize(dims, 0.0);
 
-  std::vector<double> scratch(cut.values.size());
+  // One row-major pass: accumulator d still sees observable d in
+  // trajectory order, so the moments round exactly as a per-column pass.
+  const double* v = cut.values.data();
+  for (std::size_t t = 0; t < n; ++t, v += dims)
+    for (std::size_t d = 0; d < dims; ++d) s.moments[d].add(v[d]);
+
+  std::vector<double> column(n);
   for (std::size_t d = 0; d < dims; ++d) {
-    for (std::size_t i = 0; i < cut.values.size(); ++i) {
-      util::expects(cut.values[i].size() == dims, "ragged trajectory cut");
-      s.moments[d].add(cut.values[i][d]);
-      scratch[i] = cut.values[i][d];
-    }
-    auto mid = scratch.begin() + static_cast<std::ptrdiff_t>(scratch.size() / 2);
-    std::nth_element(scratch.begin(), mid, scratch.end());
+    for (std::size_t t = 0; t < n; ++t) column[t] = cut.values[t * dims + d];
+    auto mid = column.begin() + static_cast<std::ptrdiff_t>(n / 2);
+    std::nth_element(column.begin(), mid, column.end());
     s.medians[d] = *mid;
   }
 
-  if (kmeans_k > 0) s.clusters = kmeans(cut.values, kmeans_k, seed);
+  if (kmeans_k > 0) s.clusters = kmeans(cut.values, dims, kmeans_k, seed);
   return s;
 }
 
@@ -50,21 +56,23 @@ std::vector<trajectory_window> sliding_window_builder::push(trajectory_cut cut) 
   last_index_ = cut.sample_index;
   buffer_.push_back(std::move(cut));
 
+  // Cuts arrive consecutively and each window drops the `slide_` cuts no
+  // later window needs, so the buffer fills up to exactly one window.
   std::vector<trajectory_window> out;
-  while (!buffer_.empty() && buffer_.back().sample_index + 1 >= next_start_ + size_ &&
-         buffer_.front().sample_index <= next_start_) {
-    trajectory_window w;
-    w.first_sample = next_start_;
-    for (const auto& c : buffer_) {
-      if (c.sample_index >= next_start_ && c.sample_index < next_start_ + size_)
-        w.cuts.push_back(c);
-    }
-    if (w.cuts.size() == size_) out.push_back(std::move(w));
-    next_start_ += slide_;
-    // Drop cuts no future window will need.
-    while (!buffer_.empty() && buffer_.front().sample_index < next_start_)
-      buffer_.erase(buffer_.begin());
+  if (buffer_.size() < size_) return out;
+  trajectory_window w;
+  w.first_sample = next_start_;
+  w.cuts.reserve(size_);
+  next_start_ += slide_;
+  for (auto& c : buffer_) {
+    if (c.sample_index < next_start_)
+      w.cuts.push_back(std::move(c));  // this is the last window needing it
+    else
+      w.cuts.push_back(c);
   }
+  buffer_.erase(buffer_.begin(),
+                buffer_.begin() + static_cast<std::ptrdiff_t>(slide_));
+  out.push_back(std::move(w));
   return out;
 }
 
@@ -73,9 +81,9 @@ std::vector<trajectory_window> sliding_window_builder::flush() {
   if (!buffer_.empty()) {
     trajectory_window w;
     w.first_sample = next_start_;
-    for (auto& c : buffer_)
-      if (c.sample_index >= next_start_) w.cuts.push_back(std::move(c));
-    if (!w.cuts.empty()) out.push_back(std::move(w));
+    w.cuts.assign(std::make_move_iterator(buffer_.begin()),
+                  std::make_move_iterator(buffer_.end()));
+    out.push_back(std::move(w));
     buffer_.clear();
   }
   return out;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "stats/kmeans.hpp"
@@ -18,8 +19,14 @@ namespace stats {
 struct trajectory_cut {
   std::uint64_t sample_index = 0;  ///< k for sample time k * sample_period
   double time = 0.0;
-  /// values[trajectory][observable]
-  std::vector<std::vector<double>> values;
+  std::size_t dims = 0;  ///< observables per trajectory
+  /// Row-major trajectories x dims matrix: values[t * dims + d] is
+  /// observable d of trajectory t.
+  std::vector<double> values;
+
+  std::size_t trajectories() const noexcept {
+    return dims == 0 ? 0 : values.size() / dims;
+  }
 };
 
 /// Per-observable summary of one cut, computed by a statistical engine.
@@ -33,6 +40,8 @@ struct cut_summary {
 
 /// Compute the standard summary of a cut: per-observable moments + median,
 /// and a k-means classification of trajectories (k=0 disables clustering).
+/// Throws util::precondition_error when `values` is not a whole number of
+/// `dims`-wide rows.
 cut_summary summarize_cut(const trajectory_cut& cut, std::uint32_t kmeans_k = 2,
                           std::uint64_t seed = 0);
 
@@ -45,6 +54,8 @@ struct trajectory_window {
 /// Groups an ordered stream of cuts into overlapping windows of `size`
 /// cuts, advancing by `slide` cuts. push() returns a completed window when
 /// one becomes full. flush() returns the final partial window, if any.
+/// A cut is moved into the last window that needs it and copied into the
+/// earlier ones, so copies happen only when slide < size.
 class sliding_window_builder {
  public:
   sliding_window_builder(std::size_t size, std::size_t slide);
@@ -60,7 +71,7 @@ class sliding_window_builder {
  private:
   std::size_t size_;
   std::size_t slide_;
-  std::vector<trajectory_cut> buffer_;
+  std::deque<trajectory_cut> buffer_;  // the cuts [next_start_, last_index_]
   std::uint64_t next_start_ = 0;   // first sample index of the next window
   std::uint64_t last_index_ = 0;   // most recent sample index seen
   bool saw_any_ = false;

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace stats {
@@ -21,9 +22,12 @@ struct kmeans_result {
   std::uint32_t iterations = 0;
 };
 
-/// Cluster `points` (each of equal dimension) into k groups.
-/// Deterministic for a given seed. k is clamped to the number of points.
-kmeans_result kmeans(const std::vector<std::vector<double>>& points,
+/// Cluster the row-major point matrix `points` (point i is
+/// points[i * dim, (i + 1) * dim)) into k groups. Deterministic for a given
+/// seed. k is clamped to the number of points. Throws
+/// util::precondition_error when `points` is not a whole number of
+/// `dim`-wide points.
+kmeans_result kmeans(std::span<const double> points, std::size_t dim,
                      std::uint32_t k, std::uint64_t seed = 0,
                      std::uint32_t max_iterations = 64);
 

@@ -71,18 +71,20 @@ class cell_reducer {
       for (std::size_t d = 0; d < num_observables_; ++d) {
         sweep::observable_summary& os = p.observables[d];
         stats::p2_quantile q10(0.1), q50(0.5), q90(0.9);
-        for (const std::vector<double>& row : cut.values) {
-          os.moments.add(row[d]);
-          q10.add(row[d]);
-          q50.add(row[d]);
-          q90.add(row[d]);
+        for (std::size_t i = d; i < cut.values.size(); i += cut.dims) {
+          const double x = cut.values[i];
+          os.moments.add(x);
+          q10.add(x);
+          q50.add(x);
+          q90.add(x);
         }
         os.q10 = q10.value();
         os.q50 = q50.value();
         os.q90 = q90.value();
       }
       if (cfg_->kmeans_k > 0)
-        p.clusters = stats::kmeans(cut.values, cfg_->kmeans_k, cfg_->seed);
+        p.clusters =
+            stats::kmeans(cut.values, cut.dims, cfg_->kmeans_k, cfg_->seed);
       out_->points.push_back(std::move(p));
     }
   }

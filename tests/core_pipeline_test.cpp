@@ -3,6 +3,10 @@
 // the individual stage nodes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "core/cwcsim.hpp"
 #include "models/models.hpp"
 
@@ -233,6 +237,97 @@ TEST(Aligner, DetectsTrajectoryLossAtEos) {
   net.connect(src, aligner);
   net.run();
   EXPECT_THROW(net.wait(), util::postcondition_error);
+}
+
+// ----------------------------- cut assembler -----------------------------
+
+/// Sample k of `trajectory`, with a payload naming both.
+cwc::trajectory_sample tagged_sample(const cwcsim::sim_config& cfg,
+                                     std::uint64_t trajectory, std::uint64_t k) {
+  return cwc::trajectory_sample{
+      cwc::sample_time(k, cfg.sample_period),
+      {static_cast<double>(trajectory), static_cast<double>(k),
+       static_cast<double>(1000 * trajectory + k)}};
+}
+
+TEST(CutAssembler, ReleasesCutsInIndexOrderFromOutOfOrderSamples) {
+  cwcsim::sim_config cfg = small_config();
+  cfg.num_trajectories = 3;
+  const std::uint64_t n = cfg.num_samples();
+  const std::uint64_t half = n / 2;
+  cwcsim::cut_assembler a(cfg, 3);
+  std::vector<stats::trajectory_cut> out;
+  auto emit = [&out](stats::trajectory_cut&& c) { out.push_back(std::move(c)); };
+
+  // Trajectory 2 runs to the end, trajectory 0 to half way, then
+  // trajectory 1 catches up and trajectory 0 finishes last.
+  for (std::uint64_t k = 0; k < n; ++k) a.ingest(2, tagged_sample(cfg, 2, k), emit);
+  for (std::uint64_t k = 0; k < half; ++k) a.ingest(0, tagged_sample(cfg, 0, k), emit);
+  EXPECT_TRUE(out.empty());
+  for (std::uint64_t k = 0; k < n; ++k) {
+    a.ingest(1, tagged_sample(cfg, 1, k), emit);
+    EXPECT_EQ(out.size(), std::min(k + 1, half));
+  }
+  for (std::uint64_t k = half; k < n; ++k) a.ingest(0, tagged_sample(cfg, 0, k), emit);
+  EXPECT_TRUE(a.drained());
+  EXPECT_EQ(a.emitted(), n);
+
+  ASSERT_EQ(out.size(), n);
+  for (std::uint64_t k = 0; k < n; ++k) {
+    SCOPED_TRACE(k);
+    EXPECT_EQ(out[k].sample_index, k);
+    EXPECT_EQ(out[k].time, cwc::sample_time(k, cfg.sample_period));
+    ASSERT_EQ(out[k].dims, 3u);
+    ASSERT_EQ(out[k].trajectories(), 3u);
+    for (std::uint64_t t = 0; t < 3; ++t) {
+      const auto want = tagged_sample(cfg, t, k).values;
+      EXPECT_TRUE(std::equal(want.begin(), want.end(),
+                             out[k].values.begin() + static_cast<std::ptrdiff_t>(t * 3)))
+          << "trajectory " << t;
+    }
+  }
+}
+
+TEST(CutAssembler, RejectsMalformedSamples) {
+  cwcsim::sim_config cfg = small_config();
+  cfg.num_trajectories = 2;
+  cwcsim::cut_assembler a(cfg, 3);
+  std::uint64_t emitted = 0;
+  auto emit = [&emitted](stats::trajectory_cut&&) { ++emitted; };
+  auto at_time = [](double t) {
+    return cwc::trajectory_sample{t, {1.0, 2.0, 3.0}};
+  };
+
+  // Wrong width.
+  EXPECT_THROW(a.ingest(0, cwc::trajectory_sample{0.0, {1.0, 2.0}}, emit),
+               util::precondition_error);
+  EXPECT_THROW(a.ingest(0, cwc::trajectory_sample{0.0, {1.0, 2.0, 3.0, 4.0}}, emit),
+               util::precondition_error);
+  // Times that are not finite, or name no sample point of the run.
+  EXPECT_THROW(a.ingest(0, at_time(std::nan("")), emit), util::precondition_error);
+  EXPECT_THROW(a.ingest(0, at_time(std::numeric_limits<double>::infinity()), emit),
+               util::precondition_error);
+  EXPECT_THROW(a.ingest(0, at_time(-cfg.sample_period), emit),
+               util::precondition_error);
+  EXPECT_THROW(
+      a.ingest(0, at_time(cwc::sample_time(cfg.num_samples(), cfg.sample_period)),
+               emit),
+      util::precondition_error);
+  EXPECT_THROW(a.ingest(2, at_time(0.0), emit), util::precondition_error);
+  EXPECT_TRUE(a.drained());
+
+  // An index that was already released.
+  a.ingest(0, at_time(0.0), emit);
+  a.ingest(1, at_time(0.0), emit);
+  EXPECT_EQ(emitted, 1u);
+  EXPECT_THROW(a.ingest(0, at_time(0.0), emit), util::precondition_error);
+  EXPECT_TRUE(a.drained());
+
+  // The rejected samples left no trace: the next cut assembles normally.
+  a.ingest(1, at_time(cfg.sample_period), emit);
+  a.ingest(0, at_time(cfg.sample_period), emit);
+  EXPECT_EQ(emitted, 2u);
+  EXPECT_TRUE(a.drained());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "stats/stats.hpp"
+#include "stats_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -89,14 +90,16 @@ TEST(P2Quantile, RejectsDegenerateQuantile) {
 }
 
 TEST(Kmeans, SeparatesTwoObviousClusters) {
-  std::vector<std::vector<double>> pts;
+  std::vector<double> pts;
   util::rng_stream rng(4, 4);
   for (int i = 0; i < 50; ++i)
-    pts.push_back({0.0 + rng.next_normal() * 0.1, 0.0 + rng.next_normal() * 0.1});
+    pts.insert(pts.end(),
+               {0.0 + rng.next_normal() * 0.1, 0.0 + rng.next_normal() * 0.1});
   for (int i = 0; i < 50; ++i)
-    pts.push_back({10.0 + rng.next_normal() * 0.1, 10.0 + rng.next_normal() * 0.1});
+    pts.insert(pts.end(),
+               {10.0 + rng.next_normal() * 0.1, 10.0 + rng.next_normal() * 0.1});
 
-  const auto res = stats::kmeans(pts, 2, /*seed=*/9);
+  const auto res = stats::kmeans(pts, 2, 2, /*seed=*/9);
   ASSERT_EQ(res.centroids.size(), 2u);
   // One centroid near (0,0), the other near (10,10).
   const bool zero_first = res.centroids[0][0] < 5.0;
@@ -112,21 +115,40 @@ TEST(Kmeans, SeparatesTwoObviousClusters) {
 }
 
 TEST(Kmeans, DeterministicForSeed) {
-  std::vector<std::vector<double>> pts;
+  std::vector<double> pts;
   util::rng_stream rng(5, 5);
   for (int i = 0; i < 200; ++i)
-    pts.push_back({rng.next_uniform() * 10, rng.next_uniform() * 10});
-  const auto a = stats::kmeans(pts, 3, 42);
-  const auto b = stats::kmeans(pts, 3, 42);
+    pts.insert(pts.end(), {rng.next_uniform() * 10, rng.next_uniform() * 10});
+  const auto a = stats::kmeans(pts, 2, 3, 42);
+  const auto b = stats::kmeans(pts, 2, 3, 42);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.inertia, b.inertia);
 }
 
 TEST(Kmeans, ClampsKAndHandlesEmpty) {
-  EXPECT_TRUE(stats::kmeans({}, 3).centroids.empty());
-  std::vector<std::vector<double>> two = {{1.0}, {2.0}};
-  const auto res = stats::kmeans(two, 5, 1);
+  EXPECT_TRUE(stats::kmeans({}, 1, 3).centroids.empty());
+  std::vector<double> two = {1.0, 2.0};
+  const auto res = stats::kmeans(two, 1, 5, 1);
   EXPECT_EQ(res.centroids.size(), 2u);
+}
+
+TEST(Kmeans, EmptyClusterKeepsItsCentre) {
+  // Coincident points: seeding duplicates the centre and the strict < tie
+  // rule leaves cluster 1 empty; it must stay where it was seeded.
+  std::vector<double> pts;
+  for (int i = 0; i < 8; ++i) pts.insert(pts.end(), {5.0, 7.0});
+  const auto res = stats::kmeans(pts, 2, 2, 3);
+  ASSERT_EQ(res.centroids.size(), 2u);
+  EXPECT_EQ(res.centroids[0], (std::vector<double>{5.0, 7.0}));
+  EXPECT_EQ(res.centroids[1], (std::vector<double>{5.0, 7.0}));
+  EXPECT_EQ(res.sizes, (std::vector<std::uint64_t>{8, 0}));
+  EXPECT_EQ(res.inertia, 0.0);
+}
+
+TEST(Kmeans, RejectsPartialPoint) {
+  const std::vector<double> pts = {1.0, 2.0, 3.0};
+  EXPECT_THROW(stats::kmeans(pts, 2, 2), util::precondition_error);
+  EXPECT_THROW(stats::kmeans(pts, 0, 2), util::precondition_error);
 }
 
 TEST(Period, FindPeaksSimple) {
@@ -179,7 +201,8 @@ TEST(Cut, SummarizeComputesMomentsMediansClusters) {
   stats::trajectory_cut cut;
   cut.sample_index = 3;
   cut.time = 1.5;
-  cut.values = {{1.0, 100.0}, {2.0, 200.0}, {3.0, 300.0}, {4.0, 400.0}};
+  cut.dims = 2;
+  cut.values = {1.0, 100.0, 2.0, 200.0, 3.0, 300.0, 4.0, 400.0};
   const auto s = stats::summarize_cut(cut, 2, 7);
   ASSERT_EQ(s.moments.size(), 2u);
   EXPECT_DOUBLE_EQ(s.moments[0].mean(), 2.5);
@@ -191,8 +214,65 @@ TEST(Cut, SummarizeComputesMomentsMediansClusters) {
 
 TEST(Cut, SummarizeRejectsRaggedCut) {
   stats::trajectory_cut cut;
-  cut.values = {{1.0, 2.0}, {1.0}};
+  cut.dims = 2;
+  cut.values = {1.0, 2.0, 1.0};  // a 2-wide row and a 1-wide row
   EXPECT_THROW(stats::summarize_cut(cut, 0), util::precondition_error);
+  cut.dims = 0;  // values with no row width
+  EXPECT_THROW(stats::summarize_cut(cut, 0), util::precondition_error);
+}
+
+/// A random n x dims cut in both layouts. Rows hold small integer counts so
+/// that ties are common, and every third row repeats an earlier one.
+std::pair<stats::trajectory_cut, oracle::rows> random_cut(std::size_t n,
+                                                          std::size_t dims,
+                                                          std::uint64_t seed) {
+  util::rng_stream rng(seed, n * 16 + dims);
+  oracle::rows rows(n, std::vector<double>(dims, 0.0));
+  for (std::size_t t = 0; t < n; ++t) {
+    if (t > 0 && t % 3 == 0) {
+      rows[t] = rows[rng.next_below(t)];
+      continue;
+    }
+    for (auto& v : rows[t])
+      v = static_cast<double>(rng.next_below(seed % 2 == 0 ? 4 : 400));
+  }
+  stats::trajectory_cut cut;
+  cut.sample_index = seed;
+  cut.time = 0.25 * static_cast<double>(seed);
+  cut.dims = dims;
+  for (const auto& r : rows) cut.values.insert(cut.values.end(), r.begin(), r.end());
+  return {std::move(cut), std::move(rows)};
+}
+
+TEST(Cut, SummaryMatchesNestedOracleBitForBit) {
+  for (const std::size_t n : {1, 2, 17, 1024})
+    for (const std::size_t dims : {1, 3, 4})
+      for (const std::uint32_t k : {0u, 1u, 2u, 5u})
+        for (const std::uint64_t seed : {1, 2, 3}) {
+          SCOPED_TRACE(testing::Message() << "n=" << n << " dims=" << dims
+                                          << " k=" << k << " seed=" << seed);
+          const auto [cut, rows] = random_cut(n, dims, seed);
+          const auto got = stats::summarize_cut(cut, k, seed);
+          const auto want = oracle::summarize_cut(rows, k, seed);
+          EXPECT_EQ(got.sample_index, cut.sample_index);
+          EXPECT_EQ(got.time, cut.time);
+          ASSERT_EQ(got.moments.size(), want.moments.size());
+          for (std::size_t d = 0; d < dims; ++d) {
+            const auto g = got.moments[d].snapshot();
+            const auto w = want.moments[d].snapshot();
+            EXPECT_EQ(g.n, w.n);
+            EXPECT_EQ(g.mean, w.mean);
+            EXPECT_EQ(g.m2, w.m2);
+            EXPECT_EQ(g.min, w.min);
+            EXPECT_EQ(g.max, w.max);
+          }
+          EXPECT_EQ(got.medians, want.medians);
+          EXPECT_EQ(got.clusters.centroids, want.clusters.centroids);
+          EXPECT_EQ(got.clusters.assignment, want.clusters.assignment);
+          EXPECT_EQ(got.clusters.sizes, want.clusters.sizes);
+          EXPECT_EQ(got.clusters.inertia, want.clusters.inertia);
+          EXPECT_EQ(got.clusters.iterations, want.clusters.iterations);
+        }
 }
 
 struct window_case {
@@ -207,13 +287,25 @@ TEST_P(window_param_test, WindowsTileTheStreamCorrectly) {
   const auto [size, slide, n] = GetParam();
   stats::sliding_window_builder b(size, slide);
   std::vector<stats::trajectory_window> windows;
+  // A distinct payload per cut: a cut moved out while a later window still
+  // needs it would reach that window empty.
+  auto payload = [](std::size_t k) {
+    return std::vector<double>{static_cast<double>(k), -static_cast<double>(k)};
+  };
   for (std::size_t k = 0; k < n; ++k) {
     stats::trajectory_cut c;
     c.sample_index = k;
     c.time = static_cast<double>(k);
+    c.dims = 1;
+    c.values = payload(k);
     for (auto& w : b.push(std::move(c))) windows.push_back(std::move(w));
   }
   for (auto& w : b.flush()) windows.push_back(std::move(w));
+  for (const auto& w : windows)
+    for (const auto& c : w.cuts) {
+      EXPECT_EQ(c.dims, 1u) << "cut " << c.sample_index;
+      EXPECT_EQ(c.values, payload(c.sample_index)) << "cut " << c.sample_index;
+    }
 
   // Full windows first: each starts at i*slide and has `size` consecutive cuts.
   std::size_t full = 0;

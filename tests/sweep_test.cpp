@@ -6,6 +6,7 @@
 // invariant to worker count and scheduling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -60,7 +61,7 @@ std::vector<cwcsim::sweep::point_summary> reference_points(
   const std::size_t obs = cm->num_observables();
   struct cut {
     double time = 0.0;
-    std::vector<std::vector<double>> values;
+    std::vector<double> values;  // row-major trajectories x obs
   };
   std::map<std::uint64_t, cut> cuts;
   for (std::uint64_t i = 0; i < cfg.num_trajectories; ++i) {
@@ -70,10 +71,10 @@ std::vector<cwcsim::sweep::point_summary> reference_points(
       auto [it, fresh] = cuts.try_emplace(k);
       if (fresh) {
         it->second.time = s.time;
-        it->second.values.assign(cfg.num_trajectories,
-                                 std::vector<double>(obs, 0.0));
+        it->second.values.assign(cfg.num_trajectories * obs, 0.0);
       }
-      it->second.values[i] = s.values;
+      std::copy(s.values.begin(), s.values.end(),
+                it->second.values.begin() + static_cast<std::ptrdiff_t>(i * obs));
     }
   }
   std::vector<cwcsim::sweep::point_summary> points;
@@ -85,17 +86,18 @@ std::vector<cwcsim::sweep::point_summary> reference_points(
     for (std::size_t d = 0; d < obs; ++d) {
       auto& os = p.observables[d];
       stats::p2_quantile q10(0.1), q50(0.5), q90(0.9);
-      for (const auto& row : c.values) {
-        os.moments.add(row[d]);
-        q10.add(row[d]);
-        q50.add(row[d]);
-        q90.add(row[d]);
+      for (std::size_t i = 0; i < cfg.num_trajectories; ++i) {
+        const double x = c.values[i * obs + d];
+        os.moments.add(x);
+        q10.add(x);
+        q50.add(x);
+        q90.add(x);
       }
       os.q10 = q10.value();
       os.q50 = q50.value();
       os.q90 = q90.value();
     }
-    p.clusters = stats::kmeans(c.values, cfg.kmeans_k, cfg.seed);
+    p.clusters = stats::kmeans(c.values, obs, cfg.kmeans_k, cfg.seed);
     points.push_back(std::move(p));
   }
   return points;
