@@ -15,11 +15,12 @@ namespace {
 
 void bm_cwc_step_neurospora(benchmark::State& state) {
   const auto m = models::make_neurospora_cwc({});
-  cwc::engine eng(m, 1, 0);
+  cwc::engine eng(cwc::compiled_model::compile(m), 1, 0);
   for (auto _ : state) {
     if (!eng.step()) {
       state.PauseTiming();
-      eng = cwc::engine(m, 1, eng.trajectory_id() + 1);
+      eng = cwc::engine(cwc::compiled_model::compile(m), 1,
+                        eng.trajectory_id() + 1);
       state.ResumeTiming();
     }
   }
@@ -31,12 +32,13 @@ BENCHMARK(bm_cwc_step_neurospora);
 // against (same sample path bit-for-bit; see engine_mode::reference).
 void bm_cwc_step_neurospora_reference(benchmark::State& state) {
   const auto m = models::make_neurospora_cwc({});
-  cwc::engine eng(m, 1, 0, cwc::engine_mode::reference);
+  cwc::engine eng(cwc::compiled_model::compile(m), 1, 0,
+                  cwc::engine_mode::reference);
   for (auto _ : state) {
     if (!eng.step()) {
       state.PauseTiming();
-      eng = cwc::engine(m, 1, eng.trajectory_id() + 1,
-                        cwc::engine_mode::reference);
+      eng = cwc::engine(cwc::compiled_model::compile(m), 1,
+                        eng.trajectory_id() + 1, cwc::engine_mode::reference);
       state.ResumeTiming();
     }
   }
@@ -46,12 +48,12 @@ BENCHMARK(bm_cwc_step_neurospora_reference);
 
 void bm_flat_step_neurospora(benchmark::State& state) {
   const auto net = models::make_neurospora_flat({});
-  cwc::flat_engine eng(net, 1, 0);
+  cwc::flat_engine eng(cwc::compiled_model::compile(net), 1, 0);
   std::uint64_t id = 0;
   for (auto _ : state) {
     if (!eng.step()) {
       state.PauseTiming();
-      eng = cwc::flat_engine(net, 1, ++id);
+      eng = cwc::flat_engine(cwc::compiled_model::compile(net), 1, ++id);
       state.ResumeTiming();
     }
   }
@@ -61,12 +63,12 @@ BENCHMARK(bm_flat_step_neurospora);
 
 void bm_flat_step_lv(benchmark::State& state) {
   const auto net = models::make_lotka_volterra({});
-  cwc::flat_engine eng(net, 1, 0);
+  cwc::flat_engine eng(cwc::compiled_model::compile(net), 1, 0);
   std::uint64_t id = 0;
   for (auto _ : state) {
     if (!eng.step()) {
       state.PauseTiming();
-      eng = cwc::flat_engine(net, 1, ++id);
+      eng = cwc::flat_engine(cwc::compiled_model::compile(net), 1, ++id);
       state.ResumeTiming();
     }
   }
@@ -76,12 +78,12 @@ BENCHMARK(bm_flat_step_lv);
 
 void bm_cwc_step_compartment_demo(benchmark::State& state) {
   const auto m = models::make_compartment_demo({});
-  cwc::engine eng(m, 1, 0);
+  cwc::engine eng(cwc::compiled_model::compile(m), 1, 0);
   std::uint64_t id = 0;
   for (auto _ : state) {
     if (!eng.step()) {
       state.PauseTiming();
-      eng = cwc::engine(m, 1, ++id);
+      eng = cwc::engine(cwc::compiled_model::compile(m), 1, ++id);
       state.ResumeTiming();
     }
   }
@@ -201,25 +203,11 @@ void bm_batch_step_compartment_demo_w(benchmark::State& state) {
 BENCHMARK(bm_batch_step_compartment_demo_w)->Arg(8)->Arg(64)->Arg(128);
 
 // Per-trajectory engine setup cost, the knob the compile-once layer turns:
-// a farm of 10⁴–10⁵ trajectories constructs that many engines. The legacy
-// path recompiles the static per-model tables (applicable-rule lists, the
-// rule→rule dependency index, footprints) for every engine; the compiled
-// path shares one immutable cwc::compiled_model across the whole batch.
-// Each iteration constructs 10⁴ engines, so items/sec reads as engines/sec.
+// a farm of 10⁴–10⁵ trajectories constructs that many engines, all sharing
+// one immutable cwc::compiled_model, so construction is just the
+// initial-state clone plus the match-cache warm-up. Each iteration
+// constructs 10⁴ engines, so items/sec reads as engines/sec.
 constexpr int kConstructBatch = 10000;
-
-void bm_engine_construct_legacy(benchmark::State& state) {
-  const auto m = models::make_neurospora_cwc({});
-  std::uint64_t id = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < kConstructBatch; ++i) {
-      cwc::engine eng(m, 1, ++id);
-      benchmark::DoNotOptimize(eng.time());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kConstructBatch);
-}
-BENCHMARK(bm_engine_construct_legacy)->Unit(benchmark::kMillisecond);
 
 void bm_engine_construct_compiled(benchmark::State& state) {
   const auto m = models::make_neurospora_cwc({});
@@ -240,7 +228,7 @@ void bm_quantum_run(benchmark::State& state) {
   const double quantum = static_cast<double>(state.range(0)) / 10.0;
   std::uint64_t id = 0;
   for (auto _ : state) {
-    cwc::engine eng(m, 2, ++id);
+    cwc::engine eng(cwc::compiled_model::compile(m), 2, ++id);
     std::vector<cwc::trajectory_sample> out;
     eng.run_to(quantum, 0.25, out);
     benchmark::DoNotOptimize(out.size());

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
       windows_streamed);
 
   cfg.sim_workers = be.num_hosts * be.workers_per_host;
-  const auto mc = cwcsim::simulate(model, cfg);
+  const auto mc = cwcsim::run(model, cfg).result;
   bool identical = mc.windows.size() == dr.result.windows.size();
   if (identical) {
     for (std::size_t i = 0; i < mc.windows.size() && identical; ++i)

@@ -48,7 +48,8 @@ int main(int argc, char** argv) {
   std::printf("pipeline wall time: %.2f s\n\n", result.wall_seconds);
 
   // --- per-oscillation local periods of one representative trajectory ----
-  cwc::engine eng(model, cfg.seed, /*trajectory=*/0);
+  cwc::engine eng(cwc::compiled_model::compile(model), cfg.seed,
+                  /*trajectory=*/0);
   std::vector<cwc::trajectory_sample> traj;
   eng.run_to(cfg.t_end, cfg.sample_period, traj);
   std::vector<double> t, m_series;

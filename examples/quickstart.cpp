@@ -60,8 +60,7 @@ int main(int argc, char** argv) {
 
   // 4. wait() starts the run, streams, and returns the unified report —
   //    the same windows, bit-exact, plus backend extras. (The one-liner
-  //    batch alternative: auto result = cwcsim::simulate(model, cfg);
-  //    or, backend-portable: auto report = cwcsim::run(model, cfg);)
+  //    alternative: auto report = cwcsim::run(model, cfg, backend);)
   const auto report = session.wait();
 
   std::printf("# %llu trajectories, %u sim workers, %s backend, %.2fs wall\n",

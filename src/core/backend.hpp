@@ -69,18 +69,13 @@ struct multicore {
 };
 
 /// Run on a virtual cluster (paper §IV-B): num_hosts multicore hosts of
-/// workers_per_host engines stream serialized batches over the modeled
-/// network to a master running the analysis stages on-line.
+/// workers_per_host engines pull trajectories from an elastic master and
+/// stream serialized per-quantum results over the modeled network to it;
+/// the master runs the analysis stages on-line.
 struct distributed {
   unsigned num_hosts = 2;
   unsigned workers_per_host = 2;
   dist::net_params network{};
-  /// Opt out of elastic scheduling: partition trajectories statically in
-  /// contiguous blocks at start-of-run (the pre-elastic behaviour). The
-  /// default pull-based elastic scheduler produces bit-identical results
-  /// while tolerating slow and failed hosts; static_partition exists for
-  /// comparison benchmarks and cannot survive a host failure.
-  bool static_partition = false;
 };
 
 /// Run the simulation farm as lockstep kernels on the SIMT device model
@@ -149,7 +144,7 @@ struct run_report {
     /// Compiled-model frames shipped master -> hosts, once per run (0 when
     /// the model fell back to in-process sharing).
     double model_bytes = 0.0;
-    // ---- elastic-scheduling honesty counters (0 under static) ----
+    // ---- elastic-scheduling honesty counters ----
     std::uint64_t grants = 0;    ///< quantum grants the master issued
     std::uint64_t reissued = 0;  ///< grants beyond a trajectory's first
     /// Quantum results the master discarded as duplicate/stale (late
@@ -159,7 +154,7 @@ struct run_report {
     std::uint64_t messages_dropped = 0;  ///< lost to the seeded drop stream
     /// Quanta ACCEPTED per host — observed throughput, honest under
     /// elasticity (re-issued and duplicate-discarded work never counts
-    /// twice). Empty under static scheduling.
+    /// twice).
     std::vector<std::uint64_t> host_quanta;
   };
   struct device_stats {
@@ -189,8 +184,9 @@ class backend_driver {
 namespace detail {
 
 // Factory per descriptor. Implementations live with their runtimes
-// (core/simulator.cpp, dist/dist_backend.cpp, simt/gpu_backend.cpp) and
-// resolve when linking the cwcsim umbrella library.
+// (core/simulator.cpp, dist/distributed_simulator.cpp, simt/gpu_backend.cpp,
+// svc/service_backend.cpp) and resolve when linking the cwcsim umbrella
+// library.
 std::unique_ptr<backend_driver> make_multicore_driver(const model_ref& model,
                                                       const sim_config& cfg,
                                                       const multicore& b);

@@ -9,4 +9,3 @@
 #include "core/online_analysis.hpp"
 #include "core/result.hpp"
 #include "core/session.hpp"
-#include "core/simulator.hpp"

@@ -1,8 +1,8 @@
 // The streaming-event surface between backends and their consumer: what a
 // running deployment pushes results into, and the cooperative stop flag it
-// polls. Split from backend.hpp so the core pipeline layer (nodes,
-// simulator) can depend on the event contract without seeing the
-// backend-descriptor headers that sit above it.
+// polls. Split from backend.hpp so the core pipeline layer (nodes) can
+// depend on the event contract without seeing the backend-descriptor
+// headers that sit above it.
 #pragma once
 
 #include <cstdint>
@@ -59,8 +59,9 @@ class event_sink {
   virtual void cell_done(std::uint32_t /*cell*/) {}
 };
 
-/// event_sink that simply collects the stream — used by the legacy batch
-/// wrappers and handy in tests.
+/// event_sink that simply collects the window stream — what
+/// dist::distributed_simulator's batch run() collects into, and handy in
+/// tests that drive a single pipeline node.
 class collecting_sink final : public event_sink {
  public:
   void window(window_summary&& w) override { windows_.push_back(std::move(w)); }

@@ -10,23 +10,18 @@
 
 #include "cwc/cwc.hpp"
 #include "stats/cut.hpp"
+#include "util/check.hpp"
 
 namespace cwcsim {
 
 /// Either stochastic engine, same quantum/sampling contract.
 class any_engine {
  public:
-  /// Farm path: construct from the shared compiled artifact (tree or flat
-  /// dispatch happens on the artifact's kind). No per-trajectory recompile.
+  /// Construct from the shared compiled artifact (tree or flat dispatch
+  /// happens on the artifact's kind). No per-trajectory recompile.
   any_engine(std::shared_ptr<const cwc::compiled_model> cm, std::uint64_t seed,
              std::uint64_t id)
       : impl_(make_impl(std::move(cm), seed, id)) {}
-
-  // Legacy recompile paths (compile a private artifact per engine).
-  any_engine(const cwc::model& m, std::uint64_t seed, std::uint64_t id)
-      : impl_(std::in_place_type<cwc::engine>, m, seed, id) {}
-  any_engine(const cwc::reaction_network& n, std::uint64_t seed, std::uint64_t id)
-      : impl_(std::in_place_type<cwc::flat_engine>, n, seed, id) {}
 
   double time() const {
     return std::visit([](const auto& e) { return e.time(); }, impl_);
@@ -56,11 +51,11 @@ class any_engine {
   std::variant<cwc::engine, cwc::flat_engine> impl_;
 };
 
-/// Either model kind accepted by the pipeline. Callers that spin up many
-/// engines (the session/backend drivers, the batch simulators, the DES
-/// workload capture) call compile() once up front so every engine shares
-/// one immutable cwc::compiled_model instead of rebuilding the static
-/// per-model tables per trajectory.
+/// Either model kind accepted by the pipeline. compile() runs once per run,
+/// before any engine exists (run_builder::open() and the distributed
+/// simulator do it), so every engine shares one immutable
+/// cwc::compiled_model instead of rebuilding the static per-model tables
+/// per trajectory; make_engine() enforces that order.
 struct model_ref {
   const cwc::model* tree = nullptr;
   const cwc::reaction_network* flat = nullptr;
@@ -79,10 +74,11 @@ struct model_ref {
     if (compiled != nullptr) return compiled->num_observables();
     return tree != nullptr ? tree->observables().size() : flat->num_species();
   }
+  /// An engine on the shared artifact. Requires compile() to have run.
   any_engine make_engine(std::uint64_t seed, std::uint64_t id) const {
-    if (compiled != nullptr) return any_engine(compiled, seed, id);
-    if (tree != nullptr) return any_engine(*tree, seed, id);
-    return any_engine(*flat, seed, id);
+    util::expects(compiled != nullptr,
+                  "model_ref::make_engine requires compile() first");
+    return any_engine(compiled, seed, id);
   }
 };
 

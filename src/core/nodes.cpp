@@ -1,6 +1,7 @@
 #include "core/nodes.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
@@ -10,39 +11,23 @@ namespace cwcsim {
 // ---------------------------------------------------------------- generator
 
 task_generator::task_generator(model_ref model, const sim_config& cfg,
-                               const event_sink* events)
-    : model_(model), cfg_(&cfg), events_(events) {
+                               const event_sink& events)
+    : model_(std::move(model)), cfg_(&cfg), events_(&events) {
   set_name("task-generator");
-  util::expects(model.tree != nullptr || model.flat != nullptr,
-                "task_generator requires a model");
-  ids_.reserve(cfg.num_trajectories);
-  for (std::uint64_t i = 0; i < cfg.num_trajectories; ++i) ids_.push_back(i);
-}
-
-task_generator::task_generator(model_ref model, const sim_config& cfg,
-                               std::vector<std::uint64_t> ids,
-                               const event_sink* events)
-    : model_(model), cfg_(&cfg), events_(events), ids_(std::move(ids)) {
-  set_name("task-generator");
-  util::expects(model.tree != nullptr || model.flat != nullptr,
-                "task_generator requires a model");
-  util::expects(!ids_.empty(), "task_generator requires at least one id");
 }
 
 ff::outcome task_generator::svc(ff::token /*tick*/) {
-  if (next_ >= ids_.size()) return ff::outcome::end;
-  if (events_ != nullptr && events_->stop_requested()) return ff::outcome::end;
-  const std::uint64_t id = ids_[next_];
-  auto engine = model_.make_engine(cfg_->seed, id);
-  send_out(ff::token::make<sim_task>(id, std::move(engine)));
+  const std::uint64_t n = cfg_->num_trajectories;
+  if (next_ >= n || events_->stop_requested()) return ff::outcome::end;
+  auto engine = model_.make_engine(cfg_->seed, next_);
+  send_out(ff::token::make<sim_task>(next_, std::move(engine)));
   ++next_;
-  return next_ < ids_.size() ? ff::outcome::more : ff::outcome::end;
+  return next_ < n ? ff::outcome::more : ff::outcome::end;
 }
 
 // ---------------------------------------------------------------- scheduler
 
-task_scheduler::task_scheduler(const sim_config& /*cfg*/, event_sink* events)
-    : events_(events) {
+task_scheduler::task_scheduler(event_sink& events) : events_(&events) {
   set_name("task-scheduler");
   set_continue_after_eos(true);
 }
@@ -55,7 +40,7 @@ ff::outcome task_scheduler::maybe_done() const noexcept {
 ff::outcome task_scheduler::svc(ff::token t) {
   if (t.holds<sim_task>()) {
     const bool fresh = t.as<sim_task>().quantum_index == 0;
-    if (stopping()) {
+    if (events_->stop_requested()) {
       // Cooperative cancellation: retire in-flight tasks instead of
       // redispatching; fresh tasks were never counted as outstanding.
       if (!fresh) {
@@ -73,7 +58,7 @@ ff::outcome task_scheduler::svc(ff::token t) {
     util::expects(outstanding_ > 0, "completion for unknown task");
     --outstanding_;
     completions_.push_back(t.as<task_done>());
-    if (events_ != nullptr) events_->trajectory_done(t.as<task_done>());
+    events_->trajectory_done(t.as<task_done>());
     return maybe_done();
   }
   util::ensures(false, "task_scheduler received unexpected token type");
@@ -116,8 +101,8 @@ ff::outcome sim_engine_node::svc(ff::token t) {
 
 trajectory_aligner::trajectory_aligner(const sim_config& cfg,
                                        std::size_t num_observables,
-                                       const event_sink* events)
-    : assembler_(cfg, num_observables), events_(events) {
+                                       const event_sink& events)
+    : assembler_(cfg, num_observables), events_(&events) {
   set_name("trajectory-aligner");
 }
 
@@ -135,7 +120,7 @@ void trajectory_aligner::on_eos() {
   // A complete run leaves nothing behind; partially filled cuts indicate a
   // trajectory loss upstream and must not silently disappear. A cancelled
   // run legitimately drops the cuts its retired trajectories never filled.
-  if (events_ != nullptr && events_->stop_requested()) return;
+  if (events_->stop_requested()) return;
   util::ensures(assembler_.drained(), "alignment buffer not drained at EOS");
 }
 
@@ -200,22 +185,13 @@ void reorder_gather::on_eos() {
 
 // --------------------------------------------------------------------- sink
 
-result_sink::result_sink(simulation_result* out)
-    : result_sink([out](window_summary&& w) {
-        out->windows.push_back(std::move(w));
-      }) {
-  util::expects(out != nullptr, "result_sink requires a destination");
-}
-
-result_sink::result_sink(std::function<void(window_summary&&)> push)
-    : push_(std::move(push)) {
+result_sink::result_sink(event_sink& events) : events_(&events) {
   set_name("result-sink");
-  util::expects(static_cast<bool>(push_), "result_sink requires a consumer");
 }
 
 ff::outcome result_sink::svc(ff::token t) {
   if (t.holds<window_summary>()) {
-    push_(t.take<window_summary>());
+    events_->window(t.take<window_summary>());
     return ff::outcome::more;
   }
   util::ensures(false, "result_sink received unexpected token type");

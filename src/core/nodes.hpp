@@ -7,7 +7,6 @@
 //                       reorder_gather -> result_sink
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -24,37 +23,31 @@
 namespace cwcsim {
 
 /// Stage 1: generation of simulation tasks. Emits one task per trajectory
-/// id, each owning a fresh engine with its own (seed, id) RNG stream. By
-/// default generates ids 0..num_trajectories-1; the distributed runtime
-/// passes each host its partition of ids instead. When an event_sink is
-/// attached, generation ends early once stop is requested.
+/// id 0..num_trajectories-1, each owning a fresh engine with its own
+/// (seed, id) RNG stream built from the model's shared compiled artifact.
+/// Generation ends early once the sink requests stop.
 class task_generator final : public ff::node {
  public:
   task_generator(model_ref model, const sim_config& cfg,
-                 const event_sink* events = nullptr);
-  task_generator(model_ref model, const sim_config& cfg,
-                 std::vector<std::uint64_t> ids,
-                 const event_sink* events = nullptr);
+                 const event_sink& events);
   ff::outcome svc(ff::token t) override;
 
  private:
   model_ref model_;
   const sim_config* cfg_;
   const event_sink* events_;
-  std::vector<std::uint64_t> ids_;
-  std::size_t next_ = 0;
+  std::uint64_t next_ = 0;
 };
 
 /// Farm emitter: dispatches tasks to simulation engines (on-demand by
 /// default) and receives rescheduled tasks / completion notices on the
 /// feedback channel. Terminates when the generator is done and every
-/// trajectory has completed. With an event_sink attached, completion
-/// notices are streamed through it as they happen, and once stop is
-/// requested in-flight tasks are retired instead of redispatched.
+/// trajectory has completed. Completion notices are streamed through the
+/// sink as they happen, and once stop is requested in-flight tasks are
+/// retired instead of redispatched.
 class task_scheduler final : public ff::node {
  public:
-  explicit task_scheduler(const sim_config& cfg,
-                          event_sink* events = nullptr);
+  explicit task_scheduler(event_sink& events);
   ff::outcome svc(ff::token t) override;
   ff::outcome on_upstream_eos() override;
 
@@ -67,9 +60,6 @@ class task_scheduler final : public ff::node {
 
  private:
   ff::outcome maybe_done() const noexcept;
-  bool stopping() const noexcept {
-    return events_ != nullptr && events_->stop_requested();
-  }
   event_sink* events_;
   std::uint64_t outstanding_ = 0;
   std::uint64_t dispatched_ = 0;
@@ -103,7 +93,7 @@ class sim_engine_node final : public ff::node {
 class trajectory_aligner final : public ff::node {
  public:
   trajectory_aligner(const sim_config& cfg, std::size_t num_observables,
-                     const event_sink* events = nullptr);
+                     const event_sink& events);
   ff::outcome svc(ff::token t) override;
   void on_eos() override;
 
@@ -154,18 +144,16 @@ class reorder_gather final : public ff::node {
   std::uint64_t next_ = 0;
 };
 
-/// Terminal stage: hands each ordered summary to a consumer as the gather
-/// stage emits it (stands in for the GUI/storage of Fig. 2). The consumer
-/// is either a collecting simulation_result (batch mode) or the session's
-/// event sink (streaming mode) — no terminal gather-then-copy either way.
+/// Terminal stage: hands each ordered summary to the session's event sink
+/// as the gather stage emits it (stands in for the GUI/storage of Fig. 2)
+/// — no terminal gather-then-copy.
 class result_sink final : public ff::node {
  public:
-  explicit result_sink(simulation_result* out);
-  explicit result_sink(std::function<void(window_summary&&)> push);
+  explicit result_sink(event_sink& events);
   ff::outcome svc(ff::token t) override;
 
  private:
-  std::function<void(window_summary&&)> push_;
+  event_sink* events_;
 };
 
 }  // namespace cwcsim

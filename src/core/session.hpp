@@ -10,12 +10,14 @@
 //
 // Windows reach on_window subscribers while the simulation is still
 // running — the paper's on-line analysis surface — and the same ordered
-// stream is collected into report.result.windows, bit-exact with the batch
-// cwcsim::simulate() output. request_stop() cancels cooperatively: the run
-// drains at the next scheduling boundary and wait() returns a partial
-// report with report.stopped == true.
+// stream is collected into report.result.windows, bit-exact across every
+// backend for the same (model, sim_config). request_stop() cancels
+// cooperatively: the run drains at the next scheduling boundary and wait()
+// returns a partial report with report.stopped == true.
 //
-// For the one-shot case there is cwcsim::run(model, cfg, backend).
+// This is the only run API. For the one-shot case there is
+// cwcsim::run(model, cfg, backend); cwcsim::run(model, cfg).result is the
+// whole batch result of the default multicore farm.
 #pragma once
 
 #include <functional>

@@ -1,87 +1,29 @@
-#include "core/simulator.hpp"
-
+// The multicore backend (cwcsim::multicore): the per-engine Fig. 2 farm
+// pipeline, and the opt-in batched path over the lane executor.
 #include <memory>
+#include <vector>
 
 #include "core/backend.hpp"
 #include "core/lane_executor.hpp"
+#include "core/nodes.hpp"
 #include "core/online_analysis.hpp"
-#include "util/check.hpp"
 #include "util/stopwatch.hpp"
 
 namespace cwcsim {
 
 namespace detail {
 
-simulation_result run_multicore_pipeline(const model_ref& model,
-                                         const sim_config& cfg,
-                                         event_sink* sink) {
-  ff::network net;
-  simulation_result result;
-  result.sim_workers = cfg.sim_workers;
-  result.stat_engines = cfg.stat_engines;
-
-  // ---- simulation pipeline -------------------------------------------
-  ff::pipeline pipe;
-  pipe.add_stage(std::make_unique<task_generator>(model, cfg, sink));
-
-  std::vector<std::unique_ptr<ff::node>> sim_workers;
-  std::vector<sim_engine_node*> sim_worker_ptrs;
-  for (unsigned w = 0; w < cfg.sim_workers; ++w) {
-    auto worker = std::make_unique<sim_engine_node>(cfg, w);
-    sim_worker_ptrs.push_back(worker.get());
-    sim_workers.push_back(std::move(worker));
-  }
-  auto sim_farm = std::make_unique<ff::farm>(std::move(sim_workers));
-  auto scheduler = std::make_unique<task_scheduler>(cfg, sink);
-  task_scheduler* scheduler_ptr = scheduler.get();
-  sim_farm->set_emitter(std::move(scheduler))
-      .set_dispatch(cfg.dispatch)
-      .set_worker_channel_capacity(cfg.worker_queue)
-      .enable_feedback(ff::feedback_from::workers);
-  pipe.add_stage(std::move(sim_farm));
-
-  pipe.add_stage(std::make_unique<trajectory_aligner>(
-      cfg, model.num_observables(), sink));
-
-  // ---- analysis pipeline ----------------------------------------------
-  pipe.add_stage(std::make_unique<window_generator>(cfg));
-
-  std::vector<std::unique_ptr<ff::node>> stat_workers;
-  for (unsigned w = 0; w < cfg.stat_engines; ++w)
-    stat_workers.push_back(std::make_unique<stat_engine_node>(cfg));
-  auto stat_farm = std::make_unique<ff::farm>(std::move(stat_workers));
-  stat_farm->set_dispatch(ff::out_policy::on_demand)
-      .set_collector(std::make_unique<reorder_gather>(cfg.window_slide));
-  pipe.add_stage(std::move(stat_farm));
-
-  // Terminal stage: stream summaries into the session sink, or collect
-  // them for the batch wrapper — no gather-then-copy in either mode.
-  if (sink != nullptr) {
-    pipe.add_stage(std::make_unique<result_sink>(
-        [sink](window_summary&& w) { sink->window(std::move(w)); }));
-  } else {
-    pipe.add_stage(std::make_unique<result_sink>(&result));
-  }
-
-  // ---- run --------------------------------------------------------------
-  pipe.materialize(net);
-  util::stopwatch sw;
-  net.run_and_wait();
-  result.wall_seconds = sw.elapsed_s();
-
-  // ---- gather instrumentation -------------------------------------------
-  result.completions = scheduler_ptr->completions();
-  if (cfg.capture_trace) {
-    for (const sim_engine_node* w : sim_worker_ptrs) {
-      result.trace.insert(result.trace.end(), w->trace().begin(),
-                          w->trace().end());
-    }
-  }
-  return result;
-}
-
 namespace {
 
+/// The shared-memory CWC simulator with on-line parallel analysis (paper
+/// §IV-A, Fig. 2). run() wires
+///
+///   generation -> farm(simulation engines, feedback) -> alignment ->
+///   sliding windows -> farm(statistical engines) -> gather -> sink
+///
+/// into one ff network and runs it to completion, streaming window
+/// summaries and completion notices through the session's sink as the
+/// gather stage emits them (the sink's stop flag is honoured).
 class multicore_driver final : public backend_driver {
  public:
   multicore_driver(const model_ref& model, const sim_config& cfg)
@@ -90,7 +32,63 @@ class multicore_driver final : public backend_driver {
   const char* name() const noexcept override { return "multicore"; }
 
   void run(event_sink& sink, run_report& report) override {
-    report.result = run_multicore_pipeline(model_, cfg_, &sink);
+    ff::network net;
+    simulation_result& result = report.result;
+    result.sim_workers = cfg_.sim_workers;
+    result.stat_engines = cfg_.stat_engines;
+
+    // ---- simulation pipeline -----------------------------------------
+    ff::pipeline pipe;
+    pipe.add_stage(std::make_unique<task_generator>(model_, cfg_, sink));
+
+    std::vector<std::unique_ptr<ff::node>> sim_workers;
+    std::vector<sim_engine_node*> sim_worker_ptrs;
+    for (unsigned w = 0; w < cfg_.sim_workers; ++w) {
+      auto worker = std::make_unique<sim_engine_node>(cfg_, w);
+      sim_worker_ptrs.push_back(worker.get());
+      sim_workers.push_back(std::move(worker));
+    }
+    auto sim_farm = std::make_unique<ff::farm>(std::move(sim_workers));
+    auto scheduler = std::make_unique<task_scheduler>(sink);
+    task_scheduler* scheduler_ptr = scheduler.get();
+    sim_farm->set_emitter(std::move(scheduler))
+        .set_dispatch(cfg_.dispatch)
+        .set_worker_channel_capacity(cfg_.worker_queue)
+        .enable_feedback(ff::feedback_from::workers);
+    pipe.add_stage(std::move(sim_farm));
+
+    pipe.add_stage(std::make_unique<trajectory_aligner>(
+        cfg_, model_.num_observables(), sink));
+
+    // ---- analysis pipeline --------------------------------------------
+    pipe.add_stage(std::make_unique<window_generator>(cfg_));
+
+    std::vector<std::unique_ptr<ff::node>> stat_workers;
+    for (unsigned w = 0; w < cfg_.stat_engines; ++w)
+      stat_workers.push_back(std::make_unique<stat_engine_node>(cfg_));
+    auto stat_farm = std::make_unique<ff::farm>(std::move(stat_workers));
+    stat_farm->set_dispatch(ff::out_policy::on_demand)
+        .set_collector(std::make_unique<reorder_gather>(cfg_.window_slide));
+    pipe.add_stage(std::move(stat_farm));
+
+    // Terminal stage: stream summaries straight into the sink — no
+    // gather-then-copy.
+    pipe.add_stage(std::make_unique<result_sink>(sink));
+
+    // ---- run ----------------------------------------------------------
+    pipe.materialize(net);
+    util::stopwatch sw;
+    net.run_and_wait();
+    result.wall_seconds = sw.elapsed_s();
+
+    // ---- gather instrumentation ---------------------------------------
+    result.completions = scheduler_ptr->completions();
+    if (cfg_.capture_trace) {
+      for (const sim_engine_node* w : sim_worker_ptrs) {
+        result.trace.insert(result.trace.end(), w->trace().begin(),
+                            w->trace().end());
+      }
+    }
   }
 
  private:
@@ -149,34 +147,14 @@ class batched_multicore_driver final : public backend_driver {
 std::unique_ptr<backend_driver> make_multicore_driver(const model_ref& model,
                                                       const sim_config& cfg,
                                                       const multicore& b) {
-  if (b.batch_width > 1 && !cfg.capture_trace) {
-    model_ref m = model;
-    m.compile();  // idempotent; the groups share one artifact
-    if (lane_executor::batches({m.compiled}, b.batch_width))
-      return std::make_unique<batched_multicore_driver>(m, cfg, b.batch_width);
-  }
+  // run_builder::open() compiled the model: the groups share its artifact.
+  if (!cfg.capture_trace &&
+      lane_executor::batches({model.compiled}, b.batch_width))
+    return std::make_unique<batched_multicore_driver>(model, cfg,
+                                                      b.batch_width);
   return std::make_unique<multicore_driver>(model, cfg);
 }
 
 }  // namespace detail
-
-multicore_simulator::multicore_simulator(const cwc::model& m, sim_config cfg)
-    : cfg_(cfg) {
-  model_.tree = &m;
-  validate(cfg_);
-  model_.compile();  // one artifact shared by the whole farm
-}
-
-multicore_simulator::multicore_simulator(const cwc::reaction_network& n,
-                                         sim_config cfg)
-    : cfg_(cfg) {
-  model_.flat = &n;
-  validate(cfg_);
-  model_.compile();  // one artifact shared by the whole farm
-}
-
-simulation_result multicore_simulator::run() {
-  return detail::run_multicore_pipeline(model_, cfg_, nullptr);
-}
 
 }  // namespace cwcsim

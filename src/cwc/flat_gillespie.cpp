@@ -14,10 +14,6 @@ flat_engine::flat_engine(std::shared_ptr<const compiled_model> cm,
   props_.assign(net_->reactions().size(), 0.0);
 }
 
-flat_engine::flat_engine(const reaction_network& net, std::uint64_t seed,
-                         std::uint64_t trajectory_id)
-    : flat_engine(compiled_model::compile(net), seed, trajectory_id) {}
-
 double flat_engine::total_propensity() {
   double total = 0.0;
   for (std::size_t j = 0; j < props_.size(); ++j) {

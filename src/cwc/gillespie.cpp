@@ -30,10 +30,6 @@ engine::engine(std::shared_ptr<const compiled_model> cm, std::uint64_t seed,
   rebuild_order();  // builds and enumerates a block for every compartment
 }
 
-engine::engine(const model& m, std::uint64_t seed, std::uint64_t trajectory_id,
-               engine_mode mode)
-    : engine(compiled_model::compile(m), seed, trajectory_id, mode) {}
-
 engine::comp_block& engine::ensure_block(compartment& c) {
   auto it = cache_.find(&c);
   if (it != cache_.end()) return *it->second;

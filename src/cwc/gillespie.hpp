@@ -61,11 +61,6 @@ class engine {
          std::uint64_t trajectory_id,
          engine_mode mode = engine_mode::incremental);
 
-  /// Legacy recompile path: compiles a private artifact for this one
-  /// engine. Prefer sharing one compiled_model across the farm.
-  engine(const model& m, std::uint64_t seed, std::uint64_t trajectory_id,
-         engine_mode mode = engine_mode::incremental);
-
   double time() const noexcept { return time_; }
   const term& state() const noexcept { return *state_; }
   std::uint64_t trajectory_id() const noexcept { return trajectory_id_; }

@@ -25,12 +25,6 @@ next_reaction_engine::next_reaction_engine(
   init_clocks();
 }
 
-next_reaction_engine::next_reaction_engine(const reaction_network& net,
-                                           std::uint64_t seed,
-                                           std::uint64_t trajectory_id)
-    : next_reaction_engine(compiled_model::compile(net), seed, trajectory_id) {
-}
-
 void next_reaction_engine::init_clocks() {
   const std::size_t r = propensity_.size();
   for (std::size_t j = 0; j < r; ++j) {

@@ -27,10 +27,6 @@ class next_reaction_engine {
   next_reaction_engine(std::shared_ptr<const compiled_model> cm,
                        std::uint64_t seed, std::uint64_t trajectory_id);
 
-  /// Legacy recompile path: compiles a private artifact for this engine.
-  next_reaction_engine(const reaction_network& net, std::uint64_t seed,
-                       std::uint64_t trajectory_id);
-
   double time() const noexcept { return time_; }
   const multiset& state() const noexcept { return state_; }
   std::uint64_t steps() const noexcept { return steps_; }

@@ -119,16 +119,24 @@ class archive_reader {
   std::vector<T> get_vector() {
     static_assert(std::is_trivially_copyable_v<T>,
                   "archive_reader::get_vector requires trivially copyable elements");
-    const auto n = get<std::uint64_t>();
-    if (sizeof(T) != 0 && n > remaining() / sizeof(T))
-      throw std::runtime_error("archive_reader: vector length overruns buffer");
-    std::vector<T> v(static_cast<std::size_t>(n));
+    const std::size_t n = get_count(sizeof(T));
+    std::vector<T> v(n);
     if (n > 0) {
-      std::memcpy(v.data(), buf_.data() + pos_,
-                  static_cast<std::size_t>(n) * sizeof(T));
-      pos_ += static_cast<std::size_t>(n) * sizeof(T);
+      std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(T));
+      pos_ += n * sizeof(T);
     }
     return v;
+  }
+
+  /// Read a u64 element count for elements that encode to at least
+  /// `min_bytes` each; throws std::runtime_error when the rest of the
+  /// buffer cannot hold that many, so a corrupt count never reaches a
+  /// reserve() or an allocation.
+  std::size_t get_count(std::size_t min_bytes) {
+    const auto n = get<std::uint64_t>();
+    if (n > remaining() / min_bytes)
+      throw std::runtime_error("archive_reader: element count overruns buffer");
+    return static_cast<std::size_t>(n);
   }
 
   /// True when every byte has been consumed.

@@ -5,7 +5,6 @@
 #pragma once
 
 #include "dist/archive.hpp"
-#include "dist/dist_backend.hpp"
 #include "dist/distributed_simulator.hpp"
 #include "dist/model_codec.hpp"
 #include "dist/net_channel.hpp"

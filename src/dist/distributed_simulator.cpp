@@ -80,74 +80,6 @@ bool note_sim_time(host_state& host, double sim_adv) {
   return false;
 }
 
-// --------------------------------------------------------------- static mode
-
-/// One simulated host, static partition: `workers` engine threads advance
-/// the host's fixed block of trajectories quantum by quantum — the same
-/// advance_one_quantum contract as cwcsim::sim_engine_node — and stream
-/// the serialized results to the master over `out`. Messages are framed as
-/// a wire_tag byte followed by the payload, written in one pass. The
-/// sink's stop flag is honoured at quantum boundaries (cooperative
-/// cancellation of the whole cluster). Worker exceptions are captured into
-/// the cluster error slot, and writer_guard closes the channel on every
-/// exit path, so a failing host surfaces as a clean master-side error
-/// instead of a recv() that blocks forever.
-void run_host_static(const std::shared_ptr<const cwc::compiled_model>& cm,
-                     const cwcsim::sim_config& cfg,
-                     const std::vector<std::uint64_t>& ids, unsigned workers,
-                     const cwcsim::event_sink& sink, net_channel& out,
-                     host_state& host, cluster_ctx& cx) {
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> engines;
-  engines.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    engines.emplace_back([&] {
-      // The master registered this writer slot before the host spawned (so
-      // its recv() loop could not observe an empty, writerless channel);
-      // adopt it so it is closed on EVERY exit path, including unwinding.
-      auto guard = writer_guard::adopt(out);
-      try {
-        for (std::size_t i = next.fetch_add(1);
-             i < ids.size() && !sink.stop_requested(); i = next.fetch_add(1)) {
-          const std::uint64_t id = ids[i];
-          cwcsim::any_engine engine(cm, cfg.seed, id);
-          std::uint64_t quantum_index = 0;
-          while (!sink.stop_requested()) {
-            auto q = cwcsim::advance_one_quantum(engine, cfg, id, quantum_index);
-            throttle(host, q.record.wall_ns);
-            if (cfg.capture_trace) {
-              archive_writer aw;
-              aw.put(wire_tag::quantum_trace);
-              write_quantum_record(aw, q.record);
-              out.send(aw.take());
-            }
-            if (!q.batch.samples.empty()) {
-              archive_writer aw;
-              aw.put(wire_tag::sample_batch);
-              write_sample_batch(aw, q.batch);
-              out.send(aw.take());
-            }
-            if (q.finished) {
-              archive_writer aw;
-              aw.put(wire_tag::task_done);
-              write_task_done(aw, q.done);
-              out.send(aw.take());
-              break;
-            }
-            ++quantum_index;
-          }
-        }
-      } catch (...) {
-        record_error(cx);
-      }
-      cx.live_workers.fetch_sub(1, std::memory_order_relaxed);
-    });
-  }
-  for (auto& t : engines) t.join();
-}
-
-// -------------------------------------------------------------- elastic mode
-
 /// Execute one grant: deterministically resume `trajectory_id` at the
 /// acked checkpoint (replaying the already-ingested quanta locally without
 /// emitting — engines are pure functions of (seed, id), so the replay is
@@ -260,10 +192,9 @@ distributed_simulator::distributed_simulator(cwcsim::model_ref model,
     : model_(std::move(model)), cfg_(std::move(cfg)) {
   util::expects(model_.tree != nullptr || model_.flat != nullptr,
                 "distributed_simulator requires a model");
-  cwcsim::validate(
-      cfg_.base,
-      cwcsim::distributed{cfg_.num_hosts, cfg_.workers_per_host, cfg_.network,
-                          cfg_.scheduling == schedule_mode::static_block});
+  cwcsim::validate(cfg_.base, cwcsim::distributed{cfg_.num_hosts,
+                                                  cfg_.workers_per_host,
+                                                  cfg_.network});
   util::expects(cfg_.host_speed.empty() ||
                     cfg_.host_speed.size() == cfg_.num_hosts,
                 "host_speed must name every host (or be empty)");
@@ -271,10 +202,6 @@ distributed_simulator::distributed_simulator(cwcsim::model_ref model,
     util::expects(s > 0.0, "host_speed must be positive");
   for (const auto& k : cfg_.kills)
     util::expects(k.host < cfg_.num_hosts, "kill_spec names an unknown host");
-  util::expects(cfg_.kills.empty() ||
-                    cfg_.scheduling == schedule_mode::elastic,
-                "static scheduling cannot survive a host failure — "
-                "use schedule_mode::elastic with fault injection");
   util::expects(cfg_.reissue_after_s > 0.0 && cfg_.master_tick_s > 0.0 &&
                     cfg_.worker_retry_s > 0.0,
                 "elastic scheduling timeouts must be positive");
@@ -284,43 +211,21 @@ distributed_simulator::distributed_simulator(cwcsim::model_ref model,
 distributed_simulator& distributed_simulator::kill_host(unsigned host,
                                                         double at_sim_time) {
   util::expects(host < cfg_.num_hosts, "kill_host names an unknown host");
-  util::expects(cfg_.scheduling == schedule_mode::elastic,
-                "static scheduling cannot survive a host failure");
   cfg_.kills.push_back(kill_spec{host, at_sim_time});
   return *this;
 }
 
-dist_result distributed_simulator::run() {
+cwcsim::run_report distributed_simulator::run() {
   cwcsim::collecting_sink sink;
   cwcsim::run_report report;
   run(sink, report);
-
-  dist_result out;
-  out.result = std::move(report.result);
-  out.result.windows = sink.take_windows();
-  out.messages = report.network->messages;
-  out.bytes = report.network->bytes;
-  out.model_bytes = report.network->model_bytes;
-  out.grants = report.network->grants;
-  out.reissued = report.network->reissued;
-  out.duplicate_quanta = report.network->duplicate_quanta;
-  out.messages_dropped = report.network->messages_dropped;
-  out.host_quanta = std::move(report.network->host_quanta);
-  return out;
+  report.backend = name();
+  report.result.windows = sink.take_windows();
+  return report;
 }
 
 void distributed_simulator::run(cwcsim::event_sink& sink,
                                 cwcsim::run_report& report) {
-  if (cfg_.scheduling == schedule_mode::elastic)
-    run_elastic(sink, report);
-  else
-    run_static(sink, report);
-}
-
-// ----------------------------------------------------------------- elastic
-
-void distributed_simulator::run_elastic(cwcsim::event_sink& sink,
-                                        cwcsim::run_report& report) {
   const cwcsim::sim_config& base = cfg_.base;
   util::stopwatch sw;
   const unsigned H = cfg_.num_hosts;
@@ -589,167 +494,19 @@ void distributed_simulator::run_elastic(cwcsim::event_sink& sink,
   report.result.wall_seconds = sw.elapsed_s();
 }
 
-// ------------------------------------------------------------------ static
+}  // namespace dist
 
-void distributed_simulator::run_static(cwcsim::event_sink& sink,
-                                       cwcsim::run_report& report) {
-  const cwcsim::sim_config& base = cfg_.base;
-  util::stopwatch sw;
+namespace cwcsim::detail {
 
-  // ---- partition trajectories across hosts (contiguous blocks) ----------
-  std::vector<std::vector<std::uint64_t>> partition(cfg_.num_hosts);
-  {
-    const std::uint64_t n = base.num_trajectories;
-    const std::uint64_t per = n / cfg_.num_hosts;
-    const std::uint64_t extra = n % cfg_.num_hosts;
-    std::uint64_t id = 0;
-    for (unsigned h = 0; h < cfg_.num_hosts; ++h) {
-      const std::uint64_t take = per + (h < extra ? 1 : 0);
-      for (std::uint64_t i = 0; i < take; ++i) partition[h].push_back(id++);
-    }
-  }
-
-  // ---- ship the model once per run --------------------------------------
-  // The master encodes the model description into ONE versioned frame and
-  // sends it to each host over the modeled network; hosts decode and
-  // compile their own shared artifact. Models with custom rate laws cannot
-  // cross the wire and fall back to the master's in-process artifact.
-  const std::shared_ptr<const cwc::compiled_model> master_cm = model_.compiled;
-  util::ensures(master_cm != nullptr, "distributed run without an artifact");
-  const bool ship = wire_encodable(model_);
-  byte_buffer model_frame;
-  std::vector<std::unique_ptr<net_channel>> model_links;
-  net_params boot = cfg_.network;
-  boot.drop_prob = 0.0;  // lossless bootstrap, as in the elastic path
-  if (ship) {
-    model_frame = encode_model(model_);
-    model_links.reserve(cfg_.num_hosts);
-    for (unsigned h = 0; h < cfg_.num_hosts; ++h) {
-      auto link = std::make_unique<net_channel>(boot);
-      link->add_writer();
-      link->send(model_frame);  // one frame per host, latency modeled
-      link->close_writer();
-      model_links.push_back(std::move(link));
-    }
-  }
-
-  // ---- launch the virtual cluster ---------------------------------------
-  // All hosts stream into the master's ingress link (an MPSC channel, one
-  // writer per engine thread), so the master consumes messages in arrival
-  // order and cuts complete — and are analysed — on-line, with bounded
-  // buffering, exactly like the shared-memory alignment stage.
-  net_channel ingress(cfg_.network);
-  for (unsigned w = 0; w < cfg_.num_hosts * cfg_.workers_per_host; ++w)
-    ingress.add_writer();
-
-  cluster_ctx cx;
-  cx.cfg = &base;
-  cx.sink = &sink;
-  cx.ingress = &ingress;
-  cx.live_workers.store(cfg_.num_hosts * cfg_.workers_per_host,
-                        std::memory_order_relaxed);
-
-  std::vector<std::unique_ptr<host_state>> hosts_state(cfg_.num_hosts);
-  for (unsigned h = 0; h < cfg_.num_hosts; ++h) {
-    hosts_state[h] = std::make_unique<host_state>();
-    hosts_state[h]->id = h;
-    if (!cfg_.host_speed.empty())
-      hosts_state[h]->speed = std::min(cfg_.host_speed[h], 1.0);
-  }
-
-  std::vector<std::thread> hosts;
-  hosts.reserve(cfg_.num_hosts);
-  for (unsigned h = 0; h < cfg_.num_hosts; ++h) {
-    hosts.emplace_back([this, &base, &partition, &sink, &ingress, &master_cm,
-                        &model_links, &hosts_state, &cx, ship, h] {
-      std::shared_ptr<const cwc::compiled_model> host_cm = master_cm;
-      if (ship) {
-        try {
-          // Receive and recompile the model on this host: engines below run
-          // on the decoded copy, proving the frame round-trips bit-exactly.
-          const auto frame = model_links[h]->recv();
-          util::ensures(frame.has_value(), "model frame lost in transit");
-          host_cm = decode_model(*frame);
-        } catch (...) {
-          record_error(cx);
-          // The workers never spawn; release their writer slots so the
-          // master's recv() drains instead of blocking forever.
-          cx.live_workers.fetch_sub(cfg_.workers_per_host,
-                                    std::memory_order_relaxed);
-          for (unsigned w = 0; w < cfg_.workers_per_host; ++w)
-            ingress.close_writer();
-          return;
-        }
-      }
-      run_host_static(host_cm, base, partition[h], cfg_.workers_per_host,
-                      sink, ingress, *hosts_state[h], cx);
-    });
-  }
-  // net_channel::send never blocks, so the hosts always run to completion
-  // and are joinable even if the master fails mid-stream.
-  auto join_hosts = [&hosts] {
-    for (auto& h : hosts) h.join();
-  };
-
-  // ---- master: align -> window -> statistics, on-line -------------------
-  report.result.sim_workers = cfg_.num_hosts * cfg_.workers_per_host;
-  // The master runs the analysis stages inline on one thread; report what
-  // actually executed, not the base config's farm width.
-  report.result.stat_engines = 1;
-
-  cwcsim::online_analysis analysis(base, model_.num_observables(), sink);
-
-  try {
-    while (auto msg = ingress.recv()) {
-      archive_reader r(*msg);
-      switch (r.get<wire_tag>()) {
-        case wire_tag::sample_batch: {
-          const auto batch = read_sample_batch(r);
-          for (const auto& s : batch.samples)
-            analysis.ingest(batch.trajectory_id, s);
-          break;
-        }
-        case wire_tag::task_done: {
-          const auto done = read_task_done(r);
-          report.result.completions.push_back(done);
-          sink.trajectory_done(done);
-          break;
-        }
-        case wire_tag::quantum_trace:
-          report.result.trace.push_back(read_quantum_record(r));
-          break;
-        default:
-          util::ensures(false, "unknown wire tag");
-      }
-    }
-  } catch (...) {
-    // Unwinding past joinable threads would std::terminate; drain first so
-    // contract violations stay catchable.
-    join_hosts();
-    throw;
-  }
-  join_hosts();
-
-  {
-    // A host worker failed: surface its error instead of the misleading
-    // "lost trajectory completions" below.
-    const std::lock_guard<std::mutex> lk(cx.err_mu);
-    if (cx.error) std::rethrow_exception(cx.error);
-  }
-
-  analysis.finish();
-  if (!sink.stop_requested()) {
-    util::ensures(report.result.completions.size() == base.num_trajectories,
-                  "lost trajectory completions");
-  }
-
-  report.network.emplace();
-  report.network->messages = static_cast<std::size_t>(ingress.messages_sent());
-  report.network->bytes = static_cast<double>(ingress.bytes_sent());
-  report.network->model_bytes =
-      ship ? static_cast<double>(model_frame.size()) * cfg_.num_hosts : 0.0;
-  report.network->messages_dropped = ingress.messages_dropped();
-  report.result.wall_seconds = sw.elapsed_s();
+std::unique_ptr<backend_driver> make_distributed_driver(const model_ref& model,
+                                                        const sim_config& cfg,
+                                                        const distributed& b) {
+  dist::dist_config dc;
+  dc.base = cfg;
+  dc.num_hosts = b.num_hosts;
+  dc.workers_per_host = b.workers_per_host;
+  dc.network = b.network;
+  return std::make_unique<dist::distributed_simulator>(model, std::move(dc));
 }
 
-}  // namespace dist
+}  // namespace cwcsim::detail

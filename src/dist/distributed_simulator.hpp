@@ -2,27 +2,26 @@
 // (paper §IV-B, Fig. 2 bottom): a virtual cluster of multicore hosts, each
 // running a farm of simulation engines, streaming serialized results to a
 // master that runs the alignment + sliding-window + statistics stages
-// on-line.
+// on-line. distributed_simulator is the cwcsim::distributed backend driver.
 //
-// Scheduling is ELASTIC by default (the paper's Fig. 6 cloud-hetero
-// scenario): instead of a static start-of-run partition, the master keeps
-// a work queue of trajectory quanta that idle hosts PULL at their observed
-// throughput over a per-host control channel. Every executed quantum comes
-// back as one atomic schema-versioned checkpoint frame (samples + progress
-// high-water mark), the master tracks in-flight deadlines with
-// net_channel::recv_for(), re-issues quanta whose owner went quiet
-// (straggler or dead host), and accepts each (trajectory, quantum) exactly
-// once — late duplicates from superseded executions are discarded. Because
-// every trajectory's engine is a pure function of (seed, trajectory_id),
-// ANY host resumes ANY trajectory deterministically: it replays the
-// already-acked quanta locally without emitting, then streams from the
-// checkpoint onward, so a lost host costs only its in-flight quantum of
-// results. The no-fault, homogeneous elastic run is bit-exact with both
-// the static partition and the shared-memory pipeline, regardless of how
-// trajectories are re-sharded or how messages interleave on the network.
-//
-// schedule_mode::static_block keeps the pre-elastic contiguous partition
-// (for comparison benchmarks); it cannot survive a host failure.
+// Scheduling is ELASTIC (the paper's Fig. 6 cloud-hetero scenario): there
+// is no start-of-run partition. The master keeps a work queue of
+// trajectories that idle hosts PULL at their observed throughput over a
+// per-host control channel; a grant names a trajectory and the checkpoint
+// (acked quantum count) to resume it from, and the host runs it from there
+// to t_end. Every executed quantum comes back as one atomic
+// schema-versioned checkpoint frame (samples + progress high-water mark),
+// the master tracks in-flight deadlines with net_channel::recv_for(),
+// re-queues trajectories whose owner went quiet (straggler or dead host)
+// to resume from their last checkpoint, and accepts each
+// (trajectory, quantum) exactly once — late duplicates from superseded
+// executions are discarded. Because every trajectory's engine is a pure
+// function of (seed, trajectory_id), ANY host resumes ANY trajectory
+// deterministically: it replays the already-acked quanta locally without
+// emitting, then streams from the checkpoint onward, so a lost host costs
+// only its in-flight quantum of results. The no-fault run is bit-exact
+// with the shared-memory pipeline, regardless of how trajectories are
+// re-sharded or how messages interleave on the network.
 //
 // Fault injection: net_params.drop_prob models seeded message loss on
 // every data-plane link, and kill_host(h, at_time) makes host h vanish —
@@ -47,17 +46,6 @@
 
 namespace dist {
 
-/// How the master assigns trajectories to hosts.
-enum class schedule_mode {
-  /// Pull-based work queue of trajectory quanta with deadline-driven
-  /// re-issue and exactly-once accounting (the default).
-  elastic,
-  /// Contiguous blocks fixed at start-of-run (the pre-elastic behaviour;
-  /// comparison baseline — one slow host stalls the run, a dead one would
-  /// lose its block).
-  static_block,
-};
-
 /// Fault-injection hook: host `host` dies abruptly (no close, no goodbye)
 /// once it has executed `at_sim_time` simulated seconds of trajectory
 /// time, losing whatever quantum was in flight.
@@ -67,7 +55,8 @@ struct kill_spec {
 };
 
 /// Deployment description: the base pipeline configuration plus the shape
-/// of the virtual cluster, its network, and the scheduling/fault knobs.
+/// of the virtual cluster, its network, and the scheduling/fault knobs
+/// that the public cwcsim::distributed descriptor leaves out.
 struct dist_config {
   cwcsim::sim_config base;
   unsigned num_hosts = 2;        ///< simulated multicore hosts
@@ -75,7 +64,6 @@ struct dist_config {
   net_params network;            ///< host <-> master link model
 
   // ---- elastic scheduling ------------------------------------------------
-  schedule_mode scheduling = schedule_mode::elastic;
   /// Wall-clock deadline on per-trajectory progress: an in-flight
   /// trajectory that produced no accepted checkpoint for this long is
   /// re-queued for re-issue (straggler / dead host / lost frame).
@@ -90,29 +78,11 @@ struct dist_config {
   /// Relative per-host speed (1.0 = nominal; 0.25 = a 4x-slower host:
   /// every quantum takes 4x its measured wall time). Empty = homogeneous.
   std::vector<double> host_speed;
-  /// Hosts that die mid-run (see kill_spec). Requires elastic scheduling.
+  /// Hosts that die mid-run (see kill_spec).
   std::vector<kill_spec> kills;
 };
 
-/// Distributed run output: the ordinary simulation result plus the traffic
-/// that crossed the (simulated) network and the elastic-scheduling
-/// honesty counters.
-struct dist_result {
-  cwcsim::simulation_result result;
-  std::size_t messages = 0;  ///< messages received by the master
-  double bytes = 0.0;        ///< serialized payload bytes shipped
-  /// Compiled-model frames shipped master -> hosts, once per run (0 when
-  /// the model is not wire-encodable and hosts fell back to in-process
-  /// sharing).
-  double model_bytes = 0.0;
-  std::uint64_t grants = 0;            ///< quantum grants issued (elastic)
-  std::uint64_t reissued = 0;          ///< grants beyond a trajectory's first
-  std::uint64_t duplicate_quanta = 0;  ///< results discarded by dedup
-  std::uint64_t messages_dropped = 0;  ///< lost to the seeded drop stream
-  std::vector<std::uint64_t> host_quanta;  ///< accepted quanta per host
-};
-
-class distributed_simulator {
+class distributed_simulator final : public cwcsim::backend_driver {
  public:
   distributed_simulator(const cwc::model& m, dist_config cfg);
   distributed_simulator(const cwc::reaction_network& n, dist_config cfg);
@@ -124,21 +94,20 @@ class distributed_simulator {
   /// executed `at_sim_time` simulated seconds. Call before run().
   distributed_simulator& kill_host(unsigned host, double at_sim_time);
 
-  /// Execute the virtual cluster and gather the master's results (batch
-  /// wrapper over the streaming form below).
-  dist_result run();
+  /// Execute the virtual cluster and return the master's report, with the
+  /// window stream collected into result.windows.
+  cwcsim::run_report run();
 
-  /// Streaming form (the cwcsim::distributed backend driver): the master
-  /// pushes each window summary and completion notice through `sink` as
-  /// the on-line analysis emits it, honours sink.stop_requested() at
-  /// quantum boundaries on every host, and fills `report` (result.windows
+  const char* name() const noexcept override { return "distributed"; }
+
+  /// Streaming form (the backend_driver contract): the master pushes each
+  /// window summary and completion notice through `sink` as the on-line
+  /// analysis emits it, honours sink.stop_requested() at quantum
+  /// boundaries on every host, and fills `report` (result.windows
   /// excepted — the sink's owner collects the stream).
-  void run(cwcsim::event_sink& sink, cwcsim::run_report& report);
+  void run(cwcsim::event_sink& sink, cwcsim::run_report& report) override;
 
  private:
-  void run_elastic(cwcsim::event_sink& sink, cwcsim::run_report& report);
-  void run_static(cwcsim::event_sink& sink, cwcsim::run_report& report);
-
   cwcsim::model_ref model_;
   dist_config cfg_;
 };

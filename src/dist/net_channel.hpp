@@ -132,14 +132,8 @@ class writer_guard {
  public:
   explicit writer_guard(net_channel& ch) : ch_(&ch) { ch.add_writer(); }
 
-  /// Adopt a writer slot already registered elsewhere (e.g. by the
-  /// consumer, before this producer thread existed): close-only RAII.
-  static writer_guard adopt(net_channel& ch) { return writer_guard(&ch); }
-
-  writer_guard(writer_guard&& o) noexcept : ch_(std::exchange(o.ch_, nullptr)) {}
   writer_guard(const writer_guard&) = delete;
   writer_guard& operator=(const writer_guard&) = delete;
-  writer_guard& operator=(writer_guard&&) = delete;
   ~writer_guard() { close(); }
 
   /// Close early (idempotent); the destructor then does nothing.
@@ -151,8 +145,6 @@ class writer_guard {
   }
 
  private:
-  explicit writer_guard(net_channel* ch) : ch_(ch) {}
-
   net_channel* ch_;
 };
 

@@ -2,28 +2,18 @@
 
 namespace dist {
 
-void write_sample_batch(archive_writer& w, const cwcsim::sample_batch& b) {
-  w.put<std::uint64_t>(b.trajectory_id);
-  w.put<std::uint64_t>(b.samples.size());
-  for (const auto& s : b.samples) {
-    w.put<double>(s.time);
-    w.put_vector<double>(s.values);
-  }
-}
+namespace {
 
-cwcsim::sample_batch read_sample_batch(archive_reader& r) {
-  cwcsim::sample_batch b;
-  b.trajectory_id = r.get<std::uint64_t>();
-  const auto n = r.get<std::uint64_t>();
-  b.samples.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    cwc::trajectory_sample s;
-    s.time = r.get<double>();
-    s.values = r.get_vector<double>();
-    b.samples.push_back(std::move(s));
-  }
-  return b;
-}
+// Smallest encodings of the repeated records below, for archive_reader::
+// get_count: a sample is its time plus a length-prefixed value vector; a
+// cut summary is its fixed fields plus five counts/length prefixes (its
+// moments, medians, centroids, assignment and sizes) when all are empty.
+constexpr std::size_t kSampleMinBytes = sizeof(double) + sizeof(std::uint64_t);
+constexpr std::size_t kCutMinBytes =
+    sizeof(std::uint64_t) + sizeof(double) + 5 * sizeof(std::uint64_t) +
+    sizeof(double) + sizeof(std::uint32_t);
+
+}  // namespace
 
 void write_task_done(archive_writer& w, const cwcsim::task_done& d) {
   w.put<std::uint64_t>(d.trajectory_id);
@@ -107,9 +97,9 @@ quantum_result read_quantum_result(archive_reader& r) {
   q.time = r.get<double>();
   q.steps = r.get<std::uint64_t>();
   q.finished = r.get<std::uint8_t>() != 0;
-  const auto n = r.get<std::uint64_t>();
-  q.samples.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
+  const std::size_t n = r.get_count(kSampleMinBytes);
+  q.samples.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     cwc::trajectory_sample s;
     s.time = r.get<double>();
     s.values = r.get_vector<double>();
@@ -142,20 +132,20 @@ void write_window_summary(archive_writer& w, const cwcsim::window_summary& s) {
 cwcsim::window_summary read_window_summary(archive_reader& r) {
   cwcsim::window_summary s;
   s.first_sample = r.get<std::uint64_t>();
-  const auto n_cuts = r.get<std::uint64_t>();
-  s.cuts.reserve(static_cast<std::size_t>(n_cuts));
-  for (std::uint64_t i = 0; i < n_cuts; ++i) {
+  const std::size_t n_cuts = r.get_count(kCutMinBytes);
+  s.cuts.reserve(n_cuts);
+  for (std::size_t i = 0; i < n_cuts; ++i) {
     stats::cut_summary c;
     c.sample_index = r.get<std::uint64_t>();
     c.time = r.get<double>();
-    const auto n_moments = r.get<std::uint64_t>();
-    c.moments.reserve(static_cast<std::size_t>(n_moments));
-    for (std::uint64_t m = 0; m < n_moments; ++m)
+    const std::size_t n_moments = r.get_count(sizeof(stats::welford_state));
+    c.moments.reserve(n_moments);
+    for (std::size_t m = 0; m < n_moments; ++m)
       c.moments.push_back(stats::welford::from_state(r.get<stats::welford_state>()));
     c.medians = r.get_vector<double>();
-    const auto n_centroids = r.get<std::uint64_t>();
-    c.clusters.centroids.reserve(static_cast<std::size_t>(n_centroids));
-    for (std::uint64_t k = 0; k < n_centroids; ++k)
+    const std::size_t n_centroids = r.get_count(sizeof(std::uint64_t));
+    c.clusters.centroids.reserve(n_centroids);
+    for (std::size_t k = 0; k < n_centroids; ++k)
       c.clusters.centroids.push_back(r.get_vector<double>());
     c.clusters.assignment = r.get_vector<std::uint32_t>();
     c.clusters.sizes = r.get_vector<std::uint64_t>();
@@ -201,17 +191,6 @@ cwcsim::sim_config read_sim_config(archive_reader& r) {
   cfg.kmeans_k = r.get<std::uint32_t>();
   cfg.capture_trace = r.get<std::uint8_t>() != 0;
   return cfg;
-}
-
-byte_buffer encode_sample_batch(const cwcsim::sample_batch& b) {
-  archive_writer w;
-  write_sample_batch(w, b);
-  return w.take();
-}
-
-cwcsim::sample_batch decode_sample_batch(const byte_buffer& bytes) {
-  archive_reader r(bytes);
-  return read_sample_batch(r);
 }
 
 byte_buffer encode_task_done(const cwcsim::task_done& d) {

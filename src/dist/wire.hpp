@@ -1,10 +1,10 @@
 // Wire codecs for the pipeline messages that cross host boundaries in the
-// distributed deployment: per-quantum sample batches (worker -> master
-// alignment stage), completion notices (worker -> master scheduler), and
-// the elastic-scheduling control plane — work requests/grants pulled by
-// hosts at their observed throughput, plus the per-quantum checkpoint
-// frames (quantum_result) that make re-issue after a host failure cost
-// only the in-flight quantum.
+// distributed deployment — the elastic-scheduling control plane (work
+// requests/grants pulled by hosts at their observed throughput) and the
+// per-quantum checkpoint frames (quantum_result) that carry samples to the
+// master's alignment stage and make re-issue after a host failure cost
+// only the in-flight quantum — plus the completion, window-summary and
+// configuration codecs the run-server protocol (svc/proto.hpp) reuses.
 #pragma once
 
 #include "core/config.hpp"
@@ -14,12 +14,9 @@
 namespace dist {
 
 /// Message kind tag prepended by the distributed simulator so a single
-/// channel can carry heterogeneous traffic.
+/// channel can carry heterogeneous traffic. The byte values are wire
+/// format: 1-3 are retired and stay unused.
 enum class wire_tag : std::uint8_t {
-  sample_batch = 1,
-  task_done = 2,
-  quantum_trace = 3,
-  // ---- elastic scheduling control plane ----
   work_request = 4,    ///< host -> master: an idle worker pulls work
   work_grant = 5,      ///< master -> host: run one trajectory's quanta
   quantum_result = 6,  ///< host -> master: one quantum + its checkpoint
@@ -67,8 +64,6 @@ struct quantum_result {
 
 // Streaming forms: append to / read from an open archive, so callers can
 // frame messages (tag + payload) without re-copying the encoded bytes.
-void write_sample_batch(archive_writer& w, const cwcsim::sample_batch& b);
-cwcsim::sample_batch read_sample_batch(archive_reader& r);
 void write_task_done(archive_writer& w, const cwcsim::task_done& d);
 cwcsim::task_done read_task_done(archive_reader& r);
 void write_quantum_record(archive_writer& w, const cwcsim::quantum_record& q);
@@ -95,9 +90,6 @@ void write_sim_config(archive_writer& w, const cwcsim::sim_config& cfg);
 cwcsim::sim_config read_sim_config(archive_reader& r);
 
 // Whole-buffer convenience forms.
-byte_buffer encode_sample_batch(const cwcsim::sample_batch& b);
-cwcsim::sample_batch decode_sample_batch(const byte_buffer& bytes);
-
 byte_buffer encode_task_done(const cwcsim::task_done& d);
 cwcsim::task_done decode_task_done(const byte_buffer& bytes);
 

@@ -1,6 +1,6 @@
 // Golden tests for the compile-once layer (cwc/compiled_model.hpp): every
 // engine built from a shared compiled artifact must produce bit-for-bit
-// the sample path of the legacy per-engine recompile path, across all
+// the sample path of an engine built on its own private artifact, across all
 // three engine kinds (tree direct-method, flat direct-method, flat
 // next-reaction) and all three backends (multicore/distributed/gpu,
 // extending the session_test lockstep pattern). Also proves, with a
@@ -30,8 +30,8 @@ void expect_same_samples(const std::vector<cwc::trajectory_sample>& a,
 }
 
 // Tree engine: one shared artifact, many trajectories, both cache modes —
-// bit-identical to engines that recompiled privately (the legacy path).
-TEST(CompiledModel, TreeEngineBitExactVsLegacyRecompile) {
+// bit-identical to engines that each compiled a private artifact.
+TEST(CompiledModel, TreeEngineBitExactVsPrivateRecompile) {
   for (const bool demo : {false, true}) {
     const cwc::model m = demo ? models::make_compartment_demo({})
                               : models::make_neurospora_cwc({});
@@ -41,19 +41,19 @@ TEST(CompiledModel, TreeEngineBitExactVsLegacyRecompile) {
     for (const auto mode :
          {cwc::engine_mode::incremental, cwc::engine_mode::reference}) {
       for (std::uint64_t id = 0; id < 3; ++id) {
-        cwc::engine legacy(m, 29, id, mode);           // private recompile
+        cwc::engine own(cwc::compiled_model::compile(m), 29, id, mode);
         cwc::engine shared_eng(cm, 29, id, mode);      // shared artifact
         std::vector<cwc::trajectory_sample> ls, ss;
-        // Drive the shared engine in small quanta against one legacy sweep
+        // Drive the shared engine in small quanta against one private sweep
         // so the quantum-deferral path is exercised too.
-        legacy.run_to(15.0, 0.5, ls);
+        own.run_to(15.0, 0.5, ls);
         for (double t = 0.0; t < 15.0;) {
           t = std::min(t + 0.8, 15.0);
           shared_eng.run_to(t, 0.5, ss);
         }
         expect_same_samples(ss, ls);
-        EXPECT_EQ(shared_eng.steps(), legacy.steps());
-        EXPECT_TRUE(shared_eng.state().equals(legacy.state()));
+        EXPECT_EQ(shared_eng.steps(), own.steps());
+        EXPECT_TRUE(shared_eng.state().equals(own.state()));
         EXPECT_TRUE(shared_eng.check_match_cache());
       }
     }
@@ -61,27 +61,28 @@ TEST(CompiledModel, TreeEngineBitExactVsLegacyRecompile) {
 }
 
 // Flat direct-method and next-reaction engines from one shared artifact.
-TEST(CompiledModel, FlatEnginesBitExactVsLegacyRecompile) {
+TEST(CompiledModel, FlatEnginesBitExactVsPrivateRecompile) {
   const auto net = models::make_neurospora_flat({});
   const auto cm = cwc::compiled_model::compile(net);
   ASSERT_FALSE(cm->is_tree());
 
   for (std::uint64_t id = 0; id < 3; ++id) {
-    cwc::flat_engine legacy(net, 31, id);
+    cwc::flat_engine own(cwc::compiled_model::compile(net), 31, id);
     cwc::flat_engine shared_eng(cm, 31, id);
     std::vector<cwc::trajectory_sample> ls, ss;
-    legacy.run_to(20.0, 0.5, ls);
+    own.run_to(20.0, 0.5, ls);
     shared_eng.run_to(20.0, 0.5, ss);
     expect_same_samples(ss, ls);
-    EXPECT_EQ(shared_eng.steps(), legacy.steps());
+    EXPECT_EQ(shared_eng.steps(), own.steps());
 
-    cwc::next_reaction_engine nrm_legacy(net, 31, id);
+    cwc::next_reaction_engine nrm_own(cwc::compiled_model::compile(net), 31,
+                                      id);
     cwc::next_reaction_engine nrm_shared(cm, 31, id);
     std::vector<cwc::trajectory_sample> nl, ns;
-    nrm_legacy.run_to(20.0, 0.5, nl);
+    nrm_own.run_to(20.0, 0.5, nl);
     nrm_shared.run_to(20.0, 0.5, ns);
     expect_same_samples(ns, nl);
-    EXPECT_EQ(nrm_shared.steps(), nrm_legacy.steps());
+    EXPECT_EQ(nrm_shared.steps(), nrm_own.steps());
   }
 }
 
@@ -164,8 +165,8 @@ TEST(CompiledModel, FlatDependencyIndexMatchesReference) {
 }
 
 // The point of the layer: constructing an engine from the shared artifact
-// allocates strictly less than the legacy recompile path, because the
-// dependency tables / slot maps / footprints are not rebuilt.
+// allocates strictly less than compiling a private artifact per engine,
+// because the dependency tables / slot maps / footprints are not rebuilt.
 TEST(CompiledModel, ConstructionSkipsStaticTableAllocations) {
   const auto m = models::make_neurospora_cwc({});
   const auto cm = cwc::compiled_model::compile(m);
@@ -177,21 +178,23 @@ TEST(CompiledModel, ConstructionSkipsStaticTableAllocations) {
   };
 
   // Warm both paths once (gtest internals, lazy locale setup, ...).
-  (void)ctor_allocs([&] { cwc::engine e(m, 3, 0); });
+  (void)ctor_allocs(
+      [&] { cwc::engine e(cwc::compiled_model::compile(m), 3, 0); });
   (void)ctor_allocs([&] { cwc::engine e(cm, 3, 0); });
 
-  const std::uint64_t legacy = ctor_allocs([&] { cwc::engine e(m, 3, 1); });
+  const std::uint64_t own = ctor_allocs(
+      [&] { cwc::engine e(cwc::compiled_model::compile(m), 3, 1); });
   const std::uint64_t shared_path =
       ctor_allocs([&] { cwc::engine e(cm, 3, 1); });
 
-  // The legacy path compiles per engine: applicable-rule lists, slot maps,
+  // A private artifact per engine means applicable-rule lists, slot maps,
   // four footprint bitmaps per rule and three redo lists per rule all get
   // allocated again. Sharing must cut construction allocations by well
   // more than those tables (neurospora: 6 rules -> dozens of vectors).
-  EXPECT_LT(shared_path, legacy);
-  EXPECT_LE(shared_path + 20, legacy)
+  EXPECT_LT(shared_path, own);
+  EXPECT_LE(shared_path + 20, own)
       << "shared-artifact construction still rebuilds static tables "
-      << "(legacy " << legacy << " allocs, shared " << shared_path << ")";
+      << "(private " << own << " allocs, shared " << shared_path << ")";
 
   // And construction cost is stable run to run (no hidden lazy state).
   EXPECT_EQ(shared_path, ctor_allocs([&] { cwc::engine e(cm, 3, 2); }));
@@ -199,13 +202,16 @@ TEST(CompiledModel, ConstructionSkipsStaticTableAllocations) {
   // The flat engines share the same property.
   const auto net = models::make_neurospora_flat({});
   const auto fcm = cwc::compiled_model::compile(net);
-  (void)ctor_allocs([&] { cwc::next_reaction_engine e(net, 3, 0); });
+  (void)ctor_allocs([&] {
+    cwc::next_reaction_engine e(cwc::compiled_model::compile(net), 3, 0);
+  });
   (void)ctor_allocs([&] { cwc::next_reaction_engine e(fcm, 3, 0); });
-  const std::uint64_t nrm_legacy =
-      ctor_allocs([&] { cwc::next_reaction_engine e(net, 3, 1); });
+  const std::uint64_t nrm_own = ctor_allocs([&] {
+    cwc::next_reaction_engine e(cwc::compiled_model::compile(net), 3, 1);
+  });
   const std::uint64_t nrm_shared =
       ctor_allocs([&] { cwc::next_reaction_engine e(fcm, 3, 1); });
-  EXPECT_LT(nrm_shared, nrm_legacy);
+  EXPECT_LT(nrm_shared, nrm_own);
 }
 
 // ---- the session_test lockstep pattern, through the compiled path --------
@@ -226,7 +232,7 @@ TEST(CompiledModel, ThreeBackendsBitExactThroughCompileOnce) {
   cfg.kmeans_k = 2;
   cfg.seed = 99;
 
-  const auto batch = cwcsim::simulate(m, cfg);
+  const auto batch = cwcsim::run(m, cfg).result;
   ASSERT_FALSE(batch.windows.empty());
 
   for (const cwcsim::backend& b :

@@ -35,7 +35,7 @@ std::vector<stats::cut_summary> cuts_of(const cwcsim::simulation_result& r) {
 TEST(Pipeline, ProducesEveryCutExactlyOnce) {
   const auto m = models::make_neurospora_cwc({});
   const auto cfg = small_config();
-  const auto res = cwcsim::simulate(m, cfg);
+  const auto res = cwcsim::run(m, cfg).result;
   const auto cuts = cuts_of(res);
   ASSERT_EQ(cuts.size(), cfg.num_samples());
   for (std::size_t k = 0; k < cuts.size(); ++k) {
@@ -48,7 +48,7 @@ TEST(Pipeline, ProducesEveryCutExactlyOnce) {
 TEST(Pipeline, CompletionNoticesForEveryTrajectory) {
   const auto m = models::make_neurospora_cwc({});
   const auto cfg = small_config();
-  const auto res = cwcsim::simulate(m, cfg);
+  const auto res = cwcsim::run(m, cfg).result;
   ASSERT_EQ(res.completions.size(), cfg.num_trajectories);
   std::vector<bool> seen(cfg.num_trajectories, false);
   for (const auto& d : res.completions) {
@@ -72,14 +72,14 @@ class pipeline_shape_test : public ::testing::TestWithParam<shape> {};
 TEST_P(pipeline_shape_test, ResultIndependentOfPipelineShape) {
   const auto m = models::make_neurospora_cwc({});
   auto cfg = small_config();
-  const auto reference = cwcsim::simulate(m, cfg);
+  const auto reference = cwcsim::run(m, cfg).result;
 
   const auto p = GetParam();
   cfg.sim_workers = p.workers;
   cfg.stat_engines = p.stats;
   cfg.quantum = p.quantum;
   cfg.dispatch = p.policy;
-  const auto res = cwcsim::simulate(m, cfg);
+  const auto res = cwcsim::run(m, cfg).result;
 
   const auto a = cuts_of(reference);
   const auto b = cuts_of(res);
@@ -108,7 +108,7 @@ TEST(Pipeline, FlatModelRunsThroughSamePipeline) {
   auto cfg = small_config();
   cfg.t_end = 8.0;
   cfg.kmeans_k = 0;  // no clustering
-  const auto res = cwcsim::simulate(net, cfg);
+  const auto res = cwcsim::run(net, cfg).result;
   EXPECT_EQ(cuts_of(res).size(), cfg.num_samples());
 }
 
@@ -117,7 +117,7 @@ TEST(Pipeline, WindowsCarryCorrectSpans) {
   auto cfg = small_config();
   cfg.window_size = 8;
   cfg.window_slide = 8;
-  const auto res = cwcsim::simulate(m, cfg);
+  const auto res = cwcsim::run(m, cfg).result;
   // 41 samples -> 5 full windows of 8 + trailing 1.
   ASSERT_EQ(res.windows.size(), 6u);
   for (std::size_t i = 0; i < res.windows.size(); ++i) {
@@ -134,7 +134,7 @@ TEST(Pipeline, OverlappingWindows) {
   cfg.t_end = 10.0;  // 21 samples
   cfg.window_size = 8;
   cfg.window_slide = 4;
-  const auto res = cwcsim::simulate(m, cfg);
+  const auto res = cwcsim::run(m, cfg).result;
   // Full windows start at 0,4,8,12 (12+8=20 <= 21); trailing partial at 16.
   ASSERT_GE(res.windows.size(), 4u);
   for (std::size_t i = 0; i + 1 < res.windows.size(); ++i)
@@ -145,7 +145,7 @@ TEST(Pipeline, TraceCaptureAccountsAllQuanta) {
   const auto m = models::make_neurospora_cwc({});
   auto cfg = small_config();
   cfg.capture_trace = true;
-  const auto res = cwcsim::simulate(m, cfg);
+  const auto res = cwcsim::run(m, cfg).result;
   ASSERT_FALSE(res.trace.empty());
   std::uint64_t total_samples = 0;
   std::uint64_t total_steps = 0;
@@ -164,7 +164,7 @@ TEST(Pipeline, SingleTrajectorySingleWorker) {
   auto cfg = small_config();
   cfg.num_trajectories = 1;
   cfg.sim_workers = 1;
-  const auto res = cwcsim::simulate(m, cfg);
+  const auto res = cwcsim::run(m, cfg).result;
   EXPECT_EQ(cuts_of(res).size(), cfg.num_samples());
   EXPECT_EQ(res.completions.size(), 1u);
 }
@@ -173,16 +173,29 @@ TEST(Pipeline, RejectsDegenerateConfig) {
   const auto m = models::make_neurospora_cwc({});
   auto cfg = small_config();
   cfg.num_trajectories = 0;
-  EXPECT_THROW(cwcsim::multicore_simulator(m, cfg), util::precondition_error);
+  EXPECT_THROW(cwcsim::run_builder().model(m).config(cfg).open(),
+               util::precondition_error);
   cfg = small_config();
   cfg.sim_workers = 0;
-  EXPECT_THROW(cwcsim::multicore_simulator(m, cfg), util::precondition_error);
+  EXPECT_THROW(cwcsim::run_builder().model(m).config(cfg).open(),
+               util::precondition_error);
+}
+
+// Compile once per run is a checked rule: an engine is only ever built on
+// the model's shared artifact, never on a silent private recompile.
+TEST(Pipeline, MakeEngineRequiresCompiledModel) {
+  const auto m = models::make_neurospora_cwc({});
+  cwcsim::model_ref ref;
+  ref.tree = &m;
+  EXPECT_THROW(ref.make_engine(1, 0), util::precondition_error);
+  ref.compile();
+  EXPECT_EQ(ref.make_engine(1, 0).time(), 0.0);
 }
 
 TEST(Pipeline, MeanSeriesHelper) {
   const auto m = models::make_neurospora_cwc({});
   const auto cfg = small_config();
-  const auto res = cwcsim::simulate(m, cfg);
+  const auto res = cwcsim::run(m, cfg).result;
   const auto series = res.mean_series(0);
   ASSERT_EQ(series.size(), cfg.num_samples());
   EXPECT_DOUBLE_EQ(series[0].first, 0.0);
@@ -233,7 +246,8 @@ TEST(Aligner, DetectsTrajectoryLossAtEos) {
     self.send_out(ff::token::of(std::move(b)));
     return ff::outcome::end;
   }));
-  auto* aligner = net.emplace<cwcsim::trajectory_aligner>(cfg, 3u);
+  cwcsim::collecting_sink events;
+  auto* aligner = net.emplace<cwcsim::trajectory_aligner>(cfg, 3u, events);
   net.connect(src, aligner);
   net.run();
   EXPECT_THROW(net.wait(), util::postcondition_error);

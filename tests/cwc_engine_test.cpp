@@ -13,8 +13,8 @@ namespace {
 
 TEST(FlatEngine, DeterministicPerSeedAndId) {
   const auto net = models::make_birth_death({});
-  cwc::flat_engine a(net, 42, 3);
-  cwc::flat_engine b(net, 42, 3);
+  cwc::flat_engine a(cwc::compiled_model::compile(net), 42, 3);
+  cwc::flat_engine b(cwc::compiled_model::compile(net), 42, 3);
   std::vector<cwc::trajectory_sample> sa, sb;
   a.run_to(10.0, 0.5, sa);
   b.run_to(10.0, 0.5, sb);
@@ -26,8 +26,8 @@ TEST(FlatEngine, DeterministicPerSeedAndId) {
 
 TEST(FlatEngine, DifferentTrajectoriesDiffer) {
   const auto net = models::make_birth_death({});
-  cwc::flat_engine a(net, 42, 0);
-  cwc::flat_engine b(net, 42, 1);
+  cwc::flat_engine a(cwc::compiled_model::compile(net), 42, 0);
+  cwc::flat_engine b(cwc::compiled_model::compile(net), 42, 1);
   std::vector<cwc::trajectory_sample> sa, sb;
   a.run_to(20.0, 1.0, sa);
   b.run_to(20.0, 1.0, sb);
@@ -46,7 +46,7 @@ TEST(FlatEngine, BirthDeathStationaryMoments) {
   const auto net = models::make_birth_death(p);
   stats::welford agg;
   for (std::uint64_t traj = 0; traj < 64; ++traj) {
-    cwc::flat_engine eng(net, 7, traj);
+    cwc::flat_engine eng(cwc::compiled_model::compile(net), 7, traj);
     std::vector<cwc::trajectory_sample> out;
     eng.run_to(40.0, 0.5, out);
     for (const auto& s : out)
@@ -59,7 +59,7 @@ TEST(FlatEngine, BirthDeathStationaryMoments) {
 TEST(FlatEngine, SamplesCoverFullGridIncludingStall) {
   // SIR epidemics die out; the sample grid must still be fully emitted.
   const auto net = models::make_sir({});
-  cwc::flat_engine eng(net, 3, 0);
+  cwc::flat_engine eng(cwc::compiled_model::compile(net), 3, 0);
   std::vector<cwc::trajectory_sample> out;
   eng.run_to(400.0, 1.0, out);
   ASSERT_EQ(out.size(), 401u);
@@ -74,11 +74,11 @@ TEST(FlatEngine, QuantumCompositionInvariance) {
   // samples AND identical RNG consumption — the property that makes the
   // pipeline's quantum scheduling statistically transparent.
   const auto net = models::make_lotka_volterra({});
-  cwc::flat_engine one(net, 11, 5);
+  cwc::flat_engine one(cwc::compiled_model::compile(net), 11, 5);
   std::vector<cwc::trajectory_sample> sa;
   one.run_to(8.0, 0.25, sa);
 
-  cwc::flat_engine chunked(net, 11, 5);
+  cwc::flat_engine chunked(cwc::compiled_model::compile(net), 11, 5);
   std::vector<cwc::trajectory_sample> sb;
   for (double t = 0.5; t <= 8.0 + 1e-9; t += 0.5) chunked.run_to(t, 0.25, sb);
 
@@ -94,11 +94,11 @@ class quantum_param_test : public ::testing::TestWithParam<double> {};
 TEST_P(quantum_param_test, CwcEngineQuantumInvariance) {
   const double quantum = GetParam();
   const auto m = models::make_neurospora_cwc({});
-  cwc::engine ref(m, 5, 2);
+  cwc::engine ref(cwc::compiled_model::compile(m), 5, 2);
   std::vector<cwc::trajectory_sample> sa;
   ref.run_to(20.0, 0.5, sa);
 
-  cwc::engine q(m, 5, 2);
+  cwc::engine q(cwc::compiled_model::compile(m), 5, 2);
   std::vector<cwc::trajectory_sample> sb;
   double t = 0.0;
   while (t < 20.0) {
@@ -123,12 +123,12 @@ TEST(CwcEngine, MatchesFlatEngineOnNeurospora) {
 
   stats::welford tree_m, flat_m;
   for (std::uint64_t i = 0; i < 48; ++i) {
-    cwc::engine te(tree, 21, i);
+    cwc::engine te(cwc::compiled_model::compile(tree), 21, i);
     std::vector<cwc::trajectory_sample> ts;
     te.run_to(T, 1.0, ts);
     tree_m.add(ts.back().values[0]);  // M at t=T
 
-    cwc::flat_engine fe(flat, 22, i);
+    cwc::flat_engine fe(cwc::compiled_model::compile(flat), 22, i);
     std::vector<cwc::trajectory_sample> fs;
     fe.run_to(T, 1.0, fs);
     flat_m.add(fs.back().values[0]);
@@ -139,7 +139,7 @@ TEST(CwcEngine, MatchesFlatEngineOnNeurospora) {
 
 TEST(CwcEngine, StepAdvancesTimeAndState) {
   const auto m = models::make_neurospora_cwc({});
-  cwc::engine eng(m, 1, 0);
+  cwc::engine eng(cwc::compiled_model::compile(m), 1, 0);
   const double t0 = eng.time();
   ASSERT_TRUE(eng.step());
   EXPECT_GT(eng.time(), t0);
@@ -151,7 +151,7 @@ TEST(CwcEngine, StalledEngineStopsStepping) {
   m.set_initial(cwc::parse_term(m, "2*A"));
   m.add_rule(cwc::parse_rule(m, "fuse", "top: 2*A -> B @ 1.0"));
   m.add_observable("B", m.species().id("B"));
-  cwc::engine eng(m, 1, 0);
+  cwc::engine eng(cwc::compiled_model::compile(m), 1, 0);
   EXPECT_TRUE(eng.step());
   EXPECT_FALSE(eng.step());  // no more A pairs
   EXPECT_TRUE(eng.stalled());
@@ -226,7 +226,7 @@ TEST(Ode, NeurosporaOscillatesWithCircadianPeriod) {
 
 TEST(Models, CompartmentDemoLifecycle) {
   const auto m = models::make_compartment_demo({});
-  cwc::engine eng(m, 9, 0);
+  cwc::engine eng(cwc::compiled_model::compile(m), 9, 0);
   std::vector<cwc::trajectory_sample> out;
   eng.run_to(60.0, 1.0, out);
   const auto& last = out.back();
@@ -241,7 +241,7 @@ TEST(Models, SchloglIsBistable) {
   const auto net = models::make_schlogl({});
   int low = 0, high = 0;
   for (std::uint64_t i = 0; i < 40; ++i) {
-    cwc::flat_engine eng(net, 77, i);
+    cwc::flat_engine eng(cwc::compiled_model::compile(net), 77, i);
     std::vector<cwc::trajectory_sample> out;
     eng.run_to(15.0, 15.0, out);
     const double x = out.back().values[0];

@@ -107,8 +107,10 @@ cwc::model make_churn_model() {
 
 void lockstep_steps(const cwc::model& m, std::uint64_t seed, std::uint64_t id,
                     int steps) {
-  cwc::engine inc(m, seed, id, cwc::engine_mode::incremental);
-  cwc::engine ref(m, seed, id, cwc::engine_mode::reference);
+  cwc::engine inc(cwc::compiled_model::compile(m), seed, id,
+                  cwc::engine_mode::incremental);
+  cwc::engine ref(cwc::compiled_model::compile(m), seed, id,
+                  cwc::engine_mode::reference);
   for (int i = 0; i < steps; ++i) {
     const bool a = inc.step();
     const bool b = ref.step();
@@ -164,11 +166,13 @@ TEST(IncrementalEngine, QuantumBoundariesMatchReference) {
     const cwc::model m = tree_model ? models::make_neurospora_cwc({})
                                     : models::make_compartment_demo({});
 
-    cwc::engine ref(m, 7, 1, cwc::engine_mode::reference);
+    cwc::engine ref(cwc::compiled_model::compile(m), 7, 1,
+                    cwc::engine_mode::reference);
     std::vector<cwc::trajectory_sample> rs;
     ref.run_to(20.0, 0.5, rs);
 
-    cwc::engine inc(m, 7, 1, cwc::engine_mode::incremental);
+    cwc::engine inc(cwc::compiled_model::compile(m), 7, 1,
+                    cwc::engine_mode::incremental);
     std::vector<cwc::trajectory_sample> is;
     double t = 0.0;
     while (t < 20.0) {
@@ -191,12 +195,14 @@ TEST(IncrementalEngine, StallMatchesReferenceAcrossQuanta) {
   m.add_observable("A", m.species().id("A"));
   m.add_observable("B", m.species().id("B"));
 
-  cwc::engine ref(m, 5, 0, cwc::engine_mode::reference);
+  cwc::engine ref(cwc::compiled_model::compile(m), 5, 0,
+                  cwc::engine_mode::reference);
   std::vector<cwc::trajectory_sample> rs;
   ref.run_to(50.0, 1.0, rs);
   ASSERT_TRUE(ref.stalled());
 
-  cwc::engine inc(m, 5, 0, cwc::engine_mode::incremental);
+  cwc::engine inc(cwc::compiled_model::compile(m), 5, 0,
+                  cwc::engine_mode::incremental);
   std::vector<cwc::trajectory_sample> is;
   for (double t = 5.0; t <= 50.0 + 1e-9; t += 5.0) inc.run_to(t, 1.0, is);
   EXPECT_TRUE(inc.stalled());
@@ -209,7 +215,7 @@ TEST(IncrementalEngine, StallMatchesReferenceAcrossQuanta) {
 // capacity), a long run of steps may not allocate at all.
 TEST(IncrementalEngine, SteadyStateStepIsAllocationFree) {
   const auto m = models::make_neurospora_cwc({});
-  cwc::engine eng(m, 123, 0);
+  cwc::engine eng(cwc::compiled_model::compile(m), 123, 0);
   for (int i = 0; i < 300; ++i) ASSERT_TRUE(eng.step());
 
   const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);

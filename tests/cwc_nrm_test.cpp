@@ -12,8 +12,8 @@ namespace {
 
 TEST(NextReaction, DeterministicPerSeed) {
   const auto net = models::make_lotka_volterra({});
-  cwc::next_reaction_engine a(net, 4, 2);
-  cwc::next_reaction_engine b(net, 4, 2);
+  cwc::next_reaction_engine a(cwc::compiled_model::compile(net), 4, 2);
+  cwc::next_reaction_engine b(cwc::compiled_model::compile(net), 4, 2);
   std::vector<cwc::trajectory_sample> sa, sb;
   a.run_to(6.0, 0.5, sa);
   b.run_to(6.0, 0.5, sb);
@@ -27,7 +27,7 @@ TEST(NextReaction, BirthDeathStationaryMoments) {
   const auto net = models::make_birth_death(p);
   stats::welford agg;
   for (std::uint64_t traj = 0; traj < 48; ++traj) {
-    cwc::next_reaction_engine eng(net, 11, traj);
+    cwc::next_reaction_engine eng(cwc::compiled_model::compile(net), 11, traj);
     std::vector<cwc::trajectory_sample> out;
     eng.run_to(40.0, 0.5, out);
     for (const auto& s : out)
@@ -42,12 +42,12 @@ TEST(NextReaction, AgreesWithDirectMethodStatistically) {
   const auto P = net.species().id("P");
   stats::welford nrm, direct;
   for (std::uint64_t i = 0; i < 32; ++i) {
-    cwc::next_reaction_engine ne(net, 7, i);
+    cwc::next_reaction_engine ne(cwc::compiled_model::compile(net), 7, i);
     std::vector<cwc::trajectory_sample> ns;
     ne.run_to(10.0, 10.0, ns);
     nrm.add(ns.back().values[P]);
 
-    cwc::flat_engine de(net, 8, i);
+    cwc::flat_engine de(cwc::compiled_model::compile(net), 8, i);
     std::vector<cwc::trajectory_sample> ds;
     de.run_to(10.0, 10.0, ds);
     direct.add(ds.back().values[P]);
@@ -60,12 +60,12 @@ TEST(NextReaction, StepCountMatchesDirectOnAverage) {
   const auto net = models::make_sir({});
   double nrm_steps = 0.0, direct_steps = 0.0;
   for (std::uint64_t i = 0; i < 24; ++i) {
-    cwc::next_reaction_engine ne(net, 3, i);
+    cwc::next_reaction_engine ne(cwc::compiled_model::compile(net), 3, i);
     std::vector<cwc::trajectory_sample> s1;
     ne.run_to(200.0, 200.0, s1);
     nrm_steps += static_cast<double>(ne.steps());
 
-    cwc::flat_engine de(net, 9, i);
+    cwc::flat_engine de(cwc::compiled_model::compile(net), 9, i);
     std::vector<cwc::trajectory_sample> s2;
     de.run_to(200.0, 200.0, s2);
     direct_steps += static_cast<double>(de.steps());
@@ -75,11 +75,11 @@ TEST(NextReaction, StepCountMatchesDirectOnAverage) {
 
 TEST(NextReaction, QuantumComposable) {
   const auto net = models::make_lotka_volterra({});
-  cwc::next_reaction_engine one(net, 21, 0);
+  cwc::next_reaction_engine one(cwc::compiled_model::compile(net), 21, 0);
   std::vector<cwc::trajectory_sample> sa;
   one.run_to(6.0, 0.25, sa);
 
-  cwc::next_reaction_engine chunked(net, 21, 0);
+  cwc::next_reaction_engine chunked(cwc::compiled_model::compile(net), 21, 0);
   std::vector<cwc::trajectory_sample> sb;
   for (double t = 0.5; t <= 6.0 + 1e-9; t += 0.5) chunked.run_to(t, 0.25, sb);
 
@@ -94,7 +94,7 @@ TEST(NextReaction, StallsWhenExhausted) {
   const auto b = net.declare_species("B");
   net.set_initial(a, 3);
   net.add_reaction("decay", {{a, 1}}, {{b, 1}}, cwc::rate_law::mass_action(1.0));
-  cwc::next_reaction_engine eng(net, 1, 0);
+  cwc::next_reaction_engine eng(cwc::compiled_model::compile(net), 1, 0);
   EXPECT_TRUE(eng.step());
   EXPECT_TRUE(eng.step());
   EXPECT_TRUE(eng.step());
@@ -125,7 +125,7 @@ TEST(ModelFile, LoadsCompleteDocument) {
   EXPECT_DOUBLE_EQ(m.observe(m.initial(), 1), 10.0);
 
   // The loaded model actually simulates.
-  cwc::engine eng(m, 5, 0);
+  cwc::engine eng(cwc::compiled_model::compile(m), 5, 0);
   std::vector<cwc::trajectory_sample> out;
   eng.run_to(5.0, 1.0, out);
   EXPECT_EQ(out.size(), 6u);

@@ -165,7 +165,7 @@ TEST(RuleParser, ParsedRuleDrivesEngine) {
   m.add_observable("A", m.species().id("A"));
   m.add_observable("B", m.species().id("B"));
 
-  cwc::engine eng(m, 1, 0);
+  cwc::engine eng(cwc::compiled_model::compile(m), 1, 0);
   std::vector<cwc::trajectory_sample> out;
   eng.run_to(30.0, 1.0, out);
   EXPECT_TRUE(eng.stalled());

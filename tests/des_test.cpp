@@ -139,7 +139,7 @@ TEST(Trace, CaptureMatchesRealEngineTotals) {
   // Steps equal a direct sequential run of the same trajectories.
   std::uint64_t direct_steps = 0;
   for (std::uint64_t i = 0; i < 6; ++i) {
-    cwc::engine eng(m, cfg.seed, i);
+    cwc::engine eng(cwc::compiled_model::compile(m), cfg.seed, i);
     std::vector<cwc::trajectory_sample> out;
     eng.run_to(cfg.t_end, cfg.sample_period, out);
     direct_steps += eng.steps();
@@ -169,7 +169,7 @@ TEST(Trace, CapturePerQuantumMatchesFarmTrace) {
 
     const auto w = des::capture_workload(mr, cfg);
     // Workers append records as they run; order them like the capture.
-    auto trace = cwcsim::simulate(*m, cfg).trace;
+    auto trace = cwcsim::run(*m, cfg).result.trace;
     std::sort(trace.begin(), trace.end(), [](const auto& a, const auto& b) {
       return std::tie(a.trajectory_id, a.quantum_index) <
              std::tie(b.trajectory_id, b.quantum_index);

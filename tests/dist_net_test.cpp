@@ -351,6 +351,85 @@ TEST(WireElastic, QuantumResultIsSchemaVersioned) {
                dist::schema_mismatch_error);
 }
 
+// A frame's element counts are untrusted: a count the rest of the frame
+// cannot hold must surface as the std::runtime_error archive.hpp promises
+// for a corrupt frame, before anything is allocated for it (not as
+// std::bad_alloc or std::length_error from a reserve()).
+TEST(WireBounds, HugeDecodedCountsThrowRuntimeError) {
+  for (const std::uint64_t claim : {std::uint64_t{1} << 40,
+                                    std::uint64_t{1} << 62}) {
+    SCOPED_TRACE(claim);
+    {  // quantum_result: samples
+      dist::archive_writer w;
+      dist::put_schema_header(w);
+      w.put<std::uint32_t>(0);   // host
+      w.put<std::uint64_t>(1);   // trajectory_id
+      w.put<std::uint64_t>(0);   // quantum_index
+      w.put<double>(1.0);        // time
+      w.put<std::uint64_t>(10);  // steps
+      w.put<std::uint8_t>(0);    // finished
+      w.put<std::uint64_t>(claim);
+      w.put<double>(0.0);
+      EXPECT_THROW(dist::decode_quantum_result(w.take()), std::runtime_error);
+    }
+    auto decode_window = [](const dist::byte_buffer& bytes) {
+      dist::archive_reader r(bytes);
+      return dist::read_window_summary(r);
+    };
+    {  // window_summary: cuts
+      dist::archive_writer w;
+      w.put<std::uint64_t>(0);  // first_sample
+      w.put<std::uint64_t>(claim);
+      w.put<double>(0.0);
+      EXPECT_THROW(decode_window(w.take()), std::runtime_error);
+    }
+    {  // window_summary: moments of one cut
+      dist::archive_writer w;
+      w.put<std::uint64_t>(0);  // first_sample
+      w.put<std::uint64_t>(1);  // one cut ...
+      w.put<std::uint64_t>(0);  // ... sample_index
+      w.put<double>(0.0);       // ... time
+      w.put<std::uint64_t>(claim);
+      w.append(std::vector<std::byte>(80).data(), 80);
+      EXPECT_THROW(decode_window(w.take()), std::runtime_error);
+    }
+    {  // window_summary: centroids of one cut
+      dist::archive_writer w;
+      w.put<std::uint64_t>(0);  // first_sample
+      w.put<std::uint64_t>(1);  // one cut ...
+      w.put<std::uint64_t>(0);  // ... sample_index
+      w.put<double>(0.0);       // ... time
+      w.put<std::uint64_t>(0);  // ... no moments
+      w.put_vector<double>({});  // ... no medians
+      w.put<std::uint64_t>(claim);
+      w.append(std::vector<std::byte>(80).data(), 80);
+      EXPECT_THROW(decode_window(w.take()), std::runtime_error);
+    }
+  }
+}
+
+// The bounds use each record's smallest encoding, so frames made only of
+// minimal records (empty samples, empty cut summaries) still decode.
+TEST(WireBounds, MinimalRecordsStillDecode) {
+  dist::quantum_result q;
+  q.samples.resize(3);  // time + empty value vector: 16 bytes each
+  const auto back = dist::decode_quantum_result(dist::encode_quantum_result(q));
+  EXPECT_EQ(back.samples.size(), 3u);
+
+  cwcsim::window_summary s;
+  s.first_sample = 4;
+  s.cuts.resize(2);  // every count and vector empty: 68 bytes each
+  dist::archive_writer w;
+  dist::write_window_summary(w, s);
+  const auto bytes = w.take();
+  EXPECT_EQ(bytes.size(), 2 * sizeof(std::uint64_t) + 2 * 68u);
+  dist::archive_reader r(bytes);
+  const auto got = dist::read_window_summary(r);
+  EXPECT_EQ(got.first_sample, 4u);
+  EXPECT_EQ(got.cuts.size(), 2u);
+  EXPECT_TRUE(r.exhausted());
+}
+
 // ------------------------------ model codec -------------------------------
 
 TEST(ModelCodec, TreeModelRoundTripsBitExact) {
@@ -375,7 +454,7 @@ TEST(ModelCodec, TreeModelRoundTripsBitExact) {
 
   // ...and behaviourally bit-exact: same seed, same sample path.
   for (std::uint64_t id = 0; id < 2; ++id) {
-    cwc::engine original(m, 47, id);
+    cwc::engine original(cwc::compiled_model::compile(m), 47, id);
     cwc::engine decoded(cm, 47, id);
     std::vector<cwc::trajectory_sample> so, sd;
     original.run_to(12.0, 0.5, so);
@@ -398,7 +477,7 @@ TEST(ModelCodec, FlatModelRoundTripsBitExact) {
   ASSERT_FALSE(cm->is_tree());
   ASSERT_EQ(cm->flat()->reactions().size(), net.reactions().size());
 
-  cwc::flat_engine original(net, 5, 1);
+  cwc::flat_engine original(cwc::compiled_model::compile(net), 5, 1);
   cwc::flat_engine decoded(cm, 5, 1);
   std::vector<cwc::trajectory_sample> so, sd;
   original.run_to(8.0, 0.25, so);
@@ -454,10 +533,11 @@ TEST(DistributedModelShipping, ShipsOneFramePerHostPerRun) {
 
   const auto frame =
       dist::encode_model(cwcsim::model_ref{&m, nullptr, nullptr});
-  EXPECT_EQ(dr.model_bytes,
+  ASSERT_TRUE(dr.network.has_value());
+  EXPECT_EQ(dr.network->model_bytes,
             static_cast<double>(frame.size()) * dc.num_hosts);
   // Model traffic is accounted separately from the result stream.
-  EXPECT_GT(dr.bytes, 0.0);
+  EXPECT_GT(dr.network->bytes, 0.0);
   EXPECT_EQ(dr.result.completions.size(), cfg.num_trajectories);
 }
 

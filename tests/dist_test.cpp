@@ -51,31 +51,6 @@ TEST(Serialize, UnderflowThrows) {
   EXPECT_THROW(r.get<std::uint64_t>(), std::runtime_error);
 }
 
-class wire_param_test : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(wire_param_test, SampleBatchRoundTrip) {
-  const std::size_t n = GetParam();
-  cwcsim::sample_batch b;
-  b.trajectory_id = 77;
-  for (std::size_t i = 0; i < n; ++i) {
-    cwc::trajectory_sample s;
-    s.time = 0.5 * static_cast<double>(i);
-    s.values = {static_cast<double>(i), 2.0 * static_cast<double>(i), -1.0};
-    b.samples.push_back(std::move(s));
-  }
-  const auto bytes = dist::encode_sample_batch(b);
-  const auto back = dist::decode_sample_batch(bytes);
-  EXPECT_EQ(back.trajectory_id, 77u);
-  ASSERT_EQ(back.samples.size(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_DOUBLE_EQ(back.samples[i].time, b.samples[i].time);
-    EXPECT_EQ(back.samples[i].values, b.samples[i].values);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, wire_param_test,
-                         ::testing::Values(0u, 1u, 7u, 100u));
-
 TEST(Wire, TaskDoneRoundTrip) {
   cwcsim::task_done d;
   d.trajectory_id = 9;
@@ -163,7 +138,7 @@ TEST(DistributedSimulator, MatchesMulticoreExactly) {
   cfg.window_size = 5;
   cfg.window_slide = 5;
 
-  const auto mc = cwcsim::simulate(m, cfg);
+  const auto mc = cwcsim::run(m, cfg).result;
 
   dist::dist_config dc;
   dc.base = cfg;
@@ -186,8 +161,9 @@ TEST(DistributedSimulator, MatchesMulticoreExactly) {
     }
   }
   EXPECT_EQ(dr.result.completions.size(), cfg.num_trajectories);
-  EXPECT_GT(dr.messages, 0u);
-  EXPECT_GT(dr.bytes, 0.0);
+  ASSERT_TRUE(dr.network.has_value());
+  EXPECT_GT(dr.network->messages, 0u);
+  EXPECT_GT(dr.network->bytes, 0.0);
 }
 
 TEST(DistributedSimulator, SingleHostDegenerateCase) {
@@ -247,7 +223,7 @@ void expect_windows_bit_exact(const std::vector<cwcsim::window_summary>& a,
   }
 }
 
-TEST(DistributedElastic, StaticPartitionMatchesElasticExactly) {
+TEST(DistributedElastic, MatchesFarmExactly) {
   const auto net = models::make_birth_death({});
   const auto cfg = fault_base_config();
 
@@ -257,45 +233,46 @@ TEST(DistributedElastic, StaticPartitionMatchesElasticExactly) {
   elastic.workers_per_host = 1;
   elastic.network.latency_s = 1e-4;
 
-  dist::dist_config fixed = elastic;
-  fixed.scheduling = dist::schedule_mode::static_block;
-
   const auto er = dist::distributed_simulator(net, elastic).run();
-  const auto sr = dist::distributed_simulator(net, fixed).run();
-  expect_windows_bit_exact(er.result.windows, sr.result.windows);
+  const auto farm = cwcsim::run(net, cfg).result;
+  expect_windows_bit_exact(er.result.windows, farm.windows);
 
   // Elastic honesty counters: one grant per trajectory in a healthy run
   // is the floor (duplicate requests may add more), and every accepted
   // quantum is attributed to exactly one host.
-  EXPECT_GE(er.grants, cfg.num_trajectories);
+  ASSERT_TRUE(er.network.has_value());
+  EXPECT_GE(er.network->grants, cfg.num_trajectories);
   std::uint64_t quanta = 0;
   for (const auto& d : er.result.completions) quanta += d.quanta;
   std::uint64_t accepted = 0;
-  ASSERT_EQ(er.host_quanta.size(), elastic.num_hosts);
-  for (const auto q : er.host_quanta) accepted += q;
+  ASSERT_EQ(er.network->host_quanta.size(), elastic.num_hosts);
+  for (const auto q : er.network->host_quanta) accepted += q;
   EXPECT_EQ(accepted, quanta);
-  // The static path reports no elastic counters.
-  EXPECT_EQ(sr.grants, 0u);
-  EXPECT_TRUE(sr.host_quanta.empty());
 }
 
-/// Kill 1 of 4 hosts at {25, 50, 75}% of its expected share of simulated
-/// time, under drop_prob in {0, 0.05}: the elastic scheduler must finish
-/// with results bit-identical to the no-fault run and exactly-once
-/// completion accounting.
+/// Kill 1 of 4 hosts at {25, 50, 75}% of the first trajectory it runs,
+/// under drop_prob in {0, 0.05}: the elastic scheduler must finish with
+/// results bit-identical to the no-fault run and exactly-once completion
+/// accounting.
 class fault_matrix
     : public ::testing::TestWithParam<std::tuple<double, double>> {};
 
 TEST_P(fault_matrix, SurvivesHostDeathBitExactly) {
   const auto [progress_frac, drop_prob] = GetParam();
   const auto net = models::make_birth_death({});
-  const auto cfg = fault_base_config();
+  auto cfg = fault_base_config();
+  // Every host must be granted work before the queue drains: a host that
+  // never runs a trajectory never dies. Enough trajectories, and a link
+  // latency that makes each grant round trip take wall time, keep the
+  // queue non-empty long after a briefly descheduled host sends its
+  // first request.
+  cfg.num_trajectories = 48;
 
   dist::dist_config dc;
   dc.base = cfg;
   dc.num_hosts = 4;
   dc.workers_per_host = 1;
-  dc.network.latency_s = 1e-4;
+  dc.network.latency_s = 1e-3;
   dc.reissue_after_s = 0.05;  // fast failure detection keeps the test quick
   dc.master_tick_s = 0.01;
   dc.worker_retry_s = 0.02;
@@ -305,11 +282,10 @@ TEST_P(fault_matrix, SurvivesHostDeathBitExactly) {
 
   dc.network.drop_prob = drop_prob;
   dist::distributed_simulator sim(net, dc);
-  // A host's fair share of the campaign is N * t_end / num_hosts simulated
-  // seconds; kill host 1 partway through its share.
-  const double share =
-      static_cast<double>(cfg.num_trajectories) * cfg.t_end / dc.num_hosts;
-  sim.kill_host(1, progress_frac * share);
+  // Elastic pulling does not promise host 1 any fair share of the
+  // campaign, only its first grant: kill it partway through the first
+  // trajectory it runs, so the death always happens mid-flight.
+  sim.kill_host(1, progress_frac * cfg.t_end);
   const auto dr = sim.run();
 
   // Bit-exact results despite the death (and the message loss).
@@ -327,13 +303,14 @@ TEST_P(fault_matrix, SurvivesHostDeathBitExactly) {
   // No double-counting: accepted quanta match the completions' totals.
   std::uint64_t quanta = 0;
   for (const auto& d : dr.result.completions) quanta += d.quanta;
+  ASSERT_TRUE(dr.network.has_value());
   std::uint64_t accepted = 0;
-  for (const auto q : dr.host_quanta) accepted += q;
+  for (const auto q : dr.network->host_quanta) accepted += q;
   EXPECT_EQ(accepted, quanta);
 
   // The dead host's in-flight work was re-issued, and the master saw it.
-  EXPECT_GE(dr.reissued, 1u);
-  EXPECT_GE(dr.grants, cfg.num_trajectories + dr.reissued);
+  EXPECT_GE(dr.network->reissued, 1u);
+  EXPECT_GE(dr.network->grants, cfg.num_trajectories + dr.network->reissued);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -354,26 +331,11 @@ TEST(DistributedFaults, AllHostsDeadFailsCleanly) {
   EXPECT_THROW(sim.run(), std::runtime_error);
 }
 
-TEST(DistributedFaults, StaticSchedulingRejectsKills) {
-  const auto net = models::make_birth_death({});
-  dist::dist_config dc;
-  dc.base = fault_base_config();
-  dc.scheduling = dist::schedule_mode::static_block;
-  dist::distributed_simulator sim(net, dc);
-  EXPECT_THROW(sim.kill_host(0, 1.0), util::precondition_error);
-  dc.kills.push_back(dist::kill_spec{0, 1.0});
-  EXPECT_THROW(dist::distributed_simulator(net, dc),
-               util::precondition_error);
-}
-
 /// Regression for the deadlock bug: a host whose engine throws used to
 /// leave the master blocked in recv() forever (the dying worker never
 /// called close_writer()). With writer_guard + error capture the run must
-/// surface the worker's exception — under BOTH scheduling modes.
-class throwing_host_test
-    : public ::testing::TestWithParam<dist::schedule_mode> {};
-
-TEST_P(throwing_host_test, YieldsErrorNotHang) {
+/// surface the worker's exception.
+TEST(DistributedFaults, ThrowingHostYieldsErrorNotHang) {
   cwc::reaction_network net;
   const auto a = net.declare_species("A");
   net.set_initial(a, 100);
@@ -386,14 +348,9 @@ TEST_P(throwing_host_test, YieldsErrorNotHang) {
   dc.base = fault_base_config();
   dc.num_hosts = 2;
   dc.workers_per_host = 2;
-  dc.scheduling = GetParam();
   dc.master_tick_s = 0.01;
   dist::distributed_simulator sim(net, dc);
   EXPECT_THROW(sim.run(), std::runtime_error);  // finishes, never hangs
 }
-
-INSTANTIATE_TEST_SUITE_P(BothModes, throwing_host_test,
-                         ::testing::Values(dist::schedule_mode::elastic,
-                                           dist::schedule_mode::static_block));
 
 }  // namespace

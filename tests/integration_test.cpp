@@ -28,7 +28,7 @@ TEST(Neurospora, EnsembleMeanTracksOdeDuringTransient) {
   cfg.window_size = 4;
   cfg.window_slide = 4;
   cfg.kmeans_k = 0;
-  const auto res = cwcsim::simulate(m, cfg);
+  const auto res = cwcsim::run(m, cfg).result;
 
   auto [f, y0] = models::make_neurospora_ode(p);
   const auto ode = cwc::rk4_integrate(f, y0, 0.0, cfg.t_end, 0.001, 1.0);
@@ -48,7 +48,7 @@ TEST(Neurospora, EnsembleMeanTracksOdeDuringTransient) {
 
 TEST(Neurospora, StochasticTrajectoryShowsCircadianPeriod) {
   const auto m = models::make_neurospora_cwc({});
-  cwc::engine eng(m, 99, 0);
+  cwc::engine eng(cwc::compiled_model::compile(m), 99, 0);
   std::vector<cwc::trajectory_sample> out;
   eng.run_to(400.0, 0.5, out);
 
@@ -78,7 +78,7 @@ TEST(Neurospora, VarianceGrowsFromSharpInitialCondition) {
   cfg.quantum = 5.0;
   cfg.sim_workers = 2;
   cfg.kmeans_k = 0;
-  const auto res = cwcsim::simulate(m, cfg);
+  const auto res = cwcsim::run(m, cfg).result;
   const auto cuts = res.all_cuts();
   EXPECT_DOUBLE_EQ(cuts.front().moments[0].variance(), 0.0);
   EXPECT_GT(cuts.back().moments[0].variance(), 10.0);
@@ -95,7 +95,7 @@ TEST(Schlogl, KmeansSeparatesTheTwoAttractors) {
   cfg.kmeans_k = 2;
   cfg.window_size = 4;
   cfg.window_slide = 4;
-  const auto res = cwcsim::simulate(net, cfg);
+  const auto res = cwcsim::run(net, cfg).result;
 
   const auto cuts = res.all_cuts();
   const auto& last = cuts.back();
@@ -130,12 +130,12 @@ TEST(MichaelisMenten, FullModelMatchesReducedKinetics) {
   stats::welford full_p, red_p;
   const double T = 20.0;
   for (std::uint64_t i = 0; i < 24; ++i) {
-    cwc::flat_engine fe(full, 5, i);
+    cwc::flat_engine fe(cwc::compiled_model::compile(full), 5, i);
     std::vector<cwc::trajectory_sample> fs;
     fe.run_to(T, T, fs);
     full_p.add(fs.back().values[full.species().id("P")]);
 
-    cwc::flat_engine re(reduced, 6, i);
+    cwc::flat_engine re(cwc::compiled_model::compile(reduced), 6, i);
     std::vector<cwc::trajectory_sample> rs;
     re.run_to(T, T, rs);
     red_p.add(rs.back().values[prod]);
@@ -149,7 +149,7 @@ TEST(LotkaVolterra, TrajectoryRuntimesAreHeavilyUnbalanced) {
   const auto net = models::make_lotka_volterra({});
   std::vector<std::uint64_t> steps;
   for (std::uint64_t i = 0; i < 24; ++i) {
-    cwc::flat_engine eng(net, 31, i);
+    cwc::flat_engine eng(cwc::compiled_model::compile(net), 31, i);
     std::vector<cwc::trajectory_sample> out;
     eng.run_to(30.0, 30.0, out);
     steps.push_back(eng.steps());
@@ -167,7 +167,7 @@ TEST(CompartmentDemo, PipelineHandlesDynamicCompartments) {
   cfg.quantum = 6.0;
   cfg.sim_workers = 3;
   cfg.kmeans_k = 0;
-  const auto res = cwcsim::simulate(m, cfg);
+  const auto res = cwcsim::run(m, cfg).result;
   const auto cuts = res.all_cuts();
   ASSERT_EQ(cuts.size(), cfg.num_samples());
   // C (burst product) accumulates over time on average.
@@ -182,9 +182,9 @@ TEST(Determinism, GlobalSeedChangesResults) {
   cfg.sample_period = 1.0;
   cfg.quantum = 2.5;
   cfg.kmeans_k = 0;
-  auto a = cwcsim::simulate(m, cfg);
+  auto a = cwcsim::run(m, cfg).result;
   cfg.seed = 777;
-  auto b = cwcsim::simulate(m, cfg);
+  auto b = cwcsim::run(m, cfg).result;
   const auto ca = a.all_cuts();
   const auto cb = b.all_cuts();
   bool any_diff = false;

@@ -54,11 +54,12 @@ void expect_windows_bitexact(const std::vector<cwcsim::window_summary>& a,
 // The acceptance criterion of the redesign: a single run_builder program
 // executes the same model on all three backends by swapping only the
 // backend argument, receives windows through on_window before wait()
-// returns, and the stream is bit-exact with the batch cwcsim::simulate().
+// returns, and the stream is bit-exact with the default multicore farm's
+// collected result.
 TEST(Session, OneProgramThreeBackendsBitExactStreams) {
   const auto m = models::make_neurospora_cwc({});
   const auto cfg = small_config();
-  const auto batch = cwcsim::simulate(m, cfg);
+  const auto batch = cwcsim::run(m, cfg).result;
   ASSERT_FALSE(batch.windows.empty());
 
   auto run_on = [&](cwcsim::backend b) {
@@ -256,7 +257,7 @@ TEST(Session, RunFacadeMatchesBatchHelper) {
   cfg.t_end = 6.0;
   cfg.kmeans_k = 0;
   const auto report = cwcsim::run(net, cfg);
-  const auto batch = cwcsim::simulate(net, cfg);
+  const auto batch = cwcsim::run(net, cfg).result;
   expect_windows_bitexact(report.result.windows, batch.windows);
   EXPECT_EQ(report.backend, "multicore");
 }
@@ -360,7 +361,7 @@ TEST(Config, EnginesEmitExactlyNumSamplesOnAwkwardGrids) {
   cfg.window_slide = 8;
   cfg.kmeans_k = 0;
   EXPECT_EQ(cfg.num_samples(), 31u);
-  const auto res = cwcsim::simulate(net, cfg);
+  const auto res = cwcsim::run(net, cfg).result;
   EXPECT_EQ(res.all_cuts().size(), cfg.num_samples());
 }
 

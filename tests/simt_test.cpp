@@ -122,7 +122,7 @@ TEST(GpuSimulator, MatchesMulticoreResultsExactly) {
   cfg.window_size = 5;
   cfg.window_slide = 5;
 
-  const auto mc = cwcsim::simulate(m, cfg);
+  const auto mc = cwcsim::run(m, cfg).result;
   const auto gpu =
       cwcsim::run(m, cfg, cwcsim::gpu{simt::devices::tesla_k40()});
 

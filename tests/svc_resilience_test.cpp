@@ -179,7 +179,7 @@ svc::open_request make_open(const cwcsim::model_ref& m, std::uint64_t conn_id,
 TEST(Resilience, ReaperParksVanishedClientAndResumeIsBitExact) {
   const auto m = models::make_neurospora_cwc({});
   const auto cfg = tiny_config();
-  const auto batch = cwcsim::simulate(m, cfg);
+  const auto batch = cwcsim::run(m, cfg).result;
 
   svc::svc_config sc;
   sc.pool_workers = 2;
@@ -273,7 +273,7 @@ TEST(Resilience, WedgedSubscriberIsReapedDespiteHeartbeats) {
 TEST(Resilience, EngineThrowReplaysCheckpointBitExact) {
   const auto m = models::make_neurospora_cwc({});
   const auto cfg = tiny_config();
-  const auto batch = cwcsim::simulate(m, cfg);
+  const auto batch = cwcsim::run(m, cfg).result;
 
   svc::svc_config sc;
   sc.pool_workers = 2;
@@ -306,7 +306,7 @@ TEST(Resilience, EngineFailingBeyondRetryBudgetFailsOnlyItsTenant) {
 
   const auto healthy = models::make_neurospora_cwc({});
   const auto cfg = tiny_config();
-  const auto batch = cwcsim::simulate(healthy, cfg);
+  const auto batch = cwcsim::run(healthy, cfg).result;
 
   svc::svc_config sc;
   sc.pool_workers = 2;
@@ -351,7 +351,7 @@ TEST(Resilience, DuplicateOpenIsIdempotent) {
 TEST(Resilience, WatermarkShedsThenAdmitsWhenLoadClears) {
   const auto m = models::make_neurospora_cwc({});
   const auto cfg = tiny_config();
-  const auto batch = cwcsim::simulate(m, cfg);
+  const auto batch = cwcsim::run(m, cfg).result;
 
   svc::svc_config sc;
   sc.pool_workers = 2;
@@ -439,7 +439,7 @@ std::vector<chaos_case> chaos_matrix() {
 TEST(Chaos, MatrixSurvivorsBitExactLedgerBalanced) {
   const auto m = models::make_neurospora_cwc({});
   const auto cfg = tiny_config();
-  const auto batch = cwcsim::simulate(m, cfg);
+  const auto batch = cwcsim::run(m, cfg).result;
   const cwcsim::model_ref mref{&m, nullptr, nullptr};
 
   for (const auto& c : chaos_matrix()) {
@@ -510,7 +510,7 @@ TEST(Chaos, MatrixSurvivorsBitExactLedgerBalanced) {
 TEST(Hardening, MalformedUplinkFramesNeverKillTheServer) {
   const auto m = models::make_neurospora_cwc({});
   const auto cfg = tiny_config();
-  const auto batch = cwcsim::simulate(m, cfg);
+  const auto batch = cwcsim::run(m, cfg).result;
 
   svc::run_server server;
   auto conn = server.connect();
@@ -615,7 +615,7 @@ TEST(Chaos, SoakMultiTenantUnderSustainedFaults) {
 
   const auto m = models::make_neurospora_cwc({});
   const auto cfg = tiny_config();
-  const auto batch = cwcsim::simulate(m, cfg);
+  const auto batch = cwcsim::run(m, cfg).result;
   const cwcsim::model_ref mref{&m, nullptr, nullptr};
 
   svc::svc_config sc;

@@ -335,7 +335,7 @@ TEST(ModelCache, ReleasedPinsAreTrimmedByNextInsert) {
 TEST(Service, BitExactWithMulticoreSameSeed) {
   const auto m = models::make_neurospora_cwc({});
   const auto cfg = small_config();
-  const auto batch = cwcsim::simulate(m, cfg);
+  const auto batch = cwcsim::run(m, cfg).result;
   ASSERT_FALSE(batch.windows.empty());
 
   svc::run_server server;
@@ -371,7 +371,7 @@ TEST(Service, BitExactWithMulticoreSameSeed) {
 TEST(Service, EightTenantsOneCompileEveryTenantFinishes) {
   const auto m = models::make_neurospora_cwc({});
   const auto cfg = small_config();
-  const auto batch = cwcsim::simulate(m, cfg);
+  const auto batch = cwcsim::run(m, cfg).result;
 
   svc::svc_config sc;
   sc.pool_workers = 4;
@@ -415,8 +415,8 @@ TEST(Service, SlowSubscriberThrottlesOnlyItself) {
   svc::svc_config sc;
   sc.pool_workers = 2;
   svc::run_server server(sc);
-  const auto batch_fast = cwcsim::simulate(m, cfg);
-  const auto batch_slow = cwcsim::simulate(m, slow_cfg);
+  const auto batch_fast = cwcsim::run(m, cfg).result;
+  const auto batch_slow = cwcsim::run(m, slow_cfg).result;
 
   std::atomic<std::uint64_t> slow_completions{0};
 
@@ -645,7 +645,7 @@ TEST(Service, CustomRateLawFallsBackToLocalModelSharing) {
 
   auto cfg = small_config();
   cfg.kmeans_k = 0;
-  const auto batch = cwcsim::simulate(net, cfg);
+  const auto batch = cwcsim::run(net, cfg).result;
 
   svc::run_server server;
   const auto report = cwcsim::run(net, cfg, cwcsim::service{&server});
@@ -662,7 +662,7 @@ TEST(Service, WeightedTenantsBothComplete) {
   // bit-exactness are the hard guarantees).
   const auto m = models::make_neurospora_cwc({});
   const auto cfg = small_config();
-  const auto batch = cwcsim::simulate(m, cfg);
+  const auto batch = cwcsim::run(m, cfg).result;
 
   svc::svc_config sc;
   sc.pool_workers = 2;
