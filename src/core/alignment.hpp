@@ -1,11 +1,11 @@
-// The cut-assembly core shared by the shared-memory alignment stage
-// (trajectory_aligner) and the distributed master: collects per-trajectory
-// samples into cuts indexed by trajectory id and releases each cut, in
-// sample-index order, once every trajectory has contributed.
+// The cut-assembly core of the alignment stage (analysis_stage, on every
+// backend): collects per-trajectory samples into cuts indexed by
+// trajectory id and releases each cut, in sample-index order, once every
+// trajectory has contributed.
 //
-// Keeping this logic in one place is what makes the distributed runtime's
-// bit-exactness guarantee durable: both deployments assemble cuts with the
-// same rounding, the same indexing, and the same release rule.
+// Keeping this logic in one place is what makes the cross-backend
+// bit-exactness guarantee durable: every deployment assembles cuts with
+// the same rounding, the same indexing, and the same release rule.
 #pragma once
 
 #include <algorithm>

@@ -71,7 +71,8 @@ struct multicore {
 /// Run on a virtual cluster (paper §IV-B): num_hosts multicore hosts of
 /// workers_per_host engines pull trajectories from an elastic master and
 /// stream serialized per-quantum results over the modeled network to it;
-/// the master runs the analysis stages on-line.
+/// the master aligns them on-line and cfg.stat_engines statistical engines
+/// summarise the cuts beside its receive loop.
 struct distributed {
   unsigned num_hosts = 2;
   unsigned workers_per_host = 2;
@@ -79,7 +80,9 @@ struct distributed {
 };
 
 /// Run the simulation farm as lockstep kernels on the SIMT device model
-/// (paper §IV-C); the analysis pipeline runs host-side on-line.
+/// (paper §IV-C); the host aligns each kernel's samples and
+/// cfg.stat_engines statistical engines summarise the cuts while later
+/// kernels run.
 struct gpu {
   simt::device_spec device{};
   /// Path-decoherence time of the divergence model (see simt::gpu_params).

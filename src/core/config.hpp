@@ -27,7 +27,9 @@ struct sim_config {
   std::size_t worker_queue = 2;  ///< emitter->worker channel capacity
 
   // ---- analysis pipeline ----------------------------------------------
-  unsigned stat_engines = 1;     ///< farm of statistical engines (paper: 1 or 4)
+  /// Statistical engines (paper: 1 or 4): the threads that summarise cuts
+  /// beside the simulation, on every backend (core/analysis_stage.hpp).
+  unsigned stat_engines = 1;
   std::size_t window_size = 16;  ///< cuts per sliding window
   std::size_t window_slide = 16; ///< cuts to advance between windows
   std::uint32_t kmeans_k = 2;    ///< clusters per cut (0 disables k-means)

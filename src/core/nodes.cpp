@@ -1,10 +1,8 @@
 #include "core/nodes.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/check.hpp"
-#include "util/stopwatch.hpp"
 
 namespace cwcsim {
 
@@ -97,105 +95,20 @@ ff::outcome sim_engine_node::svc(ff::token t) {
   return ff::outcome::more;
 }
 
-// ------------------------------------------------------------------ aligner
+// ----------------------------------------------------------------- analysis
 
-trajectory_aligner::trajectory_aligner(const sim_config& cfg,
-                                       std::size_t num_observables,
-                                       const event_sink& events)
-    : assembler_(cfg, num_observables), events_(&events) {
-  set_name("trajectory-aligner");
+analysis_node::analysis_node(const sim_config& cfg, std::size_t num_observables,
+                             event_sink& events)
+    : stage_(cfg, num_observables, events, cfg.stat_engines) {
+  set_name("analysis");
 }
 
-ff::outcome trajectory_aligner::svc(ff::token t) {
+ff::outcome analysis_node::svc(ff::token t) {
   const auto batch = t.take<sample_batch>();
-  for (const auto& s : batch.samples) {
-    assembler_.ingest(batch.trajectory_id, s, [this](stats::trajectory_cut&& c) {
-      send_out(ff::token::of(std::move(c)));
-    });
-  }
+  for (const auto& s : batch.samples) stage_.ingest(batch.trajectory_id, s);
   return ff::outcome::more;
 }
 
-void trajectory_aligner::on_eos() {
-  // A complete run leaves nothing behind; partially filled cuts indicate a
-  // trajectory loss upstream and must not silently disappear. A cancelled
-  // run legitimately drops the cuts its retired trajectories never filled.
-  if (events_->stop_requested()) return;
-  util::ensures(assembler_.drained(), "alignment buffer not drained at EOS");
-}
-
-// ---------------------------------------------------------------- windowing
-
-window_generator::window_generator(const sim_config& cfg)
-    : builder_(cfg.window_size, cfg.window_slide) {
-  set_name("window-generator");
-}
-
-ff::outcome window_generator::svc(ff::token t) {
-  for (auto& w : builder_.push(t.take<stats::trajectory_cut>()))
-    send_out(ff::token::of(std::move(w)));
-  return ff::outcome::more;
-}
-
-void window_generator::on_eos() {
-  for (auto& w : builder_.flush()) send_out(ff::token::of(std::move(w)));
-}
-
-// -------------------------------------------------------------- stat engine
-
-stat_engine_node::stat_engine_node(const sim_config& cfg) : cfg_(&cfg) {
-  set_name("stat-engine");
-}
-
-ff::outcome stat_engine_node::svc(ff::token t) {
-  const auto w = t.take<stats::trajectory_window>();
-  window_summary out;
-  out.first_sample = w.first_sample;
-  out.cuts.reserve(w.cuts.size());
-  for (const auto& cut : w.cuts)
-    out.cuts.push_back(stats::summarize_cut(cut, cfg_->kmeans_k, cfg_->seed));
-  ++processed_;
-  send_out(ff::token::of(std::move(out)));
-  return ff::outcome::more;
-}
-
-// ------------------------------------------------------------------ reorder
-
-reorder_gather::reorder_gather(std::uint64_t slide) : slide_(slide) {
-  set_name("reorder-gather");
-  util::expects(slide > 0, "reorder_gather: slide must be positive");
-}
-
-ff::outcome reorder_gather::svc(ff::token t) {
-  auto w = t.take<window_summary>();
-  held_.emplace(w.first_sample, std::move(w));
-  while (!held_.empty() && held_.begin()->first == next_) {
-    auto node = held_.extract(held_.begin());
-    send_out(ff::token::of(std::move(node.mapped())));
-    next_ += slide_;
-  }
-  return ff::outcome::more;
-}
-
-void reorder_gather::on_eos() {
-  // A trailing partial window may sit at an off-grid key; drain in order.
-  for (auto& [k, w] : held_) send_out(ff::token::of(std::move(w)));
-  held_.clear();
-}
-
-// --------------------------------------------------------------------- sink
-
-result_sink::result_sink(event_sink& events) : events_(&events) {
-  set_name("result-sink");
-}
-
-ff::outcome result_sink::svc(ff::token t) {
-  if (t.holds<window_summary>()) {
-    events_->window(t.take<window_summary>());
-    return ff::outcome::more;
-  }
-  util::ensures(false, "result_sink received unexpected token type");
-  return ff::outcome::more;
-}
+void analysis_node::on_eos() { stage_.finish(); }
 
 }  // namespace cwcsim

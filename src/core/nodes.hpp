@@ -1,18 +1,16 @@
-// The concurrent stages of the CWC simulation-analysis workflow, mapping
-// one-to-one onto the boxes of the paper's Fig. 2:
+// The concurrent stages of the CWC simulation-analysis workflow of the
+// paper's Fig. 2:
 //
 //  simulation pipeline: task_generator -> [task_scheduler -> sim_engine_node*
-//                       (feedback)] -> trajectory_aligner
-//  analysis pipeline:   window_generator -> [stat_engine_node*] ->
-//                       reorder_gather -> result_sink
+//                       (feedback)]
+//  analysis pipeline:   analysis_node: alignment on the node's thread, then
+//                       cfg.stat_engines statistical engines and the
+//                       in-order gather (core/analysis_stage.hpp)
 #pragma once
 
-#include <map>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "core/alignment.hpp"
+#include "core/analysis_stage.hpp"
 #include "core/config.hpp"
 #include "core/events.hpp"
 #include "core/messages.hpp"
@@ -87,73 +85,20 @@ class sim_engine_node final : public ff::node {
   std::vector<quantum_record> trace_;
 };
 
-/// Stage 3 of the simulation pipeline: "sorts out all received results and
-/// aligns them according to the amount of simulation time", releasing a cut
-/// once every trajectory has contributed its sample.
-class trajectory_aligner final : public ff::node {
+/// The analysis pipeline as one node: aligns the sample batches the
+/// simulation engines stream on its own thread and summarises the cuts on
+/// cfg.stat_engines statistical engines (analysis_stage), which hand the
+/// ordered windows to the sink — the alignment, windows, farm of
+/// statistical engines and gather boxes of Fig. 2.
+class analysis_node final : public ff::node {
  public:
-  trajectory_aligner(const sim_config& cfg, std::size_t num_observables,
-                     const event_sink& events);
-  ff::outcome svc(ff::token t) override;
-  void on_eos() override;
-
-  std::uint64_t cuts_emitted() const noexcept { return assembler_.emitted(); }
-
- private:
-  cut_assembler assembler_;
-  const event_sink* events_;
-};
-
-/// Analysis stage 1: groups the cut stream into sliding windows.
-class window_generator final : public ff::node {
- public:
-  explicit window_generator(const sim_config& cfg);
+  analysis_node(const sim_config& cfg, std::size_t num_observables,
+                event_sink& events);
   ff::outcome svc(ff::token t) override;
   void on_eos() override;
 
  private:
-  stats::sliding_window_builder builder_;
-};
-
-/// Analysis farm worker: per-window statistics (mean/variance/median per
-/// cut and k-means clustering of trajectories).
-class stat_engine_node final : public ff::node {
- public:
-  explicit stat_engine_node(const sim_config& cfg);
-  ff::outcome svc(ff::token t) override;
-
-  std::uint64_t windows_processed() const noexcept { return processed_; }
-
- private:
-  const sim_config* cfg_;
-  std::uint64_t processed_ = 0;
-};
-
-/// Analysis collector: restores window order (workers finish out of order)
-/// before streaming to the sink — the "gather" box of Fig. 2.
-class reorder_gather final : public ff::node {
- public:
-  /// Windows are keyed by first_sample and spaced by `slide`.
-  explicit reorder_gather(std::uint64_t slide);
-  ff::outcome svc(ff::token t) override;
-  void on_eos() override;
-
- private:
-  std::map<std::uint64_t, window_summary> held_;  // keyed by first_sample
-  std::uint64_t slide_;
-  std::uint64_t next_ = 0;
-};
-
-/// Terminal stage: hands each ordered summary to the session's event sink
-/// as the gather stage emits it (stands in for the GUI/storage of Fig. 2)
-/// — no terminal gather-then-copy.
-class result_sink final : public ff::node {
- public:
-  explicit result_sink(event_sink& events);
-  ff::outcome svc(ff::token t) override;
-
- private:
-  event_sink* events_;
+  analysis_stage stage_;
 };
 
 }  // namespace cwcsim

@@ -6,7 +6,6 @@
 #include "core/backend.hpp"
 #include "core/lane_executor.hpp"
 #include "core/nodes.hpp"
-#include "core/online_analysis.hpp"
 #include "util/stopwatch.hpp"
 
 namespace cwcsim {
@@ -18,12 +17,12 @@ namespace {
 /// The shared-memory CWC simulator with on-line parallel analysis (paper
 /// §IV-A, Fig. 2). run() wires
 ///
-///   generation -> farm(simulation engines, feedback) -> alignment ->
-///   sliding windows -> farm(statistical engines) -> gather -> sink
+///   generation -> farm(simulation engines, feedback) -> analysis
 ///
-/// into one ff network and runs it to completion, streaming window
-/// summaries and completion notices through the session's sink as the
-/// gather stage emits them (the sink's stop flag is honoured).
+/// into one ff network and runs it to completion. The analysis node aligns
+/// the workers' samples and summarises cuts on cfg.stat_engines statistical
+/// engines, streaming ordered window summaries through the session's sink
+/// beside the completion notices (the sink's stop flag is honoured).
 class multicore_driver final : public backend_driver {
  public:
   multicore_driver(const model_ref& model, const sim_config& cfg)
@@ -57,23 +56,9 @@ class multicore_driver final : public backend_driver {
         .enable_feedback(ff::feedback_from::workers);
     pipe.add_stage(std::move(sim_farm));
 
-    pipe.add_stage(std::make_unique<trajectory_aligner>(
-        cfg_, model_.num_observables(), sink));
-
     // ---- analysis pipeline --------------------------------------------
-    pipe.add_stage(std::make_unique<window_generator>(cfg_));
-
-    std::vector<std::unique_ptr<ff::node>> stat_workers;
-    for (unsigned w = 0; w < cfg_.stat_engines; ++w)
-      stat_workers.push_back(std::make_unique<stat_engine_node>(cfg_));
-    auto stat_farm = std::make_unique<ff::farm>(std::move(stat_workers));
-    stat_farm->set_dispatch(ff::out_policy::on_demand)
-        .set_collector(std::make_unique<reorder_gather>(cfg_.window_slide));
-    pipe.add_stage(std::move(stat_farm));
-
-    // Terminal stage: stream summaries straight into the sink — no
-    // gather-then-copy.
-    pipe.add_stage(std::make_unique<result_sink>(sink));
+    pipe.add_stage(std::make_unique<analysis_node>(
+        cfg_, model_.num_observables(), sink));
 
     // ---- run ----------------------------------------------------------
     pipe.materialize(net);
@@ -98,8 +83,9 @@ class multicore_driver final : public backend_driver {
 
 /// The opt-in batched shared-memory path (multicore{batch_width}): the
 /// lane executor advances SoA batch groups of batch_width lanes
-/// quantum-lockstep on a persistent worker pool, and the standard
-/// align -> window -> summarize analysis runs inline between rounds.
+/// quantum-lockstep on a persistent worker pool, and the rounds' samples
+/// feed the analysis stage, whose cfg.stat_engines workers summarise cuts
+/// while later rounds step.
 /// Windows, completions, and sample paths are bit-identical to the
 /// per-engine farm (the batch engine's lane-exactness guarantee); only the
 /// scheduling differs. Trace capture stays on the farm (per-quantum wall
@@ -117,7 +103,8 @@ class batched_multicore_driver final : public backend_driver {
     lane_executor lanes({model_.compiled}, cfg_,
                         lane_executor::ensemble(cfg_.num_trajectories),
                         batch_width_, cfg_.sim_workers);
-    online_analysis analysis(cfg_, model_.num_observables(), sink);
+    analysis_stage analysis(cfg_, model_.num_observables(), sink,
+                            cfg_.stat_engines);
     while (lanes.live() > 0 && !sink.stop_requested()) {
       lanes.round(
           [&](const lane_executor::lane_quantum& q) {
@@ -132,7 +119,7 @@ class batched_multicore_driver final : public backend_driver {
     analysis.finish();
 
     report.result.sim_workers = cfg_.sim_workers;
-    report.result.stat_engines = 1;
+    report.result.stat_engines = cfg_.stat_engines;
     report.result.wall_seconds = wall.elapsed_s();
   }
 

@@ -12,7 +12,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/online_analysis.hpp"
+#include "core/analysis_stage.hpp"
 #include "core/quantum.hpp"
 #include "dist/model_codec.hpp"
 #include "util/check.hpp"
@@ -336,11 +336,13 @@ void distributed_simulator::run(cwcsim::event_sink& sink,
       std::chrono::duration<double>(cfg_.reissue_after_s));
 
   report.result.sim_workers = H * W;
-  // The master runs the analysis stages inline on one thread; report what
-  // actually executed, not the base config's farm width.
-  report.result.stat_engines = 1;
+  report.result.stat_engines = base.stat_engines;
 
-  cwcsim::online_analysis analysis(base, model_.num_observables(), sink);
+  // The master aligns on its receive loop; base.stat_engines workers
+  // summarise the released cuts, so grants wait on a summary only when
+  // the workers fall behind.
+  cwcsim::analysis_stage analysis(base, model_.num_observables(), sink,
+                                  base.stat_engines);
 
   auto serve = [&](steady_clock::time_point now) {
     while (!waiting.empty() && !queue.empty()) {
@@ -387,7 +389,7 @@ void distributed_simulator::run(cwcsim::event_sink& sink,
     }
   };
 
-  // ---- master: schedule + align -> window -> statistics, on-line --------
+  // ---- master: schedule + align; the statistics run beside it -----------
   auto shutdown_cluster = [&] {
     cx.run_over.store(true, std::memory_order_relaxed);
     for (auto& c : ctrl) {

@@ -1,8 +1,9 @@
 // The distributed deployment of the CWC simulation-analysis pipeline
 // (paper §IV-B, Fig. 2 bottom): a virtual cluster of multicore hosts, each
 // running a farm of simulation engines, streaming serialized results to a
-// master that runs the alignment + sliding-window + statistics stages
-// on-line. distributed_simulator is the cwcsim::distributed backend driver.
+// master that aligns them on-line while cfg.stat_engines statistical
+// engines summarise the cuts (cwcsim::analysis_stage).
+// distributed_simulator is the cwcsim::distributed backend driver.
 //
 // Scheduling is ELASTIC (the paper's Fig. 6 cloud-hetero scenario): there
 // is no start-of-run partition. The master keeps a work queue of

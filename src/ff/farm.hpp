@@ -45,7 +45,10 @@ class farm final : public pattern {
   farm& set_worker_channel_capacity(std::size_t cap) noexcept;
 
   /// Wire a feedback edge back to the emitter. Feedback channels are
-  /// unbounded so the cycle cannot deadlock under backpressure.
+  /// unbounded so the cycle cannot deadlock under backpressure. The
+  /// emitter drains its upstream input before it serves fed-back tokens
+  /// (round-robin among them), so with a finite upstream every task starts
+  /// before any continues.
   farm& enable_feedback(feedback_from src) noexcept;
 
   std::size_t num_workers() const noexcept { return workers_.size(); }

@@ -1,5 +1,7 @@
 #include "ff/node.hpp"
 
+#include <optional>
+
 #include "ff/network.hpp"
 #include "util/check.hpp"
 
@@ -59,41 +61,53 @@ void node::run_loop() {
       while (svc(token{}) == outcome::more) {
       }
     } else {
-      std::size_t open_normal = 0;
+      // Normal inputs are scanned before feedback inputs, each class
+      // round-robin, one token per scan: a feedback farm's emitter takes
+      // every task its (finite) upstream offers before it continues a
+      // fed-back one. Feedback edges are unbounded, so nothing blocks
+      // meanwhile.
+      std::vector<channel*> normal, feedback;
       for (auto* c : inputs_)
-        if (c->kind() == edge_kind::normal) ++open_normal;
-      const bool has_normal = open_normal > 0;
+        (c->kind() == edge_kind::normal ? normal : feedback).push_back(c);
+      std::size_t open_normal = normal.size();
+      std::size_t rr_normal = 0, rr_feedback = 0;
+      auto try_pop = [](const std::vector<channel*>& from, std::size_t& rr) {
+        for (std::size_t k = 0; k < from.size(); ++k) {
+          const std::size_t i = (rr + k) % from.size();
+          if (auto t = from[i]->try_pop()) {
+            rr = (i + 1) % from.size();
+            return t;
+          }
+        }
+        return std::optional<token>{};
+      };
 
       bool done = false;
       std::size_t spins = 0;
       while (!done) {
-        bool got = false;
-        for (std::size_t k = 0; k < inputs_.size(); ++k) {
-          channel& c = *inputs_[(rr_in_ + k) % inputs_.size()];
-          auto t = c.try_pop();
-          if (!t) continue;
-          rr_in_ = (rr_in_ + k + 1) % inputs_.size();
-          got = true;
-          spins = 0;
-          if (t->is_eos()) {
-            // EOS on feedback edges is ignored: cycle termination is the
-            // receiving node's own decision (outcome::end).
-            if (c.kind() == edge_kind::normal && --open_normal == 0) {
-              if (continue_after_eos_) {
-                if (on_upstream_eos() == outcome::end) done = true;
-              } else {
-                done = true;
-              }
-            }
-          } else if (svc(std::move(*t)) == outcome::end) {
-            done = true;
-          }
-          break;  // round-robin fairness: at most one token per scan
+        bool from_normal = true;
+        auto t = try_pop(normal, rr_normal);
+        if (!t) {
+          from_normal = false;
+          t = try_pop(feedback, rr_feedback);
         }
-        if (done) break;
-        if (!got) {
-          if (!has_normal && inputs_.empty()) break;  // defensive; unreachable
+        if (!t) {
           channel::backoff(spins);
+          continue;
+        }
+        spins = 0;
+        if (t->is_eos()) {
+          // EOS on feedback edges is ignored: cycle termination is the
+          // receiving node's own decision (outcome::end).
+          if (from_normal && --open_normal == 0) {
+            if (continue_after_eos_) {
+              if (on_upstream_eos() == outcome::end) done = true;
+            } else {
+              done = true;
+            }
+          }
+        } else if (svc(std::move(*t)) == outcome::end) {
+          done = true;
         }
       }
     }

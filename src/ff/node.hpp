@@ -4,10 +4,11 @@
 // Lifecycle of a node thread:
 //   on_init()
 //   source (no normal inputs):   svc(empty) until it returns outcome::end
-//   otherwise:                   pop from inputs (round-robin over channels,
-//                                feedback edges included) and call svc(token)
-//                                until EOS has been seen on every *normal*
-//                                input, or svc returns outcome::end
+//   otherwise:                   pop from inputs (normal inputs before
+//                                feedback edges, round-robin within each)
+//                                and call svc(token) until EOS has been seen
+//                                on every *normal* input, or svc returns
+//                                outcome::end
 //   on_eos()                     -- flush phase; may still send_out()
 //   EOS is forwarded on every normal output
 //   on_end()
@@ -102,7 +103,6 @@ class node {
   std::vector<channel*> fb_outputs_;  // feedback outputs
   std::size_t rr_out_ = 0;
   std::size_t rr_fb_ = 0;
-  std::size_t rr_in_ = 0;
 };
 
 /// A convenience node defined by three lambdas (init, svc, eos-flush).

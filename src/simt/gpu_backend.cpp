@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "core/lane_executor.hpp"
-#include "core/online_analysis.hpp"
+#include "core/analysis_stage.hpp"
 #include "des/trace.hpp"
 #include "simt/executor.hpp"
 #include "util/check.hpp"
@@ -43,11 +43,12 @@ void gpu_driver::run(cwcsim::event_sink& sink, cwcsim::run_report& report) {
                                   cfg_.num_trajectories),
                               batch_width_, 1);
 
-  // On-line analysis between kernels: completed cuts stream out of the
-  // assembler into sliding windows while later kernels still execute —
-  // the same align -> window -> summarize path as the other backends, so
-  // the windowed statistics are bit-exact across deployments.
-  cwcsim::online_analysis analysis(cfg_, model_.num_observables(), sink);
+  // On-line analysis beside the kernels: the host aligns each kernel's
+  // samples and cfg.stat_engines workers summarise the released cuts while
+  // later kernels execute — the same analysis stage as the other
+  // backends, so the windowed statistics are bit-exact across deployments.
+  cwcsim::analysis_stage analysis(cfg_, model_.num_observables(), sink,
+                                  cfg_.stat_engines);
 
   const double theta =
       coherence_time_ > 0.0 ? std::min(1.0, cfg_.quantum / coherence_time_)
@@ -104,7 +105,7 @@ void gpu_driver::run(cwcsim::event_sink& sink, cwcsim::run_report& report) {
   analysis.finish();
 
   report.result.sim_workers = 0;
-  report.result.stat_engines = 1;
+  report.result.stat_engines = cfg_.stat_engines;
   report.result.wall_seconds = wall.elapsed_s();
   dev_stats.divergence_factor =
       total_lane_s > 0.0 ? total_warp_s * dev_.warp_size / total_lane_s : 1.0;

@@ -25,7 +25,8 @@ class gpu_driver final : public cwcsim::backend_driver {
   const char* name() const noexcept override { return "gpu"; }
 
   /// Runs the campaign as a sequence of lockstep kernels, one quantum per
-  /// kernel. Cuts are assembled between kernels, so windows and retired
+  /// kernel. Cuts are assembled between kernels and summarised by
+  /// cfg.stat_engines workers beside them, so windows and retired
   /// trajectories stream through `sink` while later kernels execute;
   /// sink.stop_requested() is honoured at kernel boundaries.
   void run(cwcsim::event_sink& sink, cwcsim::run_report& report) override;

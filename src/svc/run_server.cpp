@@ -16,7 +16,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/online_analysis.hpp"
+#include "core/analysis_stage.hpp"
 #include "core/quantum.hpp"
 #include "util/check.hpp"
 
@@ -106,7 +106,9 @@ struct session final : cwcsim::event_sink {
 
   // ---- ingest (ingest_mu) ----
   std::mutex ingest_mu;
-  std::optional<cwcsim::online_analysis> analysis;
+  /// Zero workers: summaries run inline under ingest_mu, the pool being
+  /// the session's parallelism. Reset once the last trajectory finished.
+  std::optional<cwcsim::analysis_stage> analysis;
   std::uint64_t trajectories_done = 0;
 
   /// Set at teardown; engines polling stop_requested() wind down early
@@ -535,8 +537,8 @@ struct run_server::impl {
     s->ack_cache_hit = cache_hit;
     s->ack_pool_workers = cfg_.pool_workers == 0 ? 1 : cfg_.pool_workers;
     // s->cfg is stable for the session's lifetime (session lives on the
-    // heap behind shared_ptr), satisfying online_analysis's reference.
-    s->analysis.emplace(s->cfg, s->model->num_observables(), *s);
+    // heap behind shared_ptr), satisfying analysis_stage's reference.
+    s->analysis.emplace(s->cfg, s->model->num_observables(), *s, 0u);
     for (std::uint64_t t = 0; t < s->cfg.num_trajectories; ++t)
       s->ready.push_back(traj_task{t, 0, 0, std::nullopt});
 
@@ -886,6 +888,10 @@ struct run_server::impl {
           s.trajectory_done(out.done);
           if (s.trajectories_done == s.cfg.num_trajectories) {
             s.analysis->finish();
+            // No ingest can follow: every trajectory has finished, and a
+            // trajectory has one task, never requeued once finished. A
+            // retained record keeps only its stream tail and terminal.
+            s.analysis.reset();
             finished_session = true;
           }
         }

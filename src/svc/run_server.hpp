@@ -47,9 +47,11 @@
 //     stream frames from the client's resume_next_seq and carries on.
 //     Completed sessions retain their terminal frame for the retention
 //     window, so a client that lost the last frame can still finish.
-//   - analysis      — the same cwcsim::online_analysis every backend
-//     uses, run per-session as quanta arrive, so windows are bit-exact
-//     with the shared-memory pipeline regardless of pool interleaving.
+//   - analysis      — the same cwcsim::analysis_stage every backend
+//     uses, run per-session as quanta arrive with zero workers (summaries
+//     inline, the pool being the parallelism) and dropped once the
+//     session finishes, so windows are bit-exact with the shared-memory
+//     pipeline regardless of pool interleaving.
 //   - backpressure  — sliding-window flow control (svc/proto.hpp): at
 //     most window_credits stream frames in flight beyond the client's
 //     cumulative ack, and a session whose produced-but-unsent queue

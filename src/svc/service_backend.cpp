@@ -4,7 +4,7 @@
 // indistinguishable from a local run — same streaming event_sink surface,
 // same cooperative stop, and bit-exact windows versus multicore for the
 // same (model, seed, config), because the server runs the identical
-// engine + online_analysis composition.
+// engine + analysis_stage composition.
 //
 // Resilience (the client half of proto.hpp's reliability model):
 //   - admission: a shed open (retry_after frame) backs off with capped

@@ -1,6 +1,7 @@
 // Integration tests for the Fig. 2 pipeline: completeness of cuts and
 // windows, scheduler termination, determinism across pipeline shapes, and
-// the individual stage nodes.
+// the cut assembler. The analysis stage's own tests (ordering, trajectory
+// loss at EOS) live in analysis_stage_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -201,56 +202,6 @@ TEST(Pipeline, MeanSeriesHelper) {
   EXPECT_DOUBLE_EQ(series[0].first, 0.0);
   // At t=0 every trajectory starts at the same count: variance 0, mean = x0.
   EXPECT_DOUBLE_EQ(series[0].second, 10.0);
-}
-
-// --------------------------- node-level tests ----------------------------
-
-TEST(ReorderGather, RestoresOrderFromShuffledWindows) {
-  ff::network net;
-  auto* src = net.add(ff::make_node([i = 0](auto& self, ff::token) mutable {
-    // Emit windows keyed 8, 0, 16, 24 out of order (slide 8).
-    const std::uint64_t keys[] = {8, 0, 24, 16};
-    if (i >= 4) return ff::outcome::end;
-    cwcsim::window_summary w;
-    w.first_sample = keys[i++];
-    self.send_out(ff::token::of(std::move(w)));
-    return i < 4 ? ff::outcome::more : ff::outcome::end;
-  }));
-  auto* reorder = net.emplace<cwcsim::reorder_gather>(8);
-  std::vector<std::uint64_t> got;
-  auto* sink = net.add(ff::make_node([&got](auto&, ff::token t) {
-    got.push_back(t.template as<cwcsim::window_summary>().first_sample);
-    return ff::outcome::more;
-  }));
-  net.connect(src, reorder);
-  net.connect(reorder, sink);
-  net.run_and_wait();
-  EXPECT_EQ(got, (std::vector<std::uint64_t>{0, 8, 16, 24}));
-}
-
-TEST(Aligner, DetectsTrajectoryLossAtEos) {
-  // Feed samples for only 1 of 2 expected trajectories: the aligner must
-  // refuse to silently drop the incomplete cut at EOS.
-  cwcsim::sim_config cfg = small_config();
-  cfg.num_trajectories = 2;
-
-  ff::network net;
-  auto* src = net.add(ff::make_node([sent = false, &cfg](auto& self,
-                                                         ff::token) mutable {
-    if (sent) return ff::outcome::end;
-    sent = true;
-    cwcsim::sample_batch b;
-    b.trajectory_id = 0;
-    b.samples.push_back(cwc::trajectory_sample{0.0, {1.0, 2.0, 3.0}});
-    (void)cfg;
-    self.send_out(ff::token::of(std::move(b)));
-    return ff::outcome::end;
-  }));
-  cwcsim::collecting_sink events;
-  auto* aligner = net.emplace<cwcsim::trajectory_aligner>(cfg, 3u, events);
-  net.connect(src, aligner);
-  net.run();
-  EXPECT_THROW(net.wait(), util::postcondition_error);
 }
 
 // ----------------------------- cut assembler -----------------------------

@@ -7,6 +7,8 @@
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "ff/ff.hpp"
@@ -134,15 +136,19 @@ TEST(Farm, RequiresAtLeastOneWorker) {
 }
 
 /// Feedback test: emitter re-circulates each token `rounds` times before
-/// emitting downstream (a miniature of the CWC quantum scheduler).
+/// emitting downstream (a miniature of the CWC quantum scheduler), logging
+/// each (id, round) it dispatches when given a log.
 class cycling_emitter final : public ff::node {
  public:
-  cycling_emitter(int items, int rounds) : items_(items), rounds_(rounds) {
+  cycling_emitter(int items, int rounds,
+                  std::vector<std::pair<int, int>>* log = nullptr)
+      : items_(items), rounds_(rounds), log_(log) {
     set_continue_after_eos(true);
   }
   ff::outcome svc(ff::token t) override {
     auto [id, round] = t.as<std::pair<int, int>>();
     if (round < rounds_) {
+      if (log_ != nullptr) log_->emplace_back(id, round);
       send_out(ff::token::of(std::make_pair(id, round)));  // to workers
       return ff::outcome::more;
     }
@@ -161,6 +167,7 @@ class cycling_emitter final : public ff::node {
   }
   int items_;
   int rounds_;
+  std::vector<std::pair<int, int>>* log_;
   int retired_ = 0;
   bool upstream_done_ = false;
 };
@@ -205,6 +212,41 @@ TEST(FarmFeedback, TokensCycleUntilEmitterRetiresThem) {
   ASSERT_EQ(got.size(), static_cast<std::size_t>(items));
   std::set<int> unique(got.begin(), got.end());
   EXPECT_EQ(unique.size(), static_cast<std::size_t>(items));
+}
+
+// The feedback farm's emitter drains its upstream before it continues any
+// fed-back token, so every task starts before any continues. The worker
+// holds its first token until the source has emitted all N: from then on
+// fed-back tokens and fresh ones both wait at the emitter, and the first N
+// dispatches must be exactly the N fresh tokens, in order.
+TEST(FarmFeedback, EmitterStartsEveryTaskBeforeContinuingAny) {
+  const int items = 64, rounds = 3;
+  std::atomic<bool> source_done{false};
+  std::vector<std::pair<int, int>> log;
+
+  ff::pipeline p;
+  p.add_stage(ff::make_node([&, i = 0](auto& self, ff::token) mutable {
+    self.send_out(ff::token::of(std::make_pair(i, 0)));
+    if (++i < items) return ff::outcome::more;
+    source_done.store(true);
+    return ff::outcome::end;
+  }));
+  std::vector<std::unique_ptr<ff::node>> ws;
+  ws.push_back(ff::make_node([&](auto& self, ff::token t) {
+    while (!source_done.load()) std::this_thread::yield();
+    auto [id, round] = t.template as<std::pair<int, int>>();
+    self.send_feedback(ff::token::of(std::make_pair(id, round + 1)));
+    return ff::outcome::more;
+  }));
+  auto f = std::make_unique<ff::farm>(std::move(ws));
+  f->set_emitter(std::make_unique<cycling_emitter>(items, rounds, &log))
+      .enable_feedback(ff::feedback_from::workers);
+  p.add_stage(std::move(f));
+  p.run_and_wait();
+
+  ASSERT_EQ(log.size(), static_cast<std::size_t>(items * rounds));
+  for (int i = 0; i < items; ++i)
+    EXPECT_EQ(log[i], std::make_pair(i, 0)) << "dispatch " << i;
 }
 
 TEST(Network, WorkerExceptionPropagatesToWait) {

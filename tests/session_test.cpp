@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <vector>
 
 #include "core/cwcsim.hpp"
@@ -119,6 +120,52 @@ TEST(Session, OneProgramThreeBackendsBitExactStreams) {
   EXPECT_EQ(mc.result.completions.size(), cfg.num_trajectories);
   EXPECT_EQ(dc.result.completions.size(), cfg.num_trajectories);
   EXPECT_EQ(gc.result.completions.size(), cfg.num_trajectories);
+}
+
+// stat_engines is the analysis stage's worker count on every backend, and
+// the report says what ran; the windows stay bit-exact with the farm's.
+TEST(Session, StatEnginesRunAndAreReportedOnEveryBackend) {
+  const auto m = models::make_neurospora_cwc({});
+  auto cfg = small_config();
+  const auto reference = cwcsim::run(m, cfg).result;
+  cfg.stat_engines = 3;
+  for (const cwcsim::backend& b :
+       {cwcsim::backend{cwcsim::multicore{}},
+        cwcsim::backend{cwcsim::multicore{/*batch_width=*/32}},
+        cwcsim::backend{cwcsim::distributed{3, 1}},
+        cwcsim::backend{cwcsim::gpu{simt::devices::tesla_k40(), 25.0,
+                                    /*batch_width=*/32}}}) {
+    const auto report = cwcsim::run(m, cfg, b);
+    SCOPED_TRACE(report.backend);
+    EXPECT_EQ(report.result.stat_engines, 3u);
+    expect_windows_bitexact(report.result.windows, reference.windows);
+    EXPECT_EQ(report.result.completions.size(), cfg.num_trajectories);
+  }
+}
+
+// A throwing subscriber stops the analysis stage, yet every backend's run
+// drains and wait() rethrows the subscriber's error instead of hanging:
+// 641 single-cut windows overflow any bounded channel between stages.
+TEST(Session, ThrowingWindowSubscriberSurfacesFromWait) {
+  const auto m = models::make_neurospora_cwc({});
+  auto cfg = small_config();
+  cfg.num_trajectories = 4;
+  cfg.t_end = 320.0;
+  cfg.window_size = 1;
+  cfg.window_slide = 1;
+  cfg.kmeans_k = 0;
+  for (const cwcsim::backend& b :
+       {cwcsim::backend{cwcsim::multicore{}},
+        cwcsim::backend{cwcsim::multicore{/*batch_width=*/4}},
+        cwcsim::backend{cwcsim::distributed{2, 1}},
+        cwcsim::backend{cwcsim::gpu{simt::devices::laptop_gpu(), 25.0,
+                                    /*batch_width=*/4}}}) {
+    auto s = cwcsim::run_builder().model(m).config(cfg).backend(b).open();
+    s.on_window([](const cwcsim::window_summary&) {
+      throw std::runtime_error("subscriber failed");
+    });
+    EXPECT_THROW((void)s.wait(), std::runtime_error) << b.index();
+  }
 }
 
 TEST(Session, CallbacksArriveInTimeOrderWithProgress) {
