@@ -5,10 +5,10 @@
 //
 // Method: the per-quantum work profile is captured from the real CWC
 // engine on this machine; the DES replays it through the Fig. 2 pipeline
-// model on the paper's platform (see DESIGN.md). Expected shape: near-ideal
-// speedup up to 512 trajectories; with one statistical engine the 1024-
-// trajectory run saturates (on-line analysis bottleneck); four engines
-// restore near-ideal scaling.
+// model on the paper's platform (see des/engine.hpp). Expected shape:
+// near-ideal speedup up to 512 trajectories; with one statistical engine
+// the 1024-trajectory run saturates (on-line analysis bottleneck); four
+// engines restore near-ideal scaling.
 #include <cstdio>
 
 #include "bench_common.hpp"

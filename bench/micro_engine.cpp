@@ -5,7 +5,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "models/models.hpp"
 #include "stats/stats.hpp"
@@ -103,11 +105,13 @@ constexpr std::size_t kBatchLanes = 32;
 constexpr double kBatchQuantum = 2.0;
 constexpr double kBatchPeriod = 0.5;
 
-void bm_batch_step(benchmark::State& state, const cwc::model& m,
-                   std::size_t lanes) {
-  const auto cm = cwc::compiled_model::compile(m);
+using batch_factory =
+    std::function<std::unique_ptr<cwc::batch::batch_engine>(std::uint64_t)>;
+
+void run_batch_steps(benchmark::State& state, const batch_factory& make) {
   std::uint64_t seed = 1;
-  auto eng = std::make_unique<cwc::batch::batch_engine>(cm, seed, 0, lanes);
+  auto eng = make(seed);
+  const std::size_t lanes = eng->width();
   std::vector<std::vector<cwc::trajectory_sample>> out;
   std::uint64_t items = 0;
   double t_end = 0.0;
@@ -121,12 +125,20 @@ void bm_batch_step(benchmark::State& state, const cwc::model& m,
     items += after - before;
     if (after == before) {  // whole ensemble stalled: re-seed off the clock
       state.PauseTiming();
-      eng = std::make_unique<cwc::batch::batch_engine>(cm, ++seed, 0, lanes);
+      eng = make(++seed);
       t_end = 0.0;
       state.ResumeTiming();
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(items));
+}
+
+void bm_batch_step(benchmark::State& state, const cwc::model& m,
+                   std::size_t lanes) {
+  const auto cm = cwc::compiled_model::compile(m);
+  run_batch_steps(state, [&](std::uint64_t seed) {
+    return std::make_unique<cwc::batch::batch_engine>(cm, seed, 0, lanes);
+  });
 }
 
 void bm_batch_step_scalar(benchmark::State& state, const cwc::model& m,
@@ -183,6 +195,25 @@ void bm_batch_step_compartment_demo_scalar(benchmark::State& state) {
   bm_batch_step_scalar(state, models::make_compartment_demo({}), kBatchLanes);
 }
 BENCHMARK(bm_batch_step_compartment_demo_scalar);
+
+// A sweep campaign's batch: the 32 lanes come from two rate-constant
+// overlay cells of compartment_demo (16 trajectories each, cell-major as a
+// campaign lays them out), so lanes under different constants share strips.
+void bm_batch_step_compartment_demo_cells(benchmark::State& state) {
+  const auto m = models::make_compartment_demo({});
+  const auto root = cwc::compiled_model::compile(m);
+  const std::vector<std::shared_ptr<const cwc::compiled_model>> cells = {
+      cwc::compiled_model::overlay(root, {{"grow", 0.5}}),
+      cwc::compiled_model::overlay(root, {{"grow", 2.0}})};
+  std::vector<cwc::batch::batch_engine::lane_desc> lanes;
+  for (std::uint32_t c = 0; c < cells.size(); ++c)
+    for (std::uint64_t i = 0; i < kBatchLanes / cells.size(); ++i)
+      lanes.push_back({i, c});
+  run_batch_steps(state, [&](std::uint64_t seed) {
+    return std::make_unique<cwc::batch::batch_engine>(cells, seed, lanes);
+  });
+}
+BENCHMARK(bm_batch_step_compartment_demo_cells);
 
 // Width sweep for the vectorized kernels: lane-major strips amortize per-row
 // fixed cost across columns, so aggregate lane-steps/s should grow (or at

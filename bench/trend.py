@@ -1,155 +1,109 @@
 #!/usr/bin/env python3
-"""Per-bench deltas between BENCH_engine.json revisions.
+"""Per-bench deltas between two BENCH_engine.json micro-benchmark records.
 
-Diffs the current benchmark JSON (the file run_benches.sh just wrote)
-against the copy tracked at a git revision — by default HEAD, i.e. the
-last committed numbers — and prints a per-bench report:
+Diffs a current record against a base record, both written by
+bench/run_benches.sh, and prints one line per benchmark:
 
-    bench                              base ns     cur ns     delta
-    bm_cwc_step_neurospora              145.9      143.2      -1.9% faster
+    bench                     base ns        cur ns    noise ns  delta
+    bm_cwc_step_neurospora      175.1         209.9        77.3   +19.9%
     ...
 
 Usage:
-    bench/trend.py [--base REV] [--current PATH] [--threshold PCT]
-                   [--fail-over PCT]
+    bench/trend.py BASE.json CURRENT.json
 
---fail-over adds a regression verdict: the report ends with a
-"verdict: PASS" line when no benchmark is slower than the baseline by
-more than PCT percent, and "verdict: REGRESSED (...)" naming the
-offenders otherwise. The exit code stays 0 either way (shared CI runners
-are too noisy to gate on), so the bench-smoke job surfaces the verdict
-in its job summary instead of failing the build — the same philosophy as
-BENCH_engine.json itself. A missing baseline (new clone, shallow
-checkout, renamed file) degrades to a note, never an error.
+Each row of a record carries the median of its repetitions and their
+interquartile range (the noise estimate). A row is flagged only when its
+median moved by more than K times the larger of the two rows' noise
+estimates; the report ends with "verdict: PASS" when no row got slower by
+that much, and "verdict: REGRESSED (...)" naming the rows that did. The
+exit code stays 0 either way: the verdict is informational.
 
-ISA guard: both JSONs carry a "toolchain" block (see run_benches.sh).
-When the baseline and the current run were built for different ISAs
-(toolchain.march differs — e.g. a -DCWCSIM_NATIVE=ON run against a
-baseline-ISA baseline), the numbers measure different machine code and a
-"regression" would be meaningless, so the diff is refused outright:
-"verdict: SKIPPED (ISA mismatch ...)", exit 0, no per-bench rows. A
-baseline predating the toolchain record compares with a warning.
+K is fixed, from four back-to-back records of one build at each of
+--benchmark_min_time 0.5 and 0.05 (5 repetitions, baseline ISA, 4 shared
+vCPU): across all six pairs of each set, no row moved by more than 3.5
+(0.5) or 4.4 (0.05) times its noise. K = 6 clears both, and still flags a
+low-noise row whose median grew 1.5x.
+
+ISA guard: both records carry a "toolchain" block. When the two were
+built for different ISAs (toolchain.march differs, e.g. a
+-DCWCSIM_NATIVE=ON build against a baseline-ISA build), the numbers
+measure different machine code, so the diff is refused outright:
+"verdict: SKIPPED (ISA mismatch ...)", exit 0, no per-bench rows.
 """
 
-import argparse
 import json
-import pathlib
-import subprocess
 import sys
 
+K = 6.0
 
-def load_doc(text):
-    """(toolchain dict | None, bench name -> metrics) from the JSON doc."""
-    doc = json.loads(text)
-    return doc.get("toolchain"), {
-        r["bench"]: {
-            "real_time_ns": r.get("real_time_ns"),
-            "items_per_sec": r.get("items_per_sec"),
-        }
-        for r in doc.get("results", [])
+
+def load(path):
+    """(toolchain dict, bench name -> (median ns, noise ns)) of a record."""
+    with open(path, encoding="utf-8") as f:
+        doc = json.load(f)
+    if "repetitions" not in doc:
+        return doc.get("toolchain", {}), None
+    return doc.get("toolchain", {}), {
+        r["bench"]: (r["median_ns"], r["iqr_ns"]) for r in doc["results"]
     }
 
 
-def git_show(rev, path):
-    try:
-        return subprocess.run(
-            ["git", "show", f"{rev}:{path}"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-    except (subprocess.CalledProcessError, FileNotFoundError):
-        return None
+def main(argv):
+    if len(argv) != 3:
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        print("usage: bench/trend.py BASE.json CURRENT.json", file=sys.stderr)
+        return 2
+    base_tc, base = load(argv[1])
+    cur_tc, cur = load(argv[2])
 
-
-def fmt_ns(ns):
-    return f"{ns:12.1f}" if ns is not None else " " * 12
-
-
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--base", default="HEAD",
-                    help="git revision holding the baseline JSON (default: HEAD)")
-    ap.add_argument("--current", default="BENCH_engine.json",
-                    help="freshly generated JSON file (default: BENCH_engine.json)")
-    ap.add_argument("--threshold", type=float, default=5.0,
-                    help="flag deltas beyond this percentage (default: 5)")
-    ap.add_argument("--fail-over", type=float, default=None, metavar="PCT",
-                    help="emit a PASS/REGRESSED verdict line for benches "
-                         "slower than the baseline by more than PCT percent "
-                         "(report only - exit code stays 0)")
-    args = ap.parse_args()
-
-    repo = pathlib.Path(__file__).resolve().parent.parent
-    current_path = pathlib.Path(args.current)
-    if not current_path.is_absolute():
-        current_path = repo / current_path
-    if not current_path.exists():
-        print(f"note: {current_path} not found — run bench/run_benches.sh first")
+    b_march = base_tc.get("march", "unknown")
+    c_march = cur_tc.get("march", "unknown")
+    if b_march != c_march:
+        print(f"base ISA:      {b_march} ({base_tc.get('compiler', '?')})")
+        print(f"current ISA:   {c_march} ({cur_tc.get('compiler', '?')})")
+        print("verdict: SKIPPED (ISA mismatch — benchmark numbers from "
+              "different -march targets are not comparable; rerun both "
+              "sides under the same CWCSIM_NATIVE setting to diff)")
         return 0
-    cur_tc, current = load_doc(current_path.read_text())
-
-    rel = current_path.relative_to(repo) if current_path.is_relative_to(repo) \
-        else pathlib.Path("BENCH_engine.json")
-    base_text = git_show(args.base, rel.as_posix())
-    if base_text is None:
-        print(f"note: no baseline at {args.base}:{rel} — nothing to diff")
-        return 0
-    base_tc, base = load_doc(base_text)
-
-    # Refuse cross-ISA comparisons: -march changes the machine code under
-    # measurement, so a slowdown/speedup between the two files is not a
-    # regression signal. SKIPPED is a verdict, not an error (exit 0) — the
-    # CI job summary shows it instead of a bogus REGRESSED.
-    if base_tc is not None and cur_tc is not None:
-        b_march = base_tc.get("march", "unknown")
-        c_march = cur_tc.get("march", "unknown")
-        if b_march != c_march:
-            print(f"baseline ISA:  {b_march} ({base_tc.get('compiler', '?')})")
-            print(f"current ISA:   {c_march} ({cur_tc.get('compiler', '?')})")
-            print("verdict: SKIPPED (ISA mismatch — benchmark numbers from "
-                  "different -march targets are not comparable; rerun both "
-                  "sides under the same CWCSIM_NATIVE setting to diff)")
+    for path, rows in ((argv[1], base), (argv[2], cur)):
+        if rows is None:
+            print(f"verdict: SKIPPED ({path} has no repetitions, so no noise "
+                  "estimate; regenerate it with bench/run_benches.sh)")
             return 0
-    elif base_tc is None:
-        print(f"warning: baseline {args.base}:{rel} predates the toolchain "
-              "record — comparing anyway, ISA unknown")
 
-    names = sorted(set(base) | set(current))
+    names = list(base) + [n for n in cur if n not in base]
     width = max((len(n) for n in names), default=5)
-    print(f"benchmark trend vs {args.base} "
-          f"(real time per op; +slower / -faster, |Δ|>{args.threshold:g}% flagged)")
-    print(f"{'bench':<{width}}  {'base ns':>12}  {'cur ns':>12}  delta")
-    flagged = 0
+    print(f"benchmark trend, {argv[1]} -> {argv[2]} (median real time per "
+          f"op; flagged when |delta| > {K:g} x noise)")
+    print(f"{'bench':<{width}}  {'base ns':>12}  {'cur ns':>12}  "
+          f"{'noise ns':>10}  delta")
     regressed = []
     for name in names:
-        b = base.get(name, {}).get("real_time_ns")
-        c = current.get(name, {}).get("real_time_ns")
-        if b is None:
-            print(f"{name:<{width}}  {fmt_ns(b)}  {fmt_ns(c)}  NEW")
+        if name not in base:
+            print(f"{name:<{width}}  {'':>12}  {cur[name][0]:12.1f}  "
+                  f"{'':>10}  NEW")
             continue
-        if c is None:
-            print(f"{name:<{width}}  {fmt_ns(b)}  {fmt_ns(c)}  REMOVED")
+        if name not in cur:
+            print(f"{name:<{width}}  {base[name][0]:12.1f}  {'':>12}  "
+                  f"{'':>10}  REMOVED")
             continue
+        (b, b_noise), (c, c_noise) = base[name], cur[name]
+        noise = max(b_noise, c_noise)
         delta = (c - b) / b * 100.0 if b else 0.0
         mark = ""
-        if abs(delta) > args.threshold:
-            mark = "  ** slower **" if delta > 0 else "  (faster)"
-            flagged += 1
-        if args.fail_over is not None and delta > args.fail_over:
-            regressed.append((name, delta))
-        print(f"{name:<{width}}  {fmt_ns(b)}  {fmt_ns(c)}  {delta:+6.1f}%{mark}")
-    print(f"{flagged} bench(es) beyond ±{args.threshold:g}% "
-          f"({len(names)} compared). Informational only — not a gate.")
-    if args.fail_over is not None:
-        if regressed:
-            worst = ", ".join(f"{n} +{d:.1f}%" for n, d in regressed)
-            print(f"verdict: REGRESSED (> {args.fail_over:g}% slower: {worst})")
-        else:
-            print(f"verdict: PASS (no bench > {args.fail_over:g}% slower "
-                  f"than {args.base})")
+        if abs(c - b) > K * noise:
+            mark = "  ** slower **" if c > b else "  (faster)"
+            if c > b:
+                regressed.append((name, delta))
+        print(f"{name:<{width}}  {b:12.1f}  {c:12.1f}  {noise:10.1f}  "
+              f"{delta:+6.1f}%{mark}")
+    if regressed:
+        worst = ", ".join(f"{n} +{d:.1f}%" for n, d in regressed)
+        print(f"verdict: REGRESSED (slower by > {K:g} x noise: {worst})")
+    else:
+        print(f"verdict: PASS (no bench slower by > {K:g} x noise)")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv))

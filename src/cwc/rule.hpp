@@ -13,7 +13,7 @@
 //
 // One child pattern per rule is a deliberate restriction: it keeps the
 // match count linear in the number of children while covering the models
-// the paper simulates (transport across one membrane). DESIGN.md §7.
+// the paper simulates (transport across one membrane).
 #pragma once
 
 #include <optional>

@@ -1,7 +1,8 @@
 // Discrete-event simulation core: a virtual clock and an ordered event
 // queue. All platform performance models (multicore farm, cluster, cloud,
-// GPU) execute on this engine, replaying real measured workload traces —
-// see DESIGN.md §2 for why this substitutes for the paper's hardware.
+// GPU) execute on this engine, replaying real measured workload traces:
+// the paper's 32-core, cluster, cloud and GPU platforms are not at hand, so
+// their speedups are modelled from the measured work instead of timed.
 #pragma once
 
 #include <cstdint>

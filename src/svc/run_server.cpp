@@ -492,16 +492,11 @@ struct run_server::impl {
       return;
     }
 
-    // Load-aware shedding, checked before the (possibly expensive) model
-    // compile so a turned-away open costs the server almost nothing.
+    // Shedding, checked before the (possibly expensive) model compile so a
+    // turned-away open costs the server almost nothing.
     {
       const std::lock_guard<std::mutex> lk(sched_mu_);
-      std::string why;
-      if (shed_locked(&why)) {
-        ++stats_.sessions_shed;
-        down->send(encode_retry_after({cfg_.retry_after_hint_s, why}));
-        return;
-      }
+      if (shed_locked(*down)) return;
     }
 
     // Resolve the model: a wire frame goes through the compiled-model
@@ -555,12 +550,7 @@ struct run_server::impl {
         down->send(encode_open_error("server shutting down"));
         return;
       }
-      std::string why;
-      if (shed_locked(&why)) {
-        ++stats_.sessions_shed;
-        down->send(encode_retry_after({cfg_.retry_after_hint_s, why}));
-        return;
-      }
+      if (shed_locked(*down)) return;
       s->token = make_token_locked();
       const auto now = clock_t_::now();
       s->last_uplink = now;
@@ -584,30 +574,14 @@ struct run_server::impl {
     }
   }
 
-  /// Load-aware admission: turn opens away (retryable) before the pool is
-  /// in trouble. Callers hold sched_mu.
-  bool shed_locked(std::string* why) const {
-    if (sessions_.size() >= cfg_.max_sessions) {
-      *why = "server at capacity";
-      return true;
-    }
-    const std::size_t wm = cfg_.shed_session_watermark != 0
-                               ? cfg_.shed_session_watermark
-                               : cfg_.max_sessions;
-    if (sessions_.size() >= wm) {
-      *why = "session watermark reached";
-      return true;
-    }
-    if (cfg_.shed_queue_watermark > 0) {
-      std::uint64_t outstanding = 0;
-      for (const auto& [id, s] : sessions_)
-        outstanding += s->ready.size() + s->inflight;
-      if (outstanding >= cfg_.shed_queue_watermark) {
-        *why = "pool backlog watermark reached";
-        return true;
-      }
-    }
-    return false;
+  /// Admission: once max_sessions are live, turn the open away with a
+  /// retryable retry_after frame. Callers hold sched_mu.
+  bool shed_locked(dist::net_channel& down) {
+    if (sessions_.size() < cfg_.max_sessions) return false;
+    ++stats_.sessions_shed;
+    down.send(
+        encode_retry_after({cfg_.retry_after_hint_s, "server at capacity"}));
+    return true;
   }
 
   std::uint64_t make_token_locked() {

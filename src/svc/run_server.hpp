@@ -16,12 +16,11 @@
 //     shares one immutable shared_ptr<const compiled_model>. Bounded by
 //     LRU eviction (model_cache_entries); live sessions' models stay
 //     pinned through their shared_ptr refcounts.
-//   - admission     — validate(cfg) server-side plus LOAD-AWARE shedding:
-//     watermarks on live sessions and outstanding pool quanta turn new
-//     opens away with a typed retry_after frame (clients back off and
-//     retry) long before the hard max_sessions bound; admitted sessions
-//     are never starved by arrivals. Malformed requests still get a
-//     final open_error.
+//   - admission     — validate(cfg) server-side plus shedding: once
+//     max_sessions sessions are live, new opens are turned away with a
+//     typed retry_after frame (clients back off and retry, and are
+//     admitted once load clears); admitted sessions are never starved by
+//     arrivals. Malformed requests still get a final open_error.
 //   - scheduling    — deficit-weighted round robin over sessions: pool
 //     workers pull one trajectory quantum at a time, each session
 //     accumulates `weight` deficit per scheduler round and pays 1 per
@@ -87,7 +86,9 @@ namespace svc {
 
 struct svc_config {
   unsigned pool_workers = 4;   ///< shared quantum-execution threads
-  std::size_t max_sessions = 64;  ///< hard admission bound on live sessions
+  /// Admission bound on live sessions: opens beyond it are shed with
+  /// retry_after (retryable), never rejected.
+  std::size_t max_sessions = 64;
   /// Per-session stream-frame window bound (pending queue and in-flight
   /// replay buffer), when the open request does not name one.
   std::uint64_t default_window_credits = 8;
@@ -109,12 +110,6 @@ struct svc_config {
   /// Failed quantum executions re-tried (with deterministic checkpoint
   /// replay) before the session is declared failed.
   std::uint32_t max_quantum_retries = 2;
-  /// Load-aware shedding: new opens are turned away with retry_after once
-  /// live sessions reach this watermark (0 = use max_sessions)...
-  std::size_t shed_session_watermark = 0;
-  /// ...or once the pool's outstanding quanta (queued + in flight across
-  /// all sessions) reach this watermark (0 = no queue-depth shedding).
-  std::uint64_t shed_queue_watermark = 0;
   /// The retry hint a shed open carries back to the client.
   double retry_after_hint_s = 0.05;
   /// Bound on the compiled-model cache (LRU; live models stay pinned).

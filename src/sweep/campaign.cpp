@@ -28,12 +28,10 @@ std::vector<std::string> observable_names(const cwc::compiled_model& cm) {
   return out;
 }
 
-/// Per-cell online reduction: the SAME cut assembly and window grouping as
-/// every backend's analysis stage (core/alignment.hpp), with each newly
-/// completed cut folded — in trajectory-id order — into the cell's report
-/// entry at window boundaries. With window_slide < window_size a cut is
-/// delivered by several windows; next_fold_ keeps each sample point folded
-/// exactly once.
+/// Per-cell online reduction: the SAME cut assembly as every backend's
+/// analysis stage (core/alignment.hpp). The assembler releases each cut
+/// once, in sample-index order, and the cut is folded — its trajectories
+/// in trajectory-id order — into the cell's report entry as it leaves.
 class cell_reducer {
  public:
   cell_reducer(const sim_config& cfg, std::size_t num_observables,
@@ -41,60 +39,50 @@ class cell_reducer {
       : cfg_(&cfg),
         num_observables_(num_observables),
         out_(&out),
-        assembler_(cfg, num_observables),
-        builder_(cfg.window_size, cfg.window_slide) {}
+        assembler_(cfg, num_observables) {}
 
   void ingest(std::uint64_t trajectory, const cwc::trajectory_sample& s) {
-    assembler_.ingest(trajectory, s, [this](stats::trajectory_cut&& cut) {
-      for (auto& w : builder_.push(std::move(cut))) fold(w);
-    });
+    assembler_.ingest(trajectory, s,
+                      [this](stats::trajectory_cut&& cut) { fold(cut); });
   }
 
-  /// Flush the trailing partial window. Only called once every trajectory
-  /// of the cell completed, so a partially-filled cut means samples were
-  /// lost upstream.
-  void finish() {
-    for (auto& w : builder_.flush()) fold(w);
+  /// Only called once every trajectory of the cell completed, so a
+  /// partially-filled cut means samples were lost upstream.
+  void finish() const {
     util::ensures(assembler_.drained(),
                   "sweep cell alignment buffer not drained");
   }
 
  private:
-  void fold(const stats::trajectory_window& w) {
-    for (const stats::trajectory_cut& cut : w.cuts) {
-      if (cut.sample_index < next_fold_) continue;
-      next_fold_ = cut.sample_index + 1;
-      sweep::point_summary p;
-      p.sample_index = cut.sample_index;
-      p.time = cut.time;
-      p.observables.resize(num_observables_);
-      for (std::size_t d = 0; d < num_observables_; ++d) {
-        sweep::observable_summary& os = p.observables[d];
-        stats::p2_quantile q10(0.1), q50(0.5), q90(0.9);
-        for (std::size_t i = d; i < cut.values.size(); i += cut.dims) {
-          const double x = cut.values[i];
-          os.moments.add(x);
-          q10.add(x);
-          q50.add(x);
-          q90.add(x);
-        }
-        os.q10 = q10.value();
-        os.q50 = q50.value();
-        os.q90 = q90.value();
+  void fold(const stats::trajectory_cut& cut) {
+    sweep::point_summary p;
+    p.sample_index = cut.sample_index;
+    p.time = cut.time;
+    p.observables.resize(num_observables_);
+    for (std::size_t d = 0; d < num_observables_; ++d) {
+      sweep::observable_summary& os = p.observables[d];
+      stats::p2_quantile q10(0.1), q50(0.5), q90(0.9);
+      for (std::size_t i = d; i < cut.values.size(); i += cut.dims) {
+        const double x = cut.values[i];
+        os.moments.add(x);
+        q10.add(x);
+        q50.add(x);
+        q90.add(x);
       }
-      if (cfg_->kmeans_k > 0)
-        p.clusters =
-            stats::kmeans(cut.values, cut.dims, cfg_->kmeans_k, cfg_->seed);
-      out_->points.push_back(std::move(p));
+      os.q10 = q10.value();
+      os.q50 = q50.value();
+      os.q90 = q90.value();
     }
+    if (cfg_->kmeans_k > 0)
+      p.clusters =
+          stats::kmeans(cut.values, cut.dims, cfg_->kmeans_k, cfg_->seed);
+    out_->points.push_back(std::move(p));
   }
 
   const sim_config* cfg_;
   std::size_t num_observables_;
   sweep::cell_report* out_;
   cut_assembler assembler_;
-  stats::sliding_window_builder builder_;
-  std::uint64_t next_fold_ = 0;
 };
 
 /// The builder's sink: forwards to an optional caller-owned sink and fires
@@ -135,7 +123,7 @@ class forwarding_sink final : public event_sink {
 };
 
 /// Shared completion bookkeeping: report counters, session-sink events,
-/// and the cell's reduction finish when its last trajectory retires.
+/// and the cell's drained-alignment check when its last trajectory retires.
 class campaign_state {
  public:
   campaign_state(const sim_config& cfg, sweep::report& rep,
@@ -161,8 +149,8 @@ class campaign_state {
     sink_->cell_progress(cell, done_in_cell_[cell], cfg_->num_trajectories);
     if (done_in_cell_[cell] == cfg_->num_trajectories) {
       // Every sample of the cell is already ingested (a lane retires only
-      // after its final quantum's samples were gathered), so the trailing
-      // window can flush now and the completion event carries final data.
+      // after its final quantum's samples were gathered), so every cut was
+      // folded and the completion event carries final data.
       (*reducers_)[cell].finish();
       sink_->cell_done(cell);
     }

@@ -1,7 +1,9 @@
 // The queryable result of a sweep campaign: per-cell ONLINE reductions —
 // mean/variance (Welford), P² quantile estimates, and k-means cluster
-// splits per observable per sample point — folded at window boundaries
-// while the campaign streams, never from retained raw trajectories.
+// splits per observable per sample point — folded as each cut completes
+// while the campaign streams, never from retained raw trajectories. The
+// reductions do not depend on sim_config's window_size/window_slide. A
+// stopped campaign's report keeps every cut completed before the stop.
 //
 // Determinism contract: for a fixed (model, plan, sim_config) the report
 // is byte-identical across backends (farm vs batched), batch widths, and

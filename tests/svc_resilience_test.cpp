@@ -1,6 +1,6 @@
 // Tests for the run server's resilience layer (PR 8): heartbeat liveness
 // and the zombie reaper, checkpointed session recovery (engine-throw
-// replay, resume-after-vanish), load-aware shedding, the seeded chaos
+// replay, resume-after-vanish), shedding at max_sessions, the seeded chaos
 // matrix (drop/duplicate/delay on both directions plus an injected engine
 // fault), and fuzz-style protocol hardening. The invariants under every
 // fault: surviving sessions stream bit-identical windows, the quantum
@@ -355,12 +355,11 @@ TEST(Resilience, WatermarkShedsThenAdmitsWhenLoadClears) {
 
   svc::svc_config sc;
   sc.pool_workers = 2;
-  sc.max_sessions = 64;             // the hard cliff is far away
-  sc.shed_session_watermark = 1;    // load-aware: shed at one live session
+  sc.max_sessions = 1;              // shed at one live session
   sc.retry_after_hint_s = 0.02;
   svc::run_server server(sc);
 
-  // Tenant A occupies the watermark; tenant B is shed with retry_after,
+  // Tenant A occupies the only slot; tenant B is shed with retry_after,
   // backs off, and is admitted once A completes — no hard failure.
   cwcsim::service be{&server};
   be.open_retries = 10;

@@ -1,14 +1,17 @@
 // Sweep-campaign subsystem tests: plan materialization, typed validation,
-// the one-compile-per-campaign guarantee, and the determinism contract —
-// every (cell, trajectory) replays a standalone engine on a FULL RECOMPILE
-// of the patched model at the same seed, bit for bit, on the farm and the
-// batched backend at several widths, and the report reductions are
-// invariant to worker count and scheduling.
+// the one-compile-per-campaign guarantee (overlays share the root's tables),
+// and the determinism contract — every (cell, trajectory) replays a
+// standalone engine on a FULL RECOMPILE of the patched model at the same
+// seed, bit for bit, on the farm and the batched backend at several widths,
+// and the report reductions are invariant to worker count, scheduling and
+// window geometry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/quantum.hpp"
@@ -338,7 +341,65 @@ TEST(SweepCampaign, OneCompilePerCampaign) {
   EXPECT_EQ(rep.cells.size(), 4u);
 }
 
+// An overlay is cheap because it shares the structural root's static tables
+// instead of rebuilding them: every table accessor of an overlay, and of an
+// overlay of an overlay, returns the root's own object, and no overlay
+// counts as a compile.
+TEST(SweepCampaign, OverlaysShareTheRootTablesWithoutCompiling) {
+  const auto m = models::make_compartment_demo({});
+  const auto root = cwc::compiled_model::compile(m);
+  const auto net = models::make_schlogl({});
+  const auto flat_root = cwc::compiled_model::compile(net);
+
+  const std::uint64_t before = cwc::compiled_model::compile_count();
+  const auto once = cwc::compiled_model::overlay(root, {{"grow", 2.0}});
+  const auto twice = cwc::compiled_model::overlay(once, {{"grow", 0.5}});
+  const auto flat_once =
+      cwc::compiled_model::overlay(flat_root, {{"inflow", 150.0}});
+  const auto flat_twice =
+      cwc::compiled_model::overlay(flat_once, {{"outflow", 3.0}});
+  EXPECT_EQ(cwc::compiled_model::compile_count(), before);
+
+  const std::size_t types = m.compartment_types().size();
+  for (const auto& ov : {once, twice}) {
+    ASSERT_TRUE(ov->is_overlay());
+    EXPECT_EQ(&ov->observable_plans(), &root->observable_plans());
+    for (std::size_t t = 0; t < types; ++t) {
+      const auto type = static_cast<cwc::comp_type_id>(t);
+      EXPECT_EQ(&ov->rules_for_type(type), &root->rules_for_type(type));
+    }
+    for (std::uint32_t j = 0; j < root->num_rules(); ++j) {
+      EXPECT_EQ(&ov->redo_host(j), &root->redo_host(j));
+      EXPECT_EQ(&ov->redo_child(j), &root->redo_child(j));
+      EXPECT_EQ(&ov->redo_parent(j), &root->redo_parent(j));
+    }
+  }
+  for (const auto& ov : {flat_once, flat_twice}) {
+    ASSERT_TRUE(ov->is_overlay());
+    for (std::size_t j = 0; j < flat_root->num_rules(); ++j)
+      EXPECT_EQ(&ov->depends(j), &flat_root->depends(j));
+  }
+}
+
 // ---- report surface ---------------------------------------------------------
+
+// Cuts are folded as the assembler releases them, so the window geometry of
+// sim_config (which shapes the session's window stream) leaves a sweep
+// report untouched — including slides that deliver a cut in several
+// windows and sizes that leave a trailing partial window.
+TEST(SweepReport, InvariantToWindowGeometry) {
+  const auto m = models::make_compartment_demo({});
+  const auto plan = cwcsim::sweep::plan().axis("grow", {0.5, 2.0});
+  std::vector<std::string> jsons;
+  for (const auto& [size, slide] :
+       {std::pair<std::size_t, std::size_t>{4, 4}, {4, 1}, {1, 1}, {7, 3}}) {
+    auto cfg = small_config();
+    cfg.window_size = size;
+    cfg.window_slide = slide;
+    jsons.push_back(cwcsim::run_sweep(m, cfg, plan).to_json());
+  }
+  for (std::size_t i = 1; i < jsons.size(); ++i) EXPECT_EQ(jsons[0], jsons[i]);
+}
 
 TEST(SweepReport, QueryAndEvents) {
   const auto net = models::make_schlogl({});

@@ -1,4 +1,4 @@
-// Unit tests for the util substrate: RNG streams, histogram, CLI, tables.
+// Unit tests for the util substrate: RNG streams, CLI, tables.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 
 #include "util/check.hpp"
 #include "util/cli.hpp"
-#include "util/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -231,43 +230,6 @@ TEST(RngLaneBank, SubsetFillsConsumeLikeIndependentStreams) {
       ASSERT_EQ(out[j], ref[lanes[j]].next_uniform_pos())
           << "lane " << lanes[j] << " round " << round;
   }
-}
-
-TEST(Histogram, BinningAndCounts) {
-  util::histogram h(0.0, 10.0, 10);
-  h.add(0.0);
-  h.add(0.5);
-  h.add(9.99);
-  h.add(-1.0);  // underflow
-  h.add(10.0);  // overflow (right-open)
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(9), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(Histogram, MergeRequiresSameBinning) {
-  util::histogram a(0, 1, 4);
-  util::histogram b(0, 1, 5);
-  EXPECT_THROW(a.merge(b), util::precondition_error);
-  util::histogram c(0, 1, 4);
-  c.add(0.3);
-  a.add(0.3);
-  a.merge(c);
-  EXPECT_EQ(a.count(1), 2u);
-}
-
-TEST(Histogram, QuantileApproximation) {
-  util::histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 10000; ++i) h.add(static_cast<double>(i % 100) + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 2.0);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 2.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(util::histogram(1.0, 1.0, 4), util::precondition_error);
-  EXPECT_THROW(util::histogram(0.0, 1.0, 0), util::precondition_error);
 }
 
 TEST(Cli, ParsesOptionsAndPositionals) {
