@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "dist/dist.hpp"
+#include "core/cwcsim.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -34,42 +34,22 @@ struct live_run {
   cwcsim::run_report r;
 };
 
+/// One run on the live 4-host cluster; host speeds and kills ride on the
+/// descriptor like every other deployment knob.
 live_run run_live(const cwc::model& m, const cwcsim::sim_config& cfg,
                   std::vector<double> speed,
-                  std::vector<dist::kill_spec> kills) {
-  dist::dist_config dc;
-  dc.base = cfg;
-  dc.num_hosts = 4;
-  dc.workers_per_host = 1;
-  dc.network.latency_s = 1e-4;
-  dc.network.bytes_per_s = 50e6;
-  dc.host_speed = std::move(speed);
-  dc.kills = std::move(kills);
+                  std::vector<cwcsim::kill_spec> kills) {
+  cwcsim::distributed cluster{4, 1};
+  cluster.network.latency_s = 1e-4;
+  cluster.network.bytes_per_s = 50e6;
+  cluster.host_speed = std::move(speed);
+  cluster.kills = std::move(kills);
 
   util::stopwatch sw;
   live_run o;
-  o.r = dist::distributed_simulator(m, dc).run();
+  o.r = cwcsim::run(m, cfg, cluster);
   o.wall = sw.elapsed_s();
   return o;
-}
-
-bool windows_bit_exact(const std::vector<cwcsim::window_summary>& a,
-                       const std::vector<cwcsim::window_summary>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].first_sample != b[i].first_sample) return false;
-    if (a[i].cuts.size() != b[i].cuts.size()) return false;
-    for (std::size_t c = 0; c < a[i].cuts.size(); ++c) {
-      const auto& x = a[i].cuts[c];
-      const auto& y = b[i].cuts[c];
-      if (x.moments.size() != y.moments.size()) return false;
-      for (std::size_t d = 0; d < x.moments.size(); ++d) {
-        if (x.moments[d].mean() != y.moments[d].mean()) return false;
-        if (x.moments[d].variance() != y.moments[d].variance()) return false;
-      }
-    }
-  }
-  return true;
 }
 
 /// Elastic-vs-static regression on a live 4-host virtual cluster.
@@ -91,7 +71,7 @@ int live_cluster_section(bool tiny) {
   const std::vector<double> hetero{1.0, kSlowSpeed, 1.0, 1.0};
   const double share =
       static_cast<double>(cfg.num_trajectories) * cfg.t_end / 4.0;
-  const std::vector<dist::kill_spec> kill3{{3u, 0.25 * share}};
+  const std::vector<cwcsim::kill_spec> kill3{{3u, 0.25 * share}};
 
   std::printf(
       "\n=== Live virtual cluster: elastic vs static scheduling ===\n");
@@ -106,7 +86,7 @@ int live_cluster_section(bool tiny) {
   auto traced = cfg;
   traced.capture_trace = true;
   const auto elas_h = run_live(m, traced, {}, {});
-  const bool exact_h = windows_bit_exact(farm.windows, elas_h.r.result.windows);
+  const bool exact_h = elas_h.r.result.windows == farm.windows;
 
   // One 4x-slower host: a static partition hands host 1 the block
   // [N/4, N/2) and is dragged to its pace — the block's compute takes
@@ -119,12 +99,12 @@ int live_cluster_section(bool tiny) {
       block_s += static_cast<double>(q.wall_ns) * 1e-9;
   const double static_s = elas_h.wall + block_s * (1.0 / kSlowSpeed - 1.0);
   const auto elas_s = run_live(m, cfg, hetero, {});
-  const bool exact_s = windows_bit_exact(farm.windows, elas_s.r.result.windows);
+  const bool exact_s = elas_s.r.result.windows == farm.windows;
   const double speedup = static_s / elas_s.wall;
 
   // Straggler AND a dead host: still bit-exact.
   const auto elas_k = run_live(m, cfg, hetero, kill3);
-  const bool exact_k = windows_bit_exact(farm.windows, elas_k.r.result.windows);
+  const bool exact_k = elas_k.r.result.windows == farm.windows;
 
   util::table t({"scenario", "static bound (s)", "elastic (s)", "speedup",
                  "bit-exact", "reissued"});

@@ -1,16 +1,19 @@
 // The distributed/cloud deployment (paper §IV-B): a virtual cluster of
 // multicore hosts, each running a farm of simulation engines, streaming
-// serialized results to a master that aligns and analyses on-line. Verifies
-// that results are identical to the shared-memory run and reports the
-// network traffic, then models the same campaign on the paper's EC2 setup
-// with the DES performance models.
+// serialized results to a master that aligns and analyses on-line. Runs
+// the campaign twice, on a healthy cluster and on a degraded one (host 0
+// at quarter speed, the last host killed mid-run), checks that both give
+// windows identical in every field to the shared-memory run, and reports
+// the network traffic; then models the same campaign on the paper's EC2
+// setup with the DES performance models. Exits 1 if either distributed
+// run diverges from the shared-memory one.
 //
 //   ./distributed_cloud [--hosts 4] [--workers-per-host 2] [--trajectories 32]
+//                       [--t-end 40]
 #include <cstdio>
 
 #include "core/cwcsim.hpp"
 #include "des/des.hpp"
-#include "dist/dist.hpp"
 #include "models/models.hpp"
 #include "util/cli.hpp"
 
@@ -51,18 +54,31 @@ int main(int argc, char** argv) {
       "streamed on-line\n",
       dr.result.wall_seconds, dr.network->messages, dr.network->bytes / 1e3,
       windows_streamed);
-
   cfg.sim_workers = be.num_hosts * be.workers_per_host;
   const auto mc = cwcsim::run(model, cfg).result;
-  bool identical = mc.windows.size() == dr.result.windows.size();
-  if (identical) {
-    for (std::size_t i = 0; i < mc.windows.size() && identical; ++i)
-      for (std::size_t c = 0; c < mc.windows[i].cuts.size() && identical; ++c)
-        identical = mc.windows[i].cuts[c].moments[0].mean() ==
-                    dr.result.windows[i].cuts[c].moments[0].mean();
-  }
+  const bool identical = dr.result.windows == mc.windows;
   std::printf("  results identical to shared-memory run: %s\n",
               identical ? "yes" : "NO");
+
+  // The same campaign on a degraded cluster: host 0 runs at quarter speed
+  // and the last host dies a quarter into its fair share of the work. The
+  // elastic master re-issues what the dead host had in flight.
+  cwcsim::distributed degraded = be;
+  degraded.host_speed.assign(be.num_hosts, 1.0);
+  degraded.host_speed[0] = 0.25;
+  if (be.num_hosts > 1) {
+    const double share = static_cast<double>(cfg.num_trajectories) *
+                         cfg.t_end / be.num_hosts;
+    degraded.kills = {{be.num_hosts - 1, 0.25 * share}};
+  }
+  const auto dk = cwcsim::run(model, cfg, degraded);
+  const bool degraded_identical = dk.result.windows == mc.windows;
+  std::printf("\ndegraded cluster: host 0 at 0.25x speed%s\n",
+              degraded.kills.empty() ? "" : ", last host killed");
+  std::printf("  wall %.2f s, %llu grants re-issued\n", dk.result.wall_seconds,
+              static_cast<unsigned long long>(dk.network->reissued));
+  std::printf("  results identical to shared-memory run: %s\n",
+              degraded_identical ? "yes" : "NO");
 
   // ---- modeled performance on the paper's cloud -------------------------
   cwcsim::model_ref mr;
@@ -89,5 +105,5 @@ int main(int argc, char** argv) {
     std::printf("  %u VMs (%2u vcores): modeled %7.2f s  speedup %5.2f\n", hosts,
                 hosts * 4, o.makespan_s, t1 / o.makespan_s);
   }
-  return 0;
+  return identical && degraded_identical ? 0 : 1;
 }

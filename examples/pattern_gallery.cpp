@@ -58,7 +58,7 @@ void demo_farm() {
   std::printf("  sum(0..99) computed by 4 workers = %ld\n", sum.load());
 }
 
-/// parallel_for / map_reduce: numerical integration of pi
+/// parallel_for / reduce: numerical integration of pi
 void demo_parallel_for() {
   std::printf("== parallel_for / reduce ==\n");
   ff::parallel_for pf(4);

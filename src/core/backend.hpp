@@ -63,9 +63,18 @@ struct multicore {
   /// quantum-lockstep by the lane executor's worker pool
   /// (core/lane_executor.hpp) instead of the per-engine farm.
   /// Sample paths, windows, and completions are bit-identical either way.
-  /// 0 or 1 — and any unbatchable model, or capture_trace runs — keep the
-  /// classic per-engine farm.
+  /// 0 or 1, and any unbatchable model, keep the classic per-engine farm.
+  /// Widths above 1 reject capture_trace: the per-quantum wall clocks of a
+  /// lockstep batch are not per-trajectory service times.
   std::size_t batch_width = 0;
+};
+
+/// A host of a distributed run that dies abruptly (no close, no goodbye)
+/// once it has executed `at_sim_time` simulated seconds of trajectory
+/// time, losing whatever quantum was in flight.
+struct kill_spec {
+  unsigned host = 0;
+  double at_sim_time = 0.0;
 };
 
 /// Run on a virtual cluster (paper §IV-B): num_hosts multicore hosts of
@@ -77,6 +86,13 @@ struct distributed {
   unsigned num_hosts = 2;
   unsigned workers_per_host = 2;
   dist::net_params network{};
+  /// Relative speed per host, in (0, 1]: 0.25 makes every quantum on that
+  /// host take 4x its measured wall time (the paper's Fig. 6 straggler).
+  /// Empty = homogeneous; otherwise one entry per host.
+  std::vector<double> host_speed{};
+  /// Hosts that die mid-run. The master re-issues their in-flight work,
+  /// and the results stay bit-identical to the fault-free run.
+  std::vector<kill_spec> kills{};
 };
 
 /// Run the simulation farm as lockstep kernels on the SIMT device model
@@ -186,10 +202,10 @@ class backend_driver {
 
 namespace detail {
 
-// Factory per descriptor. Implementations live with their runtimes
-// (core/simulator.cpp, dist/distributed_simulator.cpp, simt/gpu_backend.cpp,
-// svc/service_backend.cpp) and resolve when linking the cwcsim umbrella
-// library.
+// Factory per descriptor, the only way to build a driver. Implementations
+// live with their runtimes (core/simulator.cpp, dist/distributed_backend.cpp,
+// simt/gpu_backend.cpp, svc/service_backend.cpp) and resolve when linking
+// the cwcsim umbrella library.
 std::unique_ptr<backend_driver> make_multicore_driver(const model_ref& model,
                                                       const sim_config& cfg,
                                                       const multicore& b);

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "core/messages.hpp"
 
@@ -57,21 +56,6 @@ class event_sink {
   /// Sweep campaigns: every trajectory of parameter cell `cell` finished
   /// and its report reductions are final. Default: ignore.
   virtual void cell_done(std::uint32_t /*cell*/) {}
-};
-
-/// event_sink that simply collects the window stream — what
-/// dist::distributed_simulator's batch run() collects into, and handy in
-/// tests that drive a single pipeline node.
-class collecting_sink final : public event_sink {
- public:
-  void window(window_summary&& w) override { windows_.push_back(std::move(w)); }
-  void trajectory_done(const task_done&) override {}
-  bool stop_requested() const noexcept override { return false; }
-
-  std::vector<window_summary> take_windows() { return std::move(windows_); }
-
- private:
-  std::vector<window_summary> windows_;
 };
 
 }  // namespace cwcsim

@@ -52,8 +52,8 @@ class any_engine {
 };
 
 /// Either model kind accepted by the pipeline. compile() runs once per run,
-/// before any engine exists (run_builder::open() and the distributed
-/// simulator do it), so every engine shares one immutable
+/// before any engine exists (run_builder::open() does it for every
+/// backend), so every engine shares one immutable
 /// cwc::compiled_model instead of rebuilding the static per-model tables
 /// per trajectory; make_engine() enforces that order.
 struct model_ref {
@@ -119,9 +119,13 @@ struct quantum_record {
 };
 
 /// Result of a statistical engine over one window (per-cut summaries).
+/// Equal only when every field of every cut summary is, doubles compared
+/// exactly: the bit-exactness every backend promises.
 struct window_summary {
   std::uint64_t first_sample = 0;
   std::vector<stats::cut_summary> cuts;
+
+  bool operator==(const window_summary&) const = default;
 };
 
 }  // namespace cwcsim

@@ -88,8 +88,7 @@ class multicore_driver final : public backend_driver {
 /// while later rounds step.
 /// Windows, completions, and sample paths are bit-identical to the
 /// per-engine farm (the batch engine's lane-exactness guarantee); only the
-/// scheduling differs. Trace capture stays on the farm (per-quantum wall
-/// clocks of a lockstep batch are not per-trajectory service times).
+/// scheduling differs. validate() keeps capture_trace off this path.
 class batched_multicore_driver final : public backend_driver {
  public:
   batched_multicore_driver(const model_ref& model, const sim_config& cfg,
@@ -135,8 +134,7 @@ std::unique_ptr<backend_driver> make_multicore_driver(const model_ref& model,
                                                       const sim_config& cfg,
                                                       const multicore& b) {
   // run_builder::open() compiled the model: the groups share its artifact.
-  if (!cfg.capture_trace &&
-      lane_executor::batches({model.compiled}, b.batch_width))
+  if (lane_executor::batches({model.compiled}, b.batch_width))
     return std::make_unique<batched_multicore_driver>(model, cfg,
                                                       b.batch_width);
   return std::make_unique<multicore_driver>(model, cfg);

@@ -2,6 +2,8 @@
 // backend (and run_builder) funnels through, replacing the per-backend
 // ad-hoc checks. Lives in cwcsim_core so the dist/simt runtimes below the
 // session facade can call it too.
+#include <cmath>
+
 #include "core/backend.hpp"
 
 namespace cwcsim {
@@ -32,7 +34,13 @@ void validate(const sim_config& cfg, const backend& b) {
   validate(cfg);
   struct checker {
     const sim_config& cfg;
-    void operator()(const multicore&) const {}
+    void operator()(const multicore& m) const {
+      if (m.batch_width > 1 && cfg.capture_trace)
+        throw config_error("capture_trace",
+                           "trace capture needs the per-engine farm "
+                           "(batch_width 0 or 1): lockstep batches record "
+                           "no per-trajectory service times");
+    }
     void operator()(const distributed& d) const {
       if (d.num_hosts == 0)
         throw config_error("distributed.num_hosts", "need at least one host");
@@ -57,6 +65,20 @@ void validate(const sim_config& cfg, const backend& b) {
       if (!(d.network.jitter_s >= 0.0))
         throw config_error("distributed.network.jitter_s",
                            "jitter bound must be non-negative");
+      if (!d.host_speed.empty() && d.host_speed.size() != d.num_hosts)
+        throw config_error("distributed.host_speed",
+                           "name every host's speed, or none");
+      for (const double s : d.host_speed)
+        if (!(s > 0.0 && s <= 1.0))
+          throw config_error("distributed.host_speed",
+                             "host speeds must be in (0, 1]");
+      for (const kill_spec& k : d.kills) {
+        if (k.host >= d.num_hosts)
+          throw config_error("distributed.kills", "kill names an unknown host");
+        if (!(k.at_sim_time >= 0.0 && std::isfinite(k.at_sim_time)))
+          throw config_error("distributed.kills",
+                             "kill time must be finite and non-negative");
+      }
     }
     void operator()(const service& s) const {
       if (s.server == nullptr)

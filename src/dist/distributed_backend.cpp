@@ -1,5 +1,41 @@
-#include "dist/distributed_simulator.hpp"
-
+// The cwcsim::distributed backend (paper §IV-B, Fig. 2 bottom): a virtual
+// cluster of multicore hosts, each running a farm of simulation engines,
+// streaming serialized results to a master that aligns them on-line while
+// cfg.stat_engines statistical engines summarise the cuts
+// (cwcsim::analysis_stage).
+//
+// Scheduling is ELASTIC (the paper's Fig. 6 cloud-hetero scenario): there
+// is no start-of-run partition. The master keeps a work queue of
+// trajectories that idle hosts PULL at their observed throughput over a
+// per-host control channel; a grant names a trajectory and the checkpoint
+// (acked quantum count) to resume it from, and the host runs it from there
+// to t_end. Every executed quantum comes back as one atomic
+// schema-versioned checkpoint frame (samples + progress high-water mark),
+// the master tracks in-flight deadlines with net_channel::recv_for(),
+// re-queues trajectories whose owner went quiet (straggler or dead host)
+// to resume from their last checkpoint, and accepts each
+// (trajectory, quantum) exactly once — late duplicates from superseded
+// executions are discarded. Because every trajectory's engine is a pure
+// function of (seed, trajectory_id), ANY host resumes ANY trajectory
+// deterministically: it replays the already-acked quanta locally without
+// emitting, then streams from the checkpoint onward, so a lost host costs
+// only its in-flight quantum of results. The no-fault run is bit-exact
+// with the shared-memory pipeline, regardless of how trajectories are
+// re-sharded or how messages interleave on the network.
+//
+// Heterogeneity and fault injection come from the descriptor:
+// network.drop_prob models seeded message loss on every data-plane link,
+// host_speed stretches a host's quanta, and each cwcsim::kill_spec makes
+// its host vanish — mid-quantum, without a goodbye — once it has executed
+// `at_sim_time` simulated seconds. The elastic scheduler recovers from
+// all of them; results stay bit-identical to the no-fault run.
+//
+// The model itself crosses the wire ONCE per run: the master encodes the
+// model description into a versioned frame (dist/model_codec.hpp) and
+// ships it to every host over the modeled network; each host decodes and
+// compiles its own cwc::compiled_model, then builds every engine from that
+// shared artifact. Models that cannot be encoded (custom rate laws) fall
+// back to sharing the master's in-process artifact.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -13,8 +49,11 @@
 #include <vector>
 
 #include "core/analysis_stage.hpp"
+#include "core/backend.hpp"
 #include "core/quantum.hpp"
 #include "dist/model_codec.hpp"
+#include "dist/net_channel.hpp"
+#include "dist/wire.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
 
@@ -23,6 +62,16 @@ namespace dist {
 namespace {
 
 using steady_clock = std::chrono::steady_clock;
+
+// ---- elastic-scheduling timeouts (wall clock) ---------------------------
+/// An in-flight trajectory with no accepted checkpoint for this long is
+/// re-queued for re-issue (straggler, dead host or lost frame).
+constexpr double reissue_after_s = 0.25;
+/// Master recv_for() slice between deadline scans.
+constexpr double master_tick_s = 0.02;
+/// Idle-worker wait for a grant before re-sending its work request
+/// (self-heals a lost request or grant).
+constexpr double worker_retry_s = 0.05;
 
 /// One simulated host's identity and fault/heterogeneity state, shared by
 /// its worker threads.
@@ -144,7 +193,7 @@ void run_granted(cluster_ctx& cx, host_state& host,
 /// exactly-once accounting absorbs the resulting duplicates.
 void elastic_worker(cluster_ctx& cx, host_state& host, unsigned worker_idx,
                     const std::shared_ptr<const cwc::compiled_model>& cm,
-                    net_channel& ctrl, const dist_config& dc) {
+                    net_channel& ctrl) {
   writer_guard guard(*cx.ingress);
   try {
     while (!cx.run_over.load(std::memory_order_relaxed) &&
@@ -156,7 +205,7 @@ void elastic_worker(cluster_ctx& cx, host_state& host, unsigned worker_idx,
         write_work_request(w, {host.id, worker_idx});
         cx.ingress->send(w.take());
       }
-      const auto msg = ctrl.recv_for(dc.worker_retry_s);
+      const auto msg = ctrl.recv_for(worker_retry_s);
       if (!msg) {
         if (ctrl.drained()) break;  // master closed the control channel
         continue;                   // request or grant lost: re-send
@@ -175,62 +224,31 @@ void elastic_worker(cluster_ctx& cx, host_state& host, unsigned worker_idx,
   // never depends on it (recv_for deadlines own failure detection).
 }
 
-}  // namespace
+/// The cwcsim::distributed driver: the master's schedule-and-align loop
+/// over a virtual cluster of host threads.
+class distributed_driver final : public cwcsim::backend_driver {
+ public:
+  distributed_driver(const cwcsim::model_ref& model,
+                     const cwcsim::sim_config& cfg,
+                     const cwcsim::distributed& cluster)
+      : model_(model), cfg_(cfg), cluster_(cluster) {}
 
-distributed_simulator::distributed_simulator(const cwc::model& m,
-                                             dist_config cfg)
-    : distributed_simulator(cwcsim::model_ref{&m, nullptr, nullptr},
-                            std::move(cfg)) {}
+  const char* name() const noexcept override { return "distributed"; }
 
-distributed_simulator::distributed_simulator(const cwc::reaction_network& n,
-                                             dist_config cfg)
-    : distributed_simulator(cwcsim::model_ref{nullptr, &n, nullptr},
-                            std::move(cfg)) {}
+  void run(cwcsim::event_sink& sink, cwcsim::run_report& report) override;
 
-distributed_simulator::distributed_simulator(cwcsim::model_ref model,
-                                             dist_config cfg)
-    : model_(std::move(model)), cfg_(std::move(cfg)) {
-  util::expects(model_.tree != nullptr || model_.flat != nullptr,
-                "distributed_simulator requires a model");
-  cwcsim::validate(cfg_.base, cwcsim::distributed{cfg_.num_hosts,
-                                                  cfg_.workers_per_host,
-                                                  cfg_.network});
-  util::expects(cfg_.host_speed.empty() ||
-                    cfg_.host_speed.size() == cfg_.num_hosts,
-                "host_speed must name every host (or be empty)");
-  for (const double s : cfg_.host_speed)
-    util::expects(s > 0.0, "host_speed must be positive");
-  for (const auto& k : cfg_.kills)
-    util::expects(k.host < cfg_.num_hosts, "kill_spec names an unknown host");
-  util::expects(cfg_.reissue_after_s > 0.0 && cfg_.master_tick_s > 0.0 &&
-                    cfg_.worker_retry_s > 0.0,
-                "elastic scheduling timeouts must be positive");
-  model_.compile();  // the master's artifact (and the wire fallback)
-}
+ private:
+  cwcsim::model_ref model_;
+  cwcsim::sim_config cfg_;
+  cwcsim::distributed cluster_;
+};
 
-distributed_simulator& distributed_simulator::kill_host(unsigned host,
-                                                        double at_sim_time) {
-  util::expects(host < cfg_.num_hosts, "kill_host names an unknown host");
-  cfg_.kills.push_back(kill_spec{host, at_sim_time});
-  return *this;
-}
-
-cwcsim::run_report distributed_simulator::run() {
-  cwcsim::collecting_sink sink;
-  cwcsim::run_report report;
-  run(sink, report);
-  report.backend = name();
-  report.result.windows = sink.take_windows();
-  return report;
-}
-
-void distributed_simulator::run(cwcsim::event_sink& sink,
-                                cwcsim::run_report& report) {
-  const cwcsim::sim_config& base = cfg_.base;
+void distributed_driver::run(cwcsim::event_sink& sink,
+                             cwcsim::run_report& report) {
   util::stopwatch sw;
-  const unsigned H = cfg_.num_hosts;
-  const unsigned W = cfg_.workers_per_host;
-  const std::uint64_t N = base.num_trajectories;
+  const unsigned H = cluster_.num_hosts;
+  const unsigned W = cluster_.workers_per_host;
+  const std::uint64_t N = cfg_.num_trajectories;
 
   // ---- ship the model once per run --------------------------------------
   // The one-shot model frame uses a lossless bootstrap link (think: the
@@ -241,7 +259,7 @@ void distributed_simulator::run(cwcsim::event_sink& sink,
   const bool ship = wire_encodable(model_);
   byte_buffer model_frame;
   std::vector<std::unique_ptr<net_channel>> model_links;
-  net_params boot = cfg_.network;
+  net_params boot = cluster_.network;
   boot.drop_prob = 0.0;
   if (ship) {
     model_frame = encode_model(model_);
@@ -256,11 +274,11 @@ void distributed_simulator::run(cwcsim::event_sink& sink,
   }
 
   // ---- channels: MPSC ingress (hosts -> master), per-host control -------
-  net_channel ingress(cfg_.network);
+  net_channel ingress(cluster_.network);
   std::vector<std::unique_ptr<net_channel>> ctrl;
   ctrl.reserve(H);
   for (unsigned h = 0; h < H; ++h) {
-    ctrl.push_back(std::make_unique<net_channel>(cfg_.network));
+    ctrl.push_back(std::make_unique<net_channel>(cluster_.network));
     ctrl.back()->add_writer();  // the master is the only control writer
   }
 
@@ -269,14 +287,13 @@ void distributed_simulator::run(cwcsim::event_sink& sink,
   for (unsigned h = 0; h < H; ++h) {
     hosts[h] = std::make_unique<host_state>();
     hosts[h]->id = h;
-    if (!cfg_.host_speed.empty())
-      hosts[h]->speed = std::min(cfg_.host_speed[h], 1.0);
+    if (!cluster_.host_speed.empty()) hosts[h]->speed = cluster_.host_speed[h];
   }
-  for (const auto& k : cfg_.kills)
+  for (const auto& k : cluster_.kills)
     hosts[k.host]->kill_at = std::min(hosts[k.host]->kill_at, k.at_sim_time);
 
   cluster_ctx cx;
-  cx.cfg = &base;
+  cx.cfg = &cfg_;
   cx.sink = &sink;
   cx.ingress = &ingress;
   cx.live_workers.store(H * W, std::memory_order_relaxed);
@@ -285,8 +302,8 @@ void distributed_simulator::run(cwcsim::event_sink& sink,
   std::vector<std::thread> host_threads;
   host_threads.reserve(H);
   for (unsigned h = 0; h < H; ++h) {
-    host_threads.emplace_back([this, &cx, &hosts, &ctrl, &model_links,
-                               &master_cm, ship, W, h] {
+    host_threads.emplace_back([&cx, &hosts, &ctrl, &model_links, &master_cm,
+                               ship, W, h] {
       std::shared_ptr<const cwc::compiled_model> host_cm = master_cm;
       if (ship) {
         try {
@@ -305,8 +322,8 @@ void distributed_simulator::run(cwcsim::event_sink& sink,
       std::vector<std::thread> workers;
       workers.reserve(W);
       for (unsigned w = 0; w < W; ++w)
-        workers.emplace_back([&cx, &hosts, &ctrl, host_cm, h, w, this] {
-          elastic_worker(cx, *hosts[h], w, host_cm, *ctrl[h], cfg_);
+        workers.emplace_back([&cx, &hosts, &ctrl, host_cm, h, w] {
+          elastic_worker(cx, *hosts[h], w, host_cm, *ctrl[h]);
         });
       for (auto& t : workers) t.join();
     });
@@ -333,16 +350,16 @@ void distributed_simulator::run(cwcsim::event_sink& sink,
   bool cluster_dead = false;
 
   const auto reissue_after = std::chrono::duration_cast<steady_clock::duration>(
-      std::chrono::duration<double>(cfg_.reissue_after_s));
+      std::chrono::duration<double>(reissue_after_s));
 
   report.result.sim_workers = H * W;
-  report.result.stat_engines = base.stat_engines;
+  report.result.stat_engines = cfg_.stat_engines;
 
-  // The master aligns on its receive loop; base.stat_engines workers
+  // The master aligns on its receive loop; cfg.stat_engines workers
   // summarise the released cuts, so grants wait on a summary only when
   // the workers fall behind.
-  cwcsim::analysis_stage analysis(base, model_.num_observables(), sink,
-                                  base.stat_engines);
+  cwcsim::analysis_stage analysis(cfg_, model_.num_observables(), sink,
+                                  cfg_.stat_engines);
 
   auto serve = [&](steady_clock::time_point now) {
     while (!waiting.empty() && !queue.empty()) {
@@ -408,7 +425,7 @@ void distributed_simulator::run(cwcsim::event_sink& sink,
         cluster_dead = true;
         break;
       }
-      const auto msg = ingress.recv_for(cfg_.master_tick_s);
+      const auto msg = ingress.recv_for(master_tick_s);
       const auto now = steady_clock::now();
       if (msg) {
         archive_reader r(*msg);
@@ -440,7 +457,7 @@ void distributed_simulator::run(cwcsim::event_sink& sink,
             ++s.acked;
             s.last = now;
             ++host_quanta[qr.host];
-            if (base.capture_trace && qr.has_record)
+            if (cfg_.capture_trace && qr.has_record)
               report.result.trace.push_back(qr.record);
             if (qr.finished) {
               s.done = true;
@@ -477,7 +494,7 @@ void distributed_simulator::run(cwcsim::event_sink& sink,
 
   analysis.finish();
   if (!sink.stop_requested()) {
-    util::ensures(report.result.completions.size() == base.num_trajectories,
+    util::ensures(report.result.completions.size() == cfg_.num_trajectories,
                   "lost trajectory completions");
   }
 
@@ -496,6 +513,8 @@ void distributed_simulator::run(cwcsim::event_sink& sink,
   report.result.wall_seconds = sw.elapsed_s();
 }
 
+}  // namespace
+
 }  // namespace dist
 
 namespace cwcsim::detail {
@@ -503,12 +522,8 @@ namespace cwcsim::detail {
 std::unique_ptr<backend_driver> make_distributed_driver(const model_ref& model,
                                                         const sim_config& cfg,
                                                         const distributed& b) {
-  dist::dist_config dc;
-  dc.base = cfg;
-  dc.num_hosts = b.num_hosts;
-  dc.workers_per_host = b.workers_per_host;
-  dc.network = b.network;
-  return std::make_unique<dist::distributed_simulator>(model, std::move(dc));
+  // run_builder::open() validated the descriptor and compiled the model.
+  return std::make_unique<dist::distributed_driver>(model, cfg, b);
 }
 
 }  // namespace cwcsim::detail

@@ -13,7 +13,7 @@
 
 namespace dist {
 
-/// Message kind tag prepended by the distributed simulator so a single
+/// Message kind tag prepended by the distributed backend so a single
 /// channel can carry heterogeneous traffic. The byte values are wire
 /// format: 1-3 are retired and stay unused.
 enum class wire_tag : std::uint8_t {

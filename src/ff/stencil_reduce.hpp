@@ -2,9 +2,10 @@
 //
 // Iteratively applies a stencil kernel out[i] = f(in, i) over an index
 // space, reduces a per-element value, and repeats while a caller-supplied
-// condition on (reduced value, iteration) holds. The SIMT backend with the
-// same contract lives in src/simt/ (simt::stencil_reduce_simt), which is how
-// the CWC simulator offloads quanta "to the GPU" in this reproduction.
+// condition on (reduced value, iteration) holds. Only this CPU backend
+// exists: the cwcsim::gpu backend offloads quanta "to the GPU" through the
+// lane executor and the SIMT device model in src/simt/, not through this
+// pattern.
 #pragma once
 
 #include <cstdint>

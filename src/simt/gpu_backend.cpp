@@ -1,34 +1,55 @@
-#include "simt/gpu_backend.hpp"
-
+// The cwcsim::gpu backend: the CWC simulator with the farm of simulation
+// engines replaced by ff_mapCUDA-style lockstep kernels on the SIMT device
+// model (paper §IV-C). Results are bit-for-bit identical to the multicore
+// simulator for the same configuration — the per-trajectory RNG streams
+// make trajectories independent of where they execute — while the device
+// clock reports modeled GPU time.
 #include <algorithm>
 #include <utility>
 #include <vector>
 
-#include "core/lane_executor.hpp"
 #include "core/analysis_stage.hpp"
+#include "core/backend.hpp"
+#include "core/lane_executor.hpp"
 #include "des/trace.hpp"
 #include "simt/executor.hpp"
-#include "util/check.hpp"
 #include "util/stopwatch.hpp"
 
 namespace simt {
 
-gpu_driver::gpu_driver(const cwcsim::model_ref& model,
-                       const cwcsim::sim_config& cfg, device_spec dev,
-                       double coherence_time, std::size_t batch_width)
-    : model_(model),
-      cfg_(cfg),
-      dev_(std::move(dev)),
-      coherence_time_(coherence_time),
-      batch_width_(batch_width) {
-  util::expects(model_.tree != nullptr || model_.flat != nullptr,
-                "gpu_driver requires a model");
-  cwcsim::validate(cfg_);
-  // Compile once: the calibration engines below and every kernel lane later
-  // derive from the same shared artifact.
-  model_.compile();
-  ns_per_step_ = des::measure_sim_ns_per_step(model_, cfg_);
-}
+namespace {
+
+/// Runs the campaign as a sequence of lockstep kernels, one quantum per
+/// kernel. Cuts are assembled between kernels and summarised by
+/// cfg.stat_engines workers beside them, so windows and retired
+/// trajectories stream through the sink while later kernels execute;
+/// sink.stop_requested() is honoured at kernel boundaries. batch_width > 1
+/// advances SoA batches of that many lanes per kernel where the model is
+/// batchable (cwcsim::lane_executor); results are identical either way.
+class gpu_driver final : public cwcsim::backend_driver {
+ public:
+  /// Calibrates the lane-time cost model on the compiled model.
+  gpu_driver(const cwcsim::model_ref& model, const cwcsim::sim_config& cfg,
+             const cwcsim::gpu& b)
+      : model_(model),
+        cfg_(cfg),
+        dev_(b.device),
+        coherence_time_(b.coherence_time),
+        batch_width_(b.batch_width),
+        ns_per_step_(des::measure_sim_ns_per_step(model_, cfg_)) {}
+
+  const char* name() const noexcept override { return "gpu"; }
+
+  void run(cwcsim::event_sink& sink, cwcsim::run_report& report) override;
+
+ private:
+  cwcsim::model_ref model_;
+  cwcsim::sim_config cfg_;
+  device_spec dev_;
+  double coherence_time_;
+  std::size_t batch_width_;
+  double ns_per_step_;  ///< calibration for lane-time accounting
+};
 
 void gpu_driver::run(cwcsim::event_sink& sink, cwcsim::run_report& report) {
   util::stopwatch wall;
@@ -111,6 +132,8 @@ void gpu_driver::run(cwcsim::event_sink& sink, cwcsim::run_report& report) {
       total_lane_s > 0.0 ? total_warp_s * dev_.warp_size / total_lane_s : 1.0;
 }
 
+}  // namespace
+
 }  // namespace simt
 
 namespace cwcsim::detail {
@@ -118,8 +141,8 @@ namespace cwcsim::detail {
 std::unique_ptr<backend_driver> make_gpu_driver(const model_ref& model,
                                                 const sim_config& cfg,
                                                 const gpu& b) {
-  return std::make_unique<simt::gpu_driver>(model, cfg, b.device,
-                                            b.coherence_time, b.batch_width);
+  // run_builder::open() validated the descriptor and compiled the model.
+  return std::make_unique<simt::gpu_driver>(model, cfg, b);
 }
 
 }  // namespace cwcsim::detail

@@ -3,5 +3,4 @@
 
 #include "simt/device.hpp"
 #include "simt/executor.hpp"
-#include "simt/gpu_backend.hpp"
 #include "simt/gpu_model.hpp"

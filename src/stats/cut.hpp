@@ -36,6 +36,8 @@ struct cut_summary {
   std::vector<welford> moments;       ///< one accumulator per observable
   std::vector<double> medians;        ///< per-observable median
   kmeans_result clusters;             ///< k-means over full observable vectors
+
+  bool operator==(const cut_summary&) const = default;
 };
 
 /// Compute the standard summary of a cut: per-observable moments + median,

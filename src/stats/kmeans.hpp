@@ -20,6 +20,8 @@ struct kmeans_result {
   /// total within-cluster sum of squared distances.
   double inertia = 0.0;
   std::uint32_t iterations = 0;
+
+  bool operator==(const kmeans_result&) const = default;
 };
 
 /// Cluster the row-major point matrix `points` (point i is

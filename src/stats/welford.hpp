@@ -72,6 +72,10 @@ class welford {
     return welford_state{n_, mean_, m2_, min_, max_};
   }
 
+  /// Equal when every accumulator field is: the exactness the backends'
+  /// window streams are held to.
+  bool operator==(const welford&) const = default;
+
   /// Rebuild an accumulator bit-identical to the one snapshot() captured.
   static welford from_state(const welford_state& s) noexcept {
     welford w;

@@ -2,7 +2,7 @@
 // fault the resilience layer must absorb, so a test matrix (or a soak, or
 // a bench) can turn the same screws reproducibly.
 //
-// Three fault families:
+// Two fault families:
 //   - transport: drop / duplicate / delay-jitter on the shared uplink
 //     ingress and on every per-session downlink, realised through the
 //     existing dist::net_channel seeded fault streams (net_params). Each
@@ -14,10 +14,6 @@
 //     the in-process stand-in for a worker crash. Fires exactly once per
 //     server (the injected fault is transient, so the recovery path's
 //     checkpoint-replay must succeed on retry).
-//   - client: `client_vanish_after_s` is a harness knob consumed by
-//     test/bench clients (the server never reads it): a chaos client
-//     abandons its connection — no close frame, a true vanish — after
-//     that much wall time, exercising the heartbeat reaper.
 //
 // All knobs default to "off": a default chaos_params leaves every code
 // path bit-exact with the fault-free server.
@@ -46,15 +42,6 @@ struct chaos_params {
   /// Throw (once, server-wide) when a trajectory first executes this
   /// quantum index. no_quantum = off.
   std::uint64_t engine_throw_at_quantum = no_quantum;
-
-  // ---- client fault (consumed by harness clients, not the server) ----
-  double client_vanish_after_s = 0.0;  ///< 0 = the client behaves
-
-  bool any_transport_fault() const noexcept {
-    return ingress_drop_prob > 0.0 || ingress_dup_prob > 0.0 ||
-           ingress_delay_s > 0.0 || downlink_drop_prob > 0.0 ||
-           downlink_dup_prob > 0.0 || downlink_delay_s > 0.0;
-  }
 
   /// The server's shared-ingress link model: `base` (the configured
   /// latency/bandwidth) plus this harness's uplink faults.

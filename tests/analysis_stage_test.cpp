@@ -16,8 +16,11 @@
 
 #include "core/analysis_stage.hpp"
 #include "util/rng.hpp"
+#include "window_equality.hpp"
 
 namespace {
+
+using testing_windows::expect_bit_identical;
 
 constexpr std::size_t kDims = 3;
 
@@ -93,38 +96,6 @@ std::vector<stats::trajectory_cut> assembled_cuts(const cwcsim::sim_config& cfg,
       a.ingest(t, sample(cfg, t, k),
                [&](stats::trajectory_cut&& c) { cuts.push_back(std::move(c)); });
   return cuts;
-}
-
-void expect_bit_identical(const std::vector<cwcsim::window_summary>& got,
-                          const std::vector<cwcsim::window_summary>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    SCOPED_TRACE(i);
-    ASSERT_EQ(got[i].first_sample, want[i].first_sample);
-    ASSERT_EQ(got[i].cuts.size(), want[i].cuts.size());
-    for (std::size_t c = 0; c < got[i].cuts.size(); ++c) {
-      const auto& x = got[i].cuts[c];
-      const auto& y = want[i].cuts[c];
-      ASSERT_EQ(x.sample_index, y.sample_index);
-      ASSERT_EQ(x.time, y.time);
-      ASSERT_EQ(x.moments.size(), y.moments.size());
-      for (std::size_t d = 0; d < x.moments.size(); ++d) {
-        const auto a = x.moments[d].snapshot();
-        const auto b = y.moments[d].snapshot();
-        ASSERT_EQ(a.n, b.n);
-        ASSERT_EQ(a.mean, b.mean);
-        ASSERT_EQ(a.m2, b.m2);
-        ASSERT_EQ(a.min, b.min);
-        ASSERT_EQ(a.max, b.max);
-      }
-      ASSERT_EQ(x.medians, y.medians);
-      ASSERT_EQ(x.clusters.centroids, y.clusters.centroids);
-      ASSERT_EQ(x.clusters.assignment, y.clusters.assignment);
-      ASSERT_EQ(x.clusters.sizes, y.clusters.sizes);
-      ASSERT_EQ(x.clusters.inertia, y.clusters.inertia);
-      ASSERT_EQ(x.clusters.iterations, y.clusters.iterations);
-    }
-  }
 }
 
 // ------------------------------------------- bit-identical with the serial

@@ -17,8 +17,11 @@
 #include "cwc/cwc.hpp"
 #include "models/models.hpp"
 #include "simt/simt.hpp"
+#include "window_equality.hpp"
 
 namespace {
+
+using testing_windows::expect_bit_identical;
 
 void expect_same_samples(const std::vector<cwc::trajectory_sample>& a,
                          const std::vector<cwc::trajectory_sample>& b) {
@@ -240,24 +243,7 @@ TEST(CompiledModel, ThreeBackendsBitExactThroughCompileOnce) {
         cwcsim::backend{cwcsim::distributed{2, 2}},
         cwcsim::backend{cwcsim::gpu{simt::devices::laptop_gpu()}}}) {
     const auto report = cwcsim::run(m, cfg, b);
-    ASSERT_EQ(report.result.windows.size(), batch.windows.size());
-    for (std::size_t i = 0; i < batch.windows.size(); ++i) {
-      ASSERT_EQ(report.result.windows[i].first_sample,
-                batch.windows[i].first_sample);
-      ASSERT_EQ(report.result.windows[i].cuts.size(),
-                batch.windows[i].cuts.size());
-      for (std::size_t c = 0; c < batch.windows[i].cuts.size(); ++c) {
-        const auto& x = report.result.windows[i].cuts[c];
-        const auto& y = batch.windows[i].cuts[c];
-        ASSERT_EQ(x.sample_index, y.sample_index);
-        ASSERT_EQ(x.moments.size(), y.moments.size());
-        for (std::size_t d = 0; d < x.moments.size(); ++d) {
-          ASSERT_DOUBLE_EQ(x.moments[d].mean(), y.moments[d].mean());
-          ASSERT_DOUBLE_EQ(x.moments[d].variance(), y.moments[d].variance());
-        }
-        ASSERT_EQ(x.medians, y.medians);
-      }
-    }
+    expect_bit_identical(report.result.windows, batch.windows);
     // The distributed backend shipped the model exactly once per host.
     if (std::holds_alternative<cwcsim::distributed>(b)) {
       ASSERT_TRUE(report.network.has_value());

@@ -19,8 +19,11 @@
 #include "cwc/cwc.hpp"
 #include "models/models.hpp"
 #include "simt/simt.hpp"
+#include "window_equality.hpp"
 
 namespace {
+
+using testing_windows::expect_bit_identical;
 
 // Same structural-churn model as cwc_incremental_test.cpp: every child
 // fate, creation at two nesting levels, transport into a kept child, an
@@ -302,22 +305,7 @@ TEST(BatchEngine, BatchedGpuBackendSurvivesStaggeredGroupRetirement) {
   const auto farm = cwcsim::run(m, cfg, cwcsim::multicore{});
   const auto expect_same_windows = [&](const cwcsim::run_report& r) {
     ASSERT_EQ(r.result.completions.size(), cfg.num_trajectories);
-    ASSERT_EQ(farm.result.windows.size(), r.result.windows.size());
-    for (std::size_t w = 0; w < farm.result.windows.size(); ++w) {
-      const auto& a = farm.result.windows[w];
-      const auto& b = r.result.windows[w];
-      ASSERT_EQ(a.first_sample, b.first_sample);
-      ASSERT_EQ(a.cuts.size(), b.cuts.size());
-      for (std::size_t c = 0; c < a.cuts.size(); ++c) {
-        ASSERT_EQ(a.cuts[c].moments.size(), b.cuts[c].moments.size());
-        for (std::size_t d = 0; d < a.cuts[c].moments.size(); ++d) {
-          ASSERT_EQ(a.cuts[c].moments[d].mean(), b.cuts[c].moments[d].mean())
-              << "window " << w << " cut " << c << " dim " << d;
-          ASSERT_EQ(a.cuts[c].moments[d].variance(),
-                    b.cuts[c].moments[d].variance());
-        }
-      }
-    }
+    expect_bit_identical(r.result.windows, farm.result.windows);
   };
 
   const auto gpu_batched = cwcsim::run(

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/cwcsim.hpp"
 #include "dist/dist.hpp"
 #include "models/models.hpp"
 #include "util/check.hpp"
@@ -525,17 +526,14 @@ TEST(DistributedModelShipping, ShipsOneFramePerHostPerRun) {
   cfg.window_size = 3;
   cfg.window_slide = 3;
 
-  dist::dist_config dc;
-  dc.base = cfg;
-  dc.num_hosts = 3;
-  dc.workers_per_host = 2;
-  const auto dr = dist::distributed_simulator(m, dc).run();
+  const cwcsim::distributed cluster{3, 2};
+  const auto dr = cwcsim::run(m, cfg, cluster);
 
   const auto frame =
       dist::encode_model(cwcsim::model_ref{&m, nullptr, nullptr});
   ASSERT_TRUE(dr.network.has_value());
   EXPECT_EQ(dr.network->model_bytes,
-            static_cast<double>(frame.size()) * dc.num_hosts);
+            static_cast<double>(frame.size()) * cluster.num_hosts);
   // Model traffic is accounted separately from the result stream.
   EXPECT_GT(dr.network->bytes, 0.0);
   EXPECT_EQ(dr.result.completions.size(), cfg.num_trajectories);
@@ -543,10 +541,19 @@ TEST(DistributedModelShipping, ShipsOneFramePerHostPerRun) {
 
 TEST(DistributedConfig, RejectsNonPositiveQuantum) {
   const auto net = models::make_birth_death({});
-  dist::dist_config dc;
-  dc.base.num_trajectories = 4;
-  dc.base.quantum = 0.0;  // would never advance simulated time
-  EXPECT_THROW(dist::distributed_simulator(net, dc), util::precondition_error);
+  cwcsim::sim_config cfg;
+  cfg.num_trajectories = 4;
+  cfg.quantum = 0.0;  // would never advance simulated time
+  try {
+    (void)cwcsim::run_builder()
+        .model(net)
+        .config(cfg)
+        .backend(cwcsim::distributed{})
+        .open();
+    FAIL() << "expected config_error";
+  } catch (const cwcsim::config_error& e) {
+    EXPECT_EQ(e.field(), "quantum");
+  }
 }
 
 TEST(DistributedTrace, CapturesPerQuantumRecords) {
@@ -559,11 +566,7 @@ TEST(DistributedTrace, CapturesPerQuantumRecords) {
   cfg.kmeans_k = 0;
   cfg.capture_trace = true;
 
-  dist::dist_config dc;
-  dc.base = cfg;
-  dc.num_hosts = 2;
-  dc.workers_per_host = 1;
-  auto dr = dist::distributed_simulator(net, dc).run();
+  const auto dr = cwcsim::run(net, cfg, cwcsim::distributed{2, 1});
 
   // One record per executed quantum, shipped over the wire like any other
   // message (completions report each trajectory's quantum count).

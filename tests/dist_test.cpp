@@ -1,19 +1,26 @@
 // Tests for the distributed runtime: serialisation round-trips, the network
-// fabric (ordering, close semantics, latency), and end-to-end equivalence
-// of the distributed simulator with the shared-memory one.
+// fabric (ordering, close semantics, latency), end-to-end equivalence of
+// the cwcsim::distributed backend with the shared-memory farm, descriptor
+// validation, and the elastic scheduler under host kills and message loss.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
+#include "core/cwcsim.hpp"
 #include "dist/dist.hpp"
 #include "models/models.hpp"
 #include "util/stopwatch.hpp"
+#include "window_equality.hpp"
 
 namespace {
+
+using testing_windows::expect_bit_identical;
 
 TEST(Serialize, PodRoundTrip) {
   dist::archive_writer w;
@@ -140,26 +147,13 @@ TEST(DistributedSimulator, MatchesMulticoreExactly) {
 
   const auto mc = cwcsim::run(m, cfg).result;
 
-  dist::dist_config dc;
-  dc.base = cfg;
-  dc.num_hosts = 3;
-  dc.workers_per_host = 2;
-  dc.network.latency_s = 1e-4;
-  dc.network.bytes_per_s = 50e6;
-  auto dr = dist::distributed_simulator(m, dc).run();
+  cwcsim::distributed cluster{3, 2};
+  cluster.network.latency_s = 1e-4;
+  cluster.network.bytes_per_s = 50e6;
+  const auto dr = cwcsim::run(m, cfg, cluster);
 
-  ASSERT_EQ(dr.result.windows.size(), mc.windows.size());
-  for (std::size_t i = 0; i < mc.windows.size(); ++i) {
-    ASSERT_EQ(dr.result.windows[i].first_sample, mc.windows[i].first_sample);
-    for (std::size_t c = 0; c < mc.windows[i].cuts.size(); ++c) {
-      const auto& a = mc.windows[i].cuts[c];
-      const auto& b = dr.result.windows[i].cuts[c];
-      for (std::size_t d = 0; d < a.moments.size(); ++d) {
-        ASSERT_DOUBLE_EQ(a.moments[d].mean(), b.moments[d].mean());
-        ASSERT_DOUBLE_EQ(a.moments[d].variance(), b.moments[d].variance());
-      }
-    }
-  }
+  EXPECT_EQ(dr.backend, "distributed");
+  expect_bit_identical(dr.result.windows, mc.windows);
   EXPECT_EQ(dr.result.completions.size(), cfg.num_trajectories);
   ASSERT_TRUE(dr.network.has_value());
   EXPECT_GT(dr.network->messages, 0u);
@@ -175,20 +169,57 @@ TEST(DistributedSimulator, SingleHostDegenerateCase) {
   cfg.quantum = 2.0;
   cfg.kmeans_k = 0;
 
-  dist::dist_config dc;
-  dc.base = cfg;
-  dc.num_hosts = 1;
-  dc.workers_per_host = 2;
-  auto dr = dist::distributed_simulator(net, dc).run();
+  const auto dr = cwcsim::run(net, cfg, cwcsim::distributed{1, 2});
   EXPECT_EQ(dr.result.all_cuts().size(), cfg.num_samples());
 }
 
-TEST(DistributedSimulator, RejectsMoreHostsThanTrajectories) {
+/// The field a rejected distributed descriptor is reported under.
+std::string rejected_field(const cwcsim::sim_config& cfg,
+                           const cwcsim::distributed& cluster) {
   const auto net = models::make_birth_death({});
-  dist::dist_config dc;
-  dc.base.num_trajectories = 2;
-  dc.num_hosts = 5;
-  EXPECT_THROW(dist::distributed_simulator(net, dc), util::precondition_error);
+  try {
+    (void)cwcsim::run_builder().model(net).config(cfg).backend(cluster).open();
+  } catch (const cwcsim::config_error& e) {
+    return e.field();
+  }
+  return "";
+}
+
+TEST(DistributedSimulator, RejectsMoreHostsThanTrajectories) {
+  cwcsim::sim_config cfg;
+  cfg.num_trajectories = 2;
+  EXPECT_EQ(rejected_field(cfg, cwcsim::distributed{5, 2}),
+            "distributed.num_hosts");
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(DistributedConfig, RejectsBadHostSpeeds) {
+  cwcsim::sim_config cfg;
+  cfg.num_trajectories = 8;
+  cwcsim::distributed cluster{2, 1};
+  for (const auto& speeds : std::vector<std::vector<double>>{
+           {0.5}, {1.0, 0.0}, {1.0, -0.25}, {1.5, 1.0}, {1.0, kNaN},
+           {kInf, 1.0}}) {
+    cluster.host_speed = speeds;
+    EXPECT_EQ(rejected_field(cfg, cluster), "distributed.host_speed");
+  }
+  cluster.host_speed = {1.0, 0.25};
+  EXPECT_EQ(rejected_field(cfg, cluster), "");
+}
+
+TEST(DistributedConfig, RejectsBadKills) {
+  cwcsim::sim_config cfg;
+  cfg.num_trajectories = 8;
+  cwcsim::distributed cluster{2, 1};
+  for (const auto& kill : std::vector<cwcsim::kill_spec>{
+           {2, 1.0}, {0, -1.0}, {1, kNaN}, {1, kInf}}) {
+    cluster.kills = {kill};
+    EXPECT_EQ(rejected_field(cfg, cluster), "distributed.kills");
+  }
+  cluster.kills = {{1, 0.0}, {1, 2.5}};
+  EXPECT_EQ(rejected_field(cfg, cluster), "");
 }
 
 // ------------------- elastic scheduling & fault injection -----------------
@@ -205,37 +236,16 @@ cwcsim::sim_config fault_base_config() {
   return cfg;
 }
 
-void expect_windows_bit_exact(const std::vector<cwcsim::window_summary>& a,
-                              const std::vector<cwcsim::window_summary>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].first_sample, b[i].first_sample);
-    ASSERT_EQ(a[i].cuts.size(), b[i].cuts.size());
-    for (std::size_t c = 0; c < a[i].cuts.size(); ++c) {
-      const auto& x = a[i].cuts[c];
-      const auto& y = b[i].cuts[c];
-      ASSERT_EQ(x.moments.size(), y.moments.size());
-      for (std::size_t d = 0; d < x.moments.size(); ++d) {
-        ASSERT_DOUBLE_EQ(x.moments[d].mean(), y.moments[d].mean());
-        ASSERT_DOUBLE_EQ(x.moments[d].variance(), y.moments[d].variance());
-      }
-    }
-  }
-}
-
 TEST(DistributedElastic, MatchesFarmExactly) {
   const auto net = models::make_birth_death({});
   const auto cfg = fault_base_config();
 
-  dist::dist_config elastic;
-  elastic.base = cfg;
-  elastic.num_hosts = 4;
-  elastic.workers_per_host = 1;
+  cwcsim::distributed elastic{4, 1};
   elastic.network.latency_s = 1e-4;
 
-  const auto er = dist::distributed_simulator(net, elastic).run();
+  const auto er = cwcsim::run(net, cfg, elastic);
   const auto farm = cwcsim::run(net, cfg).result;
-  expect_windows_bit_exact(er.result.windows, farm.windows);
+  expect_bit_identical(er.result.windows, farm.windows);
 
   // Elastic honesty counters: one grant per trajectory in a healthy run
   // is the floor (duplicate requests may add more), and every accepted
@@ -268,28 +278,21 @@ TEST_P(fault_matrix, SurvivesHostDeathBitExactly) {
   // first request.
   cfg.num_trajectories = 48;
 
-  dist::dist_config dc;
-  dc.base = cfg;
-  dc.num_hosts = 4;
-  dc.workers_per_host = 1;
-  dc.network.latency_s = 1e-3;
-  dc.reissue_after_s = 0.05;  // fast failure detection keeps the test quick
-  dc.master_tick_s = 0.01;
-  dc.worker_retry_s = 0.02;
+  cwcsim::distributed cluster{4, 1};
+  cluster.network.latency_s = 1e-3;
 
   // Reference: the same elastic deployment with no faults at all.
-  const auto reference = dist::distributed_simulator(net, dc).run();
+  const auto reference = cwcsim::run(net, cfg, cluster);
 
-  dc.network.drop_prob = drop_prob;
-  dist::distributed_simulator sim(net, dc);
+  cluster.network.drop_prob = drop_prob;
   // Elastic pulling does not promise host 1 any fair share of the
   // campaign, only its first grant: kill it partway through the first
   // trajectory it runs, so the death always happens mid-flight.
-  sim.kill_host(1, progress_frac * cfg.t_end);
-  const auto dr = sim.run();
+  cluster.kills = {{1, progress_frac * cfg.t_end}};
+  const auto dr = cwcsim::run(net, cfg, cluster);
 
   // Bit-exact results despite the death (and the message loss).
-  expect_windows_bit_exact(reference.result.windows, dr.result.windows);
+  expect_bit_identical(dr.result.windows, reference.result.windows);
 
   // Exactly-once completion accounting: every trajectory reported once.
   ASSERT_EQ(dr.result.completions.size(), cfg.num_trajectories);
@@ -320,15 +323,14 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DistributedFaults, AllHostsDeadFailsCleanly) {
   const auto net = models::make_birth_death({});
-  dist::dist_config dc;
-  dc.base = fault_base_config();
-  dc.num_hosts = 2;
-  dc.workers_per_host = 1;
-  dc.reissue_after_s = 0.05;
-  dc.master_tick_s = 0.01;
-  dist::distributed_simulator sim(net, dc);
-  sim.kill_host(0, 1.0).kill_host(1, 1.0);  // both die almost immediately
-  EXPECT_THROW(sim.run(), std::runtime_error);
+  cwcsim::distributed cluster{2, 1};
+  cluster.kills = {{0, 1.0}, {1, 1.0}};  // both die almost immediately
+  auto s = cwcsim::run_builder()
+               .model(net)
+               .config(fault_base_config())
+               .backend(cluster)
+               .open();
+  EXPECT_THROW(s.wait(), std::runtime_error);
 }
 
 /// Regression for the deadlock bug: a host whose engine throws used to
@@ -344,13 +346,12 @@ TEST(DistributedFaults, ThrowingHostYieldsErrorNotHang) {
                      throw std::runtime_error("engine blew up");
                    }));
 
-  dist::dist_config dc;
-  dc.base = fault_base_config();
-  dc.num_hosts = 2;
-  dc.workers_per_host = 2;
-  dc.master_tick_s = 0.01;
-  dist::distributed_simulator sim(net, dc);
-  EXPECT_THROW(sim.run(), std::runtime_error);  // finishes, never hangs
+  auto s = cwcsim::run_builder()
+               .model(net)
+               .config(fault_base_config())
+               .backend(cwcsim::distributed{2, 2})
+               .open();
+  EXPECT_THROW(s.wait(), std::runtime_error);  // finishes, never hangs
 }
 
 }  // namespace

@@ -1,12 +1,10 @@
-// Tests for the high-level data-parallel patterns: parallel_for,
-// map/reduce, and stencil_reduce.
+// Tests for the high-level data-parallel patterns: parallel_for (with its
+// reduce) and stencil_reduce.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <vector>
 
-#include "ff/map_reduce.hpp"
 #include "ff/parallel_for.hpp"
 #include "ff/stencil_reduce.hpp"
 
@@ -62,43 +60,6 @@ TEST(ParallelFor, ChunkVariantCoversRangeDisjointly) {
       hits[static_cast<std::size_t>(i)].fetch_add(1);
   });
   for (auto& h : hits) ASSERT_EQ(h.load(), 1);
-}
-
-TEST(MapReduce, MapTransformsAllElements) {
-  ff::parallel_for pf(3);
-  std::vector<int> in(257);
-  std::iota(in.begin(), in.end(), 0);
-  std::vector<int> out(in.size());
-  ff::map(pf, std::span<const int>(in), std::span<int>(out),
-          [](int x) { return x + 1; });
-  for (std::size_t i = 0; i < in.size(); ++i) EXPECT_EQ(out[i], in[i] + 1);
-}
-
-TEST(MapReduce, MapRequiresEqualExtents) {
-  ff::parallel_for pf(2);
-  std::vector<int> in(4), out(5);
-  EXPECT_THROW(ff::map(pf, std::span<const int>(in), std::span<int>(out),
-                       [](int x) { return x; }),
-               util::precondition_error);
-}
-
-TEST(MapReduce, MapInplace) {
-  ff::parallel_for pf(2);
-  std::vector<int> v(100, 2);
-  ff::map_inplace(pf, std::span<int>(v), [](int x) { return x * 10; });
-  for (int x : v) EXPECT_EQ(x, 20);
-}
-
-TEST(MapReduce, ReduceAndMapReduce) {
-  ff::parallel_for pf(4);
-  std::vector<double> v(1000, 0.5);
-  const double s = ff::reduce(pf, std::span<const double>(v), 0.0,
-                              [](double a, double b) { return a + b; });
-  EXPECT_DOUBLE_EQ(s, 500.0);
-  const double s2 = ff::map_reduce(
-      pf, std::span<const double>(v), 0.0, [](double x) { return 2.0 * x; },
-      [](double a, double b) { return a + b; });
-  EXPECT_DOUBLE_EQ(s2, 1000.0);
 }
 
 TEST(StencilReduce, JacobiHeatConverges) {

@@ -12,8 +12,11 @@
 #include "dist/dist.hpp"
 #include "models/models.hpp"
 #include "simt/simt.hpp"
+#include "window_equality.hpp"
 
 namespace {
+
+using testing_windows::expect_bit_identical;
 
 cwcsim::sim_config small_config() {
   cwcsim::sim_config cfg;
@@ -28,28 +31,6 @@ cwcsim::sim_config small_config() {
   cfg.kmeans_k = 2;
   cfg.seed = 4321;
   return cfg;
-}
-
-void expect_windows_bitexact(const std::vector<cwcsim::window_summary>& a,
-                             const std::vector<cwcsim::window_summary>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].first_sample, b[i].first_sample) << "window " << i;
-    ASSERT_EQ(a[i].cuts.size(), b[i].cuts.size()) << "window " << i;
-    for (std::size_t c = 0; c < a[i].cuts.size(); ++c) {
-      const auto& x = a[i].cuts[c];
-      const auto& y = b[i].cuts[c];
-      ASSERT_EQ(x.sample_index, y.sample_index);
-      ASSERT_DOUBLE_EQ(x.time, y.time);
-      ASSERT_EQ(x.moments.size(), y.moments.size());
-      for (std::size_t d = 0; d < x.moments.size(); ++d) {
-        ASSERT_DOUBLE_EQ(x.moments[d].mean(), y.moments[d].mean())
-            << "window " << i << " cut " << c << " dim " << d;
-        ASSERT_DOUBLE_EQ(x.moments[d].variance(), y.moments[d].variance());
-      }
-      ASSERT_EQ(x.medians, y.medians);
-    }
-  }
 }
 
 // The acceptance criterion of the redesign: a single run_builder program
@@ -78,7 +59,7 @@ TEST(Session, OneProgramThreeBackendsBitExactStreams) {
     auto report = s.wait();
     wait_returned.store(true);
     // The collected report stream and the subscriber stream are the same.
-    expect_windows_bitexact(streamed, report.result.windows);
+    expect_bit_identical(streamed, report.result.windows);
     return report;
   };
 
@@ -91,11 +72,11 @@ TEST(Session, OneProgramThreeBackendsBitExactStreams) {
   const auto gb =
       run_on(cwcsim::gpu{simt::devices::tesla_k40(), 25.0, /*batch_width=*/5});
 
-  expect_windows_bitexact(mc.result.windows, batch.windows);
-  expect_windows_bitexact(dc.result.windows, batch.windows);
-  expect_windows_bitexact(gc.result.windows, batch.windows);
-  expect_windows_bitexact(mb.result.windows, batch.windows);
-  expect_windows_bitexact(gb.result.windows, batch.windows);
+  expect_bit_identical(mc.result.windows, batch.windows);
+  expect_bit_identical(dc.result.windows, batch.windows);
+  expect_bit_identical(gc.result.windows, batch.windows);
+  expect_bit_identical(mb.result.windows, batch.windows);
+  expect_bit_identical(gb.result.windows, batch.windows);
   EXPECT_EQ(mb.result.completions.size(), cfg.num_trajectories);
   EXPECT_EQ(gb.result.completions.size(), cfg.num_trajectories);
   ASSERT_TRUE(gb.device.has_value());
@@ -138,7 +119,7 @@ TEST(Session, StatEnginesRunAndAreReportedOnEveryBackend) {
     const auto report = cwcsim::run(m, cfg, b);
     SCOPED_TRACE(report.backend);
     EXPECT_EQ(report.result.stat_engines, 3u);
-    expect_windows_bitexact(report.result.windows, reference.windows);
+    expect_bit_identical(report.result.windows, reference.windows);
     EXPECT_EQ(report.result.completions.size(), cfg.num_trajectories);
   }
 }
@@ -305,7 +286,7 @@ TEST(Session, RunFacadeMatchesBatchHelper) {
   cfg.kmeans_k = 0;
   const auto report = cwcsim::run(net, cfg);
   const auto batch = cwcsim::run(net, cfg).result;
-  expect_windows_bitexact(report.result.windows, batch.windows);
+  expect_bit_identical(report.result.windows, batch.windows);
   EXPECT_EQ(report.backend, "multicore");
 }
 
@@ -367,6 +348,23 @@ TEST(Validate, GpuRejectsTraceCapture) {
     EXPECT_EQ(e.field(), "capture_trace");
   }
   EXPECT_NO_THROW(cwcsim::validate(cfg, cwcsim::multicore{}));
+}
+
+TEST(Validate, BatchedMulticoreRejectsTraceCapture) {
+  // A lockstep batch has no per-trajectory service times either: tracing
+  // needs the per-engine farm, so the flag must not silently override
+  // batch_width.
+  auto cfg = small_config();
+  cfg.capture_trace = true;
+  try {
+    cwcsim::validate(cfg, cwcsim::multicore{4});
+    FAIL() << "expected config_error";
+  } catch (const cwcsim::config_error& e) {
+    EXPECT_EQ(e.field(), "capture_trace");
+  }
+  EXPECT_NO_THROW(cwcsim::validate(cfg, cwcsim::multicore{1}));
+  cfg.capture_trace = false;
+  EXPECT_NO_THROW(cwcsim::validate(cfg, cwcsim::multicore{4}));
 }
 
 TEST(Validate, BuilderRejectsBeforeLaunch) {

@@ -6,8 +6,11 @@
 #include "core/cwcsim.hpp"
 #include "models/models.hpp"
 #include "simt/simt.hpp"
+#include "window_equality.hpp"
 
 namespace {
+
+using testing_windows::expect_bit_identical;
 
 simt::device_spec tiny_device() {
   simt::device_spec d;
@@ -126,19 +129,7 @@ TEST(GpuSimulator, MatchesMulticoreResultsExactly) {
   const auto gpu =
       cwcsim::run(m, cfg, cwcsim::gpu{simt::devices::tesla_k40()});
 
-  ASSERT_EQ(gpu.result.windows.size(), mc.windows.size());
-  for (std::size_t i = 0; i < mc.windows.size(); ++i) {
-    ASSERT_EQ(gpu.result.windows[i].cuts.size(), mc.windows[i].cuts.size());
-    for (std::size_t c = 0; c < mc.windows[i].cuts.size(); ++c) {
-      const auto& a = mc.windows[i].cuts[c];
-      const auto& b = gpu.result.windows[i].cuts[c];
-      for (std::size_t d = 0; d < a.moments.size(); ++d) {
-        ASSERT_DOUBLE_EQ(a.moments[d].mean(), b.moments[d].mean());
-        ASSERT_DOUBLE_EQ(a.moments[d].variance(), b.moments[d].variance());
-      }
-      ASSERT_EQ(a.medians, b.medians);
-    }
-  }
+  expect_bit_identical(gpu.result.windows, mc.windows);
   EXPECT_GT(gpu.device->device_seconds, 0.0);
   EXPECT_GE(gpu.device->divergence_factor, 1.0);
   EXPECT_EQ(gpu.result.completions.size(), cfg.num_trajectories);

@@ -22,8 +22,11 @@
 #include "dist/dist.hpp"
 #include "models/models.hpp"
 #include "svc/svc.hpp"
+#include "window_equality.hpp"
 
 namespace {
+
+using testing_windows::expect_bit_identical;
 
 cwcsim::sim_config tiny_config() {
   cwcsim::sim_config cfg;
@@ -38,29 +41,6 @@ cwcsim::sim_config tiny_config() {
   cfg.kmeans_k = 0;
   cfg.seed = 20260808;
   return cfg;
-}
-
-void expect_windows_bitexact(const std::vector<cwcsim::window_summary>& a,
-                             const std::vector<cwcsim::window_summary>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].first_sample, b[i].first_sample) << "window " << i;
-    ASSERT_EQ(a[i].cuts.size(), b[i].cuts.size()) << "window " << i;
-    for (std::size_t c = 0; c < a[i].cuts.size(); ++c) {
-      const auto& x = a[i].cuts[c];
-      const auto& y = b[i].cuts[c];
-      ASSERT_EQ(x.sample_index, y.sample_index);
-      ASSERT_DOUBLE_EQ(x.time, y.time);
-      ASSERT_EQ(x.moments.size(), y.moments.size());
-      for (std::size_t d = 0; d < x.moments.size(); ++d) {
-        ASSERT_EQ(x.moments[d].count(), y.moments[d].count());
-        ASSERT_DOUBLE_EQ(x.moments[d].mean(), y.moments[d].mean())
-            << "window " << i << " cut " << c << " dim " << d;
-        ASSERT_DOUBLE_EQ(x.moments[d].variance(), y.moments[d].variance());
-      }
-      ASSERT_EQ(x.medians, y.medians);
-    }
-  }
 }
 
 /// Poll the server until the quantum ledger goes quiet, then assert the
@@ -227,7 +207,7 @@ TEST(Resilience, ReaperParksVanishedClientAndResumeIsBitExact) {
   EXPECT_TRUE(st.ack.resumed);
   EXPECT_EQ(st.fin.seq, st.expected) << "terminal frame reports missed frames";
   EXPECT_EQ(st.completions, cfg.num_trajectories);
-  expect_windows_bitexact(st.windows, batch.windows);
+  expect_bit_identical(st.windows, batch.windows);
 
   expect_ledger_balanced(server);
   const auto fin = server.stats();
@@ -281,7 +261,7 @@ TEST(Resilience, EngineThrowReplaysCheckpointBitExact) {
   svc::run_server server(sc);
 
   const auto report = cwcsim::run(m, cfg, cwcsim::service{&server});
-  expect_windows_bitexact(report.result.windows, batch.windows);
+  expect_bit_identical(report.result.windows, batch.windows);
   EXPECT_EQ(report.result.completions.size(), cfg.num_trajectories);
 
   expect_ledger_balanced(server);
@@ -316,7 +296,7 @@ TEST(Resilience, EngineFailingBeyondRetryBudgetFailsOnlyItsTenant) {
   EXPECT_THROW(cwcsim::run(sick, cfg, cwcsim::service{&server}),
                std::runtime_error);
   const auto report = cwcsim::run(healthy, cfg, cwcsim::service{&server});
-  expect_windows_bitexact(report.result.windows, batch.windows);
+  expect_bit_identical(report.result.windows, batch.windows);
 
   expect_ledger_balanced(server);
   const auto st = server.stats();
@@ -369,8 +349,8 @@ TEST(Resilience, WatermarkShedsThenAdmitsWhenLoadClears) {
   ta.join();
   tb.join();
 
-  expect_windows_bitexact(rep_a.result.windows, batch.windows);
-  expect_windows_bitexact(rep_b.result.windows, batch.windows);
+  expect_bit_identical(rep_a.result.windows, batch.windows);
+  expect_bit_identical(rep_b.result.windows, batch.windows);
   const auto st = server.stats();
   EXPECT_EQ(st.sessions_completed, 2u);
   // One of the two must have been shed at least once (they cannot both
@@ -480,8 +460,8 @@ TEST(Chaos, MatrixSurvivorsBitExactLedgerBalanced) {
     // pipeline. (The driver throws on a gap it cannot resume and on a
     // terminal frame that is not last-with-matching-seq, so completion
     // itself asserts stream integrity.)
-    expect_windows_bitexact(rep_a.result.windows, batch.windows);
-    expect_windows_bitexact(rep_b.result.windows, batch.windows);
+    expect_bit_identical(rep_a.result.windows, batch.windows);
+    expect_bit_identical(rep_b.result.windows, batch.windows);
     EXPECT_EQ(rep_a.result.completions.size(), cfg.num_trajectories);
     EXPECT_EQ(rep_b.result.completions.size(), cfg.num_trajectories);
 
@@ -551,7 +531,7 @@ TEST(Hardening, MalformedUplinkFramesNeverKillTheServer) {
 
   // After all that garbage the server still serves a clean run.
   const auto report = cwcsim::run(m, cfg, cwcsim::service{&server});
-  expect_windows_bitexact(report.result.windows, batch.windows);
+  expect_bit_identical(report.result.windows, batch.windows);
   expect_ledger_balanced(server);
   EXPECT_EQ(server.stats().sessions_completed, 1u);
 }

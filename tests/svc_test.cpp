@@ -15,8 +15,11 @@
 #include "dist/dist.hpp"
 #include "models/models.hpp"
 #include "svc/svc.hpp"
+#include "window_equality.hpp"
 
 namespace {
+
+using testing_windows::expect_bit_identical;
 
 cwcsim::sim_config small_config() {
   cwcsim::sim_config cfg;
@@ -31,35 +34,6 @@ cwcsim::sim_config small_config() {
   cfg.kmeans_k = 2;
   cfg.seed = 4321;
   return cfg;
-}
-
-void expect_windows_bitexact(const std::vector<cwcsim::window_summary>& a,
-                             const std::vector<cwcsim::window_summary>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].first_sample, b[i].first_sample) << "window " << i;
-    ASSERT_EQ(a[i].cuts.size(), b[i].cuts.size()) << "window " << i;
-    for (std::size_t c = 0; c < a[i].cuts.size(); ++c) {
-      const auto& x = a[i].cuts[c];
-      const auto& y = b[i].cuts[c];
-      ASSERT_EQ(x.sample_index, y.sample_index);
-      ASSERT_DOUBLE_EQ(x.time, y.time);
-      ASSERT_EQ(x.moments.size(), y.moments.size());
-      for (std::size_t d = 0; d < x.moments.size(); ++d) {
-        ASSERT_EQ(x.moments[d].count(), y.moments[d].count());
-        ASSERT_DOUBLE_EQ(x.moments[d].mean(), y.moments[d].mean())
-            << "window " << i << " cut " << c << " dim " << d;
-        ASSERT_DOUBLE_EQ(x.moments[d].variance(), y.moments[d].variance());
-        ASSERT_DOUBLE_EQ(x.moments[d].min(), y.moments[d].min());
-        ASSERT_DOUBLE_EQ(x.moments[d].max(), y.moments[d].max());
-      }
-      ASSERT_EQ(x.medians, y.medians);
-      ASSERT_EQ(x.clusters.centroids, y.clusters.centroids);
-      ASSERT_EQ(x.clusters.assignment, y.clusters.assignment);
-      ASSERT_EQ(x.clusters.sizes, y.clusters.sizes);
-      ASSERT_DOUBLE_EQ(x.clusters.inertia, y.clusters.inertia);
-    }
-  }
 }
 
 // ----------------------------- frame protocol -----------------------------
@@ -218,7 +192,7 @@ TEST(SvcProto, WindowFrameRoundTripsBitExact) {
   ASSERT_EQ(svc::read_frame_header(r), svc::svc_tag::window);
   const auto back = svc::read_window(r);
   EXPECT_EQ(back.seq, 29u);
-  expect_windows_bitexact({back.window}, {s});
+  expect_bit_identical({back.window}, {s});
   EXPECT_EQ(back.window.cuts[0].clusters.iterations, 3u);
 }
 
@@ -351,8 +325,8 @@ TEST(Service, BitExactWithMulticoreSameSeed) {
 
   EXPECT_EQ(report.backend, "service");
   EXPECT_FALSE(report.stopped);
-  expect_windows_bitexact(report.result.windows, batch.windows);
-  expect_windows_bitexact(streamed, batch.windows);
+  expect_bit_identical(report.result.windows, batch.windows);
+  expect_bit_identical(streamed, batch.windows);
   EXPECT_EQ(report.result.completions.size(), cfg.num_trajectories);
   ASSERT_TRUE(report.network.has_value());
   EXPECT_GT(report.network->messages, 0u);
@@ -390,7 +364,7 @@ TEST(Service, EightTenantsOneCompileEveryTenantFinishes) {
   // Every tenant finished (no starvation) with the full bit-exact stream.
   for (const auto& rep : reports) {
     EXPECT_EQ(rep.result.completions.size(), cfg.num_trajectories);
-    expect_windows_bitexact(rep.result.windows, batch.windows);
+    expect_bit_identical(rep.result.windows, batch.windows);
   }
 
   // Eight concurrent opens of the same model: exactly ONE compile.
@@ -454,8 +428,8 @@ TEST(Service, SlowSubscriberThrottlesOnlyItself) {
   const auto slow_report = slow.wait();
 
   // Backpressure throttles — it never corrupts: both streams bit-exact.
-  expect_windows_bitexact(fast_report.result.windows, batch_fast.windows);
-  expect_windows_bitexact(slow_report.result.windows, batch_slow.windows);
+  expect_bit_identical(fast_report.result.windows, batch_fast.windows);
+  expect_bit_identical(slow_report.result.windows, batch_slow.windows);
   EXPECT_EQ(fast_report.result.completions.size(), cfg.num_trajectories);
   EXPECT_EQ(slow_report.result.completions.size(),
             slow_cfg.num_trajectories);
@@ -649,7 +623,7 @@ TEST(Service, CustomRateLawFallsBackToLocalModelSharing) {
 
   svc::run_server server;
   const auto report = cwcsim::run(net, cfg, cwcsim::service{&server});
-  expect_windows_bitexact(report.result.windows, batch.windows);
+  expect_bit_identical(report.result.windows, batch.windows);
   EXPECT_EQ(report.result.completions.size(), cfg.num_trajectories);
   ASSERT_TRUE(report.network.has_value());
   EXPECT_EQ(report.network->model_bytes, 0.0);  // nothing crossed the wire
@@ -681,8 +655,8 @@ TEST(Service, WeightedTenantsBothComplete) {
   t1.join();
   t2.join();
 
-  expect_windows_bitexact(heavy_rep.result.windows, batch.windows);
-  expect_windows_bitexact(light_rep.result.windows, batch.windows);
+  expect_bit_identical(heavy_rep.result.windows, batch.windows);
+  expect_bit_identical(light_rep.result.windows, batch.windows);
   const auto st = server.stats();
   EXPECT_EQ(st.sessions_completed, 2u);
   EXPECT_EQ(st.quanta_executed, st.quanta_accepted + st.quanta_discarded);
