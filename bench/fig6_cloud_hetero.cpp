@@ -13,10 +13,11 @@
 // bit-exactly with a host killed mid-run on top of the straggler. The
 // static partition is not run but bounded: its makespan is set by the
 // straggler's contiguous block of N/hosts trajectories, whose compute
-// (read off the traced homogeneous run) is stretched by 1/speed while the
-// rest of the homogeneous run's cost stays. `--tiny` shrinks every
-// workload for CI smoke runs (correctness still enforced; the speedup
-// floor is only reported, not gated, at that scale).
+// (timed by replaying the block with the per-quantum code every host runs)
+// is stretched by 1/speed while the rest of the homogeneous run's cost
+// stays. `--tiny` shrinks every workload for CI smoke runs (correctness
+// still enforced; the speedup floor is only reported, not gated, at that
+// scale).
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -25,6 +26,7 @@
 
 #include "bench_common.hpp"
 #include "core/cwcsim.hpp"
+#include "core/quantum.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -82,21 +84,26 @@ int live_cluster_section(bool tiny) {
   // Every scenario must reproduce the shared-memory farm bit for bit.
   const auto farm = cwcsim::run(m, cfg).result;
 
-  // Homogeneous, traced: every quantum's compute time is recorded.
-  auto traced = cfg;
-  traced.capture_trace = true;
-  const auto elas_h = run_live(m, traced, {}, {});
+  const auto elas_h = run_live(m, cfg, {}, {});
   const bool exact_h = elas_h.r.result.windows == farm.windows;
 
   // One 4x-slower host: a static partition hands host 1 the block
   // [N/4, N/2) and is dragged to its pace — the block's compute takes
   // 1/kSlowSpeed times longer, on top of the homogeneous run — while the
-  // elastic pull rebalances around it.
+  // elastic pull rebalances around it. The block's compute is timed by
+  // replaying it to t_end on this thread, quantum by quantum.
   const std::uint64_t block = cfg.num_trajectories / 4;
-  double block_s = 0.0;
-  for (const auto& q : elas_h.r.result.trace)
-    if (q.trajectory_id >= block && q.trajectory_id < 2 * block)
-      block_s += static_cast<double>(q.wall_ns) * 1e-9;
+  cwcsim::model_ref mr;
+  mr.tree = &m;
+  mr.compile();
+  util::stopwatch block_sw;
+  for (std::uint64_t t = block; t < 2 * block; ++t) {
+    auto engine = mr.make_engine(cfg.seed, t);
+    for (std::uint64_t q = 0;
+         !cwcsim::advance_one_quantum(engine, cfg, t, q).finished; ++q) {
+    }
+  }
+  const double block_s = block_sw.elapsed_s();
   const double static_s = elas_h.wall + block_s * (1.0 / kSlowSpeed - 1.0);
   const auto elas_s = run_live(m, cfg, hetero, {});
   const bool exact_s = elas_s.r.result.windows == farm.windows;

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <deque>
 #include <utility>
+#include <vector>
 
 #include "core/config.hpp"
 #include "cwc/gillespie.hpp"
@@ -30,8 +31,9 @@ class cut_assembler {
   /// for every cut this sample completes (in sample-index order). Throws
   /// util::precondition_error, before touching any cut, for a sample whose
   /// time is not finite, whose index is already released or past the last
-  /// sample point, or whose width is not the observable count — the
-  /// distributed master feeds decoded wire frames through here.
+  /// sample point, whose width is not the observable count, or whose
+  /// (trajectory, index) already filled its row — the distributed master
+  /// feeds decoded wire frames through here.
   template <typename Emit>
   void ingest(std::uint64_t trajectory, const cwc::trajectory_sample& s,
               Emit&& emit) {
@@ -56,10 +58,14 @@ class cut_assembler {
       p.cut.time = s.time;
       p.cut.dims = num_observables_;
       p.cut.values.assign(cfg_->num_trajectories * num_observables_, 0.0);
+      p.has.assign(cfg_->num_trajectories, false);
     }
+    util::expects(!p.has[trajectory],
+                  "duplicate sample for this trajectory and index");
     std::copy(s.values.begin(), s.values.end(),
               p.cut.values.begin() +
                   static_cast<std::ptrdiff_t>(trajectory * num_observables_));
+    p.has[trajectory] = true;
     ++p.filled;
 
     while (!pending_.empty() &&
@@ -78,6 +84,7 @@ class cut_assembler {
  private:
   struct pending_cut {
     stats::trajectory_cut cut;
+    std::vector<bool> has;  ///< per trajectory: row already filled
     std::uint64_t filled = 0;
   };
 

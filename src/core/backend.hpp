@@ -64,8 +64,6 @@ struct multicore {
   /// (core/lane_executor.hpp) instead of the per-engine farm.
   /// Sample paths, windows, and completions are bit-identical either way.
   /// 0 or 1, and any unbatchable model, keep the classic per-engine farm.
-  /// Widths above 1 reject capture_trace: the per-quantum wall clocks of a
-  /// lockstep batch are not per-trajectory service times.
   std::size_t batch_width = 0;
 };
 

@@ -1,13 +1,15 @@
 // Configuration knobs of the CWC simulation-analysis pipeline — the tuning
 // surface the paper credits for performance portability ("a number of knobs
 // supporting optimisation and performance tuning [at] the configuration
-// level", §VI).
+// level", §VI). The farm of simulation engines always dispatches on demand
+// over worker queues of two tasks (ff::farm's defaults): no caller needed
+// another policy or capacity, so neither is a knob here.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "cwc/sampling.hpp"
-#include "ff/node.hpp"
 
 namespace cwcsim {
 
@@ -22,9 +24,7 @@ struct sim_config {
   std::uint64_t seed = 0xC0FFEE;
 
   // ---- simulation pipeline --------------------------------------------
-  unsigned sim_workers = 4;      ///< farm of simulation engines
-  ff::out_policy dispatch = ff::out_policy::on_demand;
-  std::size_t worker_queue = 2;  ///< emitter->worker channel capacity
+  unsigned sim_workers = 4;  ///< farm of simulation engines
 
   // ---- analysis pipeline ----------------------------------------------
   /// Statistical engines (paper: 1 or 4): the threads that summarise cuts
@@ -34,15 +34,16 @@ struct sim_config {
   std::size_t window_slide = 16; ///< cuts to advance between windows
   std::uint32_t kmeans_k = 2;    ///< clusters per cut (0 disables k-means)
 
-  // ---- instrumentation --------------------------------------------------
-  bool capture_trace = false;  ///< record per-quantum service times for DES
-
   /// Number of sample points per trajectory (k = 0 .. num_samples-1).
   /// Tolerant of floating-point truncation: 30 / 0.1 landing at 299.999…
   /// still yields 301 points, matching what the engines emit.
   std::uint64_t num_samples() const noexcept {
     return cwc::num_sample_points(t_end, sample_period);
   }
+
+  /// Field-by-field, doubles compared exactly (what a codec round trip
+  /// must preserve).
+  bool operator==(const sim_config&) const = default;
 };
 
 }  // namespace cwcsim

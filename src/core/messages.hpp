@@ -109,13 +109,13 @@ struct sample_batch {
   std::vector<cwc::trajectory_sample> samples;
 };
 
-/// Per-quantum service-time record captured for the DES platform models.
+/// What one quantum cost (core/quantum.hpp): the work des::capture_workload
+/// prices for the DES platform models, and the wall time a throttled
+/// distributed host stretches.
 struct quantum_record {
-  std::uint64_t trajectory_id = 0;
-  std::uint64_t quantum_index = 0;
-  std::uint64_t ssa_steps = 0;   ///< deterministic work measure
-  std::uint64_t wall_ns = 0;     ///< measured on this machine
-  std::uint32_t samples = 0;     ///< samples emitted in this quantum
+  std::uint64_t ssa_steps = 0;  ///< deterministic work measure
+  std::uint64_t wall_ns = 0;    ///< measured on this machine
+  std::uint32_t samples = 0;    ///< samples emitted in this quantum
 };
 
 /// Result of a statistical engine over one window (per-cut summaries).

@@ -71,7 +71,7 @@ ff::outcome task_scheduler::on_upstream_eos() {
 // ------------------------------------------------------------------- worker
 
 sim_engine_node::sim_engine_node(const sim_config& cfg, unsigned worker_id)
-    : cfg_(&cfg), worker_id_(worker_id) {
+    : cfg_(&cfg) {
   set_name("sim-engine-" + std::to_string(worker_id));
 }
 
@@ -79,10 +79,6 @@ ff::outcome sim_engine_node::svc(ff::token t) {
   auto task = t.take<sim_task>();
   auto outcome = advance_one_quantum(task.engine, *cfg_, task.trajectory_id,
                                      task.quantum_index);
-
-  ++quanta_;
-  if (cfg_->capture_trace) trace_.push_back(outcome.record);
-
   if (!outcome.batch.samples.empty())
     send_out(ff::token::of(std::move(outcome.batch)));
 

@@ -37,9 +37,9 @@ class task_generator final : public ff::node {
   std::uint64_t next_ = 0;
 };
 
-/// Farm emitter: dispatches tasks to simulation engines (on-demand by
-/// default) and receives rescheduled tasks / completion notices on the
-/// feedback channel. Terminates when the generator is done and every
+/// Farm emitter: dispatches tasks to simulation engines on demand and
+/// receives rescheduled tasks / completion notices on the feedback
+/// channel. Terminates when the generator is done and every
 /// trajectory has completed. Completion notices are streamed through the
 /// sink as they happen, and once stop is requested in-flight tasks are
 /// retired instead of redispatched.
@@ -73,16 +73,8 @@ class sim_engine_node final : public ff::node {
   sim_engine_node(const sim_config& cfg, unsigned worker_id);
   ff::outcome svc(ff::token t) override;
 
-  /// Per-quantum service-time trace (valid after the run completes).
-  const std::vector<quantum_record>& trace() const noexcept { return trace_; }
-  std::uint64_t quanta_executed() const noexcept { return quanta_; }
-  unsigned worker_id() const noexcept { return worker_id_; }
-
  private:
   const sim_config* cfg_;
-  unsigned worker_id_;
-  std::uint64_t quanta_ = 0;
-  std::vector<quantum_record> trace_;
 };
 
 /// The analysis pipeline as one node: aligns the sample batches the

@@ -2,7 +2,10 @@
 // worker (sim_engine_node), the distributed host runtime, the run server,
 // the lane executor's scalar lanes and the DES workload capture: run one
 // scheduling quantum, fast-forward stalled trajectories to the horizon,
-// and report the samples, the service-time record, and completion.
+// and report the samples, what the quantum cost, and completion. No
+// backend keeps the cost records: des::capture_workload replays engines
+// through this function to build the library's one per-quantum workload
+// record.
 //
 // Keeping this in one place is what makes the cross-backend bit-exactness
 // guarantee durable: every deployment advances engines with the same
@@ -21,7 +24,7 @@ namespace cwcsim {
 
 struct quantum_outcome {
   sample_batch batch;     ///< samples produced this quantum (may be empty)
-  quantum_record record;  ///< service-time record (for capture_trace)
+  quantum_record record;  ///< what this quantum cost
   bool finished = false;  ///< trajectory reached t_end
   task_done done;         ///< valid when finished
 };
@@ -45,8 +48,6 @@ inline quantum_outcome advance_one_quantum(any_engine& engine,
     engine.run_to(cfg.t_end, cfg.sample_period, out.batch.samples);
   }
 
-  out.record.trajectory_id = trajectory_id;
-  out.record.quantum_index = quantum_index;
   out.record.ssa_steps = engine.steps() - steps_before;
   out.record.wall_ns = sw.elapsed_ns();
   out.record.samples = static_cast<std::uint32_t>(out.batch.samples.size());

@@ -15,9 +15,6 @@ struct simulation_result {
   /// Completion notices, one per trajectory.
   std::vector<task_done> completions;
 
-  /// Per-quantum service-time trace (when sim_config::capture_trace).
-  std::vector<quantum_record> trace;
-
   /// Wall-clock duration of the whole pipeline run (seconds).
   double wall_seconds = 0.0;
 

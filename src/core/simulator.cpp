@@ -41,18 +41,12 @@ class multicore_driver final : public backend_driver {
     pipe.add_stage(std::make_unique<task_generator>(model_, cfg_, sink));
 
     std::vector<std::unique_ptr<ff::node>> sim_workers;
-    std::vector<sim_engine_node*> sim_worker_ptrs;
-    for (unsigned w = 0; w < cfg_.sim_workers; ++w) {
-      auto worker = std::make_unique<sim_engine_node>(cfg_, w);
-      sim_worker_ptrs.push_back(worker.get());
-      sim_workers.push_back(std::move(worker));
-    }
+    for (unsigned w = 0; w < cfg_.sim_workers; ++w)
+      sim_workers.push_back(std::make_unique<sim_engine_node>(cfg_, w));
     auto sim_farm = std::make_unique<ff::farm>(std::move(sim_workers));
     auto scheduler = std::make_unique<task_scheduler>(sink);
     task_scheduler* scheduler_ptr = scheduler.get();
     sim_farm->set_emitter(std::move(scheduler))
-        .set_dispatch(cfg_.dispatch)
-        .set_worker_channel_capacity(cfg_.worker_queue)
         .enable_feedback(ff::feedback_from::workers);
     pipe.add_stage(std::move(sim_farm));
 
@@ -66,14 +60,7 @@ class multicore_driver final : public backend_driver {
     net.run_and_wait();
     result.wall_seconds = sw.elapsed_s();
 
-    // ---- gather instrumentation ---------------------------------------
     result.completions = scheduler_ptr->completions();
-    if (cfg_.capture_trace) {
-      for (const sim_engine_node* w : sim_worker_ptrs) {
-        result.trace.insert(result.trace.end(), w->trace().begin(),
-                            w->trace().end());
-      }
-    }
   }
 
  private:
@@ -88,7 +75,7 @@ class multicore_driver final : public backend_driver {
 /// while later rounds step.
 /// Windows, completions, and sample paths are bit-identical to the
 /// per-engine farm (the batch engine's lane-exactness guarantee); only the
-/// scheduling differs. validate() keeps capture_trace off this path.
+/// scheduling differs.
 class batched_multicore_driver final : public backend_driver {
  public:
   batched_multicore_driver(const model_ref& model, const sim_config& cfg,

@@ -34,13 +34,7 @@ void validate(const sim_config& cfg, const backend& b) {
   validate(cfg);
   struct checker {
     const sim_config& cfg;
-    void operator()(const multicore& m) const {
-      if (m.batch_width > 1 && cfg.capture_trace)
-        throw config_error("capture_trace",
-                           "trace capture needs the per-engine farm "
-                           "(batch_width 0 or 1): lockstep batches record "
-                           "no per-trajectory service times");
-    }
+    void operator()(const multicore&) const {}
     void operator()(const distributed& d) const {
       if (d.num_hosts == 0)
         throw config_error("distributed.num_hosts", "need at least one host");
@@ -91,10 +85,6 @@ void validate(const sim_config& cfg, const backend& b) {
       if (!(s.heartbeat_s > 0.0))
         throw config_error("service.heartbeat_s",
                            "heartbeat cadence must be positive");
-      if (cfg.capture_trace)
-        throw config_error("capture_trace",
-                           "trace capture is not supported over the service "
-                           "backend (traces do not cross the wire)");
     }
     void operator()(const gpu& g) const {
       if (g.device.warp_size == 0)
@@ -104,11 +94,6 @@ void validate(const sim_config& cfg, const backend& b) {
       if (g.coherence_time < 0.0)
         throw config_error("gpu.coherence_time",
                            "coherence time must be non-negative");
-      if (cfg.capture_trace)
-        throw config_error("capture_trace",
-                           "trace capture is not supported on the gpu "
-                           "backend (lockstep kernels record no per-quantum "
-                           "service times)");
     }
   };
   std::visit(checker{cfg}, b);

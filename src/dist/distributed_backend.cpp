@@ -173,10 +173,6 @@ void run_granted(cluster_ctx& cx, host_state& host,
     qr.steps = engine.steps();
     qr.finished = out.finished;
     qr.samples = std::move(out.batch.samples);
-    if (cfg.capture_trace) {
-      qr.has_record = true;
-      qr.record = out.record;
-    }
     archive_writer w;
     w.put(wire_tag::quantum_result);
     write_quantum_result(w, qr);
@@ -457,8 +453,6 @@ void distributed_driver::run(cwcsim::event_sink& sink,
             ++s.acked;
             s.last = now;
             ++host_quanta[qr.host];
-            if (cfg_.capture_trace && qr.has_record)
-              report.result.trace.push_back(qr.record);
             if (qr.finished) {
               s.done = true;
               ++done_count;

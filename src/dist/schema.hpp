@@ -27,7 +27,9 @@ namespace dist {
 /// +1 here, and every decoder in this build rejects older frames.
 /// v3: svc resilience frames — sequenced downlink stream frames,
 /// cumulative acks, heartbeat/retry_after, resume fields in open.
-inline constexpr std::uint8_t wire_schema_version = 3;
+/// v4: quantum_result frames lose the optional trace record, and the
+/// sim_config codec its dispatch, worker-queue and trace fields.
+inline constexpr std::uint8_t wire_schema_version = 4;
 
 /// Framed-archive header version (put_schema_header/check_schema_header).
 inline constexpr std::uint8_t archive_schema_version = wire_schema_version;

@@ -29,24 +29,6 @@ cwcsim::task_done read_task_done(archive_reader& r) {
   return d;
 }
 
-void write_quantum_record(archive_writer& w, const cwcsim::quantum_record& q) {
-  w.put<std::uint64_t>(q.trajectory_id);
-  w.put<std::uint64_t>(q.quantum_index);
-  w.put<std::uint64_t>(q.ssa_steps);
-  w.put<std::uint64_t>(q.wall_ns);
-  w.put<std::uint32_t>(q.samples);
-}
-
-cwcsim::quantum_record read_quantum_record(archive_reader& r) {
-  cwcsim::quantum_record q;
-  q.trajectory_id = r.get<std::uint64_t>();
-  q.quantum_index = r.get<std::uint64_t>();
-  q.ssa_steps = r.get<std::uint64_t>();
-  q.wall_ns = r.get<std::uint64_t>();
-  q.samples = r.get<std::uint32_t>();
-  return q;
-}
-
 void write_work_request(archive_writer& w, const work_request& rq) {
   w.put<std::uint32_t>(rq.host);
   w.put<std::uint32_t>(rq.worker);
@@ -84,8 +66,6 @@ void write_quantum_result(archive_writer& w, const quantum_result& q) {
     w.put<double>(s.time);
     w.put_vector<double>(s.values);
   }
-  w.put<std::uint8_t>(q.has_record ? 1 : 0);
-  if (q.has_record) write_quantum_record(w, q.record);
 }
 
 quantum_result read_quantum_result(archive_reader& r) {
@@ -105,8 +85,6 @@ quantum_result read_quantum_result(archive_reader& r) {
     s.values = r.get_vector<double>();
     q.samples.push_back(std::move(s));
   }
-  q.has_record = r.get<std::uint8_t>() != 0;
-  if (q.has_record) q.record = read_quantum_record(r);
   return q;
 }
 
@@ -163,13 +141,10 @@ void write_sim_config(archive_writer& w, const cwcsim::sim_config& cfg) {
   w.put<double>(cfg.quantum);
   w.put<std::uint64_t>(cfg.seed);
   w.put<std::uint32_t>(cfg.sim_workers);
-  w.put<std::uint8_t>(static_cast<std::uint8_t>(cfg.dispatch));
-  w.put<std::uint64_t>(cfg.worker_queue);
   w.put<std::uint32_t>(cfg.stat_engines);
   w.put<std::uint64_t>(cfg.window_size);
   w.put<std::uint64_t>(cfg.window_slide);
   w.put<std::uint32_t>(cfg.kmeans_k);
-  w.put<std::uint8_t>(cfg.capture_trace ? 1 : 0);
 }
 
 cwcsim::sim_config read_sim_config(archive_reader& r) {
@@ -180,16 +155,10 @@ cwcsim::sim_config read_sim_config(archive_reader& r) {
   cfg.quantum = r.get<double>();
   cfg.seed = r.get<std::uint64_t>();
   cfg.sim_workers = r.get<std::uint32_t>();
-  const auto dispatch = r.get<std::uint8_t>();
-  if (dispatch > static_cast<std::uint8_t>(ff::out_policy::broadcast))
-    throw std::runtime_error("sim_config frame: unknown dispatch policy");
-  cfg.dispatch = static_cast<ff::out_policy>(dispatch);
-  cfg.worker_queue = static_cast<std::size_t>(r.get<std::uint64_t>());
   cfg.stat_engines = r.get<std::uint32_t>();
   cfg.window_size = static_cast<std::size_t>(r.get<std::uint64_t>());
   cfg.window_slide = static_cast<std::size_t>(r.get<std::uint64_t>());
   cfg.kmeans_k = r.get<std::uint32_t>();
-  cfg.capture_trace = r.get<std::uint8_t>() != 0;
   return cfg;
 }
 

@@ -58,16 +58,12 @@ struct quantum_result {
   std::uint64_t steps = 0;          ///< cumulative SSA steps
   bool finished = false;            ///< trajectory reached t_end
   std::vector<cwc::trajectory_sample> samples;
-  bool has_record = false;          ///< capture_trace runs only
-  cwcsim::quantum_record record{};
 };
 
 // Streaming forms: append to / read from an open archive, so callers can
 // frame messages (tag + payload) without re-copying the encoded bytes.
 void write_task_done(archive_writer& w, const cwcsim::task_done& d);
 cwcsim::task_done read_task_done(archive_reader& r);
-void write_quantum_record(archive_writer& w, const cwcsim::quantum_record& q);
-cwcsim::quantum_record read_quantum_record(archive_reader& r);
 
 void write_work_request(archive_writer& w, const work_request& rq);
 work_request read_work_request(archive_reader& r);
@@ -83,7 +79,8 @@ quantum_result read_quantum_result(archive_reader& r);
 // (svc/proto.hpp) to stream per-tenant windows back to clients and to
 // carry a whole run request in one frame. Summaries round-trip bit-exactly:
 // welford accumulators ship their raw state (stats::welford_state), never
-// derived quantities.
+// derived quantities. The sim_config codec carries every field, so a
+// decoded config compares equal to the encoded one.
 void write_window_summary(archive_writer& w, const cwcsim::window_summary& s);
 cwcsim::window_summary read_window_summary(archive_reader& r);
 void write_sim_config(archive_writer& w, const cwcsim::sim_config& cfg);

@@ -44,11 +44,6 @@ farm& farm::set_dispatch(out_policy p) noexcept {
   return *this;
 }
 
-farm& farm::set_worker_channel_capacity(std::size_t cap) noexcept {
-  worker_capacity_ = cap;
-  return *this;
-}
-
 farm& farm::enable_feedback(feedback_from src) noexcept {
   feedback_ = src;
   return *this;
@@ -65,7 +60,7 @@ ports farm::materialize(network& net) {
   for (auto& w : workers_) workers.push_back(net.add(std::move(w)));
   workers_.clear();
 
-  for (node* w : workers) net.connect(emitter, w, worker_capacity_);
+  for (node* w : workers) net.connect(emitter, w, worker_capacity);
 
   node* collector = nullptr;
   if (has_collector_) {

@@ -40,10 +40,6 @@ class farm final : public pattern {
   /// Emitter -> worker dispatch policy. Default: on_demand.
   farm& set_dispatch(out_policy p) noexcept;
 
-  /// Capacity of each emitter->worker channel. On-demand scheduling wants
-  /// this small (default 2, FastFlow-style).
-  farm& set_worker_channel_capacity(std::size_t cap) noexcept;
-
   /// Wire a feedback edge back to the emitter. Feedback channels are
   /// unbounded so the cycle cannot deadlock under backpressure. The
   /// emitter drains its upstream input before it serves fed-back tokens
@@ -59,12 +55,15 @@ class farm final : public pattern {
   void run_and_wait();
 
  private:
+  /// Capacity of each emitter->worker channel: on-demand scheduling wants
+  /// it small (FastFlow-style).
+  static constexpr std::size_t worker_capacity = 2;
+
   std::vector<std::unique_ptr<node>> workers_;
   std::unique_ptr<node> emitter_;
   std::unique_ptr<node> collector_;
   bool has_collector_ = true;
   out_policy dispatch_ = out_policy::on_demand;
-  std::size_t worker_capacity_ = 2;
   feedback_from feedback_ = feedback_from::none;
 };
 

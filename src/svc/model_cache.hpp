@@ -10,10 +10,11 @@
 // Bounded: at most `max_entries` artifacts are retained, evicted in LRU
 // order — but ONLY entries nobody else references. A live session pins
 // its model through the shared_ptr it holds (use_count > 1 from the
-// cache's view), so eviction can drop a hot server's cold models without
-// ever pulling a model out from under a running tenant. When every entry
-// is pinned the cache temporarily exceeds its bound rather than refuse
-// an open.
+// cache's view) until it retires, so eviction can drop a hot server's
+// cold models without ever pulling a model out from under a running
+// tenant, while a finished session's retained record pins nothing. When
+// every entry is pinned the cache temporarily exceeds its bound rather
+// than refuse an open.
 #pragma once
 
 #include <cstdint>

@@ -480,10 +480,6 @@ struct run_server::impl {
       reject(e.what());
       return;
     }
-    if (rq.cfg.capture_trace) {
-      reject("capture_trace is not supported over the service backend");
-      return;
-    }
     // The lower bound keeps the DRR fast-forward cheap: a session with a
     // vanishing weight would otherwise stall the scheduler for ~1/weight
     // rounds before earning its first quantum.
@@ -879,7 +875,10 @@ struct run_server::impl {
     if (accepted) {
       ++stats_.quanta_accepted;
       ++s.accepted;
-      if (!out.finished) s.ready.push_back(std::move(g.task));
+      if (!out.finished)
+        s.ready.push_back(std::move(g.task));
+      else  // unpin the model before the terminal frame can go out
+        g.task.engine.reset();
     } else {
       ++stats_.quanta_discarded;
       if (failed && s.ending == end_kind::none && !s.finalized) {
@@ -982,6 +981,9 @@ struct run_server::impl {
 
   void retire_locked(session& s, bool keep_record) {
     s.finalized = true;
+    // A retained record needs only its token, stream tail and terminal
+    // frame: unpin the model so the cache may evict it.
+    s.model.reset();
     {
       const std::lock_guard<std::mutex> fl(s.flow_mu);
       if (s.down) {

@@ -182,11 +182,13 @@ class service_driver final : public cwcsim::backend_driver {
           if (admitted) break;  // stale/duplicated: already in
           if (++shed_attempts > b_.open_retries)
             throw std::runtime_error("service: open rejected: " + n.reason);
-          // Capped exponential backoff from the server's hint.
+          // Capped exponential backoff from the server's hint. The
+          // exponent is capped too, so open_retries > 32 cannot overflow
+          // the shift.
           const double base = n.retry_after_s > 0.0 ? n.retry_after_s : 0.01;
+          const unsigned doublings = std::min(shed_attempts - 1, 30u);
           const double delay =
-              std::min(base * static_cast<double>(1u << (shed_attempts - 1)),
-                       1.0);
+              std::min(base * static_cast<double>(1u << doublings), 1.0);
           std::this_thread::sleep_for(std::chrono::duration<double>(delay));
           send_open();
           break;

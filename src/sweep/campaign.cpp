@@ -225,10 +225,6 @@ void validate(const sim_config& cfg, const backend& b, const sweep::plan& p) {
     throw config_error("backend",
                        "sweep campaigns run on the multicore backend");
   }
-  if (cfg.capture_trace) {
-    throw config_error("capture_trace",
-                       "sweep campaigns produce no per-quantum trace");
-  }
   for (std::size_t i = 0; i < p.axes().size(); ++i) {
     const sweep::axis_decl& a = p.axes()[i];
     if (a.rate.empty())

@@ -39,8 +39,8 @@ namespace cwcsim {
 
 /// Sweep-specific configuration validation, layered on validate(cfg, b):
 /// rejects a cell-less plan, an empty or duplicate axis, a duplicate
-/// parameter cell, any non-multicore backend, and capture_trace, all as
-/// typed config_error diagnostics. (Unknown rate names and non-mass-action
+/// parameter cell and any non-multicore backend, all as typed
+/// config_error diagnostics. (Unknown rate names and non-mass-action
 /// overlays are model-dependent; run_sweep rejects those as
 /// config_error{"sweep.overlay"} when it builds the cell overlays.)
 void validate(const sim_config& cfg, const backend& b, const sweep::plan& p);

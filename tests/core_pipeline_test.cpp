@@ -10,8 +10,11 @@
 
 #include "core/cwcsim.hpp"
 #include "models/models.hpp"
+#include "window_equality.hpp"
 
 namespace {
+
+using testing_windows::expect_bit_identical;
 
 cwcsim::sim_config small_config() {
   cwcsim::sim_config cfg;
@@ -65,7 +68,6 @@ struct shape {
   unsigned workers;
   unsigned stats;
   double quantum;
-  ff::out_policy policy;
 };
 
 class pipeline_shape_test : public ::testing::TestWithParam<shape> {};
@@ -79,30 +81,16 @@ TEST_P(pipeline_shape_test, ResultIndependentOfPipelineShape) {
   cfg.sim_workers = p.workers;
   cfg.stat_engines = p.stats;
   cfg.quantum = p.quantum;
-  cfg.dispatch = p.policy;
   const auto res = cwcsim::run(m, cfg).result;
 
-  const auto a = cuts_of(reference);
-  const auto b = cuts_of(res);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    for (std::size_t d = 0; d < a[k].moments.size(); ++d) {
-      ASSERT_DOUBLE_EQ(a[k].moments[d].mean(), b[k].moments[d].mean())
-          << "cut " << k << " dim " << d;
-      ASSERT_DOUBLE_EQ(a[k].moments[d].variance(), b[k].moments[d].variance());
-    }
-    ASSERT_EQ(a[k].medians, b[k].medians);
-  }
+  expect_bit_identical(res.windows, reference.windows);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, pipeline_shape_test,
-    ::testing::Values(shape{1, 1, 3.0, ff::out_policy::on_demand},
-                      shape{4, 1, 3.0, ff::out_policy::on_demand},
-                      shape{3, 2, 3.0, ff::out_policy::round_robin},
-                      shape{2, 3, 1.0, ff::out_policy::on_demand},
-                      shape{5, 2, 10.0, ff::out_policy::on_demand},
-                      shape{2, 1, 20.0, ff::out_policy::round_robin}));
+INSTANTIATE_TEST_SUITE_P(Shapes, pipeline_shape_test,
+                         ::testing::Values(shape{1, 1, 3.0}, shape{4, 1, 3.0},
+                                           shape{3, 2, 3.0}, shape{2, 3, 1.0},
+                                           shape{5, 2, 10.0},
+                                           shape{2, 1, 20.0}));
 
 TEST(Pipeline, FlatModelRunsThroughSamePipeline) {
   const auto net = models::make_lotka_volterra({});
@@ -140,24 +128,6 @@ TEST(Pipeline, OverlappingWindows) {
   ASSERT_GE(res.windows.size(), 4u);
   for (std::size_t i = 0; i + 1 < res.windows.size(); ++i)
     EXPECT_EQ(res.windows[i + 1].first_sample - res.windows[i].first_sample, 4u);
-}
-
-TEST(Pipeline, TraceCaptureAccountsAllQuanta) {
-  const auto m = models::make_neurospora_cwc({});
-  auto cfg = small_config();
-  cfg.capture_trace = true;
-  const auto res = cwcsim::run(m, cfg).result;
-  ASSERT_FALSE(res.trace.empty());
-  std::uint64_t total_samples = 0;
-  std::uint64_t total_steps = 0;
-  for (const auto& q : res.trace) {
-    total_samples += q.samples;
-    total_steps += q.ssa_steps;
-  }
-  EXPECT_EQ(total_samples, cfg.num_samples() * cfg.num_trajectories);
-  std::uint64_t steps_from_completions = 0;
-  for (const auto& d : res.completions) steps_from_completions += d.steps;
-  EXPECT_EQ(total_steps, steps_from_completions);
 }
 
 TEST(Pipeline, SingleTrajectorySingleWorker) {
@@ -288,10 +258,23 @@ TEST(CutAssembler, RejectsMalformedSamples) {
   EXPECT_THROW(a.ingest(0, at_time(0.0), emit), util::precondition_error);
   EXPECT_TRUE(a.drained());
 
-  // The rejected samples left no trace: the next cut assembles normally.
-  a.ingest(1, at_time(cfg.sample_period), emit);
+  // A second sample for a (trajectory, index) the pending cut already
+  // holds: counting it as the other trajectory's row would release the
+  // cut with that row still 0.0.
   a.ingest(0, at_time(cfg.sample_period), emit);
-  EXPECT_EQ(emitted, 2u);
+  EXPECT_THROW(a.ingest(0, cwc::trajectory_sample{cfg.sample_period,
+                                                  {7.0, 7.0, 7.0}},
+                        emit),
+               util::precondition_error);
+  EXPECT_EQ(emitted, 1u);
+  EXPECT_FALSE(a.drained());
+
+  // The rejected samples left no trace: the cut assembles normally, with
+  // the first sample's row.
+  std::vector<double> released;
+  a.ingest(1, at_time(cfg.sample_period),
+           [&](stats::trajectory_cut&& c) { released = c.values; });
+  EXPECT_EQ(released, (std::vector<double>{1.0, 2.0, 3.0, 1.0, 2.0, 3.0}));
   EXPECT_TRUE(a.drained());
 }
 

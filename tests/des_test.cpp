@@ -1,11 +1,12 @@
 // Tests for the discrete-event simulator and the pipeline platform models:
 // event ordering, resource laws (work conservation, makespan bounds),
-// links, trace capture invariants, and qualitative scaling properties.
+// links, workload capture invariants, and qualitative scaling properties.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <tuple>
+#include <vector>
 
+#include "core/lane_executor.hpp"
 #include "des/des.hpp"
 #include "models/models.hpp"
 
@@ -112,7 +113,7 @@ TEST(Link, WireSerialisesTransfersLatencyOverlaps) {
   EXPECT_NEAR(times[1], 0.3, 1e-9);  // wire busy until 0.2, +0.1 latency
 }
 
-// ---------------------------- trace capture ------------------------------
+// --------------------------- workload capture ----------------------------
 
 TEST(Trace, CaptureMatchesRealEngineTotals) {
   const auto m = models::make_neurospora_cwc({});
@@ -147,9 +148,10 @@ TEST(Trace, CaptureMatchesRealEngineTotals) {
   EXPECT_EQ(w.total_steps(), direct_steps);
 }
 
-TEST(Trace, CapturePerQuantumMatchesFarmTrace) {
-  // Quantum by quantum, the DES capture and the multicore farm's
-  // capture_trace records agree on (steps, samples) — including the
+TEST(Trace, CapturePerQuantumMatchesLaneRounds) {
+  // Quantum by quantum, the DES capture agrees on (steps, samples) with the
+  // lane executor's rounds, scalar (width 0) and batched (width 4), and
+  // per trajectory with the farm's completion notices — including the
   // stalled-tail fast-forward of compartment_demo lanes, most of which
   // stall before t_end with fast vesicle formation.
   const auto neurospora = models::make_neurospora_cwc({});
@@ -159,32 +161,52 @@ TEST(Trace, CapturePerQuantumMatchesFarmTrace) {
   for (const cwc::model* m : {&neurospora, &cdemo}) {
     cwcsim::model_ref mr;
     mr.tree = m;
+    mr.compile();
     cwcsim::sim_config cfg;
     cfg.num_trajectories = 6;
     cfg.t_end = 20.0;
     cfg.sample_period = 0.5;
     cfg.quantum = 1.5;
     cfg.sim_workers = 3;
-    cfg.capture_trace = true;
 
     const auto w = des::capture_workload(mr, cfg);
-    // Workers append records as they run; order them like the capture.
-    auto trace = cwcsim::run(*m, cfg).result.trace;
-    std::sort(trace.begin(), trace.end(), [](const auto& a, const auto& b) {
-      return std::tie(a.trajectory_id, a.quantum_index) <
-             std::tie(b.trajectory_id, b.quantum_index);
-    });
-    ASSERT_EQ(trace.size(), w.total_quanta());
-    std::size_t k = 0;
-    for (std::uint64_t i = 0; i < w.quanta.size(); ++i) {
-      for (std::uint64_t q = 0; q < w.quanta[i].size(); ++q, ++k) {
-        SCOPED_TRACE(testing::Message() << "trajectory " << i << " quantum "
-                                        << q);
-        ASSERT_EQ(trace[k].trajectory_id, i);
-        ASSERT_EQ(trace[k].quantum_index, q);
-        EXPECT_EQ(w.quanta[i][q].steps, trace[k].ssa_steps);
-        EXPECT_EQ(w.quanta[i][q].samples, trace[k].samples);
+    ASSERT_EQ(w.quanta.size(), cfg.num_trajectories);
+
+    for (const std::size_t width : {std::size_t{0}, std::size_t{4}}) {
+      SCOPED_TRACE(testing::Message() << "batch width " << width);
+      // rounds[i][q] = lane i's (steps, samples) in round q.
+      std::vector<std::vector<des::quantum_work>> rounds(cfg.num_trajectories);
+      cwcsim::lane_executor lanes(
+          {mr.compiled}, cfg,
+          cwcsim::lane_executor::ensemble(cfg.num_trajectories), width,
+          cfg.sim_workers);
+      while (lanes.live() > 0)
+        lanes.round(
+            [&](const cwcsim::lane_executor::lane_quantum& q) {
+              rounds[q.id.trajectory_id].push_back(
+                  {q.steps, static_cast<std::uint32_t>(q.samples.size())});
+            },
+            [](std::uint32_t, const cwcsim::task_done&) {});
+      for (std::uint64_t i = 0; i < cfg.num_trajectories; ++i) {
+        ASSERT_EQ(rounds[i].size(), w.quanta[i].size()) << "trajectory " << i;
+        for (std::size_t q = 0; q < rounds[i].size(); ++q) {
+          SCOPED_TRACE(testing::Message() << "trajectory " << i << " quantum "
+                                          << q);
+          EXPECT_EQ(w.quanta[i][q].steps, rounds[i][q].steps);
+          EXPECT_EQ(w.quanta[i][q].samples, rounds[i][q].samples);
+        }
       }
+    }
+
+    const auto farm = cwcsim::run(*m, cfg).result;
+    ASSERT_EQ(farm.completions.size(), cfg.num_trajectories);
+    for (const cwcsim::task_done& d : farm.completions) {
+      SCOPED_TRACE(testing::Message() << "trajectory " << d.trajectory_id);
+      const auto& qs = w.quanta[d.trajectory_id];
+      std::uint64_t steps = 0;
+      for (const auto& q : qs) steps += q.steps;
+      EXPECT_EQ(d.quanta, qs.size());
+      EXPECT_EQ(d.steps, steps);
     }
   }
 

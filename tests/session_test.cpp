@@ -336,37 +336,6 @@ TEST(Validate, RejectsDegenerateKnobsWithTypedDiagnostics) {
                util::precondition_error);
 }
 
-TEST(Validate, GpuRejectsTraceCapture) {
-  // Lockstep kernels record no per-quantum service times, so the flag
-  // would silently yield an empty trace.
-  auto cfg = small_config();
-  cfg.capture_trace = true;
-  try {
-    cwcsim::validate(cfg, cwcsim::gpu{simt::devices::tesla_k40()});
-    FAIL() << "expected config_error";
-  } catch (const cwcsim::config_error& e) {
-    EXPECT_EQ(e.field(), "capture_trace");
-  }
-  EXPECT_NO_THROW(cwcsim::validate(cfg, cwcsim::multicore{}));
-}
-
-TEST(Validate, BatchedMulticoreRejectsTraceCapture) {
-  // A lockstep batch has no per-trajectory service times either: tracing
-  // needs the per-engine farm, so the flag must not silently override
-  // batch_width.
-  auto cfg = small_config();
-  cfg.capture_trace = true;
-  try {
-    cwcsim::validate(cfg, cwcsim::multicore{4});
-    FAIL() << "expected config_error";
-  } catch (const cwcsim::config_error& e) {
-    EXPECT_EQ(e.field(), "capture_trace");
-  }
-  EXPECT_NO_THROW(cwcsim::validate(cfg, cwcsim::multicore{1}));
-  cfg.capture_trace = false;
-  EXPECT_NO_THROW(cwcsim::validate(cfg, cwcsim::multicore{4}));
-}
-
 TEST(Validate, BuilderRejectsBeforeLaunch) {
   const auto m = models::make_neurospora_cwc({});
   auto cfg = small_config();

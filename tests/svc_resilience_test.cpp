@@ -360,6 +360,44 @@ TEST(Resilience, WatermarkShedsThenAdmitsWhenLoadClears) {
   expect_ledger_balanced(server);
 }
 
+TEST(Resilience, BackoffPastThirtyTwoShedsStaysDefined) {
+  // open_retries above 32: the 33rd shed's backoff would shift a 32-bit 1
+  // by 32 (undefined behaviour, which UBSan aborts on) unless the
+  // exponent is capped like the delay.
+  const auto m = models::make_neurospora_cwc({});
+  const auto cfg = tiny_config();
+  svc::svc_config sc;
+  sc.pool_workers = 1;
+  sc.max_sessions = 1;
+  sc.retry_after_hint_s = 1e-12;  // keeps 34 doublings in the milliseconds
+  svc::run_server server(sc);
+
+  // A raw tenant takes the only slot and stops reading: with one credit
+  // and a long horizon its session stays live for the whole test.
+  auto blocker = server.connect();
+  auto long_cfg = cfg;
+  long_cfg.t_end = 500.0;
+  auto rq = make_open(cwcsim::model_ref{&m, nullptr, nullptr}, blocker.id(),
+                      long_cfg);
+  rq.window_credits = 1;
+  blocker.send(svc::encode_open(rq));
+  stream_state bs;
+  pump(blocker, bs, 10.0, 1);
+  ASSERT_TRUE(bs.admitted) << bs.error;
+
+  cwcsim::service be{&server};
+  be.open_retries = 34;
+  try {
+    (void)cwcsim::run(m, cfg, be);
+    FAIL() << "expected the open to be rejected after 34 retries";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("server at capacity"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_GE(server.stats().sessions_shed, 35u);
+}
+
 // ----------------------------- chaos matrix -------------------------------
 
 struct chaos_case {

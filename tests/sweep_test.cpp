@@ -214,18 +214,6 @@ TEST(SweepValidate, TypedErrors) {
       cwcsim::config_error);
 }
 
-TEST(SweepValidate, TraceCaptureRejected) {
-  auto cfg = small_config();
-  cfg.capture_trace = true;
-  try {
-    cwcsim::validate(cfg, cwcsim::multicore{32},
-                     cwcsim::sweep::plan().axis("k1", {1.0}));
-    FAIL() << "expected config_error";
-  } catch (const cwcsim::config_error& e) {
-    EXPECT_EQ(e.field(), "capture_trace");
-  }
-}
-
 TEST(SweepValidate, UnknownRateNameRejectedAtRun) {
   const auto net = models::make_schlogl({});
   try {
