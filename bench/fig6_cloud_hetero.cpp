@@ -12,12 +12,14 @@
 // staying bit-exact with the shared-memory farm, and it must complete
 // bit-exactly with a host killed mid-run on top of the straggler. The
 // static partition is not run but bounded: its makespan is set by the
-// straggler's contiguous block of N/hosts trajectories, whose compute
-// (timed by replaying the block with the per-quantum code every host runs)
-// is stretched by 1/speed while the rest of the homogeneous run's cost
-// stays. `--tiny` shrinks every workload for CI smoke runs (correctness
-// still enforced; the speedup floor is only reported, not gated, at that
-// scale).
+// straggler's contiguous share of N/hosts trajectories, whose compute
+// (timed by running that share as the lane-executor blocks the hosts run,
+// dist/lane_blocks.hpp) is stretched by 1/speed while the rest of the
+// homogeneous run's cost stays. Each wall time in the gate is the fastest
+// of three runs, so one noisy run cannot move the bound or the elastic
+// time; the table prints every run. `--tiny` shrinks every workload for
+// CI smoke runs (correctness still enforced; the speedup floor is only
+// reported, not gated, at that scale).
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -26,7 +28,8 @@
 
 #include "bench_common.hpp"
 #include "core/cwcsim.hpp"
-#include "core/quantum.hpp"
+#include "core/lane_executor.hpp"
+#include "dist/lane_blocks.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -54,6 +57,35 @@ live_run run_live(const cwc::model& m, const cwcsim::sim_config& cfg,
   return o;
 }
 
+/// Runs per timed scenario; the gate uses the fastest.
+constexpr int kRepeats = 3;
+
+/// Seconds to run host `host`'s share of a 4 x 1 cluster's lane blocks to
+/// t_end on this thread, the way the hosts run them; fastest of kRepeats.
+double share_seconds(const cwc::model& m, const cwcsim::sim_config& cfg,
+                     unsigned host) {
+  cwcsim::model_ref mr;
+  mr.tree = &m;
+  mr.compile();
+  double best = 0.0;
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    util::stopwatch sw;
+    for (const auto& b : dist::plan_blocks(cfg.num_trajectories, 4, 1)) {
+      if (b.home != host) continue;
+      std::vector<cwcsim::lane_executor::lane> lanes;
+      for (std::uint64_t i = 0; i < b.lanes; ++i)
+        lanes.push_back({b.first + i, 0});
+      cwcsim::lane_executor ex({mr.compiled}, cfg, std::move(lanes),
+                               static_cast<std::size_t>(b.lanes), 1);
+      while (ex.live() > 0)
+        ex.round([](const auto&) {}, [](std::uint32_t, const auto&) {});
+    }
+    const double s = sw.elapsed_s();
+    if (rep == 0 || s < best) best = s;
+  }
+  return best;
+}
+
 /// Elastic-vs-static regression on a live 4-host virtual cluster.
 /// Returns the number of failed checks.
 int live_cluster_section(bool tiny) {
@@ -77,55 +109,55 @@ int live_cluster_section(bool tiny) {
 
   std::printf(
       "\n=== Live virtual cluster: elastic vs static scheduling ===\n");
-  std::printf("(4 hosts x 1 worker, %llu trajectories to t=%g%s)\n",
+  std::printf("(4 hosts x 1 worker, %llu trajectories to t=%g%s; "
+              "gate on the fastest of %d runs)\n",
               static_cast<unsigned long long>(cfg.num_trajectories), cfg.t_end,
-              tiny ? ", --tiny" : "");
+              tiny ? ", --tiny" : "", kRepeats);
 
   // Every scenario must reproduce the shared-memory farm bit for bit.
   const auto farm = cwcsim::run(m, cfg).result;
-
-  const auto elas_h = run_live(m, cfg, {}, {});
-  const bool exact_h = elas_h.r.result.windows == farm.windows;
-
-  // One 4x-slower host: a static partition hands host 1 the block
-  // [N/4, N/2) and is dragged to its pace — the block's compute takes
-  // 1/kSlowSpeed times longer, on top of the homogeneous run — while the
-  // elastic pull rebalances around it. The block's compute is timed by
-  // replaying it to t_end on this thread, quantum by quantum.
-  const std::uint64_t block = cfg.num_trajectories / 4;
-  cwcsim::model_ref mr;
-  mr.tree = &m;
-  mr.compile();
-  util::stopwatch block_sw;
-  for (std::uint64_t t = block; t < 2 * block; ++t) {
-    auto engine = mr.make_engine(cfg.seed, t);
-    for (std::uint64_t q = 0;
-         !cwcsim::advance_one_quantum(engine, cfg, t, q).finished; ++q) {
+  bool exact = true;
+  util::table t({"scenario", "run", "static bound (s)", "elastic (s)",
+                 "speedup", "bit-exact", "reissued"});
+  const auto run_rows = [&](const char* name, std::vector<double> speed,
+                            std::vector<cwcsim::kill_spec> kills, int runs) {
+    double best = 0.0;
+    for (int i = 0; i < runs; ++i) {
+      const auto o = run_live(m, cfg, speed, kills);
+      const bool ok = o.r.result.windows == farm.windows;
+      exact = exact && ok;
+      t.add_row({name, std::to_string(i + 1), "-",
+                 util::table::num(o.wall, 2), "-", ok ? "yes" : "NO",
+                 std::to_string(o.r.network->reissued)});
+      if (i == 0 || o.wall < best) best = o.wall;
     }
-  }
-  const double block_s = block_sw.elapsed_s();
-  const double static_s = elas_h.wall + block_s * (1.0 / kSlowSpeed - 1.0);
-  const auto elas_s = run_live(m, cfg, hetero, {});
-  const bool exact_s = elas_s.r.result.windows == farm.windows;
-  const double speedup = static_s / elas_s.wall;
+    return best;
+  };
+
+  // One 4x-slower host: a static partition hands host 1 the share
+  // [N/4, N/2) and is dragged to its pace — the share's compute takes
+  // 1/kSlowSpeed times longer, on top of the homogeneous run — while the
+  // elastic pull rebalances around it.
+  const double homog = run_rows("homogeneous", {}, {}, kRepeats);
+  const double share_s = share_seconds(m, cfg, 1);
+  const double static_s = homog + share_s * (1.0 / kSlowSpeed - 1.0);
+  const double slow = run_rows("1 slow host (0.25x)", hetero, {}, kRepeats);
+  const double speedup = static_s / slow;
+  t.add_row({"1 slow host (0.25x)", "fastest", util::table::num(static_s, 2),
+             util::table::num(slow, 2), util::table::num(speedup, 2) + "x",
+             "-", "-"});
 
   // Straggler AND a dead host: still bit-exact.
   const auto elas_k = run_live(m, cfg, hetero, kill3);
   const bool exact_k = elas_k.r.result.windows == farm.windows;
-
-  util::table t({"scenario", "static bound (s)", "elastic (s)", "speedup",
-                 "bit-exact", "reissued"});
-  t.add_row({"homogeneous", "-", util::table::num(elas_h.wall, 2), "-",
-             exact_h ? "yes" : "NO",
-             std::to_string(elas_h.r.network->reissued)});
-  t.add_row({"1 slow host (0.25x)", util::table::num(static_s, 2),
-             util::table::num(elas_s.wall, 2),
-             util::table::num(speedup, 2) + "x", exact_s ? "yes" : "NO",
-             std::to_string(elas_s.r.network->reissued)});
-  t.add_row({"1 slow + 1 killed", "-", util::table::num(elas_k.wall, 2), "-",
-             exact_k ? "yes" : "NO",
+  exact = exact && exact_k;
+  t.add_row({"1 slow + 1 killed", "1", "-", util::table::num(elas_k.wall, 2),
+             "-", exact_k ? "yes" : "NO",
              std::to_string(elas_k.r.network->reissued)});
   std::printf("%s", t.to_string().c_str());
+  std::printf("static bound = fastest homogeneous %.2f s + host 1's share "
+              "%.3f s x %.0f\n",
+              homog, share_s, 1.0 / kSlowSpeed - 1.0);
   const auto& net_k = *elas_k.r.network;
   std::printf(
       "elastic w/ kill: grants=%llu duplicates=%llu dropped=%llu "
@@ -139,7 +171,7 @@ int live_cluster_section(bool tiny) {
       static_cast<unsigned long long>(net_k.host_quanta[3]));
 
   int failures = 0;
-  if (!exact_h || !exact_s || !exact_k) {
+  if (!exact) {
     std::printf("FAIL: elastic results diverged from the shared-memory farm\n");
     ++failures;
   }

@@ -69,22 +69,26 @@ struct multicore {
 
 /// A host of a distributed run that dies abruptly (no close, no goodbye)
 /// once it has executed `at_sim_time` simulated seconds of trajectory
-/// time, losing whatever quantum was in flight.
+/// time, summed over the lanes it ran, losing whatever quantum was in
+/// flight.
 struct kill_spec {
   unsigned host = 0;
   double at_sim_time = 0.0;
 };
 
 /// Run on a virtual cluster (paper §IV-B): num_hosts multicore hosts of
-/// workers_per_host engines pull trajectories from an elastic master and
-/// stream serialized per-quantum results over the modeled network to it;
-/// the master aligns them on-line and cfg.stat_engines statistical engines
-/// summarise the cuts beside its receive loop.
+/// workers_per_host workers pull leases — one quantum of one lane block of
+/// up to 32 trajectories — from an elastic master, run each block on a
+/// lane executor kept resident on the host (SoA batch lanes when the model
+/// allows, scalar lanes otherwise; bit-identical either way), and stream
+/// one serialized frame per (block, quantum) over the modeled network to
+/// the master. It aligns them on-line and cfg.stat_engines statistical
+/// engines summarise the cuts beside its receive loop.
 struct distributed {
   unsigned num_hosts = 2;
   unsigned workers_per_host = 2;
   dist::net_params network{};
-  /// Relative speed per host, in (0, 1]: 0.25 makes every quantum on that
+  /// Relative speed per host, in (0, 1]: 0.25 makes every lease on that
   /// host take 4x its measured wall time (the paper's Fig. 6 straggler).
   /// Empty = homogeneous; otherwise one entry per host.
   std::vector<double> host_speed{};
@@ -162,16 +166,21 @@ struct run_report {
     /// the model fell back to in-process sharing).
     double model_bytes = 0.0;
     // ---- elastic-scheduling honesty counters ----
-    std::uint64_t grants = 0;    ///< quantum grants the master issued
-    std::uint64_t reissued = 0;  ///< grants beyond a trajectory's first
-    /// Quantum results the master discarded as duplicate/stale (late
-    /// frames from superseded executions, or gap frames after a loss).
-    /// Accepted quanta are exactly-once; this is the re-execution cost.
+    /// Leases granted: one lane-block quantum each on dist, one
+    /// trajectory quantum each on a service run.
+    std::uint64_t grants = 0;
+    /// Leases re-granted after their holder went silent past the deadline.
+    std::uint64_t reissued = 0;
+    /// Checkpoint frames (one block quantum each) the master discarded as
+    /// duplicate/stale (late frames from superseded executions, or gap
+    /// frames after a loss). Accepted quanta are exactly-once; this is the
+    /// re-execution cost.
     std::uint64_t duplicate_quanta = 0;
     std::uint64_t messages_dropped = 0;  ///< lost to the seeded drop stream
-    /// Quanta ACCEPTED per host — observed throughput, honest under
-    /// elasticity (re-issued and duplicate-discarded work never counts
-    /// twice).
+    /// (trajectory, quantum) pairs ACCEPTED per host — observed
+    /// throughput, honest under elasticity (re-issued and
+    /// duplicate-discarded work never counts twice); they sum to the
+    /// completions' quanta.
     std::vector<std::uint64_t> host_quanta;
   };
   struct device_stats {

@@ -76,8 +76,11 @@ double lane_executor::time_of(std::size_t i) const {
   return g.batch != nullptr ? g.batch->time(i % width_) : g.scalar->time();
 }
 
-void lane_executor::round(const samples_fn& on_samples,
-                          const done_fn& on_done) {
+double lane_executor::round(const samples_fn& on_samples,
+                           const done_fn& on_done) {
+  double before = 0.0;
+  for (std::size_t i = 0; i < lanes_.size(); ++i)
+    if (retired_[i] == 0) before += time_of(i);
   // Grain 1 hands out whole batch groups; scalar lanes use the pool's
   // automatic chunking.
   pool_.for_each(0, static_cast<std::int64_t>(units_.size()),
@@ -85,11 +88,14 @@ void lane_executor::round(const samples_fn& on_samples,
                  [this](std::int64_t u) { step(static_cast<std::size_t>(u)); });
   ++rounds_;
 
+  double after = 0.0;
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     if (retired_[i] != 0) continue;
     const std::uint64_t total = steps_of(i);
-    on_samples(
-        {lanes_[i], total - steps_[i], units_[i / width_].out[i % width_]});
+    const double t = time_of(i);
+    after += t;
+    on_samples({lanes_[i], total - steps_[i],
+                units_[i / width_].out[i % width_], t, total});
     steps_[i] = total;
   }
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
@@ -100,6 +106,7 @@ void lane_executor::round(const samples_fn& on_samples,
     on_done(lanes_[i].cell,
             task_done{lanes_[i].trajectory_id, rounds_, steps_[i]});
   }
+  return after - before;
 }
 
 }  // namespace cwcsim

@@ -42,6 +42,8 @@ class lane_executor {
     lane id;
     std::uint64_t steps = 0;  ///< SSA steps executed this quantum
     std::span<const cwc::trajectory_sample> samples;  ///< may be empty
+    double time = 0.0;              ///< engine time after this quantum
+    std::uint64_t total_steps = 0;  ///< SSA steps since the lane started
   };
   using samples_fn = std::function<void(const lane_quantum&)>;
   /// Receives the lane's cell and {trajectory_id, quanta, steps}, where
@@ -63,10 +65,14 @@ class lane_executor {
   /// Lanes that have not reached cfg.t_end yet.
   std::size_t live() const noexcept { return live_; }
 
+  /// Rounds run so far: the quantum index the next round executes.
+  std::uint64_t rounds() const noexcept { return rounds_; }
+
   /// Advance every live lane one quantum on the pool, then call
   /// on_samples for every lane that was live and on_done for every lane
-  /// that reached cfg.t_end, each pass in lane order.
-  void round(const samples_fn& on_samples, const done_fn& on_done);
+  /// that reached cfg.t_end, each pass in lane order. Returns the
+  /// simulated time the round advanced, summed over lanes.
+  double round(const samples_fn& on_samples, const done_fn& on_done);
 
  private:
   /// One batch group, or one scalar lane.

@@ -4,31 +4,48 @@
 // cfg.stat_engines statistical engines summarise the cuts
 // (cwcsim::analysis_stage).
 //
-// Scheduling is ELASTIC (the paper's Fig. 6 cloud-hetero scenario): there
-// is no start-of-run partition. The master keeps a work queue of
-// trajectories that idle hosts PULL at their observed throughput over a
-// per-host control channel; a grant names a trajectory and the checkpoint
-// (acked quantum count) to resume it from, and the host runs it from there
-// to t_end. Every executed quantum comes back as one atomic
-// schema-versioned checkpoint frame (samples + progress high-water mark),
-// the master tracks in-flight deadlines with net_channel::recv_for(),
-// re-queues trajectories whose owner went quiet (straggler or dead host)
-// to resume from their last checkpoint, and accepts each
-// (trajectory, quantum) exactly once — late duplicates from superseded
-// executions are discarded. Because every trajectory's engine is a pure
-// function of (seed, trajectory_id), ANY host resumes ANY trajectory
-// deterministically: it replays the already-acked quanta locally without
-// emitting, then streams from the checkpoint onward, so a lost host costs
-// only its in-flight quantum of results. The no-fault run is bit-exact
-// with the shared-memory pipeline, regardless of how trajectories are
-// re-sharded or how messages interleave on the network.
+// Work is leased in LANE BLOCKS (dist/lane_blocks.hpp): the N trajectories
+// are split into contiguous blocks of at most 32 lanes, at least four per
+// worker, and each worker owns an equal share of them, ±1 block. A lease
+// is one quantum of one block. The master's only scheduling state is a
+// cwcsim::quantum_ledger (core/quantum_ledger.hpp): workers pull leases
+// over a per-worker control channel, lowest block checkpoint first among
+// the blocks resident on their host, so every block passes the first
+// window's quanta before any block runs far ahead and cuts are released
+// from the first quanta on. A worker asks for its next lease as it starts
+// the current one (the farm's two-slot queue), so a grant round trip
+// never idles it.
+//
+// Hosts keep each block's cwcsim::lane_executor RESIDENT between leases:
+// SoA batch lanes whenever lane_executor::batches allows, scalar lanes
+// otherwise, bit-identical either way. Blocks change host only as the
+// ledger's steal and re-issue rules allow. A host that gets a block it
+// does not hold at the checkpoint rebuilds it and replays the acked quanta
+// locally without emitting — engines are pure functions of
+// (seed, trajectory_id), so any host resumes any block deterministically.
+// The host a block moved away from gets a block_release control frame and
+// drops its copy, and a dead host's copies go with it.
+// Each executed quantum comes back as ONE schema-versioned (v5) checkpoint
+// frame per (block, quantum) carrying every live lane's samples. The
+// ledger accepts each (block, quantum) exactly once, discards late
+// duplicates from superseded executions, and re-issues a silent worker's
+// leases after a deadline — to another host first — so a lost host costs
+// only its in-flight quanta. The no-fault run is bit-exact with the
+// shared-memory pipeline, regardless of where blocks run or how messages
+// interleave on the network.
+//
+// Counters: `grants` counts leases (block quanta granted), `reissued` the
+// leases re-granted after a deadline, and `host_quanta` the (trajectory,
+// quantum) pairs each host had accepted, so they sum to the completions'
+// quanta.
 //
 // Heterogeneity and fault injection come from the descriptor:
 // network.drop_prob models seeded message loss on every data-plane link,
-// host_speed stretches a host's quanta, and each cwcsim::kill_spec makes
-// its host vanish — mid-quantum, without a goodbye — once it has executed
-// `at_sim_time` simulated seconds. The elastic scheduler recovers from
-// all of them; results stay bit-identical to the no-fault run.
+// host_speed stretches each lease's measured wall time, and each
+// cwcsim::kill_spec makes its host vanish — mid-quantum, without a
+// goodbye — once its lanes have advanced `at_sim_time` simulated seconds
+// in total. The elastic scheduler recovers from all of them; results stay
+// bit-identical to the no-fault run.
 //
 // The model itself crosses the wire ONCE per run: the master encodes the
 // model description into a versioned frame (dist/model_codec.hpp) and
@@ -39,18 +56,21 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <deque>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/analysis_stage.hpp"
 #include "core/backend.hpp"
-#include "core/quantum.hpp"
+#include "core/lane_executor.hpp"
+#include "core/quantum_ledger.hpp"
+#include "dist/lane_blocks.hpp"
 #include "dist/model_codec.hpp"
 #include "dist/net_channel.hpp"
 #include "dist/wire.hpp"
@@ -64,8 +84,8 @@ namespace {
 using steady_clock = std::chrono::steady_clock;
 
 // ---- elastic-scheduling timeouts (wall clock) ---------------------------
-/// An in-flight trajectory with no accepted checkpoint for this long is
-/// re-queued for re-issue (straggler, dead host or lost frame).
+/// A worker's oldest lease with no accepted progress for this long is
+/// re-issued (straggler, dead host or lost frame).
 constexpr double reissue_after_s = 0.25;
 /// Master recv_for() slice between deadline scans.
 constexpr double master_tick_s = 0.02;
@@ -73,15 +93,40 @@ constexpr double master_tick_s = 0.02;
 /// (self-heals a lost request or grant).
 constexpr double worker_retry_s = 0.05;
 
-/// One simulated host's identity and fault/heterogeneity state, shared by
-/// its worker threads.
+/// One simulated host's identity, fault/heterogeneity state and resident
+/// blocks, shared by its worker threads.
 struct host_state {
   unsigned id = 0;
-  double speed = 1.0;  ///< relative speed; 0.25 = every quantum takes 4x
+  double speed = 1.0;  ///< relative speed; 0.25 = every lease takes 4x
   double kill_at = std::numeric_limits<double>::infinity();
   std::atomic<bool> dead{false};
-  std::mutex mu;           ///< guards sim_executed
-  double sim_executed = 0.0;  ///< simulated seconds advanced by this host
+  std::mutex mu;              ///< guards sim_executed and blocks
+  double sim_executed = 0.0;  ///< simulated seconds its lanes advanced
+  /// Block executors kept between leases. A worker takes a block out for
+  /// its lease and puts it back, so two workers never share one; the
+  /// master's block_release drops a block that moved to another host.
+  std::unordered_map<std::uint64_t, std::unique_ptr<cwcsim::lane_executor>>
+      blocks;
+
+  std::unique_ptr<cwcsim::lane_executor> take(std::uint64_t block) {
+    const std::lock_guard<std::mutex> lk(mu);
+    const auto it = blocks.find(block);
+    if (it == blocks.end()) return nullptr;
+    auto ex = std::move(it->second);
+    blocks.erase(it);
+    return ex;
+  }
+
+  void keep(std::uint64_t block, std::unique_ptr<cwcsim::lane_executor> ex) {
+    const std::lock_guard<std::mutex> lk(mu);
+    blocks[block] = std::move(ex);
+  }
+
+  /// Drop a block that moved to another host.
+  void release(std::uint64_t block) {
+    const std::lock_guard<std::mutex> lk(mu);
+    blocks.erase(block);
+  }
 };
 
 /// Run-wide shared state of the virtual cluster.
@@ -105,8 +150,8 @@ bool has_error(cluster_ctx& cx) {
   return static_cast<bool>(cx.error);
 }
 
-/// Model a slower core: the quantum's measured wall time is stretched to
-/// wall/speed by sleeping the difference.
+/// Model a slower core: the measured wall time is stretched to wall/speed
+/// by sleeping the difference.
 void throttle(const host_state& host, std::uint64_t wall_ns) {
   if (host.speed >= 1.0 || wall_ns == 0) return;
   const double extra = static_cast<double>(wall_ns) * (1.0 / host.speed - 1.0);
@@ -129,91 +174,111 @@ bool note_sim_time(host_state& host, double sim_adv) {
   return false;
 }
 
-/// Execute one grant: deterministically resume `trajectory_id` at the
-/// acked checkpoint (replaying the already-ingested quanta locally without
-/// emitting — engines are pure functions of (seed, id), so the replay is
-/// bit-identical to the original execution), then advance quantum by
-/// quantum, shipping each one to the master as an atomic quantum_result
-/// checkpoint frame.
-void run_granted(cluster_ctx& cx, host_state& host,
-                 const std::shared_ptr<const cwc::compiled_model>& cm,
-                 const work_grant& g) {
+/// Run one round of a block on this host: throttled to the host's speed
+/// and charged to its kill clock. False when the host died in it.
+bool run_round(host_state& host, cwcsim::lane_executor& ex,
+               const cwcsim::lane_executor::samples_fn& on_samples) {
+  util::stopwatch sw;
+  const double adv =
+      ex.round(on_samples, [](std::uint32_t, const cwcsim::task_done&) {});
+  throttle(host, sw.elapsed_ns());
+  return !note_sim_time(host, adv);
+}
+
+/// Execute one lease: bring the block to the granted checkpoint — it is
+/// resident there already unless it changed host, in which case its acked
+/// quanta are replayed locally without emitting (bit-identical to the
+/// original execution) — then run that quantum and ship every live lane's
+/// share of it as one block_result checkpoint frame.
+void run_lease(cluster_ctx& cx, host_state& host,
+               const std::shared_ptr<const cwc::compiled_model>& cm,
+               const work_grant& g) {
   const cwcsim::sim_config& cfg = *cx.cfg;
-  const std::uint64_t t = g.trajectory_id;
-  cwcsim::any_engine engine(cm, cfg.seed, t);
-  std::uint64_t q = 0;
+  auto ex = host.take(g.block);
+  if (ex == nullptr || ex->rounds() > g.quantum) {
+    std::vector<cwcsim::lane_executor::lane> lanes;
+    lanes.reserve(g.lanes);
+    for (std::uint64_t i = 0; i < g.lanes; ++i)
+      lanes.push_back({g.first_trajectory + i, 0});
+    ex = std::make_unique<cwcsim::lane_executor>(
+        cwcsim::lane_executor::cell_list{cm}, cfg, std::move(lanes),
+        static_cast<std::size_t>(g.lanes), 1);
+  }
 
   // ---- silent replay to the checkpoint ----------------------------------
-  for (; q < g.resume_quantum; ++q) {
+  while (ex->rounds() < g.quantum) {
     if (cx.run_over.load(std::memory_order_relaxed) ||
         cx.sink->stop_requested())
       return;
-    const double before = engine.time();
-    auto out = cwcsim::advance_one_quantum(engine, cfg, t, q);
-    throttle(host, out.record.wall_ns);
-    if (note_sim_time(host, engine.time() - before)) return;
-    if (out.finished) return;  // stale grant past completion: nothing to add
+    if (!run_round(host, *ex, [](const auto&) {})) return;
+    if (ex->live() == 0) return;  // stale grant past completion
   }
 
-  // ---- live stretch: emit from the checkpoint onward --------------------
-  while (!cx.run_over.load(std::memory_order_relaxed) &&
-         !cx.sink->stop_requested()) {
-    const double before = engine.time();
-    auto out = cwcsim::advance_one_quantum(engine, cfg, t, q);
-    throttle(host, out.record.wall_ns);
-    // A killed host vanishes BEFORE sending: the in-flight quantum is lost
-    // and the master recovers it by deadline-driven re-issue.
-    if (note_sim_time(host, engine.time() - before)) return;
-
-    quantum_result qr;
-    qr.host = host.id;
-    qr.trajectory_id = t;
-    qr.quantum_index = q;
-    qr.time = engine.time();
-    qr.steps = engine.steps();
-    qr.finished = out.finished;
-    qr.samples = std::move(out.batch.samples);
-    archive_writer w;
-    w.put(wire_tag::quantum_result);
-    write_quantum_result(w, qr);
-    cx.ingress->send(w.take());
-
-    if (out.finished) return;
-    ++q;
-  }
+  // ---- the leased quantum, streamed into one frame ------------------------
+  archive_writer w;
+  w.put(wire_tag::block_result);
+  begin_block_result(w, host.id, g.block, g.quantum, ex->live());
+  // A killed host vanishes BEFORE sending: the in-flight quantum is lost
+  // and the master recovers it by deadline-driven re-issue.
+  if (!run_round(host, *ex,
+                 [&](const cwcsim::lane_executor::lane_quantum& l) {
+                   put_lane_result(w, l.id.trajectory_id, l.time,
+                                   l.total_steps, l.time >= cfg.t_end,
+                                   l.samples);
+                 }))
+    return;
+  // Parked before the frame leaves: a block_release the master sends in
+  // answer always finds it.
+  if (ex->live() > 0) host.keep(g.block, std::move(ex));
+  cx.ingress->send(w.take());
 }
 
-/// One elastic worker thread: pull a grant, execute it, repeat. Liveness
-/// never depends on the master answering a specific request — lost
-/// requests/grants are re-sent after worker_retry_s, and the master's
-/// exactly-once accounting absorbs the resulting duplicates.
+/// One elastic worker thread: pull a lease, ask for the next one, run the
+/// first, repeat. Liveness never depends on the master answering a
+/// specific request — lost requests/grants are re-sent after
+/// worker_retry_s, and the master's exactly-once accounting absorbs the
+/// resulting duplicates.
 void elastic_worker(cluster_ctx& cx, host_state& host, unsigned worker_idx,
                     const std::shared_ptr<const cwc::compiled_model>& cm,
                     net_channel& ctrl) {
   writer_guard guard(*cx.ingress);
+  const auto ask = [&] {
+    archive_writer w;
+    w.put(wire_tag::work_request);
+    write_work_request(w, {host.id, worker_idx});
+    cx.ingress->send(w.take());
+  };
   try {
+    bool asked = false;
     while (!cx.run_over.load(std::memory_order_relaxed) &&
            !host.dead.load(std::memory_order_relaxed) &&
            !cx.sink->stop_requested()) {
-      {
-        archive_writer w;
-        w.put(wire_tag::work_request);
-        write_work_request(w, {host.id, worker_idx});
-        cx.ingress->send(w.take());
-      }
+      if (!asked) ask();
+      asked = true;
       const auto msg = ctrl.recv_for(worker_retry_s);
       if (!msg) {
         if (ctrl.drained()) break;  // master closed the control channel
-        continue;                   // request or grant lost: re-send
+        asked = false;              // request or grant lost: re-send
+        continue;
       }
       archive_reader r(*msg);
       const auto tag = r.get<wire_tag>();
       if (tag == wire_tag::shutdown) break;
+      if (tag == wire_tag::block_release) {
+        host.release(r.get<std::uint64_t>());
+        continue;  // still waiting for the asked-for grant
+      }
       util::ensures(tag == wire_tag::work_grant, "unexpected control frame");
-      run_granted(cx, host, cm, read_work_grant(r));
+      const work_grant g = read_work_grant(r);
+      ask();  // the next lease's grant travels while this one runs
+      run_lease(cx, host, cm, g);
     }
   } catch (...) {
     record_error(cx);
+  }
+  if (host.dead.load(std::memory_order_relaxed)) {
+    const std::lock_guard<std::mutex> lk(host.mu);
+    host.blocks.clear();  // a dead host's memory is gone with it
   }
   cx.live_workers.fetch_sub(1, std::memory_order_relaxed);
   // guard closes the ingress writer on all paths; the master's liveness
@@ -269,11 +334,11 @@ void distributed_driver::run(cwcsim::event_sink& sink,
     }
   }
 
-  // ---- channels: MPSC ingress (hosts -> master), per-host control -------
+  // ---- channels: MPSC ingress (hosts -> master), per-worker control -----
   net_channel ingress(cluster_.network);
   std::vector<std::unique_ptr<net_channel>> ctrl;
-  ctrl.reserve(H);
-  for (unsigned h = 0; h < H; ++h) {
+  ctrl.reserve(static_cast<std::size_t>(H) * W);
+  for (std::size_t k = 0; k < static_cast<std::size_t>(H) * W; ++k) {
     ctrl.push_back(std::make_unique<net_channel>(cluster_.network));
     ctrl.back()->add_writer();  // the master is the only control writer
   }
@@ -318,35 +383,28 @@ void distributed_driver::run(cwcsim::event_sink& sink,
       std::vector<std::thread> workers;
       workers.reserve(W);
       for (unsigned w = 0; w < W; ++w)
-        workers.emplace_back([&cx, &hosts, &ctrl, host_cm, h, w] {
-          elastic_worker(cx, *hosts[h], w, host_cm, *ctrl[h]);
+        workers.emplace_back([&cx, &hosts, &ctrl, host_cm, h, w, W] {
+          elastic_worker(cx, *hosts[h], w, host_cm,
+                         *ctrl[static_cast<std::size_t>(h) * W + w]);
         });
       for (auto& t : workers) t.join();
     });
   }
 
-  // ---- master scheduler state -------------------------------------------
-  struct traj_state {
-    std::uint64_t acked = 0;  ///< next expected quantum (checkpoint)
-    bool done = false;
-    bool queued = true;  ///< sitting in the work queue
-    unsigned grants = 0;
-    std::uint32_t owner = 0xFFFFFFFFu;  ///< host of the latest grant
-    steady_clock::time_point last{};    ///< last grant or accepted progress
-  };
-  std::vector<traj_state> st(N);
-  std::deque<std::uint64_t> queue;
-  for (std::uint64_t t = 0; t < N; ++t) queue.push_back(t);
-  std::deque<work_request> waiting;  ///< idle workers, FIFO
-  std::vector<char> pending(static_cast<std::size_t>(H) * W, 0);
-
-  std::uint64_t done_count = 0;
-  std::uint64_t grants_issued = 0, reissued = 0, duplicates = 0;
+  // ---- master scheduler state: the lane blocks and their ledger ---------
+  const std::vector<lane_block> blocks = plan_blocks(N, H, W);
+  std::vector<std::uint32_t> home;
+  home.reserve(blocks.size());
+  for (const auto& b : blocks) home.push_back(b.home);
+  cwcsim::quantum_ledger ledger(
+      std::move(home), H, W,
+      static_cast<std::uint64_t>(std::ceil(cfg_.t_end / cfg_.quantum)),
+      std::chrono::duration_cast<steady_clock::duration>(
+          std::chrono::duration<double>(reissue_after_s)),
+      steady_clock::now());
+  std::vector<char> finished(N, 0);  ///< per trajectory: completion reported
   std::vector<std::uint64_t> host_quanta(H, 0);
   bool cluster_dead = false;
-
-  const auto reissue_after = std::chrono::duration_cast<steady_clock::duration>(
-      std::chrono::duration<double>(reissue_after_s));
 
   report.result.sim_workers = H * W;
   report.result.stat_engines = cfg_.stat_engines;
@@ -357,49 +415,56 @@ void distributed_driver::run(cwcsim::event_sink& sink,
   cwcsim::analysis_stage analysis(cfg_, model_.num_observables(), sink,
                                   cfg_.stat_engines);
 
-  auto serve = [&](steady_clock::time_point now) {
-    while (!waiting.empty() && !queue.empty()) {
-      const std::uint64_t t = queue.front();
-      queue.pop_front();
-      auto& s = st[t];
-      s.queued = false;
-      if (s.done) continue;  // finished while waiting for re-issue
-      // Prefer a host that is NOT the current owner: re-issued work should
-      // land somewhere the straggler is not.
-      std::size_t pick = 0;
-      for (std::size_t i = 0; i < waiting.size(); ++i)
-        if (waiting[i].host != s.owner) {
-          pick = i;
-          break;
-        }
-      const work_request rq = waiting[pick];
-      waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(pick));
-      pending[static_cast<std::size_t>(rq.host) * W + rq.worker] = 0;
+  // A host that may still hold a block that moved away drops it (worker 0
+  // reads the host's control frames between leases). A lost release only
+  // leaves a stale copy resident.
+  auto release = [&](std::uint32_t host, std::uint64_t block) {
+    archive_writer w;
+    w.put(wire_tag::block_release);
+    w.put<std::uint64_t>(block);
+    ctrl[static_cast<std::size_t>(host) * W]->send(w.take());
+  };
 
-      archive_writer w;
-      w.put(wire_tag::work_grant);
-      write_work_grant(w, work_grant{t, s.acked});
-      ctrl[rq.host]->send(w.take());
-      ++grants_issued;
-      ++s.grants;
-      s.owner = rq.host;
-      s.last = now;
-      if (s.grants > 1) {
-        ++reissued;
-        sink.quantum_reissued(t, s.acked);
-      }
+  // Accept one block frame exactly once: its samples go to the alignment,
+  // its finished lanes become completions.
+  auto ingest = [&](const block_result& b, steady_clock::time_point now) {
+    util::ensures(b.block < blocks.size() && b.host < H && !b.lanes.empty(),
+                  "block result for an unknown block/host");
+    const lane_block& blk = blocks[b.block];
+    for (const auto& l : b.lanes)
+      util::ensures(l.trajectory_id - blk.first < blk.lanes,
+                    "block result for a lane outside its block");
+    const auto unit = static_cast<std::uint32_t>(b.block);
+    const bool fresh =
+        ledger.accept(unit, b.quantum_index, b.host, b.finished(), now);
+    // A late frame from a host the block has since moved away from: that
+    // host parked its copy before sending.
+    const std::uint32_t at = ledger.resident(unit);
+    if (at != b.host && at != cwcsim::quantum_ledger::no_host)
+      release(b.host, b.block);
+    if (!fresh) return;  // late duplicate or gap frame: exactly-once
+    for (const auto& l : b.lanes)
+      for (const auto& smp : l.samples) analysis.ingest(l.trajectory_id, smp);
+    host_quanta[b.host] += b.lanes.size();
+    for (const auto& l : b.lanes) {
+      if (!l.finished) continue;
+      finished[l.trajectory_id] = 1;
+      const cwcsim::task_done d{l.trajectory_id, b.quantum_index + 1, l.steps};
+      report.result.completions.push_back(d);
+      sink.trajectory_done(d);
     }
   };
 
-  auto scan_deadlines = [&](steady_clock::time_point now) {
-    for (std::uint64_t t = 0; t < N; ++t) {
-      auto& s = st[t];
-      if (s.done || s.queued || s.grants == 0) continue;
-      if (now - s.last > reissue_after) {
-        queue.push_back(t);
-        s.queued = true;
-      }
-    }
+  auto grant = [&](const cwcsim::quantum_ledger::lease& l) {
+    const lane_block& blk = blocks[l.unit];
+    archive_writer w;
+    w.put(wire_tag::work_grant);
+    write_work_grant(w, work_grant{l.unit, blk.first, blk.lanes, l.quantum});
+    ctrl[static_cast<std::size_t>(l.host) * W + l.worker]->send(w.take());
+    if (l.from != cwcsim::quantum_ledger::no_host) release(l.from, l.unit);
+    if (l.reissue)
+      for (std::uint64_t t = blk.first; t < blk.first + blk.lanes; ++t)
+        if (finished[t] == 0) sink.quantum_reissued(t, l.quantum);
   };
 
   // ---- master: schedule + align; the statistics run beside it -----------
@@ -415,7 +480,7 @@ void distributed_driver::run(cwcsim::event_sink& sink,
   };
 
   try {
-    while (done_count < N) {
+    while (!ledger.all_done()) {
       if (sink.stop_requested() || has_error(cx)) break;
       if (cx.live_workers.load(std::memory_order_relaxed) == 0) {
         cluster_dead = true;
@@ -430,45 +495,18 @@ void distributed_driver::run(cwcsim::event_sink& sink,
             const auto rq = read_work_request(r);
             util::ensures(rq.host < H && rq.worker < W,
                           "work request from an unknown worker");
-            char& p = pending[static_cast<std::size_t>(rq.host) * W + rq.worker];
-            if (!p) {
-              p = 1;
-              waiting.push_back(rq);
-            }
+            ledger.request(rq.host, rq.worker);
             break;
           }
-          case wire_tag::quantum_result: {
-            const auto qr = read_quantum_result(r);
-            util::ensures(qr.trajectory_id < N && qr.host < H,
-                          "quantum result for an unknown trajectory/host");
-            auto& s = st[qr.trajectory_id];
-            if (s.done || qr.quantum_index != s.acked) {
-              // Late duplicate from a superseded execution, or a gap frame
-              // after a loss: accounting stays exactly-once.
-              ++duplicates;
-              break;
-            }
-            for (const auto& smp : qr.samples)
-              analysis.ingest(qr.trajectory_id, smp);
-            ++s.acked;
-            s.last = now;
-            ++host_quanta[qr.host];
-            if (qr.finished) {
-              s.done = true;
-              ++done_count;
-              const cwcsim::task_done d{qr.trajectory_id,
-                                        qr.quantum_index + 1, qr.steps};
-              report.result.completions.push_back(d);
-              sink.trajectory_done(d);
-            }
+          case wire_tag::block_result:
+            ingest(read_block_result(r), now);
             break;
-          }
           default:
             util::ensures(false, "unknown wire tag");
         }
       }
-      scan_deadlines(now);
-      serve(now);
+      ledger.expire(now);
+      for (const auto& l : ledger.serve(now)) grant(l);
     }
   } catch (...) {
     // Unwinding past joinable threads would std::terminate; shut the
@@ -497,9 +535,9 @@ void distributed_driver::run(cwcsim::event_sink& sink,
   report.network->bytes = static_cast<double>(ingress.bytes_sent());
   report.network->model_bytes =
       ship ? static_cast<double>(model_frame.size()) * H : 0.0;
-  report.network->grants = grants_issued;
-  report.network->reissued = reissued;
-  report.network->duplicate_quanta = duplicates;
+  report.network->grants = ledger.grants();
+  report.network->reissued = ledger.reissued();
+  report.network->duplicate_quanta = ledger.duplicates();
   std::uint64_t dropped = ingress.messages_dropped();
   for (const auto& c : ctrl) dropped += c->messages_dropped();
   report.network->messages_dropped = dropped;

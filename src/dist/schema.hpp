@@ -3,7 +3,7 @@
 //
 // Before this header existed, the schema version byte lived in
 // archive.hpp and each frame family (the compiled-model frame of
-// model_codec, the quantum_result checkpoint frame of the elastic
+// model_codec, the block_result checkpoint frame of the elastic
 // scheduler, the svc session frames of the run server) implicitly reused
 // it. Centralizing the constants here makes the coupling explicit: a
 // layout change in ANY framed message bumps wire_schema_version below,
@@ -29,7 +29,10 @@ namespace dist {
 /// cumulative acks, heartbeat/retry_after, resume fields in open.
 /// v4: quantum_result frames lose the optional trace record, and the
 /// sim_config codec its dispatch, worker-queue and trace fields.
-inline constexpr std::uint8_t wire_schema_version = 4;
+/// v5: the elastic scheduler leases lane blocks: grants name a block and
+/// its lanes, and one block_result frame carries every live lane of a
+/// (block, quantum).
+inline constexpr std::uint8_t wire_schema_version = 5;
 
 /// Framed-archive header version (put_schema_header/check_schema_header).
 inline constexpr std::uint8_t archive_schema_version = wire_schema_version;
@@ -39,8 +42,9 @@ inline constexpr std::uint8_t archive_schema_version = wire_schema_version;
 /// service open request.
 inline constexpr std::uint8_t model_frame_version = wire_schema_version;
 
-/// Elastic-scheduler checkpoint frames (dist::quantum_result).
-inline constexpr std::uint8_t quantum_result_version = wire_schema_version;
+/// Elastic-scheduler checkpoint frames (dist::block_result, and the
+/// single-lane dist::quantum_result).
+inline constexpr std::uint8_t checkpoint_frame_version = wire_schema_version;
 
 /// Multi-tenant run-server session frames (svc/proto.hpp).
 inline constexpr std::uint8_t svc_frame_version = wire_schema_version;

@@ -1,14 +1,20 @@
 #include "dist/wire.hpp"
 
+#include <algorithm>
+
 namespace dist {
 
 namespace {
 
 // Smallest encodings of the repeated records below, for archive_reader::
 // get_count: a sample is its time plus a length-prefixed value vector; a
+// lane record of a block frame is its fixed fields and a sample count; a
 // cut summary is its fixed fields plus five counts/length prefixes (its
 // moments, medians, centroids, assignment and sizes) when all are empty.
 constexpr std::size_t kSampleMinBytes = sizeof(double) + sizeof(std::uint64_t);
+/// A lane record: id, time, steps, finished flag and its sample count.
+constexpr std::size_t kLaneMinBytes =
+    3 * sizeof(std::uint64_t) + sizeof(std::uint8_t) + sizeof(double);
 constexpr std::size_t kCutMinBytes =
     sizeof(std::uint64_t) + sizeof(double) + 5 * sizeof(std::uint64_t) +
     sizeof(double) + sizeof(std::uint32_t);
@@ -42,38 +48,38 @@ work_request read_work_request(archive_reader& r) {
 }
 
 void write_work_grant(archive_writer& w, const work_grant& g) {
-  w.put<std::uint64_t>(g.trajectory_id);
-  w.put<std::uint64_t>(g.resume_quantum);
+  w.put<std::uint64_t>(g.block);
+  w.put<std::uint64_t>(g.first_trajectory);
+  w.put<std::uint64_t>(g.lanes);
+  w.put<std::uint64_t>(g.quantum);
 }
 
 work_grant read_work_grant(archive_reader& r) {
   work_grant g;
-  g.trajectory_id = r.get<std::uint64_t>();
-  g.resume_quantum = r.get<std::uint64_t>();
+  g.block = r.get<std::uint64_t>();
+  g.first_trajectory = r.get<std::uint64_t>();
+  g.lanes = r.get<std::uint64_t>();
+  g.quantum = r.get<std::uint64_t>();
   return g;
 }
 
-void write_quantum_result(archive_writer& w, const quantum_result& q) {
-  put_schema_header(w);
-  w.put<std::uint32_t>(q.host);
-  w.put<std::uint64_t>(q.trajectory_id);
-  w.put<std::uint64_t>(q.quantum_index);
-  w.put<double>(q.time);
-  w.put<std::uint64_t>(q.steps);
-  w.put<std::uint8_t>(q.finished ? 1 : 0);
-  w.put<std::uint64_t>(q.samples.size());
-  for (const auto& s : q.samples) {
+namespace {
+
+/// What every lane record ends with: where the lane stands and its samples.
+void put_lane_tail(archive_writer& w, double time, std::uint64_t steps,
+                   bool finished,
+                   std::span<const cwc::trajectory_sample> samples) {
+  w.put<double>(time);
+  w.put<std::uint64_t>(steps);
+  w.put<std::uint8_t>(finished ? 1 : 0);
+  w.put<std::uint64_t>(samples.size());
+  for (const auto& s : samples) {
     w.put<double>(s.time);
     w.put_vector<double>(s.values);
   }
 }
 
-quantum_result read_quantum_result(archive_reader& r) {
-  check_schema_header(r);
-  quantum_result q;
-  q.host = r.get<std::uint32_t>();
-  q.trajectory_id = r.get<std::uint64_t>();
-  q.quantum_index = r.get<std::uint64_t>();
+void read_lane_tail(archive_reader& r, quantum_result& q) {
   q.time = r.get<double>();
   q.steps = r.get<std::uint64_t>();
   q.finished = r.get<std::uint8_t>() != 0;
@@ -85,7 +91,65 @@ quantum_result read_quantum_result(archive_reader& r) {
     s.values = r.get_vector<double>();
     q.samples.push_back(std::move(s));
   }
+}
+
+}  // namespace
+
+void put_lane_result(archive_writer& w, std::uint64_t trajectory_id,
+                     double time, std::uint64_t steps, bool finished,
+                     std::span<const cwc::trajectory_sample> samples) {
+  w.put<std::uint64_t>(trajectory_id);
+  put_lane_tail(w, time, steps, finished, samples);
+}
+
+void write_quantum_result(archive_writer& w, const quantum_result& q) {
+  put_schema_header(w);
+  w.put<std::uint32_t>(q.host);
+  w.put<std::uint64_t>(q.trajectory_id);
+  w.put<std::uint64_t>(q.quantum_index);
+  put_lane_tail(w, q.time, q.steps, q.finished, q.samples);
+}
+
+quantum_result read_quantum_result(archive_reader& r) {
+  check_schema_header(r);
+  quantum_result q;
+  q.host = r.get<std::uint32_t>();
+  q.trajectory_id = r.get<std::uint64_t>();
+  q.quantum_index = r.get<std::uint64_t>();
+  read_lane_tail(r, q);
   return q;
+}
+
+bool block_result::finished() const {
+  return std::all_of(lanes.begin(), lanes.end(),
+                     [](const quantum_result& q) { return q.finished; });
+}
+
+void begin_block_result(archive_writer& w, std::uint32_t host,
+                        std::uint64_t block, std::uint64_t quantum_index,
+                        std::uint64_t lanes) {
+  put_schema_header(w);
+  w.put<std::uint32_t>(host);
+  w.put<std::uint64_t>(block);
+  w.put<std::uint64_t>(quantum_index);
+  w.put<std::uint64_t>(lanes);
+}
+
+block_result read_block_result(archive_reader& r) {
+  check_schema_header(r);
+  block_result b;
+  b.host = r.get<std::uint32_t>();
+  b.block = r.get<std::uint64_t>();
+  b.quantum_index = r.get<std::uint64_t>();
+  const std::size_t n = r.get_count(kLaneMinBytes);
+  b.lanes.resize(n);
+  for (auto& q : b.lanes) {
+    q.host = b.host;
+    q.quantum_index = b.quantum_index;
+    q.trajectory_id = r.get<std::uint64_t>();
+    read_lane_tail(r, q);
+  }
+  return b;
 }
 
 void write_window_summary(archive_writer& w, const cwcsim::window_summary& s) {

@@ -1,11 +1,14 @@
 // Wire codecs for the pipeline messages that cross host boundaries in the
 // distributed deployment — the elastic-scheduling control plane (work
-// requests/grants pulled by hosts at their observed throughput) and the
-// per-quantum checkpoint frames (quantum_result) that carry samples to the
-// master's alignment stage and make re-issue after a host failure cost
-// only the in-flight quantum — plus the completion, window-summary and
-// configuration codecs the run-server protocol (svc/proto.hpp) reuses.
+// requests, and lane-block leases granted by the master's quantum ledger)
+// and the per-(block, quantum) checkpoint frames (block_result) that carry
+// samples to the master's alignment stage and make re-issue after a host
+// failure cost only the in-flight quantum — plus the completion,
+// window-summary and configuration codecs the run-server protocol
+// (svc/proto.hpp) reuses.
 #pragma once
+
+#include <span>
 
 #include "core/config.hpp"
 #include "core/messages.hpp"
@@ -17,39 +20,39 @@ namespace dist {
 /// channel can carry heterogeneous traffic. The byte values are wire
 /// format: 1-3 are retired and stay unused.
 enum class wire_tag : std::uint8_t {
-  work_request = 4,    ///< host -> master: an idle worker pulls work
-  work_grant = 5,      ///< master -> host: run one trajectory's quanta
-  quantum_result = 6,  ///< host -> master: one quantum + its checkpoint
-  shutdown = 7,        ///< master -> host: campaign over, drain and exit
+  work_request = 4,   ///< host -> master: a worker asks for its next lease
+  work_grant = 5,     ///< master -> host: run one quantum of one lane block
+  block_result = 6,   ///< host -> master: that quantum + the block's checkpoint
+  shutdown = 7,       ///< master -> host: campaign over, drain and exit
+  block_release = 8,  ///< master -> host: drop block <u64>, it moved away
 };
 
-/// Host -> master: worker (`host`, `worker`) is idle and pulls the next
-/// grant. At-least-once: a worker whose grant was lost re-sends after a
-/// bounded wait, and the master's exactly-once accounting absorbs any
-/// duplicate grants that result.
+/// Host -> master: worker (`host`, `worker`) asks for a lease. A worker
+/// asks for the next lease as it starts the current one (the farm's
+/// two-slot queue), and re-asks after a bounded wait when idle; the
+/// master absorbs repeats while a request waits.
 struct work_request {
   std::uint32_t host = 0;
   std::uint32_t worker = 0;
 };
 
-/// Master -> host: advance `trajectory_id`, resuming at quantum
-/// `resume_quantum` (0 = fresh trajectory). Because every engine is a pure
-/// function of (seed, trajectory_id), ANY host resumes deterministically:
-/// it replays quanta [0, resume_quantum) locally without emitting, then
-/// streams results from the checkpoint onward.
+/// Master -> host: run quantum `quantum` of lane block `block`, the
+/// trajectories [first_trajectory, first_trajectory + lanes). `quantum` is
+/// the block's checkpoint. Every engine is a pure function of
+/// (seed, trajectory_id), so ANY host resumes the block deterministically:
+/// a host that does not hold the block at `quantum` replays quanta
+/// [0, quantum) locally without emitting, then runs this one.
 struct work_grant {
-  std::uint64_t trajectory_id = 0;
-  std::uint64_t resume_quantum = 0;
+  std::uint64_t block = 0;
+  std::uint64_t first_trajectory = 0;
+  std::uint64_t lanes = 0;
+  std::uint64_t quantum = 0;
 };
 
-/// Host -> master: one executed quantum — samples AND the per-trajectory
-/// progress checkpoint in one atomic frame (schema-versioned). Coupling
-/// them means a lost/dropped message loses the whole quantum: the master
-/// can never ingest samples without advancing the checkpoint, nor advance
-/// the checkpoint past samples it never saw. The master accepts a frame
-/// only when `quantum_index` equals the trajectory's acked high-water
-/// mark, which makes accounting exactly-once under re-issue, duplication,
-/// and loss.
+/// One lane's share of one quantum: its samples and where the lane stands.
+/// A block_result carries one per live lane. The stand-alone codec below
+/// frames a single lane; no run sends it, and perfbench's dist codec span
+/// still times it.
 struct quantum_result {
   std::uint32_t host = 0;           ///< executing host (per-host stats)
   std::uint64_t trajectory_id = 0;
@@ -58,6 +61,25 @@ struct quantum_result {
   std::uint64_t steps = 0;          ///< cumulative SSA steps
   bool finished = false;            ///< trajectory reached t_end
   std::vector<cwc::trajectory_sample> samples;
+};
+
+/// Host -> master: one executed quantum of one lane block — every lane
+/// that was live in it, in lane order — AND the block's checkpoint, in
+/// one atomic schema-versioned frame. Coupling them means a lost frame
+/// loses the whole quantum: the master can never ingest samples without
+/// advancing the checkpoint, nor advance it past samples it never saw. The
+/// master accepts a frame only when `quantum_index` equals the block's
+/// checkpoint, which makes accounting exactly-once under re-issue,
+/// duplication and loss.
+struct block_result {
+  std::uint32_t host = 0;
+  std::uint64_t block = 0;
+  std::uint64_t quantum_index = 0;
+  /// Lane records; each carries the frame's host and quantum_index.
+  std::vector<quantum_result> lanes;
+
+  /// Every lane that was live reached t_end: the block is done.
+  bool finished() const;
 };
 
 // Streaming forms: append to / read from an open archive, so callers can
@@ -69,11 +91,21 @@ void write_work_request(archive_writer& w, const work_request& rq);
 work_request read_work_request(archive_reader& r);
 void write_work_grant(archive_writer& w, const work_grant& g);
 work_grant read_work_grant(archive_reader& r);
-/// quantum_result frames carry the archive schema header (they are the
-/// checkpoint format a resuming master must be able to trust); read_
-/// throws schema_mismatch_error on a frame from a foreign build.
+/// Checkpoint frames carry the archive schema header (they are the format
+/// a resuming master must be able to trust); the readers throw
+/// schema_mismatch_error on a frame from a foreign build.
 void write_quantum_result(archive_writer& w, const quantum_result& q);
 quantum_result read_quantum_result(archive_reader& r);
+block_result read_block_result(archive_reader& r);
+/// The block frame written lane by lane, straight from an executor's
+/// round: begin with the number of live lanes, then one put_lane_result
+/// per lane, in lane order.
+void begin_block_result(archive_writer& w, std::uint32_t host,
+                        std::uint64_t block, std::uint64_t quantum_index,
+                        std::uint64_t lanes);
+void put_lane_result(archive_writer& w, std::uint64_t trajectory_id,
+                     double time, std::uint64_t steps, bool finished,
+                     std::span<const cwc::trajectory_sample> samples);
 
 // Analysis-result and configuration codecs, used by the run-server layer
 // (svc/proto.hpp) to stream per-tenant windows back to clients and to

@@ -338,10 +338,17 @@ struct run_server::impl {
       }
       case svc_tag::close: {
         const std::uint64_t id = read_conn_id(r);
-        const std::lock_guard<std::mutex> lk(sched_mu_);
-        auto it = sessions_.find(id);
-        if (it != sessions_.end())
-          begin_teardown_locked(*it->second, end_kind::closed, {});
+        {
+          const std::lock_guard<std::mutex> lk(sched_mu_);
+          auto it = sessions_.find(id);
+          if (it != sessions_.end())
+            begin_teardown_locked(*it->second, end_kind::closed, {});
+        }
+        // The close is the connection's last uplink frame: no open can
+        // name it again, and a session still using its downlink holds its
+        // own reference until it retires.
+        const std::lock_guard<std::mutex> lk(conn_mu_);
+        downlinks_.erase(id);
         break;
       }
       default:
@@ -1066,11 +1073,21 @@ std::uint64_t run_server::register_local_model(
   return token;
 }
 
+void run_server::release_local_model(std::uint64_t token) {
+  const std::lock_guard<std::mutex> lk(impl_->conn_mu_);
+  impl_->local_models_.erase(token);
+}
+
 server_stats run_server::stats() const {
   server_stats out;
   {
     const std::lock_guard<std::mutex> lk(impl_->sched_mu_);
     out = impl_->stats_;
+  }
+  {
+    const std::lock_guard<std::mutex> lk(impl_->conn_mu_);
+    out.connections = impl_->downlinks_.size();
+    out.local_models = impl_->local_models_.size();
   }
   out.cache = impl_->cache_.stats();
   return out;

@@ -134,6 +134,10 @@ struct server_stats {
   /// Quanta silently re-run to rebuild an engine from its checkpoint
   /// (recovery replay; not counted in quanta_executed).
   std::uint64_t quanta_replayed = 0;
+  /// Registered connections: connected and not yet closed by the client.
+  std::uint64_t connections = 0;
+  /// Local models registered and not yet released.
+  std::uint64_t local_models = 0;
   cache_stats cache;
 };
 
@@ -209,8 +213,13 @@ class run_server {
   /// In-process fallback for models that cannot cross the wire (custom
   /// rate laws): register the artifact, reference it from the open
   /// request via open_request::local_model. Bypasses the model cache.
+  /// The registration lasts until release_local_model(): a client may
+  /// re-open with the same token after its first session retired, so only
+  /// the caller knows when no open can name it again.
   std::uint64_t register_local_model(
       std::shared_ptr<const cwc::compiled_model> cm);
+  /// Drop a registration; sessions it opened keep their own reference.
+  void release_local_model(std::uint64_t token);
 
   /// Point-in-time counters (thread-safe; exact once the server is idle).
   server_stats stats() const;

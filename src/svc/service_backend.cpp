@@ -63,6 +63,15 @@ class service_driver final : public cwcsim::backend_driver {
       // compiled the model before constructing this driver).
       rq.local_model = srv.register_local_model(model_.compiled);
     }
+    // Every open of this run, first or re-sent after a reconnect, names
+    // the token; release it once the run is over, whatever its outcome.
+    const struct local_model_release {
+      run_server& srv;
+      std::uint64_t token;
+      ~local_model_release() {
+        if (token != 0) srv.release_local_model(token);
+      }
+    } release_local{srv, rq.local_model};
 
     client_conn conn = srv.connect();
     // Session-spanning state: survives reconnects.

@@ -242,7 +242,7 @@ TEST(ArchiveSchema, RegistryIsTheSingleSourceOfVersions) {
   // an encode site), this test is the tripwire.
   EXPECT_EQ(dist::archive_schema_version, dist::wire_schema_version);
   EXPECT_EQ(dist::model_frame_version, dist::wire_schema_version);
-  EXPECT_EQ(dist::quantum_result_version, dist::wire_schema_version);
+  EXPECT_EQ(dist::checkpoint_frame_version, dist::wire_schema_version);
   EXPECT_EQ(dist::svc_frame_version, dist::wire_schema_version);
 
   // And the bytes actually emitted agree with the registry: the framed
@@ -298,7 +298,7 @@ TEST(ArchiveSchema, MismatchThrowsTypedError) {
 TEST(WireElastic, WorkRequestAndGrantRoundTrip) {
   dist::archive_writer w;
   dist::write_work_request(w, dist::work_request{3, 7});
-  dist::write_work_grant(w, dist::work_grant{123456789012ull, 42});
+  dist::write_work_grant(w, dist::work_grant{17, 123456789012ull, 32, 42});
   const auto bytes = w.take();
 
   dist::archive_reader r(bytes);
@@ -306,8 +306,10 @@ TEST(WireElastic, WorkRequestAndGrantRoundTrip) {
   EXPECT_EQ(rq.host, 3u);
   EXPECT_EQ(rq.worker, 7u);
   const auto g = dist::read_work_grant(r);
-  EXPECT_EQ(g.trajectory_id, 123456789012ull);
-  EXPECT_EQ(g.resume_quantum, 42u);
+  EXPECT_EQ(g.block, 17u);
+  EXPECT_EQ(g.first_trajectory, 123456789012ull);
+  EXPECT_EQ(g.lanes, 32u);
+  EXPECT_EQ(g.quantum, 42u);
   EXPECT_TRUE(r.exhausted());
 }
 
@@ -343,10 +345,84 @@ TEST(WireElastic, QuantumResultIsSchemaVersioned) {
   frame[0] = std::byte{0x7F};
   EXPECT_THROW(dist::decode_quantum_result(frame),
                dist::schema_mismatch_error);
-  // Nor is a frame from the previous layout, which carried a trace record.
-  frame[0] = static_cast<std::byte>(dist::quantum_result_version - 1);
+  // Nor is a frame from the previous layout.
+  frame[0] = static_cast<std::byte>(dist::checkpoint_frame_version - 1);
   EXPECT_THROW(dist::decode_quantum_result(frame),
                dist::schema_mismatch_error);
+}
+
+dist::block_result sample_block() {
+  dist::block_result b;
+  b.host = 1;
+  b.block = 5;
+  b.quantum_index = 3;
+  for (std::uint64_t t : {40u, 41u, 43u}) {
+    dist::quantum_result q;
+    q.trajectory_id = t;
+    q.time = 2.0 + static_cast<double>(t);
+    q.steps = 1000 + t;
+    q.finished = t != 41;
+    q.samples.resize(t == 43 ? 0 : 2);
+    for (auto& s : q.samples) {
+      s.time = q.time;
+      s.values = {1.5, static_cast<double>(t)};
+    }
+    b.lanes.push_back(q);
+  }
+  return b;
+}
+
+/// The frame as a host writes it: the header, then one lane at a time.
+dist::byte_buffer encode_block(const dist::block_result& b) {
+  dist::archive_writer w;
+  dist::begin_block_result(w, b.host, b.block, b.quantum_index,
+                           b.lanes.size());
+  for (const auto& q : b.lanes)
+    dist::put_lane_result(w, q.trajectory_id, q.time, q.steps, q.finished,
+                          q.samples);
+  return w.take();
+}
+
+dist::block_result decode_block(const dist::byte_buffer& frame) {
+  dist::archive_reader r(frame);
+  auto b = dist::read_block_result(r);
+  EXPECT_TRUE(r.exhausted());
+  return b;
+}
+
+TEST(WireElastic, BlockResultRoundTrip) {
+  const auto b = sample_block();
+  const auto back = decode_block(encode_block(b));
+  EXPECT_EQ(back.host, 1u);
+  EXPECT_EQ(back.block, 5u);
+  EXPECT_EQ(back.quantum_index, 3u);
+  ASSERT_EQ(back.lanes.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto& x = back.lanes[i];
+    const auto& y = b.lanes[i];
+    EXPECT_EQ(x.host, 1u);  // every lane carries the frame's host ...
+    EXPECT_EQ(x.quantum_index, 3u);  // ... and quantum
+    EXPECT_EQ(x.trajectory_id, y.trajectory_id);
+    EXPECT_EQ(x.time, y.time);
+    EXPECT_EQ(x.steps, y.steps);
+    EXPECT_EQ(x.finished, y.finished);
+    ASSERT_EQ(x.samples.size(), y.samples.size());
+    for (std::size_t k = 0; k < x.samples.size(); ++k) {
+      EXPECT_EQ(x.samples[k].time, y.samples[k].time);
+      EXPECT_EQ(x.samples[k].values, y.samples[k].values);
+    }
+  }
+  EXPECT_FALSE(back.finished());  // lane 41 is still running
+  auto done = b;
+  done.lanes.erase(done.lanes.begin() + 1);
+  EXPECT_TRUE(done.finished());
+}
+
+TEST(WireElastic, BlockResultRejectsV4Frame) {
+  auto frame = encode_block(sample_block());
+  ASSERT_EQ(static_cast<std::uint8_t>(frame[0]), dist::checkpoint_frame_version);
+  frame[0] = std::byte{4};  // the per-trajectory checkpoint layout
+  EXPECT_THROW(decode_block(frame), dist::schema_mismatch_error);
 }
 
 // A frame's element counts are untrusted: a count the rest of the frame

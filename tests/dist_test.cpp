@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -247,9 +248,9 @@ TEST(DistributedElastic, MatchesFarmExactly) {
   const auto farm = cwcsim::run(net, cfg).result;
   expect_bit_identical(er.result.windows, farm.windows);
 
-  // Elastic honesty counters: one grant per trajectory in a healthy run
-  // is the floor (duplicate requests may add more), and every accepted
-  // quantum is attributed to exactly one host.
+  // Elastic honesty counters: one grant per lease (one quantum of one
+  // lane block) in a healthy run, and every accepted quantum is
+  // attributed to exactly one host.
   ASSERT_TRUE(er.network.has_value());
   EXPECT_GE(er.network->grants, cfg.num_trajectories);
   std::uint64_t quanta = 0;
@@ -260,10 +261,28 @@ TEST(DistributedElastic, MatchesFarmExactly) {
   EXPECT_EQ(accepted, quanta);
 }
 
-/// Kill 1 of 4 hosts at {25, 50, 75}% of the first trajectory it runs,
-/// under drop_prob in {0, 0.05}: the elastic scheduler must finish with
-/// results bit-identical to the no-fault run and exactly-once completion
-/// accounting.
+/// Collects a run's windows and the quantum each re-issue resumes from.
+struct reissue_recorder final : cwcsim::event_sink {
+  std::mutex mu;
+  std::vector<cwcsim::window_summary> windows;
+  std::vector<std::uint64_t> reissued_from;
+
+  void window(cwcsim::window_summary&& w) override {
+    const std::lock_guard<std::mutex> lk(mu);
+    windows.push_back(std::move(w));
+  }
+  void trajectory_done(const cwcsim::task_done&) override {}
+  bool stop_requested() const noexcept override { return false; }
+  void quantum_reissued(std::uint64_t, std::uint64_t from) override {
+    const std::lock_guard<std::mutex> lk(mu);
+    reissued_from.push_back(from);
+  }
+};
+
+/// Kill 1 of 4 hosts once its lanes have advanced {25, 50, 75}% of its
+/// share of the campaign's lane-time, under drop_prob in {0, 0.05}: the
+/// elastic scheduler must finish with results bit-identical to the
+/// no-fault run and exactly-once completion accounting.
 class fault_matrix
     : public ::testing::TestWithParam<std::tuple<double, double>> {};
 
@@ -285,14 +304,20 @@ TEST_P(fault_matrix, SurvivesHostDeathBitExactly) {
   const auto reference = cwcsim::run(net, cfg, cluster);
 
   cluster.network.drop_prob = drop_prob;
-  // Elastic pulling does not promise host 1 any fair share of the
-  // campaign, only its first grant: kill it partway through the first
-  // trajectory it runs, so the death always happens mid-flight.
-  cluster.kills = {{1, progress_frac * cfg.t_end}};
-  const auto dr = cwcsim::run(net, cfg, cluster);
+  // Host 1 is homed a quarter of the lane blocks, and leases pass them
+  // breadth-first: it dies a quarter, half or three quarters of the way
+  // through its share, mid-lease.
+  const double share = cfg.t_end * static_cast<double>(cfg.num_trajectories) /
+                       cluster.num_hosts;
+  cluster.kills = {{1, progress_frac * share}};
+  cwcsim::model_ref mr{nullptr, &net, nullptr};
+  mr.compile();
+  reissue_recorder rec;
+  cwcsim::run_report dr;
+  cwcsim::detail::make_distributed_driver(mr, cfg, cluster)->run(rec, dr);
 
   // Bit-exact results despite the death (and the message loss).
-  expect_bit_identical(dr.result.windows, reference.result.windows);
+  expect_bit_identical(rec.windows, reference.result.windows);
 
   // Exactly-once completion accounting: every trajectory reported once.
   ASSERT_EQ(dr.result.completions.size(), cfg.num_trajectories);
@@ -312,14 +337,62 @@ TEST_P(fault_matrix, SurvivesHostDeathBitExactly) {
   EXPECT_EQ(accepted, quanta);
 
   // The dead host's in-flight work was re-issued, and the master saw it.
+  // Every lease the fault-free run needed is granted again, plus one
+  // grant per re-issue.
   EXPECT_GE(dr.network->reissued, 1u);
-  EXPECT_GE(dr.network->grants, cfg.num_trajectories + dr.network->reissued);
+  ASSERT_TRUE(reference.network.has_value());
+  const std::uint64_t leases =
+      reference.network->grants - reference.network->reissued;
+  EXPECT_GE(dr.network->grants, leases + dr.network->reissued);
+
+  // Past a quarter of its share the dead host had passed every block's
+  // first quantum: its leases resume from a nonzero checkpoint, which
+  // another host reaches by replay.
+  if (progress_frac > 0.25) {
+    bool replayed = false;
+    for (const auto q : rec.reissued_from) replayed = replayed || q > 0;
+    EXPECT_TRUE(replayed);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     KillTimesAndLoss, fault_matrix,
     ::testing::Combine(::testing::Values(0.25, 0.5, 0.75),
                        ::testing::Values(0.0, 0.05)));
+
+/// The master releases cuts as blocks pass them: with every lane block
+/// advancing breadth-first, the first window streams out while every
+/// trajectory is still running.
+TEST(DistributedStreaming, FirstWindowBeforeFirstCompletion) {
+  const auto m = models::make_neurospora_cwc({});
+  cwcsim::sim_config cfg;
+  cfg.num_trajectories = 48;
+  cfg.t_end = 48.0;  // 12 windows of 8 samples
+  cfg.sample_period = 0.5;
+  cfg.quantum = 2.0;
+  cfg.kmeans_k = 0;
+  cfg.window_size = 8;
+  cfg.window_slide = 8;
+
+  // Delivery is serialized and joined before wait() returns.
+  std::size_t events = 0, first_window = 0, first_done = 0;
+  auto s = cwcsim::run_builder()
+               .model(m)
+               .config(cfg)
+               .backend(cwcsim::distributed{3, 1})
+               .open();
+  s.on_window([&](const cwcsim::window_summary&) {
+    if (first_window == 0) first_window = ++events;
+  });
+  s.on_trajectory_done([&](const cwcsim::task_done&) {
+    if (first_done == 0) first_done = ++events;
+  });
+  const auto rep = s.wait();
+  ASSERT_EQ(rep.result.completions.size(), cfg.num_trajectories);
+  ASSERT_GT(first_window, 0u);
+  ASSERT_GT(first_done, 0u);
+  EXPECT_LT(first_window, first_done);
+}
 
 TEST(DistributedFaults, AllHostsDeadFailsCleanly) {
   const auto net = models::make_birth_death({});

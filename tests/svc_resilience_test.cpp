@@ -215,6 +215,63 @@ TEST(Resilience, ReaperParksVanishedClientAndResumeIsBitExact) {
   EXPECT_EQ(fin.sessions_completed, 1u);
 }
 
+TEST(Resilience, LocalModelOutlivesAReapedHalfOpenSession) {
+  // A client whose open ack is lost cannot resume without its token, so
+  // it re-sends the same open, naming the same local model, on a fresh
+  // connection. The server may have reaped and retired the first session
+  // by then; the registration must still resolve.
+  cwc::reaction_network local;
+  const auto a = local.declare_species("A");
+  local.set_initial(a, 40);
+  local.add_reaction("opaque-decay", {{a, 1}}, {},
+                     cwc::rate_law::custom([](const cwc::rate_ctx& ctx) {
+                       return 0.4 * ctx.combinations;
+                     }));
+  const auto cfg = tiny_config();
+  const auto batch = cwcsim::run(local, cfg).result;
+
+  svc::svc_config sc;
+  sc.pool_workers = 2;
+  sc.default_window_credits = 4;
+  sc.heartbeat_timeout_s = 0.3;
+  sc.session_retention_s = 0.0;  // a reaped session retires at once
+  sc.server_tick_s = 0.002;
+  svc::run_server server(sc);
+
+  svc::open_request rq;
+  rq.cfg = cfg;
+  rq.local_model =
+      server.register_local_model(cwc::compiled_model::compile(local));
+  {
+    // The open is admitted, but the client never reads the ack and
+    // never speaks again: the reaper retires the session.
+    auto conn = server.connect();
+    rq.conn_id = conn.id();
+    conn.send(svc::encode_open(rq));
+    svc::server_stats st = server.stats();
+    for (int i = 0; i < 500 && st.sessions_reaped == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      st = server.stats();
+    }
+    ASSERT_EQ(st.sessions_opened, 1u);
+    ASSERT_GE(st.sessions_reaped, 1u) << "half-open session never reaped";
+    conn.abandon();
+  }
+
+  auto conn2 = server.connect();
+  rq.conn_id = conn2.id();
+  conn2.send(svc::encode_open(rq));
+  stream_state st;
+  pump(conn2, st, 10.0);
+  ASSERT_FALSE(st.failed) << st.error;
+  ASSERT_TRUE(st.complete);
+  EXPECT_EQ(st.completions, cfg.num_trajectories);
+  expect_bit_identical(st.windows, batch.windows);
+
+  server.release_local_model(rq.local_model);
+  EXPECT_EQ(server.stats().local_models, 0u);
+}
+
 TEST(Resilience, WedgedSubscriberIsReapedDespiteHeartbeats) {
   // A client that stays chatty (heartbeats) but stops CONSUMING is a
   // wedged subscriber: liveness alone must not keep it pinned once its

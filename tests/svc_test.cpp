@@ -671,6 +671,49 @@ TEST(Service, WeightedTenantsBothComplete) {
   EXPECT_EQ(st.quanta_executed, st.quanta_accepted + st.quanta_discarded);
 }
 
+TEST(Service, SequentialTenantsLeaveNoRegistryEntries) {
+  // A connection's downlink leaves the server's registry when the client
+  // closes it, and a local model when the client's run that registered it
+  // ends: a long-lived server serving tenant after tenant holds nothing
+  // for tenants that are gone. Every other tenant's model has a custom rate
+  // law, so half of them register a local model.
+  const auto wire = models::make_birth_death({});
+  cwc::reaction_network local;
+  const auto a = local.declare_species("A");
+  local.set_initial(a, 20);
+  local.add_reaction("opaque-decay", {{a, 1}}, {},
+                     cwc::rate_law::custom([](const cwc::rate_ctx& ctx) {
+                       return 0.4 * ctx.combinations;
+                     }));
+  cwcsim::sim_config cfg;
+  cfg.num_trajectories = 2;
+  cfg.t_end = 1.0;
+  cfg.sample_period = 0.5;
+  cfg.quantum = 1.0;
+  cfg.window_size = 2;
+  cfg.window_slide = 2;
+  cfg.kmeans_k = 0;
+
+  svc::svc_config sc;
+  sc.session_retention_s = 0.0;
+  svc::run_server server(sc);
+  constexpr int kTenants = 500;
+  for (int i = 0; i < kTenants; ++i) {
+    const auto r = i % 2 == 0 ? cwcsim::run(wire, cfg, cwcsim::service{&server})
+                              : cwcsim::run(local, cfg, cwcsim::service{&server});
+    ASSERT_EQ(r.result.completions.size(), cfg.num_trajectories);
+  }
+  // The last close frame may still be on its way to the dispatcher.
+  svc::server_stats st = server.stats();
+  for (int i = 0; i < 200 && st.connections != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    st = server.stats();
+  }
+  EXPECT_EQ(st.sessions_completed, static_cast<std::uint64_t>(kTenants));
+  EXPECT_EQ(st.connections, 0u);
+  EXPECT_EQ(st.local_models, 0u);
+}
+
 TEST(Service, DestroyServerWithLiveParkedSessionsClosesEveryDownlink) {
   // Regression: stop() tears sessions down while walking the registry, and
   // an idle session (no quanta in flight) retires synchronously, erasing
