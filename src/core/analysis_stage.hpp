@@ -1,8 +1,7 @@
 // The analysis pipeline of the paper's Fig. 2 — alignment -> sliding
 // windows -> farm of statistical engines -> gather — as one stage that
-// every backend shares: the Fig. 2 farm (through analysis_node), the
-// batched multicore and gpu drivers, the distributed master and the run
-// server's sessions.
+// every backend shares: the multicore and gpu drivers (fed by lane
+// rounds), the distributed master and the run server's sessions.
 //
 // ingest() aligns samples on the calling thread (cut_assembler). Each cut
 // it releases becomes one summary job; `workers` threads owned by the stage

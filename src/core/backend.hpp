@@ -1,12 +1,12 @@
 // The pluggable-backend layer of the unified streaming run API.
 //
 // A *backend* is a value describing where the simulation-analysis pipeline
-// executes: the shared-memory multicore farm, the distributed virtual
-// cluster, or the SIMT/GPU execution model. All three are driven through
-// the same backend_driver interface, which pushes window summaries and
-// trajectory completions through an event_sink *as the gather stage emits
-// them* — the streaming surface the paper's on-line analysis is about —
-// instead of returning everything in one batch at the end.
+// executes: this process's cores, the distributed virtual cluster, the
+// SIMT/GPU execution model, or a shared run server. All four are driven
+// through the same backend_driver interface, which pushes window summaries
+// and trajectory completions through an event_sink *as the gather stage
+// emits them* — the streaming surface the paper's on-line analysis is
+// about — instead of returning everything in one batch at the end.
 //
 // Layering note: the descriptor types below embed only header-only POD
 // configuration (dist::net_params, simt::device_spec); the heavyweight
@@ -54,16 +54,17 @@ class config_error : public util::precondition_error {
 
 // ---------------------------------------------------------------- descriptors
 
-/// Run on this process's cores: the Fig. 2 farm of cfg.sim_workers
-/// simulation engines and cfg.stat_engines statistical engines.
+/// Run on this process's cores: the Fig. 2 farm of simulation engines as
+/// lane rounds (core/lane_executor.hpp) — every live trajectory advances
+/// one quantum per round on a pool of cfg.sim_workers threads — beside
+/// cfg.stat_engines statistical engines. Completions arrive in lane order
+/// at the end of the round that retires them.
 struct multicore {
-  /// Opt-in ensemble batching: when > 1 (and the model is a tree model
-  /// without custom rate laws), trajectories are sliced into SoA batch
-  /// engines of this many lanes (cwc/batch/batch_engine.hpp) stepped
-  /// quantum-lockstep by the lane executor's worker pool
-  /// (core/lane_executor.hpp) instead of the per-engine farm.
-  /// Sample paths, windows, and completions are bit-identical either way.
-  /// 0 or 1, and any unbatchable model, keep the classic per-engine farm.
+  /// Lanes per SoA batch engine (cwc/batch/batch_engine.hpp): when > 1 and
+  /// the model is a tree model without custom rate laws, each round steps
+  /// batch groups of this many trajectories. 0 or 1, and any unbatchable
+  /// model, run one scalar engine per lane. Sample paths, windows, and
+  /// completions are bit-identical either way.
   std::size_t batch_width = 0;
 };
 
@@ -98,9 +99,11 @@ struct distributed {
 };
 
 /// Run the simulation farm as lockstep kernels on the SIMT device model
-/// (paper §IV-C); the host aligns each kernel's samples and
-/// cfg.stat_engines statistical engines summarise the cuts while later
-/// kernels run.
+/// (paper §IV-C). The host emulates each kernel as one lane round on a pool
+/// of cfg.sim_workers threads; the device clock is modeled from per-lane
+/// step counts, so it does not depend on that pool. The host aligns each
+/// kernel's samples and cfg.stat_engines statistical engines summarise the
+/// cuts while later kernels run.
 struct gpu {
   simt::device_spec device{};
   /// Path-decoherence time of the divergence model (see simt::gpu_params).

@@ -1,9 +1,9 @@
 // Configuration knobs of the CWC simulation-analysis pipeline — the tuning
 // surface the paper credits for performance portability ("a number of knobs
 // supporting optimisation and performance tuning [at] the configuration
-// level", §VI). The farm of simulation engines always dispatches on demand
-// over worker queues of two tasks (ff::farm's defaults): no caller needed
-// another policy or capacity, so neither is a knob here.
+// level", §VI). The simulation engines advance in lane rounds
+// (core/lane_executor.hpp) whose pool balances lanes dynamically: no caller
+// needed a dispatch policy or queue capacity, so neither is a knob here.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +24,9 @@ struct sim_config {
   std::uint64_t seed = 0xC0FFEE;
 
   // ---- simulation pipeline --------------------------------------------
-  unsigned sim_workers = 4;  ///< farm of simulation engines
+  /// Threads that step simulation engines: the lane-round pool of the
+  /// multicore and gpu backends, and each sweep campaign's pool.
+  unsigned sim_workers = 4;
 
   // ---- analysis pipeline ----------------------------------------------
   /// Statistical engines (paper: 1 or 4): the threads that summarise cuts

@@ -6,6 +6,5 @@
 #include "core/config.hpp"
 #include "core/events.hpp"
 #include "core/messages.hpp"
-#include "core/nodes.hpp"
 #include "core/result.hpp"
 #include "core/session.hpp"

@@ -1,6 +1,7 @@
-// Message types flowing through the CWC pipeline (ff::token payloads), and
-// the engine abstraction letting the same pipeline run CWC term models or
-// flat reaction networks.
+// The records flowing through the CWC pipeline — completion notices,
+// sample batches, per-quantum costs and window summaries — and the engine
+// abstraction letting the same pipeline run CWC term models or flat
+// reaction networks.
 #pragma once
 
 #include <cstdint>
@@ -82,20 +83,7 @@ struct model_ref {
   }
 };
 
-/// A simulation task: one trajectory advanced quantum by quantum. Tasks are
-/// "wrapped in a C++ object ... passed to the farm of simulation engines"
-/// and rescheduled "back along the feedback channel" until t_end (paper
-/// §IV-A1).
-struct sim_task {
-  std::uint64_t trajectory_id = 0;
-  any_engine engine;
-  std::uint64_t quantum_index = 0;  ///< scheduling rounds completed
-
-  sim_task(std::uint64_t id, any_engine e)
-      : trajectory_id(id), engine(std::move(e)) {}
-};
-
-/// Worker -> scheduler notification that a trajectory reached t_end.
+/// Notification that a trajectory reached t_end.
 struct task_done {
   std::uint64_t trajectory_id = 0;
   std::uint64_t quanta = 0;

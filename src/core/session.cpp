@@ -183,7 +183,7 @@ session run_builder::open() const {
     throw config_error("model", "run_builder requires a model");
   validate(cfg_, backend_);
 
-  // Compile the model once, before the farm spins up: every engine the
+  // Compile the model once, before any driver spins up: every engine the
   // chosen backend constructs shares this one immutable artifact.
   model_ref compiled = model_;
   compiled.compile();

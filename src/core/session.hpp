@@ -17,7 +17,7 @@
 //
 // This is the only run API. For the one-shot case there is
 // cwcsim::run(model, cfg, backend); cwcsim::run(model, cfg).result is the
-// whole batch result of the default multicore farm.
+// whole batch result of the default multicore backend.
 #pragma once
 
 #include <functional>

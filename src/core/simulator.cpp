@@ -1,11 +1,10 @@
-// The multicore backend (cwcsim::multicore): the per-engine Fig. 2 farm
-// pipeline, and the opt-in batched path over the lane executor.
+// The multicore backend (cwcsim::multicore): the Fig. 2 farm of simulation
+// engines as lane rounds on a pool of cfg.sim_workers threads.
 #include <memory>
-#include <vector>
 
+#include "core/analysis_stage.hpp"
 #include "core/backend.hpp"
 #include "core/lane_executor.hpp"
-#include "core/nodes.hpp"
 #include "util/stopwatch.hpp"
 
 namespace cwcsim {
@@ -15,71 +14,17 @@ namespace detail {
 namespace {
 
 /// The shared-memory CWC simulator with on-line parallel analysis (paper
-/// §IV-A, Fig. 2). run() wires
-///
-///   generation -> farm(simulation engines, feedback) -> analysis
-///
-/// into one ff network and runs it to completion. The analysis node aligns
-/// the workers' samples and summarises cuts on cfg.stat_engines statistical
-/// engines, streaming ordered window summaries through the session's sink
-/// beside the completion notices (the sink's stop flag is honoured).
+/// §IV-A, Fig. 2). Each round, the lane executor advances every live
+/// trajectory one quantum on cfg.sim_workers pool threads — SoA batch
+/// groups of batch_width lanes when the model allows, scalar engines
+/// otherwise — and the round's samples feed the analysis stage, whose
+/// cfg.stat_engines workers summarise cuts while later rounds step.
+/// Completions stream in lane order at the end of the round that retires
+/// them; the sink's stop flag is honoured between rounds.
 class multicore_driver final : public backend_driver {
  public:
-  multicore_driver(const model_ref& model, const sim_config& cfg)
-      : model_(model), cfg_(cfg) {}
-
-  const char* name() const noexcept override { return "multicore"; }
-
-  void run(event_sink& sink, run_report& report) override {
-    ff::network net;
-    simulation_result& result = report.result;
-    result.sim_workers = cfg_.sim_workers;
-    result.stat_engines = cfg_.stat_engines;
-
-    // ---- simulation pipeline -----------------------------------------
-    ff::pipeline pipe;
-    pipe.add_stage(std::make_unique<task_generator>(model_, cfg_, sink));
-
-    std::vector<std::unique_ptr<ff::node>> sim_workers;
-    for (unsigned w = 0; w < cfg_.sim_workers; ++w)
-      sim_workers.push_back(std::make_unique<sim_engine_node>(cfg_, w));
-    auto sim_farm = std::make_unique<ff::farm>(std::move(sim_workers));
-    auto scheduler = std::make_unique<task_scheduler>(sink);
-    task_scheduler* scheduler_ptr = scheduler.get();
-    sim_farm->set_emitter(std::move(scheduler))
-        .enable_feedback(ff::feedback_from::workers);
-    pipe.add_stage(std::move(sim_farm));
-
-    // ---- analysis pipeline --------------------------------------------
-    pipe.add_stage(std::make_unique<analysis_node>(
-        cfg_, model_.num_observables(), sink));
-
-    // ---- run ----------------------------------------------------------
-    pipe.materialize(net);
-    util::stopwatch sw;
-    net.run_and_wait();
-    result.wall_seconds = sw.elapsed_s();
-
-    result.completions = scheduler_ptr->completions();
-  }
-
- private:
-  model_ref model_;
-  sim_config cfg_;
-};
-
-/// The opt-in batched shared-memory path (multicore{batch_width}): the
-/// lane executor advances SoA batch groups of batch_width lanes
-/// quantum-lockstep on a persistent worker pool, and the rounds' samples
-/// feed the analysis stage, whose cfg.stat_engines workers summarise cuts
-/// while later rounds step.
-/// Windows, completions, and sample paths are bit-identical to the
-/// per-engine farm (the batch engine's lane-exactness guarantee); only the
-/// scheduling differs.
-class batched_multicore_driver final : public backend_driver {
- public:
-  batched_multicore_driver(const model_ref& model, const sim_config& cfg,
-                           std::size_t batch_width)
+  multicore_driver(const model_ref& model, const sim_config& cfg,
+                   std::size_t batch_width)
       : model_(model), cfg_(cfg), batch_width_(batch_width) {}
 
   const char* name() const noexcept override { return "multicore"; }
@@ -120,11 +65,8 @@ class batched_multicore_driver final : public backend_driver {
 std::unique_ptr<backend_driver> make_multicore_driver(const model_ref& model,
                                                       const sim_config& cfg,
                                                       const multicore& b) {
-  // run_builder::open() compiled the model: the groups share its artifact.
-  if (lane_executor::batches({model.compiled}, b.batch_width))
-    return std::make_unique<batched_multicore_driver>(model, cfg,
-                                                      b.batch_width);
-  return std::make_unique<multicore_driver>(model, cfg);
+  // run_builder::open() compiled the model: every lane shares its artifact.
+  return std::make_unique<multicore_driver>(model, cfg, b.batch_width);
 }
 
 }  // namespace detail

@@ -20,7 +20,8 @@ namespace simt {
 namespace {
 
 /// Runs the campaign as a sequence of lockstep kernels, one quantum per
-/// kernel. Cuts are assembled between kernels and summarised by
+/// kernel, each emulated as one lane round on the cfg.sim_workers pool.
+/// Cuts are assembled between kernels and summarised by
 /// cfg.stat_engines workers beside them, so windows and retired
 /// trajectories stream through the sink while later kernels execute;
 /// sink.stop_requested() is honoured at kernel boundaries. batch_width > 1
@@ -58,11 +59,13 @@ void gpu_driver::run(cwcsim::event_sink& sink, cwcsim::run_report& report) {
 
   // "Unified memory": engines live in host memory and are handed to the
   // device wholesale — no serialisation step, as the paper highlights. The
-  // host runs each kernel on one thread; the device clock is virtual.
+  // host emulates each kernel on the cfg.sim_workers pool; the device clock
+  // is virtual, built from per-lane step counts, so it does not depend on
+  // how many host threads ran the kernel.
   cwcsim::lane_executor lanes({model_.compiled}, cfg_,
                               cwcsim::lane_executor::ensemble(
                                   cfg_.num_trajectories),
-                              batch_width_, 1);
+                              batch_width_, cfg_.sim_workers);
 
   // On-line analysis beside the kernels: the host aligns each kernel's
   // samples and cfg.stat_engines workers summarise the released cuts while
@@ -125,7 +128,7 @@ void gpu_driver::run(cwcsim::event_sink& sink, cwcsim::run_report& report) {
 
   analysis.finish();
 
-  report.result.sim_workers = 0;
+  report.result.sim_workers = cfg_.sim_workers;
   report.result.stat_engines = cfg_.stat_engines;
   report.result.wall_seconds = wall.elapsed_s();
   dev_stats.divergence_factor =

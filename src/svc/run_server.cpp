@@ -260,6 +260,10 @@ struct run_server::impl {
   // ---------------------------------------------------------- lifecycle
 
   void start() {
+    // The server's own writer slot on its ingress, held for its whole life:
+    // with no client connected, recv_for() then waits out each tick instead
+    // of returning at once, so an idle dispatcher sleeps instead of spinning.
+    ingress_->add_writer();
     dispatcher_ = std::thread([this] { dispatcher_loop(); });
     const unsigned n = cfg_.pool_workers == 0 ? 1 : cfg_.pool_workers;
     workers_.reserve(n);
@@ -285,6 +289,7 @@ struct run_server::impl {
       sched_cv_.notify_all();
     }
     dispatcher_stop_.store(true);
+    ingress_->close_writer();
     if (dispatcher_.joinable()) dispatcher_.join();
     for (auto& t : workers_)
       if (t.joinable()) t.join();
@@ -515,13 +520,16 @@ struct run_server::impl {
         return;
       }
     } else {
-      const std::lock_guard<std::mutex> lk(conn_mu_);
-      auto it = local_models_.find(rq.local_model);
-      if (it == local_models_.end()) {
+      {
+        const std::lock_guard<std::mutex> lk(conn_mu_);
+        auto it = local_models_.find(rq.local_model);
+        if (it != local_models_.end()) cm = it->second;
+      }
+      // reject() takes sched_mu, which is never taken under conn_mu.
+      if (cm == nullptr) {
         reject("open carries neither a model frame nor a known local model");
         return;
       }
-      cm = it->second;
     }
 
     auto s = std::make_shared<session>();
@@ -642,6 +650,12 @@ struct run_server::impl {
     session& s = *sp;
     const auto now = clock_t_::now();
     const bool was_parked = s.parked;
+    if (s.id != conn_id) {
+      // The client abandoned the old connection without a close frame, so
+      // nothing else will drop its downlink from the registry.
+      const std::lock_guard<std::mutex> cl(conn_mu_);
+      downlinks_.erase(s.id);
+    }
     {
       const std::lock_guard<std::mutex> fl(s.flow_mu);
       if (s.down && s.down != down) {
@@ -684,6 +698,9 @@ struct run_server::impl {
       }
     }
     if (s.finalized) {
+      // The record follows the client, so a later move erases this
+      // connection's downlink too.
+      s.id = conn_id;
       s.retire_at = now + to_duration(cfg_.session_retention_s);
       ++stats_.sessions_resumed;
       return;

@@ -289,7 +289,7 @@ TEST(BatchEngine, BatchedGpuBackendSurvivesStaggeredGroupRetirement) {
   // different simulation times, so with small batch groups whole groups
   // retire while others keep running for many more kernels. A retired
   // group's sample buffers must not be re-ingested by later rounds —
-  // windows must stay bit-identical to the plain multicore farm.
+  // windows must stay bit-identical to the scalar multicore{} run.
   const auto m = models::make_compartment_demo({});
   cwcsim::sim_config cfg;
   cfg.num_trajectories = 12;

@@ -151,7 +151,7 @@ TEST(Trace, CaptureMatchesRealEngineTotals) {
 TEST(Trace, CapturePerQuantumMatchesLaneRounds) {
   // Quantum by quantum, the DES capture agrees on (steps, samples) with the
   // lane executor's rounds, scalar (width 0) and batched (width 4), and
-  // per trajectory with the farm's completion notices — including the
+  // per trajectory with multicore{}'s completion notices — including the
   // stalled-tail fast-forward of compartment_demo lanes, most of which
   // stall before t_end with fast vesicle formation.
   const auto neurospora = models::make_neurospora_cwc({});

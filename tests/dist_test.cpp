@@ -1,6 +1,6 @@
 // Tests for the distributed runtime: serialisation round-trips, the network
 // fabric (ordering, close semantics, latency), end-to-end equivalence of
-// the cwcsim::distributed backend with the shared-memory farm, descriptor
+// the cwcsim::distributed backend with the shared-memory run, descriptor
 // validation, and the elastic scheduler under host kills and message loss.
 #include <gtest/gtest.h>
 

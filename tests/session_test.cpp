@@ -36,7 +36,7 @@ cwcsim::sim_config small_config() {
 // The acceptance criterion of the redesign: a single run_builder program
 // executes the same model on all three backends by swapping only the
 // backend argument, receives windows through on_window before wait()
-// returns, and the stream is bit-exact with the default multicore farm's
+// returns, and the stream is bit-exact with the default multicore run's
 // collected result.
 TEST(Session, OneProgramThreeBackendsBitExactStreams) {
   const auto m = models::make_neurospora_cwc({});
@@ -104,7 +104,7 @@ TEST(Session, OneProgramThreeBackendsBitExactStreams) {
 }
 
 // stat_engines is the analysis stage's worker count on every backend, and
-// the report says what ran; the windows stay bit-exact with the farm's.
+// the report says what ran; the windows stay bit-exact with multicore{}'s.
 TEST(Session, StatEnginesRunAndAreReportedOnEveryBackend) {
   const auto m = models::make_neurospora_cwc({});
   auto cfg = small_config();

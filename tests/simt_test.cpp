@@ -135,6 +135,56 @@ TEST(GpuSimulator, MatchesMulticoreResultsExactly) {
   EXPECT_EQ(gpu.result.completions.size(), cfg.num_trajectories);
 }
 
+TEST(GpuSimulator, HostWorkersChangeNeitherResultsNorDeviceModel) {
+  // The host emulates each kernel on the cfg.sim_workers pool, while the
+  // device model is built from per-lane step counts: one and three host
+  // workers give the same windows, completions (in lane order per kernel)
+  // and kernel count, and the same divergence factor. Device seconds are
+  // not compared: their scale is a wall-clock calibration per run, which
+  // the divergence ratio cancels up to rounding.
+  models::compartment_demo_params p;
+  p.k_form = 0.2;  // lanes stall at their own times: uneven warps
+  const auto m = models::make_compartment_demo(p);
+  cwcsim::sim_config cfg;
+  cfg.num_trajectories = 40;
+  cfg.t_end = 12.0;
+  cfg.sample_period = 0.5;
+  cfg.quantum = 1.5;
+  cfg.stat_engines = 2;
+  cfg.window_size = 5;
+  cfg.window_slide = 5;
+
+  for (const std::size_t width : {0u, 32u}) {
+    SCOPED_TRACE(testing::Message() << "batch width " << width);
+    const cwcsim::gpu b{simt::devices::tesla_k40(), 25.0, width};
+    auto one = cfg;
+    one.sim_workers = 1;
+    auto three = cfg;
+    three.sim_workers = 3;
+    const auto r1 = cwcsim::run(m, one, b);
+    const auto r3 = cwcsim::run(m, three, b);
+
+    expect_bit_identical(r3.result.windows, r1.result.windows);
+    ASSERT_EQ(r1.result.completions.size(), cfg.num_trajectories);
+    ASSERT_EQ(r3.result.completions.size(), cfg.num_trajectories);
+    for (std::size_t i = 0; i < cfg.num_trajectories; ++i) {
+      SCOPED_TRACE(i);
+      EXPECT_EQ(r3.result.completions[i].trajectory_id,
+                r1.result.completions[i].trajectory_id);
+      EXPECT_EQ(r3.result.completions[i].quanta, r1.result.completions[i].quanta);
+      EXPECT_EQ(r3.result.completions[i].steps, r1.result.completions[i].steps);
+    }
+    ASSERT_TRUE(r1.device.has_value());
+    ASSERT_TRUE(r3.device.has_value());
+    EXPECT_EQ(r3.device->kernels, r1.device->kernels);
+    EXPECT_NEAR(r3.device->divergence_factor, r1.device->divergence_factor,
+                1e-9 * r1.device->divergence_factor);
+    EXPECT_GT(r1.device->divergence_factor, 1.0);
+    EXPECT_EQ(r1.result.sim_workers, 1u);
+    EXPECT_EQ(r3.result.sim_workers, 3u);
+  }
+}
+
 TEST(GpuSimulator, QuantumChangesTimingNotResults) {
   // Quantum is a performance knob: per-cut means must be identical across
   // quantum sizes (the engines keep deferred reactions across horizons).

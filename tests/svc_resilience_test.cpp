@@ -579,6 +579,39 @@ TEST(Chaos, MatrixSurvivorsBitExactLedgerBalanced) {
   }
 }
 
+TEST(Chaos, ReconnectingTenantsLeaveNoDownlinks) {
+  // A dropped downlink frame makes the driver abandon its connection (no
+  // close frame) and resume on a fresh one. The server must drop the
+  // abandoned downlink from its registry when the session moves, or a
+  // long-lived server accumulates one per reconnect.
+  const auto m = models::make_neurospora_cwc({});
+  const auto cfg = tiny_config();
+  svc::svc_config sc;
+  sc.session_retention_s = 0.2;
+  sc.server_tick_s = 0.002;
+  sc.chaos.downlink_drop_prob = 0.1;
+  svc::run_server server(sc);
+  cwcsim::service be{&server};
+  be.tick_s = 0.004;
+  be.heartbeat_s = 0.05;
+
+  constexpr int kTenants = 40;
+  for (int i = 0; i < kTenants; ++i) {
+    const auto r = cwcsim::run(m, cfg, be);
+    ASSERT_EQ(r.result.completions.size(), cfg.num_trajectories);
+  }
+  // Let the sessions retire, the retention period pass and the last close
+  // frames reach the dispatcher.
+  svc::server_stats st = server.stats();
+  for (int i = 0; i < 400 && st.connections != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    st = server.stats();
+  }
+  EXPECT_EQ(st.sessions_completed, static_cast<std::uint64_t>(kTenants));
+  EXPECT_GE(st.sessions_resumed, 1u) << "no tenant reconnected";
+  EXPECT_EQ(st.connections, 0u);
+}
+
 // --------------------------- protocol hardening ---------------------------
 
 TEST(Hardening, MalformedUplinkFramesNeverKillTheServer) {

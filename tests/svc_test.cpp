@@ -4,6 +4,7 @@
 // tenants, credit-based backpressure isolation, fair completion under
 // contention, and teardown accounting.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <chrono>
@@ -712,6 +713,50 @@ TEST(Service, SequentialTenantsLeaveNoRegistryEntries) {
   EXPECT_EQ(st.sessions_completed, static_cast<std::uint64_t>(kTenants));
   EXPECT_EQ(st.connections, 0u);
   EXPECT_EQ(st.local_models, 0u);
+}
+
+/// CPU seconds this process has used, user plus system, all threads.
+double process_cpu_s() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto s = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) + static_cast<double>(tv.tv_usec) * 1e-6;
+  };
+  return s(ru.ru_utime) + s(ru.ru_stime);
+}
+
+/// CPU seconds per wall second this process uses over `wall_s` of idling.
+double idle_cpu_share(double wall_s) {
+  const double cpu0 = process_cpu_s();
+  const auto t0 = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::duration<double>(wall_s));
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  return (process_cpu_s() - cpu0) / wall;
+}
+
+TEST(Service, IdleServerSleepsWithNoClient) {
+  // The server holds a writer slot on its own ingress for its whole life,
+  // so with no client connected the dispatcher waits out each tick instead
+  // of finding a writerless channel and polling it in a tight loop — both
+  // before the first client and after the last one has gone.
+  svc::run_server server;
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // threads up
+  EXPECT_LT(idle_cpu_share(0.5), 0.05) << "before any client";
+
+  auto cfg = small_config();
+  cfg.num_trajectories = 2;
+  cfg.t_end = 2.0;
+  const auto r =
+      cwcsim::run(models::make_birth_death({}), cfg, cwcsim::service{&server});
+  ASSERT_EQ(r.result.completions.size(), cfg.num_trajectories);
+  svc::server_stats st = server.stats();
+  for (int i = 0; i < 200 && st.connections != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    st = server.stats();
+  }
+  ASSERT_EQ(st.connections, 0u);
+  EXPECT_LT(idle_cpu_share(0.5), 0.05) << "after the last client closed";
 }
 
 TEST(Service, DestroyServerWithLiveParkedSessionsClosesEveryDownlink) {
