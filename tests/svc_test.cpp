@@ -737,9 +737,9 @@ double idle_cpu_share(double wall_s) {
 
 TEST(Service, IdleServerSleepsWithNoClient) {
   // The server holds a writer slot on its own ingress for its whole life,
-  // so with no client connected the dispatcher waits out each tick instead
-  // of finding a writerless channel and polling it in a tight loop — both
-  // before the first client and after the last one has gone.
+  // so with no client connected the dispatcher waits out each tick (a
+  // channel with no writer returns from recv_for at once) — both before the
+  // first client and after the last one has gone.
   svc::run_server server;
   std::this_thread::sleep_for(std::chrono::milliseconds(50));  // threads up
   EXPECT_LT(idle_cpu_share(0.5), 0.05) << "before any client";
