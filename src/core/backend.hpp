@@ -57,8 +57,8 @@ class config_error : public util::precondition_error {
 /// Run on this process's cores: the Fig. 2 farm of simulation engines as
 /// lane rounds (core/lane_executor.hpp) — every live trajectory advances
 /// one quantum per round on a pool of cfg.sim_workers threads — beside
-/// cfg.stat_engines statistical engines. Completions arrive in lane order
-/// at the end of the round that retires them.
+/// cfg.stat_engines statistical engines. Each round is delivered while the
+/// pool steps the next: samples, then completions in lane order.
 struct multicore {
   /// Lanes per SoA batch engine (cwc/batch/batch_engine.hpp): when > 1 and
   /// the model is a tree model without custom rate laws, each round steps
@@ -102,8 +102,8 @@ struct distributed {
 /// (paper §IV-C). The host emulates each kernel as one lane round on a pool
 /// of cfg.sim_workers threads; the device clock is modeled from per-lane
 /// step counts, so it does not depend on that pool. The host aligns each
-/// kernel's samples and cfg.stat_engines statistical engines summarise the
-/// cuts while later kernels run.
+/// kernel's samples while the next kernel runs, and cfg.stat_engines
+/// statistical engines summarise the cuts beside both.
 struct gpu {
   simt::device_spec device{};
   /// Path-decoherence time of the divergence model (see simt::gpu_params).

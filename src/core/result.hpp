@@ -30,16 +30,6 @@ struct simulation_result {
       for (const auto& c : w.cuts) out.push_back(c);
     return out;
   }
-
-  /// Mean of observable `obs` across trajectories at each cut, in time
-  /// order — the headline "filtered simulation results" series.
-  std::vector<std::pair<double, double>> mean_series(std::size_t obs) const {
-    std::vector<std::pair<double, double>> out;
-    for (const auto& w : windows)
-      for (const auto& c : w.cuts)
-        if (obs < c.moments.size()) out.emplace_back(c.time, c.moments[obs].mean());
-    return out;
-  }
 };
 
 }  // namespace cwcsim

@@ -14,13 +14,14 @@ namespace detail {
 namespace {
 
 /// The shared-memory CWC simulator with on-line parallel analysis (paper
-/// §IV-A, Fig. 2). Each round, the lane executor advances every live
-/// trajectory one quantum on cfg.sim_workers pool threads — SoA batch
-/// groups of batch_width lanes when the model allows, scalar engines
-/// otherwise — and the round's samples feed the analysis stage, whose
-/// cfg.stat_engines workers summarise cuts while later rounds step.
-/// Completions stream in lane order at the end of the round that retires
-/// them; the sink's stop flag is honoured between rounds.
+/// §IV-A, Fig. 2). The lane executor advances every live trajectory one
+/// quantum per round on cfg.sim_workers pool threads — SoA batch groups
+/// of batch_width lanes when the model allows, scalar engines otherwise —
+/// and, while the pool steps round r + 1, the driving thread feeds round
+/// r's samples to the analysis stage, whose cfg.stat_engines workers
+/// summarise cuts beside both. Completions stream in lane order after the
+/// samples of the round that retires them; the sink's stop flag is
+/// honoured after each delivered round.
 class multicore_driver final : public backend_driver {
  public:
   multicore_driver(const model_ref& model, const sim_config& cfg,
@@ -36,8 +37,8 @@ class multicore_driver final : public backend_driver {
                         batch_width_, cfg_.sim_workers);
     analysis_stage analysis(cfg_, model_.num_observables(), sink,
                             cfg_.stat_engines);
-    while (lanes.live() > 0 && !sink.stop_requested()) {
-      lanes.round(
+    if (!sink.stop_requested()) {
+      lanes.run(
           [&](const lane_executor::lane_quantum& q) {
             for (const auto& s : q.samples)
               analysis.ingest(q.id.trajectory_id, s);
@@ -45,7 +46,8 @@ class multicore_driver final : public backend_driver {
           [&](std::uint32_t, const task_done& d) {
             report.result.completions.push_back(d);
             sink.trajectory_done(d);
-          });
+          },
+          [&] { return !sink.stop_requested(); });
     }
     analysis.finish();
 

@@ -226,17 +226,6 @@ cwcsim::sim_config read_sim_config(archive_reader& r) {
   return cfg;
 }
 
-byte_buffer encode_task_done(const cwcsim::task_done& d) {
-  archive_writer w;
-  write_task_done(w, d);
-  return w.take();
-}
-
-cwcsim::task_done decode_task_done(const byte_buffer& bytes) {
-  archive_reader r(bytes);
-  return read_task_done(r);
-}
-
 byte_buffer encode_quantum_result(const quantum_result& q) {
   archive_writer w;
   write_quantum_result(w, q);

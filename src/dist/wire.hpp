@@ -119,9 +119,6 @@ void write_sim_config(archive_writer& w, const cwcsim::sim_config& cfg);
 cwcsim::sim_config read_sim_config(archive_reader& r);
 
 // Whole-buffer convenience forms.
-byte_buffer encode_task_done(const cwcsim::task_done& d);
-cwcsim::task_done decode_task_done(const byte_buffer& bytes);
-
 byte_buffer encode_quantum_result(const quantum_result& q);
 quantum_result decode_quantum_result(const byte_buffer& bytes);
 

@@ -54,26 +54,43 @@ void parallel_for::worker_main(unsigned id) {
   }
 }
 
-void parallel_for::work_on(job& j) {
+void parallel_for::job::fail(std::exception_ptr e) {
+  {
+    const std::lock_guard lk(error_mu);
+    if (!error) error = std::move(e);
+  }
+  // Every later cursor claim lands past the end: no chunk starts after this.
+  cursor.store(end, std::memory_order_relaxed);
+}
+
+void parallel_for::work_on(job& j) noexcept {
   for (;;) {
     const std::int64_t lo = j.cursor.fetch_add(j.grain, std::memory_order_relaxed);
     if (lo >= j.end) return;
     const std::int64_t hi = std::min(lo + j.grain, j.end);
-    (*j.body)(lo, hi);
+    try {
+      (*j.body)(lo, hi);
+    } catch (...) {
+      j.fail(std::current_exception());
+      return;
+    }
   }
 }
 
 void parallel_for::for_each_chunk(
     std::int64_t begin, std::int64_t end, std::int64_t grain,
-    const std::function<void(std::int64_t, std::int64_t)>& body) {
+    const std::function<void(std::int64_t, std::int64_t)>& body,
+    const std::function<void()>& meanwhile) {
   util::expects(begin <= end, "for_each_chunk requires begin <= end");
-  if (begin == end) return;
+  if (begin == end) {
+    if (meanwhile) meanwhile();
+    return;
+  }
   if (grain <= 0) {
     grain = std::max<std::int64_t>(1, (end - begin) / (8 * nworkers_));
   }
 
   job j;
-  j.begin = begin;
   j.end = end;
   j.grain = grain;
   j.body = &body;
@@ -88,18 +105,34 @@ void parallel_for::for_each_chunk(
   cv_work_.notify_all();
 
   tls_slot = 0;
+  if (meanwhile) {
+    try {
+      meanwhile();
+    } catch (...) {
+      j.fail(std::current_exception());
+    }
+  }
   work_on(j);  // calling thread participates
 
-  std::unique_lock lk(mutex_);
-  cv_done_.wait(lk, [&] { return j.running.load(std::memory_order_acquire) == 0; });
-  current_ = nullptr;
+  {
+    // `j` lives on this stack frame: wait for every worker to leave it,
+    // thrown or not, before returning or rethrowing.
+    std::unique_lock lk(mutex_);
+    cv_done_.wait(lk, [&] { return j.running.load(std::memory_order_acquire) == 0; });
+    current_ = nullptr;
+  }
+  if (j.error) std::rethrow_exception(j.error);
 }
 
 void parallel_for::for_each(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                            const std::function<void(std::int64_t)>& body) {
-  for_each_chunk(begin, end, grain, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) body(i);
-  });
+                            const std::function<void(std::int64_t)>& body,
+                            const std::function<void()>& meanwhile) {
+  for_each_chunk(
+      begin, end, grain,
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i) body(i);
+      },
+      meanwhile);
 }
 
 }  // namespace ff

@@ -1,11 +1,18 @@
 // High-level data-parallel patterns (FastFlow "high-level patterns" layer):
 // a persistent worker pool exposing parallel_for / parallel_reduce with
 // static or dynamic (grain-based work-stealing-by-counter) scheduling.
+//
+// An exception thrown by any participant of a job — a body on a pool
+// thread or on the calling thread, or the caller's `meanwhile` work — is
+// kept (the first one wins), no further chunks are handed out, and it is
+// rethrown on the calling thread once no chunk is running. The pool stays
+// usable afterwards.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -26,13 +33,17 @@ class parallel_for {
   unsigned workers() const noexcept { return nworkers_; }
 
   /// Execute body(i) for every i in [begin, end). `grain` is the dynamic
-  /// chunk size (0 = auto: range / (8 * workers), at least 1).
+  /// chunk size (0 = auto: range / (8 * workers), at least 1). When given,
+  /// `meanwhile` runs on the calling thread once the job's chunks are
+  /// published to the pool, before the caller helps with the rest.
   void for_each(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                const std::function<void(std::int64_t)>& body);
+                const std::function<void(std::int64_t)>& body,
+                const std::function<void()>& meanwhile = {});
 
   /// Execute body(lo, hi) over disjoint chunks covering [begin, end).
   void for_each_chunk(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                      const std::function<void(std::int64_t, std::int64_t)>& body);
+                      const std::function<void(std::int64_t, std::int64_t)>& body,
+                      const std::function<void()>& meanwhile = {});
 
   /// Parallel reduction: acc = combine(acc, map(i)) over [begin, end) with
   /// per-worker partials combined in index order (deterministic for
@@ -58,16 +69,20 @@ class parallel_for {
 
  private:
   struct job {
-    std::int64_t begin = 0;
     std::int64_t end = 0;
     std::int64_t grain = 1;
     const std::function<void(std::int64_t, std::int64_t)>* body = nullptr;
     std::atomic<std::int64_t> cursor{0};
     std::atomic<unsigned> running{0};
+    std::mutex error_mu;
+    std::exception_ptr error;  ///< the first participant's exception
+
+    /// Keep `e` unless an earlier one is kept, and hand out no more chunks.
+    void fail(std::exception_ptr e);
   };
 
   void worker_main(unsigned id);
-  void work_on(job& j);
+  static void work_on(job& j) noexcept;
   static unsigned worker_slot() noexcept;
 
   unsigned nworkers_;

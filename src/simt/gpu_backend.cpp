@@ -21,12 +21,14 @@ namespace {
 
 /// Runs the campaign as a sequence of lockstep kernels, one quantum per
 /// kernel, each emulated as one lane round on the cfg.sim_workers pool.
-/// Cuts are assembled between kernels and summarised by
-/// cfg.stat_engines workers beside them, so windows and retired
-/// trajectories stream through the sink while later kernels execute;
-/// sink.stop_requested() is honoured at kernel boundaries. batch_width > 1
-/// advances SoA batches of that many lanes per kernel where the model is
-/// batchable (cwcsim::lane_executor); results are identical either way.
+/// While the pool runs kernel r + 1, the host assembles kernel r's cuts,
+/// which cfg.stat_engines workers summarise beside both, and charges
+/// kernel r to the device clock; windows and retired trajectories stream
+/// through the sink while later kernels execute, and
+/// sink.stop_requested() is honoured after each delivered kernel.
+/// batch_width > 1 advances SoA batches of that many lanes per kernel
+/// where the model is batchable (cwcsim::lane_executor); results are
+/// identical either way.
 class gpu_driver final : public cwcsim::backend_driver {
  public:
   /// Calibrates the lane-time cost model on the compiled model.
@@ -85,28 +87,25 @@ void gpu_driver::run(cwcsim::event_sink& sink, cwcsim::run_report& report) {
   std::vector<std::pair<std::uint64_t, double>> packed;
   std::vector<double> lane_seconds;
 
-  while (lanes.live() > 0 && !sink.stop_requested()) {
-    // One ff_mapCUDA offload: every live lane advances one quantum;
-    // per-lane virtual time comes from the lane's step count.
-    packed.clear();
-    double bytes = 0.0;
-    lanes.round(
-        [&](const cwcsim::lane_executor::lane_quantum& q) {
-          std::uint64_t& pred = predicted[q.id.trajectory_id];
-          packed.emplace_back(pred, static_cast<double>(q.steps) *
-                                        ns_per_step_ * 1e-9 *
-                                        dev_.step_slowdown);
-          pred = q.steps;
-          for (const auto& s : q.samples) {
-            analysis.ingest(q.id.trajectory_id, s);
-            bytes += static_cast<double>(s.values.size()) * 8.0 + 16.0;
-          }
-        },
-        [&](std::uint32_t, const cwcsim::task_done& d) {
-          report.result.completions.push_back(d);
-          sink.trajectory_done(d);
-        });
-
+  // One ff_mapCUDA offload per round: every live lane advances one
+  // quantum; per-lane virtual time comes from the lane's step count.
+  double bytes = 0.0;
+  const auto on_samples = [&](const cwcsim::lane_executor::lane_quantum& q) {
+    std::uint64_t& pred = predicted[q.id.trajectory_id];
+    packed.emplace_back(pred, static_cast<double>(q.steps) * ns_per_step_ *
+                                  1e-9 * dev_.step_slowdown);
+    pred = q.steps;
+    for (const auto& s : q.samples) {
+      analysis.ingest(q.id.trajectory_id, s);
+      bytes += static_cast<double>(s.values.size()) * 8.0 + 16.0;
+    }
+  };
+  const auto on_done = [&](std::uint32_t, const cwcsim::task_done& d) {
+    report.result.completions.push_back(d);
+    sink.trajectory_done(d);
+  };
+  // Charges the kernel just delivered to the device clock.
+  const auto kernel_done = [&] {
     // Stream-level re-balancing (paper §V-C): lanes with similar predicted
     // cost share warps. The sort is stable over lane order, so ties keep
     // trajectory-id order.
@@ -124,7 +123,11 @@ void gpu_driver::run(cwcsim::event_sink& sink, cwcsim::run_report& report) {
     total_lane_s += ks.busy_lane_seconds;
     total_warp_s += ks.busy_warp_seconds;
     ++dev_stats.kernels;
-  }
+    packed.clear();
+    bytes = 0.0;
+    return !sink.stop_requested();
+  };
+  if (!sink.stop_requested()) lanes.run(on_samples, on_done, kernel_done);
 
   analysis.finish();
 

@@ -122,7 +122,9 @@ struct session final : cwcsim::event_sink {
   double deficit = 0.0;
   bool fresh = true;      ///< next scheduler visit starts a new DRR round
   bool finished = false;  ///< every trajectory reached t_end
-  bool parked = false;    ///< reaped but recoverable (out of the ring)
+  /// Reaped and not re-attached since: out of the ring, its connection
+  /// abandoned.
+  bool parked = false;
   bool ever_resumed = false;
   end_kind ending = end_kind::none;
   std::string fail_reason;
@@ -392,10 +394,12 @@ struct run_server::impl {
     }
     for (auto& s : victims) {
       ++stats_.sessions_reaped;
-      if (cfg_.session_retention_s > 0.0)
+      if (cfg_.session_retention_s > 0.0) {
         park_locked(*s, now);
-      else
+      } else {
         begin_teardown_locked(*s, end_kind::closed, {});
+        forget_connection_locked(s->id);
+      }
     }
 
     std::vector<std::shared_ptr<session>> expired;
@@ -403,6 +407,8 @@ struct run_server::impl {
       if ((s->parked || s->finalized) && now >= s->retire_at)
         expired.push_back(s);
     for (auto& s : expired) {
+      // A reaped client that never came back sends no close frame.
+      if (s->parked) forget_connection_locked(s->id);
       if (s->finalized) {
         // Completed record past retention: just forget the terminal.
         tokens_.erase(s->token);
@@ -411,6 +417,14 @@ struct run_server::impl {
       ++stats_.sessions_expired;
       begin_teardown_locked(*s, end_kind::expired, {});
     }
+  }
+
+  /// Drop a connection its client abandoned without a close frame from the
+  /// registry. Callers hold sched_mu (the lock order is sched_mu, then
+  /// conn_mu).
+  void forget_connection_locked(std::uint64_t conn_id) {
+    const std::lock_guard<std::mutex> cl(conn_mu_);
+    downlinks_.erase(conn_id);
   }
 
   /// Detach a live session recoverably: out of the scheduler, downlink
@@ -653,8 +667,7 @@ struct run_server::impl {
     if (s.id != conn_id) {
       // The client abandoned the old connection without a close frame, so
       // nothing else will drop its downlink from the registry.
-      const std::lock_guard<std::mutex> cl(conn_mu_);
-      downlinks_.erase(s.id);
+      forget_connection_locked(s.id);
     }
     {
       const std::lock_guard<std::mutex> fl(s.flow_mu);
@@ -699,8 +712,10 @@ struct run_server::impl {
     }
     if (s.finalized) {
       // The record follows the client, so a later move erases this
-      // connection's downlink too.
+      // connection's downlink too; the client is back, so expiry leaves it
+      // to the client's close frame.
       s.id = conn_id;
+      s.parked = false;
       s.retire_at = now + to_duration(cfg_.session_retention_s);
       ++stats_.sessions_resumed;
       return;

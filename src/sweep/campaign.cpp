@@ -196,24 +196,25 @@ sweep::report run_campaign(model_ref model, const sim_config& cfg,
   // The campaign's global cell-major lane list. With batch lanes, groups
   // slice it across cell boundaries, so lanes of different parameter cells
   // share strips and shape-family pools and the wide kernels vectorize
-  // across the sweep. Rounds gather sequentially in lane order, so the
-  // reductions see the same stream on every worker count and width.
+  // across the sweep. Each round is gathered in lane order on this thread
+  // while the pool steps the next, so the reductions see the same stream
+  // on every worker count and width.
   lane_executor lanes(
       overlays, cfg,
       lane_executor::ensemble(cfg.num_trajectories,
                               static_cast<std::uint32_t>(overlays.size())),
       mc.batch_width, cfg.sim_workers);
-  while (lanes.live() > 0 && !sink.stop_requested()) {
-    lanes.round(
-        [&](const lane_executor::lane_quantum& q) {
-          for (const cwc::trajectory_sample& s : q.samples)
-            reducers[q.id.cell].ingest(q.id.trajectory_id, s);
-        },
-        [&](std::uint32_t cell, const task_done& d) {
-          state.lane_done(cell, d);
-        });
-  }
-  rep.stopped = lanes.live() > 0;
+  rep.stopped =
+      sink.stop_requested() ||
+      !lanes.run(
+          [&](const lane_executor::lane_quantum& q) {
+            for (const cwc::trajectory_sample& s : q.samples)
+              reducers[q.id.cell].ingest(q.id.trajectory_id, s);
+          },
+          [&](std::uint32_t cell, const task_done& d) {
+            state.lane_done(cell, d);
+          },
+          [&] { return !sink.stop_requested(); });
   return rep;
 }
 

@@ -186,24 +186,6 @@ class rng_stream {
     return u * m;
   }
 
-  /// Poisson(mean) — inversion for small means, PTRS-lite (normal approx with
-  /// continuity correction) for large means. Adequate for workload synthesis.
-  std::uint64_t next_poisson(double mean) {
-    expects(mean >= 0.0, "poisson mean must be non-negative");
-    if (mean < 30.0) {
-      const double limit = std::exp(-mean);
-      double prod = next_uniform_pos();
-      std::uint64_t n = 0;
-      while (prod > limit) {
-        prod *= next_uniform_pos();
-        ++n;
-      }
-      return n;
-    }
-    const double x = mean + std::sqrt(mean) * next_normal() + 0.5;
-    return x < 0.0 ? 0 : static_cast<std::uint64_t>(x);
-  }
-
  private:
   static std::uint64_t mix(std::uint64_t seed, std::uint64_t stream_id) noexcept {
     // Feed both through SplitMix so that nearby (seed, id) pairs decorrelate.

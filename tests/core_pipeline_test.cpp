@@ -163,17 +163,6 @@ TEST(Pipeline, MakeEngineRequiresCompiledModel) {
   EXPECT_EQ(ref.make_engine(1, 0).time(), 0.0);
 }
 
-TEST(Pipeline, MeanSeriesHelper) {
-  const auto m = models::make_neurospora_cwc({});
-  const auto cfg = small_config();
-  const auto res = cwcsim::run(m, cfg).result;
-  const auto series = res.mean_series(0);
-  ASSERT_EQ(series.size(), cfg.num_samples());
-  EXPECT_DOUBLE_EQ(series[0].first, 0.0);
-  // At t=0 every trajectory starts at the same count: variance 0, mean = x0.
-  EXPECT_DOUBLE_EQ(series[0].second, 10.0);
-}
-
 // ----------------------------- cut assembler -----------------------------
 
 /// Sample k of `trajectory`, with a payload naming both.

@@ -59,17 +59,6 @@ TEST(Serialize, UnderflowThrows) {
   EXPECT_THROW(r.get<std::uint64_t>(), std::runtime_error);
 }
 
-TEST(Wire, TaskDoneRoundTrip) {
-  cwcsim::task_done d;
-  d.trajectory_id = 9;
-  d.quanta = 12;
-  d.steps = 34567;
-  const auto back = dist::decode_task_done(dist::encode_task_done(d));
-  EXPECT_EQ(back.trajectory_id, 9u);
-  EXPECT_EQ(back.quanta, 12u);
-  EXPECT_EQ(back.steps, 34567u);
-}
-
 TEST(NetChannel, DeliversInOrderPerWriter) {
   dist::net_channel ch;
   ch.add_writer();

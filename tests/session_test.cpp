@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/cwcsim.hpp"
@@ -146,6 +151,77 @@ TEST(Session, ThrowingWindowSubscriberSurfacesFromWait) {
       throw std::runtime_error("subscriber failed");
     });
     EXPECT_THROW((void)s.wait(), std::runtime_error) << b.index();
+  }
+}
+
+/// Lets every thread through until armed; then only the first thread to
+/// ask, which yields the CPU at each pass, so the pool's other threads
+/// take lanes even on a loaded machine.
+class one_thread_gate {
+ public:
+  void arm() {
+    const std::lock_guard<std::mutex> lk(mu_);
+    armed_ = true;
+  }
+  bool admits() {
+    {
+      const std::lock_guard<std::mutex> lk(mu_);
+      if (!armed_) return true;
+      if (!owner_) owner_ = std::this_thread::get_id();
+      if (*owner_ != std::this_thread::get_id()) return false;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    return true;
+  }
+
+ private:
+  std::mutex mu_;
+  bool armed_ = false;
+  std::optional<std::thread::id> owner_;
+};
+
+/// A birth-death model whose custom birth law, once the gate is armed,
+/// throws on every thread but the first to evaluate it: the lane pool's
+/// other threads throw.
+cwc::model law_throwing_off_one_thread(std::shared_ptr<one_thread_gate> g) {
+  cwc::model m;
+  m.set_initial(cwc::parse_term(m, "10*A"));
+  const auto a = m.species().id("A");
+  cwc::rule birth("birth", cwc::top_compartment,
+                  cwc::rate_law::custom([a, g](const cwc::rate_ctx& ctx) {
+                    if (!g->admits())
+                      throw std::runtime_error("rate law failed");
+                    return 40.0 / (1.0 + static_cast<double>(ctx.local.count(a)) / 20.0);
+                  }));
+  birth.produce(a);
+  m.add_rule(std::move(birth));
+  cwc::rule death("death", cwc::top_compartment,
+                  cwc::rate_law::mass_action(0.5));
+  death.consume(a);
+  m.add_rule(std::move(death));
+  m.add_observable("A", a);
+  return m;
+}
+
+// An engine error on a lane-round pool thread is carried to the driving
+// thread and out of wait(): the process neither aborts nor hangs.
+TEST(Session, ThrowingRateLawOnPoolThreadsSurfacesFromWait) {
+  auto cfg = small_config();
+  cfg.num_trajectories = 64;
+  cfg.sim_workers = 3;
+  for (const cwcsim::backend& b :
+       {cwcsim::backend{cwcsim::multicore{}},
+        cwcsim::backend{cwcsim::gpu{simt::devices::tesla_k40()}}}) {
+    SCOPED_TRACE(b.index());
+    const auto gate = std::make_shared<one_thread_gate>();
+    const cwc::model m = law_throwing_off_one_thread(gate);
+    auto s = cwcsim::run_builder()
+                 .model(m)
+                 .config(cfg)
+                 .backend(b)
+                 .open();
+    gate->arm();  // after the gpu's cost calibration, which open() ran
+    EXPECT_THROW((void)s.wait(), std::runtime_error);
   }
 }
 

@@ -272,6 +272,45 @@ TEST(Resilience, LocalModelOutlivesAReapedHalfOpenSession) {
   EXPECT_EQ(server.stats().local_models, 0u);
 }
 
+TEST(Resilience, VanishedClientLeavesNoDownlink) {
+  // A client that vanishes without a close frame and never resumes: its
+  // connection leaves the registry once the reaped session's record
+  // expires, or, at zero retention, once the session is torn down.
+  const auto m = models::make_neurospora_cwc({});
+  auto cfg = tiny_config();
+  cfg.t_end = 600.0;  // still running when the record expires
+  for (const double retention : {0.1, 0.0}) {
+    SCOPED_TRACE(retention);
+    svc::svc_config sc;
+    sc.pool_workers = 2;
+    sc.heartbeat_timeout_s = 0.1;
+    sc.session_retention_s = retention;
+    sc.server_tick_s = 0.002;
+    svc::run_server server(sc);
+    {
+      auto conn = server.connect();
+      conn.send(svc::encode_open(
+          make_open(cwcsim::model_ref{&m, nullptr, nullptr}, conn.id(), cfg)));
+      stream_state st;
+      pump(conn, st, 5.0, 1);
+      ASSERT_FALSE(st.failed) << st.error;
+      ASSERT_EQ(st.expected, 1u);
+      conn.abandon();
+    }
+    const std::uint64_t expired = retention > 0.0 ? 1 : 0;
+    svc::server_stats stats = server.stats();
+    for (int i = 0; i < 400 && (stats.connections != 0 ||
+                                stats.sessions_expired < expired);
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      stats = server.stats();
+    }
+    EXPECT_EQ(stats.sessions_reaped, 1u);
+    EXPECT_EQ(stats.sessions_expired, expired);
+    EXPECT_EQ(stats.connections, 0u);
+  }
+}
+
 TEST(Resilience, WedgedSubscriberIsReapedDespiteHeartbeats) {
   // A client that stays chatty (heartbeats) but stops CONSUMING is a
   // wedged subscriber: liveness alone must not keep it pinned once its

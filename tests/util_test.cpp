@@ -156,17 +156,6 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(sum2 / n, 1.0, 0.02);
 }
 
-TEST(Rng, PoissonMeanSmallAndLarge) {
-  util::rng_stream r(17, 0);
-  for (const double mean : {0.5, 5.0, 80.0}) {
-    double sum = 0.0;
-    const int n = 50000;
-    for (int i = 0; i < n; ++i)
-      sum += static_cast<double>(r.next_poisson(mean));
-    EXPECT_NEAR(sum / n, mean, mean * 0.05 + 0.05) << "mean=" << mean;
-  }
-}
-
 TEST(RngLaneBank, LanesMatchScalarStreamsBitForBit) {
   // Lane i of the bank is the EXACT stream rng_stream(seed, first_id + i),
   // through the per-lane scalar entry points, with interleaved draw kinds.
