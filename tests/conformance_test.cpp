@@ -5,15 +5,17 @@
 // oracle's as a set of (trajectory, quanta, steps). Completion order is
 // not part of the contract.
 //
-// Models: Neurospora (tree, batchable), the stalling compartment_demo
-// (vesicle churn, lanes stall at their own times), Schlögl (flat) and a
-// tree model with a custom rate law (not batchable). Backends:
-// multicore{0, 4, 32} and gpu{k40} at batch widths 0 and 32, each on 1 and
-// 3 simulation workers.
+// Models: Neurospora (tree, batchable) at 12 trajectories and at 40 (two
+// run-server lane blocks), the stalling compartment_demo (vesicle churn,
+// lanes stall at their own times), Schlögl (flat) and a tree model with a
+// custom rate law (not batchable). Backends: multicore{0, 4, 32} and
+// gpu{k40} at batch widths 0 and 32, each on 1 and 3 simulation workers,
+// and `service` over a run_server with 1 and 3 pool workers.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -23,13 +25,20 @@
 #include "models/models.hpp"
 #include "serial_oracle.hpp"
 #include "simt/simt.hpp"
+#include "svc/svc.hpp"
 #include "window_equality.hpp"
 
 namespace {
 
 using testing_windows::expect_bit_identical;
 
-enum class model_kind { neurospora, stalling_demo, schlogl, custom_law };
+enum class model_kind {
+  neurospora,
+  neurospora_wide,
+  stalling_demo,
+  schlogl,
+  custom_law
+};
 
 struct model_case {
   std::variant<cwc::model, cwc::reaction_network> model;
@@ -75,6 +84,8 @@ model_case make_case(model_kind k) {
   switch (k) {
     case model_kind::neurospora:
       return {models::make_neurospora_cwc({}), base_config(12, 12.0, 0.5, 2.5)};
+    case model_kind::neurospora_wide:
+      return {models::make_neurospora_cwc({}), base_config(40, 12.0, 0.5, 2.5)};
     case model_kind::stalling_demo: {
       // Vesicles form fast enough that most lanes stall before t_end.
       models::compartment_demo_params p;
@@ -122,7 +133,9 @@ std::vector<named_backend> backends() {
           {"multicore4", cwcsim::multicore{4}},
           {"multicore32", cwcsim::multicore{32}},
           {"gpu0", cwcsim::gpu{k40, 25.0, 0}},
-          {"gpu32", cwcsim::gpu{k40, 25.0, 32}}};
+          {"gpu32", cwcsim::gpu{k40, 25.0, 32}},
+          // Its server is built per row; see MatchesSerialOracle.
+          {"service", cwcsim::service{}}};
 }
 
 using row = std::tuple<model_kind, std::size_t, unsigned>;
@@ -137,13 +150,20 @@ TEST_P(conformance, MatchesSerialOracle) {
 
   auto cfg = f.c.cfg;
   cfg.sim_workers = workers;
+  cwcsim::backend backend = backends()[b].backend;
+  std::optional<svc::run_server> server;
+  if (auto* s = std::get_if<cwcsim::service>(&backend)) {
+    svc::svc_config sc;
+    sc.pool_workers = workers;
+    s->server = &server.emplace(sc);
+  }
   std::vector<cwcsim::task_done> streamed;
   const cwcsim::run_report rep = std::visit(
       [&](const auto& m) {
         auto s = cwcsim::run_builder()
                      .model(m)
                      .config(cfg)
-                     .backend(backends()[b].backend)
+                     .backend(backend)
                      .open();
         s.on_trajectory_done(
             [&](const cwcsim::task_done& d) { streamed.push_back(d); });
@@ -158,8 +178,8 @@ TEST_P(conformance, MatchesSerialOracle) {
 }
 
 std::string row_name(const ::testing::TestParamInfo<row>& info) {
-  static const char* const models[] = {"neurospora", "stalling_demo", "schlogl",
-                                       "custom_law"};
+  static const char* const models[] = {"neurospora", "neurospora_wide",
+                                       "stalling_demo", "schlogl", "custom_law"};
   const auto [kind, b, workers] = info.param;
   return std::string(models[static_cast<int>(kind)]) + "_" + backends()[b].name +
          "_w" + std::to_string(workers);
@@ -168,10 +188,11 @@ std::string row_name(const ::testing::TestParamInfo<row>& info) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, conformance,
     ::testing::Combine(::testing::Values(model_kind::neurospora,
+                                         model_kind::neurospora_wide,
                                          model_kind::stalling_demo,
                                          model_kind::schlogl,
                                          model_kind::custom_law),
-                       ::testing::Range<std::size_t>(0, 5),
+                       ::testing::Range<std::size_t>(0, 6),
                        ::testing::Values(1u, 3u)),
     row_name);
 
