@@ -78,18 +78,24 @@ class session {
 /// up-front validation (typed config_error diagnostics) at open().
 class run_builder {
  public:
+  /// The builder, every session it opens and the compiled artifact keep a
+  /// pointer to `m`, so it must outlive them: until wait() returns or the
+  /// session is destroyed. A temporary cannot bind.
   run_builder& model(const cwc::model& m) {
     model_.tree = &m;
     model_.flat = nullptr;
     model_.compiled.reset();
     return *this;
   }
+  /// As model(const cwc::model&): `n` must outlive the sessions.
   run_builder& model(const cwc::reaction_network& n) {
     model_.flat = &n;
     model_.tree = nullptr;
     model_.compiled.reset();
     return *this;
   }
+  run_builder& model(const cwc::model&&) = delete;
+  run_builder& model(const cwc::reaction_network&&) = delete;
   run_builder& config(sim_config cfg) {
     cfg_ = cfg;
     return *this;

@@ -51,18 +51,23 @@ void validate(const sim_config& cfg, const backend& b, const sweep::plan& p);
 /// caller-owned event_sink, which also provides cooperative stop).
 class sweep_builder {
  public:
+  /// The builder keeps a pointer to `m`, so it must outlive every run()
+  /// call. A temporary cannot bind.
   sweep_builder& model(const cwc::model& m) {
     model_.tree = &m;
     model_.flat = nullptr;
     model_.compiled.reset();
     return *this;
   }
+  /// As model(const cwc::model&): `n` must outlive every run() call.
   sweep_builder& model(const cwc::reaction_network& n) {
     model_.flat = &n;
     model_.tree = nullptr;
     model_.compiled.reset();
     return *this;
   }
+  sweep_builder& model(const cwc::model&&) = delete;
+  sweep_builder& model(const cwc::reaction_network&&) = delete;
   /// cfg.num_trajectories is N, the per-cell trajectory count.
   sweep_builder& config(sim_config cfg) {
     cfg_ = cfg;

@@ -11,17 +11,32 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/cwcsim.hpp"
 #include "dist/dist.hpp"
 #include "models/models.hpp"
 #include "simt/simt.hpp"
+#include "sweep/sweep.hpp"
 #include "window_equality.hpp"
 
 namespace {
 
 using testing_windows::expect_bit_identical;
+
+// The builders keep a pointer to the model, so a temporary must not bind:
+// `run_builder().model(make_model())...open()` would run a destroyed model.
+template <typename Builder, typename Model>
+concept binds_model =
+    requires(Builder b, Model&& m) { b.model(std::forward<Model>(m)); };
+static_assert(binds_model<cwcsim::run_builder, const cwc::model&>);
+static_assert(binds_model<cwcsim::run_builder, cwc::reaction_network&>);
+static_assert(!binds_model<cwcsim::run_builder, cwc::model>);
+static_assert(!binds_model<cwcsim::run_builder, const cwc::reaction_network>);
+static_assert(binds_model<cwcsim::sweep_builder, cwc::model&>);
+static_assert(!binds_model<cwcsim::sweep_builder, cwc::model>);
+static_assert(!binds_model<cwcsim::sweep_builder, cwc::reaction_network>);
 
 cwcsim::sim_config small_config() {
   cwcsim::sim_config cfg;

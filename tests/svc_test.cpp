@@ -335,6 +335,12 @@ TEST(Service, BitExactWithMulticoreSameSeed) {
   EXPECT_EQ(st.cache.compiles, 1u);
   EXPECT_EQ(st.quanta_executed, st.quanta_accepted + st.quanta_discarded);
   EXPECT_EQ(st.quanta_discarded, 0u);
+  // The quanta counters and the session's grants count trajectory quanta,
+  // however many trajectories one lease advances.
+  std::uint64_t quanta = 0;
+  for (const auto& d : report.result.completions) quanta += d.quanta;
+  EXPECT_EQ(st.quanta_accepted, quanta);
+  EXPECT_EQ(report.network->grants, quanta);
 }
 
 TEST(Service, EightTenantsOneCompileEveryTenantFinishes) {
