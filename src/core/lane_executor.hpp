@@ -1,8 +1,8 @@
 // The lockstep quantum round shared by every backend that advances a
 // population of trajectories one scheduling quantum at a time on a worker
 // pool: the multicore driver (the Fig. 2 farm of simulation engines), the
-// gpu backend's ff_mapCUDA-style kernels (paper §IV-C), the distributed
-// hosts' lane blocks and sweep campaigns.
+// gpu backend's ff_mapCUDA-style kernels (paper §IV-C), the lane blocks of
+// the distributed hosts and of the run server's pool, and sweep campaigns.
 //
 // The executor owns the one batch/scalar decision those users make: when
 // batch_width > 1 and every cell passes batch_engine::supports, the lane

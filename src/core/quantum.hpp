@@ -1,6 +1,6 @@
 // The per-quantum advancement contract shared by the lane executor's scalar
-// lanes (the multicore and gpu backends, the distributed hosts and sweep
-// campaigns), the run server and the DES workload capture: run one
+// lanes (the multicore and gpu backends, the distributed hosts, the run
+// server and sweep campaigns) and the DES workload capture: run one
 // scheduling quantum, fast-forward stalled trajectories to the horizon,
 // and report the samples, what the quantum cost, and completion. No
 // backend keeps the cost records: des::capture_workload replays engines

@@ -1,7 +1,9 @@
-// How the distributed backend splits an ensemble into lane blocks, its
-// unit of work (dist/distributed_backend.cpp): contiguous blocks of at most
-// kMaxBlockLanes trajectories, at least kMinBlocksPerWorker per worker,
-// each homed on a host so that every worker owns an equal share, ±1
+// How an ensemble splits into lane blocks, the unit of work of the
+// distributed backend (dist/distributed_backend.cpp) and of the run
+// server's pool (svc/run_server.cpp): contiguous blocks of near-equal
+// width, at most kMaxBlockLanes trajectories each. The distributed backend
+// also asks for at least kMinBlocksPerWorker blocks per worker and homes
+// each block on a host so that every worker owns an equal share, ±1
 // block. Shared with the Fig. 6 bench, which times a host's share the way
 // the hosts run it.
 #pragma once
@@ -27,22 +29,31 @@ struct lane_block {
   std::uint32_t home = 0;
 };
 
-/// Split n trajectories into contiguous blocks of near-equal width, and
-/// home block u on the host of worker u * workers / blocks.
-inline std::vector<lane_block> plan_blocks(std::uint64_t n, unsigned hosts,
-                                           unsigned workers_per_host) {
-  const std::uint64_t workers =
-      static_cast<std::uint64_t>(hosts) * workers_per_host;
-  const std::uint64_t count =
-      std::min(n, std::max((n + kMaxBlockLanes - 1) / kMaxBlockLanes,
-                           kMinBlocksPerWorker * workers));
+/// Split n trajectories into contiguous blocks of near-equal width: as few
+/// as fit kMaxBlockLanes, but at least min_blocks of them (and at most n).
+/// Every block is homed on host 0.
+inline std::vector<lane_block> split_blocks(std::uint64_t n,
+                                            std::uint64_t min_blocks = 1) {
+  const std::uint64_t count = std::min(
+      n, std::max((n + kMaxBlockLanes - 1) / kMaxBlockLanes, min_blocks));
   std::vector<lane_block> out(count);
   for (std::uint64_t u = 0; u < count; ++u) {
     out[u].first = u * n / count;
     out[u].lanes = (u + 1) * n / count - out[u].first;
-    out[u].home =
-        static_cast<std::uint32_t>(u * workers / count / workers_per_host);
   }
+  return out;
+}
+
+/// split_blocks with kMinBlocksPerWorker blocks per worker, block u homed
+/// on the host of worker u * workers / blocks.
+inline std::vector<lane_block> plan_blocks(std::uint64_t n, unsigned hosts,
+                                           unsigned workers_per_host) {
+  const std::uint64_t workers =
+      static_cast<std::uint64_t>(hosts) * workers_per_host;
+  std::vector<lane_block> out = split_blocks(n, kMinBlocksPerWorker * workers);
+  for (std::uint64_t u = 0; u < out.size(); ++u)
+    out[u].home = static_cast<std::uint32_t>(u * workers / out.size() /
+                                             workers_per_host);
   return out;
 }
 

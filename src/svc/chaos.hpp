@@ -9,9 +9,9 @@
 //     downlink derives its own stream from (seed, conn_id), so the fault
 //     pattern is deterministic per connection and independent across
 //     tenants.
-//   - engine: throw from inside quantum execution the first time a
-//     trajectory reaches quantum index `engine_throw_at_quantum` —
-//     the in-process stand-in for a worker crash. Fires exactly once per
+//   - engine: throw from inside quantum execution the first time a lane
+//     block reaches quantum index `engine_throw_at_quantum` — the
+//     in-process stand-in for a worker crash. Fires exactly once per
 //     server (the injected fault is transient, so the recovery path's
 //     checkpoint-replay must succeed on retry).
 //
@@ -39,7 +39,7 @@ struct chaos_params {
   std::uint64_t seed = 0xC7A05C7A05ULL;  ///< fault-stream seed
 
   // ---- engine fault ----
-  /// Throw (once, server-wide) when a trajectory first executes this
+  /// Throw (once, server-wide) when a lane block first executes this
   /// quantum index. no_quantum = off.
   std::uint64_t engine_throw_at_quantum = no_quantum;
 

@@ -17,7 +17,8 @@
 #include <vector>
 
 #include "core/analysis_stage.hpp"
-#include "core/quantum.hpp"
+#include "core/lane_executor.hpp"
+#include "dist/lane_blocks.hpp"
 #include "util/check.hpp"
 
 namespace svc {
@@ -31,18 +32,21 @@ clock_t_::duration to_duration(double seconds) {
       std::chrono::duration<double>(seconds));
 }
 
-/// One trajectory leased quantum-by-quantum to the pool — and, at the same
-/// time, the session's checkpoint record for that trajectory:
-/// quantum_index is the completed-quantum high-water mark. The engine is
-/// built lazily on the first grant and then lives here between quanta, so
-/// the happy path never replays; when it is absent (first grant, or reset
-/// after a failed execution) the worker rebuilds it deterministically by
-/// replaying quanta [0, quantum_index) from (seed, trajectory_id).
-struct traj_task {
-  std::uint64_t trajectory_id = 0;
-  std::uint64_t quantum_index = 0;
+/// One lane block — trajectories [first, first + lanes) — leased to the
+/// pool one quantum at a time, and at the same time the session's
+/// checkpoint record for it: `quantum` is the completed-quantum high-water
+/// mark. The executor is built on the first lease and stays resident
+/// between leases, so the happy path never replays; when it is absent
+/// (first lease, or dropped after a failed quantum) the worker rebuilds it
+/// and replays rounds [0, quantum) silently: lanes are pure functions of
+/// (seed, trajectory_id).
+struct block_task {
+  std::uint64_t first = 0;
+  std::uint64_t lanes = 0;
+  std::uint64_t live = 0;  ///< lanes short of t_end at the checkpoint
+  std::uint64_t quantum = 0;
   std::uint32_t retries = 0;  ///< failed executions of the CURRENT quantum
-  std::optional<cwcsim::any_engine> engine;
+  std::unique_ptr<cwcsim::lane_executor> exec;
 };
 
 /// One sequenced downlink stream frame, retained until the client's
@@ -67,9 +71,9 @@ enum class end_kind : std::uint8_t {
 
 /// Everything the server tracks for one tenant. Lock domains:
 ///   - ingest_mu : analysis + completion counters. At most one worker
-///     delivers into a session at a time (one quantum in flight per
-///     trajectory keeps per-trajectory sample order; the mutex serializes
-///     across trajectories of the same session).
+///     delivers into a session at a time (one lease in flight per block
+///     keeps per-trajectory sample order; the mutex serializes across the
+///     blocks of the same session).
 ///   - flow_mu   : the downlink attachment + the sequenced stream state
 ///     (pending/unacked queues, seq counters). Taken under ingest_mu
 ///     (sink callbacks) and under sched_mu (finalize/attach); never the
@@ -111,14 +115,13 @@ struct session final : cwcsim::event_sink {
   std::optional<cwcsim::analysis_stage> analysis;
   std::uint64_t trajectories_done = 0;
 
-  /// Set at teardown; engines polling stop_requested() wind down early
-  /// and deliveries into a torn-down session are discarded.
+  /// Set at teardown: deliveries into a torn-down session are discarded.
   std::atomic<bool> torn_down{false};
 
   // ---- scheduler + lifecycle state (run_server::impl::sched_mu) ----
-  std::deque<traj_task> ready;
-  std::uint64_t inflight = 0;   ///< quanta granted, not yet delivered
-  std::uint64_t accepted = 0;   ///< quanta ingested into the analysis
+  std::deque<block_task> ready;
+  std::uint64_t inflight = 0;   ///< leases granted, not yet delivered
+  std::uint64_t accepted = 0;   ///< trajectory quanta ingested
   double deficit = 0.0;
   bool fresh = true;      ///< next scheduler visit starts a new DRR round
   bool finished = false;  ///< every trajectory reached t_end
@@ -138,9 +141,10 @@ struct session final : cwcsim::event_sink {
 
   // ---- stream helpers (callers hold flow_mu) ----
 
-  /// Ship pending frames while the in-flight window has room.
-  void flush_locked() {
-    while (down && unacked.size() < capacity && !pending.empty()) {
+  /// Ship pending frames while the in-flight window has room — or all of
+  /// them when the stream is ending and the window bound no longer applies.
+  void flush_locked(bool all = false) {
+    while (down && (all || unacked.size() < capacity) && !pending.empty()) {
       unacked.push_back(std::move(pending.front()));
       pending.pop_front();
       down->send(unacked.back().frame);
@@ -149,15 +153,16 @@ struct session final : cwcsim::event_sink {
     unacked_n.store(unacked.size(), std::memory_order_relaxed);
   }
 
-  /// The stream is ending: ship everything, window bound no longer applies.
-  void flush_all_locked() {
-    while (down && !pending.empty()) {
-      unacked.push_back(std::move(pending.front()));
-      pending.pop_front();
-      down->send(unacked.back().frame);
-    }
-    backlog.store(pending.size(), std::memory_order_relaxed);
-    unacked_n.store(unacked.size(), std::memory_order_relaxed);
+  /// The admission ack naming this session on connection conn_id.
+  dist::byte_buffer ack_frame(std::uint64_t conn_id, bool resumed) const {
+    open_ack ack;
+    ack.session_id = conn_id;
+    ack.session_token = token;
+    ack.pool_workers = ack_pool_workers;
+    ack.window_credits = capacity;
+    ack.cache_hit = ack_cache_hit;
+    ack.resumed = resumed;
+    return encode_open_ack(ack);
   }
 
   /// Apply a cumulative ack ("client consumed [0, total)"). Returns true
@@ -559,8 +564,14 @@ struct run_server::impl {
     // s->cfg is stable for the session's lifetime (session lives on the
     // heap behind shared_ptr), satisfying analysis_stage's reference.
     s->analysis.emplace(s->cfg, s->model->num_observables(), *s, 0u);
-    for (std::uint64_t t = 0; t < s->cfg.num_trajectories; ++t)
-      s->ready.push_back(traj_task{t, 0, 0, std::nullopt});
+    // Batchable models run as SoA lane blocks of up to kMaxBlockLanes; the
+    // rest one trajectory per block. The pool's parallelism is the
+    // concurrent tenants, so a session asks for no minimum block count.
+    const std::uint64_t n = s->cfg.num_trajectories;
+    const bool batch =
+        cwcsim::lane_executor::batches({s->model}, dist::kMaxBlockLanes);
+    for (const auto& b : dist::split_blocks(n, batch ? 1 : n))
+      s->ready.push_back(block_task{b.first, b.lanes, b.lanes, 0, 0, nullptr});
 
     {
       const std::lock_guard<std::mutex> lk(sched_mu_);
@@ -584,13 +595,7 @@ struct run_server::impl {
       // the admission frame that precedes streaming), so send it before
       // the session becomes visible to workers — a fast run could
       // otherwise stream windows and retire ahead of the ack.
-      open_ack ack;
-      ack.session_id = s->id;
-      ack.session_token = s->token;
-      ack.pool_workers = s->ack_pool_workers;
-      ack.window_credits = s->capacity;
-      ack.cache_hit = cache_hit;
-      down->send(encode_open_ack(ack));
+      down->send(s->ack_frame(s->id, false));
       sessions_.emplace(s->id, s);
       tokens_.emplace(s->token, s);
       ring_.push_back(s);
@@ -622,15 +627,7 @@ struct run_server::impl {
   /// open frame). Callers hold sched_mu.
   void resend_ack_locked(session& s) {
     const std::lock_guard<std::mutex> fl(s.flow_mu);
-    if (!s.down) return;
-    open_ack ack;
-    ack.session_id = s.id;
-    ack.session_token = s.token;
-    ack.pool_workers = s.ack_pool_workers;
-    ack.window_credits = s.capacity;
-    ack.cache_hit = s.ack_cache_hit;
-    ack.resumed = s.ever_resumed;
-    s.down->send(encode_open_ack(ack));
+    if (s.down) s.down->send(s.ack_frame(s.id, s.ever_resumed));
   }
 
   // -------------------------------------------------------------- resume
@@ -682,14 +679,7 @@ struct run_server::impl {
       // re-sending its open). EOS does not latch on net_channel, so
       // restoring a slot re-opens the downlink for the same reader.
       if (down->writers() == 0) down->add_writer();
-      open_ack ack;
-      ack.session_id = conn_id;
-      ack.session_token = s.token;
-      ack.pool_workers = s.ack_pool_workers;
-      ack.window_credits = s.capacity;
-      ack.cache_hit = s.ack_cache_hit;
-      ack.resumed = true;
-      down->send(encode_open_ack(ack));
+      down->send(s.ack_frame(conn_id, true));
       // The client owns frames [0, resume_next_seq); everything sent
       // beyond that may have died with the old connection — roll it back
       // in front of the unsent tail and re-send in order.
@@ -702,7 +692,7 @@ struct run_server::impl {
       if (s.finalized) {
         // The run already ended; replay the tail and the stored terminal
         // frame, keep the record for another resume, detach.
-        s.flush_all_locked();
+        s.flush_locked(true);
         if (s.terminal_frame) s.down->send(*s.terminal_frame);
         s.down->close_writer();
         s.down.reset();
@@ -759,7 +749,7 @@ struct run_server::impl {
 
   struct grant {
     std::shared_ptr<session> s;
-    traj_task task;
+    block_task task;
   };
 
   /// A session may receive quanta only while it is live and its subscriber
@@ -773,10 +763,16 @@ struct run_server::impl {
            s.backlog.load(std::memory_order_relaxed) < s.capacity;
   }
 
+  /// What serving a session's next lease costs: its block's live lanes.
+  static double cost(const session& s) {
+    return static_cast<double>(s.ready.front().live);
+  }
+
   /// Deficit-weighted round robin: a session arriving fresh under the
-  /// cursor banks `weight` deficit; serving one quantum costs 1. Sessions
-  /// with weight < 1 keep their balance across starved rounds and are
-  /// served every ~1/weight rounds — proportional shares, no starvation.
+  /// cursor banks `weight` deficit; a lease costs its live lanes. Sessions
+  /// keep their balance across rounds that cannot pay for a lease, so
+  /// long-run trajectory-quanta shares are proportional to weight and no
+  /// tenant starves.
   std::optional<grant> next_task() {
     std::unique_lock<std::mutex> lk(sched_mu_);
     for (;;) {
@@ -797,12 +793,12 @@ struct run_server::impl {
           s.deficit += s.weight;
           s.fresh = false;
         }
-        if (s.deficit >= 1.0) {
-          s.deficit -= 1.0;
+        if (s.deficit >= cost(s)) {
+          s.deficit -= cost(s);
           grant g{ring_[cursor_], std::move(s.ready.front())};
           s.ready.pop_front();
           ++s.inflight;
-          if (s.deficit < 1.0 || s.ready.empty()) {
+          if (s.ready.empty() || s.deficit < cost(s)) {
             s.fresh = true;
             ++cursor_;
           }
@@ -814,8 +810,8 @@ struct run_server::impl {
       }
       if (banked) {
         // Every eligible session banks `weight` once per pass, so the
-        // passes until the fastest-accruing one reaches a full quantum
-        // are known in advance. Jump everyone ahead by that many passes
+        // passes until the first one can pay for its next lease are known
+        // in advance. Jump everyone ahead by that many passes
         // in one step instead of rescanning the ring ~1/weight times
         // while holding sched_mu_ (which would block the dispatcher and
         // every co-tenant whenever a low-weight session is next in line).
@@ -823,7 +819,7 @@ struct run_server::impl {
         for (const auto& sp : ring_)
           if (eligible(*sp))
             passes = std::min(passes,
-                              std::ceil((1.0 - sp->deficit) / sp->weight));
+                              std::ceil((cost(*sp) - sp->deficit) / sp->weight));
         if (std::isfinite(passes) && passes > 0.0)
           for (const auto& sp : ring_)
             if (eligible(*sp)) sp->deficit += passes * sp->weight;
@@ -834,107 +830,117 @@ struct run_server::impl {
   }
 
   void worker_loop() {
-    for (;;) {
-      auto g = next_task();
-      if (!g) return;
-      session& s = *g->s;
-      cwcsim::quantum_outcome out;
-      bool failed = false;
-      std::string why;
-      std::uint64_t replayed = 0;
-      try {
-        // Chaos: the injected one-shot engine fault (a worker crash
-        // stand-in). Fires before any engine work, so the checkpoint is
-        // untouched and recovery replays deterministically.
-        if (g->task.quantum_index == cfg_.chaos.engine_throw_at_quantum &&
-            chaos_throw_armed_.exchange(false, std::memory_order_relaxed))
-          throw std::runtime_error("chaos: injected engine fault");
-        if (!g->task.engine) {
-          // First grant, or recovery after a failed execution: rebuild
-          // the engine from its checkpoint. Engines are pure functions of
-          // (seed, trajectory_id), so replaying [0, high-water) restores
-          // the exact pre-crash state; the replayed quanta are NOT
-          // re-ingested (the analysis already has them).
-          g->task.engine.emplace(s.model, s.cfg.seed, g->task.trajectory_id);
-          for (std::uint64_t q = 0; q < g->task.quantum_index; ++q) {
-            (void)cwcsim::advance_one_quantum(*g->task.engine, s.cfg,
-                                              g->task.trajectory_id, q);
-            ++replayed;
-          }
-        }
-        out = cwcsim::advance_one_quantum(*g->task.engine, s.cfg,
-                                          g->task.trajectory_id,
-                                          g->task.quantum_index);
-        ++g->task.quantum_index;
-        g->task.retries = 0;
-      } catch (const std::exception& e) {
-        failed = true;
-        why = e.what();
-      } catch (...) {
-        failed = true;
-        why = "unknown engine failure";
-      }
-      deliver(*g, std::move(out), failed, why, replayed);
-    }
+    while (auto g = next_task()) run_lease(*g);
   }
 
-  // ------------------------------------------------------------ delivery
+  /// A block's lanes in one SoA batch group where the model allows,
+  /// stepped on the calling pool worker.
+  static std::unique_ptr<cwcsim::lane_executor> make_executor(
+      const session& s, const block_task& b) {
+    std::vector<cwcsim::lane_executor::lane> lanes;
+    lanes.reserve(b.lanes);
+    for (std::uint64_t i = 0; i < b.lanes; ++i) lanes.push_back({b.first + i, 0});
+    return std::make_unique<cwcsim::lane_executor>(
+        cwcsim::lane_executor::cell_list{s.model}, s.cfg, std::move(lanes),
+        static_cast<std::size_t>(b.lanes), 1);
+  }
 
-  void deliver(grant& g, cwcsim::quantum_outcome&& out, bool failed,
-               const std::string& why, std::uint64_t replayed) {
+  // ------------------------------------------------------------- leases
+
+  /// Run one lease — one quantum of one block — deliver it into the
+  /// session, and account for it in trajectory quanta.
+  void run_lease(grant& g) {
     session& s = *g.s;
+    block_task& b = g.task;
+    const std::uint64_t lanes = b.live;  // the trajectory quanta leased
+    std::uint64_t replayed = 0;
     bool accepted = false;
     bool finished_session = false;
-
-    if (!failed) {
-      const std::lock_guard<std::mutex> lk(s.ingest_mu);
-      if (!s.torn_down.load(std::memory_order_relaxed)) {
-        accepted = true;
-        for (const auto& smp : out.batch.samples)
-          s.analysis->ingest(g.task.trajectory_id, smp);
-        if (out.finished) {
-          ++s.trajectories_done;
-          s.trajectory_done(out.done);
-          if (s.trajectories_done == s.cfg.num_trajectories) {
-            s.analysis->finish();
-            // No ingest can follow: every trajectory has finished, and a
-            // trajectory has one task, never requeued once finished. A
-            // retained record keeps only its stream tail and terminal.
-            s.analysis.reset();
-            finished_session = true;
-          }
+    std::optional<std::string> failure;
+    try {
+      // Chaos: the injected one-shot engine fault (a worker crash
+      // stand-in). Fires before any engine work, so the checkpoint is
+      // untouched and recovery replays deterministically.
+      if (b.quantum == cfg_.chaos.engine_throw_at_quantum &&
+          chaos_throw_armed_.exchange(false, std::memory_order_relaxed))
+        throw std::runtime_error("chaos: injected engine fault");
+      if (b.exec == nullptr) {
+        // First lease, or recovery after a failed quantum: rebuild the
+        // block and replay its checkpointed rounds. They restore the exact
+        // pre-crash state and are NOT re-ingested (the analysis already
+        // has them).
+        b.exec = make_executor(s, b);
+        while (b.exec->rounds() < b.quantum) {
+          replayed += b.exec->live();
+          b.exec->round([](const auto&) {},
+                        [](std::uint32_t, const cwcsim::task_done&) {});
         }
       }
+      // The round's callbacks run after its step, in lane order; the first
+      // one takes ingest_mu, so the step itself runs unlocked.
+      std::unique_lock<std::mutex> ingest;
+      b.exec->round(
+          [&](const cwcsim::lane_executor::lane_quantum& q) {
+            if (!ingest.owns_lock()) {
+              ingest = std::unique_lock<std::mutex>(s.ingest_mu);
+              accepted = !s.torn_down.load(std::memory_order_relaxed);
+            }
+            if (accepted)
+              for (const auto& smp : q.samples)
+                s.analysis->ingest(q.id.trajectory_id, smp);
+          },
+          [&](std::uint32_t, const cwcsim::task_done& d) {
+            if (!accepted) return;
+            ++s.trajectories_done;
+            s.trajectory_done(d);
+          });
+      if (accepted && s.trajectories_done == s.cfg.num_trajectories) {
+        s.analysis->finish();
+        // No ingest can follow: every trajectory has finished, and a
+        // finished block is never requeued. A retained record keeps only
+        // its stream tail and terminal.
+        s.analysis.reset();
+        finished_session = true;
+      }
+    } catch (const std::exception& e) {
+      failure = e.what();
+    } catch (...) {
+      failure = "unknown engine failure";
     }
+    accepted = accepted && !failure;
 
     const std::lock_guard<std::mutex> lk(sched_mu_);
     --s.inflight;
-    ++stats_.quanta_executed;
+    stats_.quanta_executed += lanes;
     stats_.quanta_replayed += replayed;
     if (accepted) {
-      ++stats_.quanta_accepted;
-      ++s.accepted;
-      if (!out.finished)
-        s.ready.push_back(std::move(g.task));
-      else  // unpin the model before the terminal frame can go out
-        g.task.engine.reset();
+      stats_.quanta_accepted += lanes;
+      s.accepted += lanes;
+      if (finished_session) s.finished = true;
+      b.quantum = b.exec->rounds();
+      b.live = b.exec->live();
+      b.retries = 0;
     } else {
-      ++stats_.quanta_discarded;
-      if (failed && s.ending == end_kind::none && !s.finalized) {
-        if (g.task.retries < cfg_.max_quantum_retries) {
-          // Recoverable: drop the (possibly corrupt) engine and requeue
-          // the SAME quantum at the front; the next worker rebuilds from
-          // the checkpoint and re-executes only this quantum.
-          ++g.task.retries;
-          g.task.engine.reset();
-          ++stats_.quanta_retried;
-          s.ready.push_front(std::move(g.task));
-        } else {
-          begin_teardown_locked(s, end_kind::failed, why);
-        }
-      }
+      stats_.quanta_discarded += lanes;
     }
-    if (finished_session) s.finished = true;
+    if (failure && s.ending == end_kind::none &&
+        b.retries >= cfg_.max_quantum_retries)
+      begin_teardown_locked(s, end_kind::failed, *failure);
+    if (s.ending != end_kind::none || (!failure && b.live == 0)) {
+      // A finished block, or one its session no longer runs: unpin the
+      // model before the terminal frame can go out.
+      b.exec.reset();
+    } else if (failure) {
+      // Recoverable: drop the (possibly corrupt) executor and requeue the
+      // SAME quantum at the front; the next lease rebuilds the block from
+      // its checkpoint and re-executes only this quantum.
+      b.exec.reset();
+      ++b.retries;
+      stats_.quanta_retried += lanes;
+      s.ready.push_front(std::move(b));
+    } else {
+      s.ready.push_back(std::move(b));
+    }
     maybe_finalize_locked(s);
     sched_cv_.notify_all();
   }
@@ -970,7 +976,7 @@ struct run_server::impl {
           // The stream is ending on the server's terms: flush everything
           // the tenant already paid for (backpressure no longer applies),
           // so the terminal frame's seq covers every frame produced.
-          s.flush_all_locked();
+          s.flush_locked(true);
           dist::byte_buffer terminal;
           if (s.ending == end_kind::cancelled) {
             run_complete c;

@@ -21,18 +21,23 @@
 //     typed retry_after frame (clients back off and retry, and are
 //     admitted once load clears); admitted sessions are never starved by
 //     arrivals. Malformed requests still get a final open_error.
-//   - scheduling    — deficit-weighted round robin over sessions: pool
-//     workers pull one trajectory quantum at a time, each session
-//     accumulates `weight` deficit per scheduler round and pays 1 per
-//     quantum, so long-run quanta shares are proportional to weight and
-//     no tenant starves. A trajectory is leased to at most one worker at
-//     a time; its engine state lives on between quanta.
-//   - recovery      — every trajectory lease doubles as a checkpoint
-//     record: (trajectory_id, completed-quantum high-water mark). Engines
-//     are pure functions of (seed, trajectory_id), so when quantum
-//     execution fails (an engine throw — the in-process stand-in for a
-//     worker crash) the server rebuilds the engine by silently replaying
-//     quanta [0, high-water) and re-executes ONLY the lost quantum, up to
+//   - scheduling    — each session is split into contiguous lane blocks
+//     (dist/lane_blocks.hpp): near-equal blocks of at most 32 trajectories
+//     when lane_executor::batches accepts the model, one trajectory per
+//     block otherwise. A lease is one quantum of one block, and a block is
+//     leased to at most one worker at a time. Its cwcsim::lane_executor
+//     (SoA batch lanes, or one scalar lane) stays resident between leases,
+//     as on the dist hosts. Deficit-weighted round robin picks the
+//     session: each accumulates `weight` deficit per scheduler round and
+//     pays its block's live lanes per lease, so long-run trajectory-quanta
+//     shares are proportional to weight and no tenant starves. Every
+//     quanta_* counter counts trajectory quanta.
+//   - recovery      — every block lease doubles as a checkpoint record:
+//     (block, completed-quantum high-water mark). Lanes are pure functions
+//     of (seed, trajectory_id), so when a quantum fails (an engine throw —
+//     the in-process stand-in for a worker crash) the server drops the
+//     block's executor, rebuilds it by silently replaying rounds
+//     [0, high-water) and re-executes ONLY the lost quantum, up to
 //     max_quantum_retries times, before declaring the session failed.
 //   - liveness      — every uplink frame refreshes a session's lease; a
 //     reaper retires zombies: a client silent past heartbeat_timeout_s is
@@ -47,10 +52,12 @@
 //     Completed sessions retain their terminal frame for the retention
 //     window, so a client that lost the last frame can still finish.
 //   - analysis      — the same cwcsim::analysis_stage every backend
-//     uses, run per-session as quanta arrive with zero workers (summaries
-//     inline, the pool being the parallelism) and dropped once the
-//     session finishes, so windows are bit-exact with the shared-memory
-//     pipeline regardless of pool interleaving.
+//     uses, run per-session with zero workers (summaries inline, the pool
+//     being the parallelism) and dropped once the session finishes. The
+//     worker that ran a lease delivers its round's samples and completions
+//     in lane order under the session's ingest lock, so windows are
+//     bit-exact with the shared-memory pipeline regardless of pool
+//     interleaving.
 //   - backpressure  — sliding-window flow control (svc/proto.hpp): at
 //     most window_credits stream frames in flight beyond the client's
 //     cumulative ack, and a session whose produced-but-unsent queue
@@ -59,7 +66,7 @@
 //   - teardown      — cancel (cooperative stop: pending frames flush, a
 //     complete{stopped} frame answers) and close (disconnect: the
 //     session vanishes silently). Both release the session's queued
-//     trajectory leases back to the pool immediately; in-flight quanta
+//     block leases back to the pool immediately; in-flight quanta
 //     finish and are discarded, with quanta_executed ==
 //     quanta_accepted + quanta_discarded always balancing.
 //   - chaos         — svc_config::chaos (svc/chaos.hpp) injects seeded
@@ -127,11 +134,13 @@ struct server_stats {
   std::uint64_t sessions_reaped = 0;   ///< zombies retired by the reaper
   std::uint64_t sessions_resumed = 0;  ///< successful resume re-attaches
   std::uint64_t sessions_expired = 0;  ///< parked sessions past retention
+  // The quanta_* counters count trajectory quanta: a lease of one block
+  // quantum adds its live lanes.
   std::uint64_t quanta_executed = 0;   ///< quanta the pool ran
   std::uint64_t quanta_accepted = 0;   ///< ingested into a live session
   std::uint64_t quanta_discarded = 0;  ///< ran for a torn-down session/failed
   std::uint64_t quanta_retried = 0;    ///< failed executions re-queued
-  /// Quanta silently re-run to rebuild an engine from its checkpoint
+  /// Quanta silently re-run to rebuild a block from its checkpoint
   /// (recovery replay; not counted in quanta_executed).
   std::uint64_t quanta_replayed = 0;
   /// Registered connections: connected and not yet closed by the client.
