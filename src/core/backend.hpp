@@ -169,8 +169,8 @@ struct run_report {
     /// the model fell back to in-process sharing).
     double model_bytes = 0.0;
     // ---- elastic-scheduling honesty counters ----
-    /// Leases granted: one lane-block quantum each on dist, one
-    /// trajectory quantum each on a service run.
+    /// Leases granted: one lane-block quantum each on dist. On a service
+    /// run, the trajectory quanta its leases advanced.
     std::uint64_t grants = 0;
     /// Leases re-granted after their holder went silent past the deadline.
     std::uint64_t reissued = 0;

@@ -20,10 +20,10 @@
 // dropped downlink frame) or loses its connection can reconnect and
 // resume the SAME session — open_request::resume_token names it,
 // resume_next_seq says what the client already has, and the server
-// replays only the missing tail. Trajectory execution state checkpoints
-// server-side as (trajectory_id, completed-quantum high-water mark);
-// engines are pure functions of (seed, trajectory_id), so a lost quantum
-// deterministically replays without disturbing the stream.
+// replays only the missing tail. Execution state checkpoints server-side
+// as (lane block, completed-quantum high-water mark); lanes are pure
+// functions of (seed, trajectory_id), so a lost quantum deterministically
+// replays without disturbing the stream.
 //
 // Flow control is window-based: the server keeps at most
 // `window_credits` stream frames in flight beyond the client's cumulative
@@ -116,7 +116,7 @@ struct run_complete {
   std::uint64_t seq = 0;
   bool stopped = false;          ///< ended via cancel, results partial
   std::uint64_t trajectories = 0;  ///< completions streamed
-  std::uint64_t quanta = 0;        ///< quanta accepted into this session
+  std::uint64_t quanta = 0;  ///< trajectory quanta accepted into this session
 };
 
 // ---- whole-frame encoders (tag + schema header + payload) -------------
