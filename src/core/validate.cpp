@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/backend.hpp"
+#include "cwc/sampling.hpp"
 
 namespace cwcsim {
 
@@ -19,8 +20,13 @@ void validate(const sim_config& cfg) {
     throw config_error("sample_period", "sample period must be positive");
   if (!(cfg.quantum > 0.0))
     throw config_error("quantum", "quantum must be positive");
-  if (cfg.t_end < 0.0)
-    throw config_error("t_end", "simulation horizon must be non-negative");
+  if (!(cfg.t_end >= 0.0) || !std::isfinite(cfg.t_end))
+    throw config_error("t_end", "simulation horizon must be finite and non-negative");
+  // num_sample_points casts this ratio to uint64_t; 2^63 leaves headroom.
+  if (!((cfg.t_end + cwc::sample_tolerance(cfg.t_end, cfg.sample_period)) /
+            cfg.sample_period <
+        0x1p63))
+    throw config_error("sample_period", "too many sample points to index");
   if (cfg.window_size == 0)
     throw config_error("window_size", "windows must hold at least one cut");
   if (cfg.window_slide == 0)

@@ -10,11 +10,10 @@ namespace {
 
 // ---- species-footprint kernel ----------------------------------------
 // The one audited implementation of "does firing j change what k reads":
-// per-rule/per-reaction species sets are dense char bitmaps, dependency
-// means a written bit intersects a read bit (or the reader's rate law is
-// non-mass-action and conservatively reads everything). Both the tree
-// engine's redo lists and the flat next-reaction graph are derived from
-// these three primitives.
+// per-rule species sets are dense char bitmaps, dependency means a written
+// bit intersects a read bit (or the reader's rate law is non-mass-action
+// and conservatively reads everything). The tree engine's redo lists are
+// derived from these three primitives.
 
 void mark(std::vector<char>& bits, const multiset& ms) {
   const std::size_t n = bits.size();
@@ -43,11 +42,7 @@ std::atomic<std::uint64_t> compiled_model::compiles_{0};
 std::shared_ptr<const compiled_model> compiled_model::finish(
     std::shared_ptr<compiled_model> cm) {
   compiles_.fetch_add(1, std::memory_order_relaxed);
-  if (cm->tree_ != nullptr) {
-    cm->build_tree_tables();
-  } else {
-    cm->build_flat_tables();
-  }
+  if (cm->tree_ != nullptr) cm->build_tree_tables();
   return cm;
 }
 
@@ -80,9 +75,8 @@ std::shared_ptr<const compiled_model> compiled_model::overlay(
         throw overlay_error(name, "no rule with this name in the model");
     }
   } else {
-    // Flat overlay: the reaction table IS the per-cell state, so patch an
-    // owned copy; the Gibson-Bruck dependency graph still routes to the
-    // root (constants cannot change the species footprint).
+    // Flat overlay: the reaction table IS the per-cell state (a flat
+    // artifact has no other table), so patch an owned copy.
     ov->owned_flat_.emplace(*base->flat_);
     ov->flat_ = &*ov->owned_flat_;
     for (const auto& [name, value] : overrides) {
@@ -167,8 +161,7 @@ void compiled_model::build_tree_tables() {
   //             wraps are immutable after creation, so wrap_req never
   //             invalidates)
   // Non-mass-action laws (MM/Hill/custom) read driver counts the footprint
-  // cannot see, so they conservatively depend on every rule — the same
-  // fallback the flat next-reaction graph below uses.
+  // cannot see, so they conservatively depend on every rule.
   std::vector<std::vector<char>> w_local(num_rules,
                                          std::vector<char>(num_species, 0));
   std::vector<std::vector<char>> w_child(num_rules,
@@ -242,39 +235,6 @@ void compiled_model::build_tree_tables() {
     p.scoped = o.scope.has_value();
     p.scope = p.scoped ? *o.scope : 0;
     observables_.push_back(p);
-  }
-}
-
-void compiled_model::build_flat_tables() {
-  const auto& reactions = flat_->reactions();
-  const std::size_t r = reactions.size();
-  const std::size_t num_species = flat_->num_species();
-
-  // Species a reaction writes (reactants + products) and reads
-  // (reactants); non-mass-action laws (MM/Hill/custom) read driver counts
-  // the stoichiometry cannot see, so they conservatively read everything.
-  std::vector<std::vector<char>> writes(r, std::vector<char>(num_species, 0));
-  std::vector<std::vector<char>> reads(r, std::vector<char>(num_species, 0));
-  std::vector<char> reads_everything(r, 0);
-  for (std::size_t j = 0; j < r; ++j) {
-    for (const stoich& s : reactions[j].reactants) {
-      if (s.sp < num_species) {
-        reads[j][s.sp] = 1;
-        writes[j][s.sp] = 1;
-      }
-    }
-    for (const stoich& s : reactions[j].products)
-      if (s.sp < num_species) writes[j][s.sp] = 1;
-    reads_everything[j] = reactions[j].law.is_mass_action() ? 0 : 1;
-  }
-
-  depends_.assign(r, {});
-  for (std::size_t j = 0; j < r; ++j) {
-    for (std::size_t k = 0; k < r; ++k) {
-      if (k == j) continue;  // the fired reaction redraws its own clock
-      if (reads_everything[k] != 0 || intersects(writes[j], reads[k]))
-        depends_[j].push_back(static_cast<std::uint32_t>(k));
-    }
   }
 }
 

@@ -25,10 +25,9 @@
 //     engines always had); the rvalue overloads take ownership (the
 //     wire-decode path).
 //
-// The dependency-index construction lives here — one audited
-// implementation — instead of being duplicated between the tree engine
-// (formerly gillespie.cpp) and the flat next-reaction engine (formerly
-// next_reaction.cpp).
+// The tree engine's rule dependency index has one implementation, here. A
+// flat artifact holds no static tables: the flat engine reads the reaction
+// table itself.
 #pragma once
 
 #include <atomic>
@@ -61,13 +60,13 @@ class compiled_model {
   using rate_override = std::pair<std::string, double>;
 
   /// A rate-constant overlay of `base`: a cheap per-sweep-cell artifact that
-  /// SHARES base's structure — the dependency index, per-type rule lists,
-  /// redo lists, write flags, and observable plans are never recopied or
-  /// recomputed (and the compile counter does not tick) — while the rule
-  /// table, the rate-tape constant-scale operands, and (for flat networks)
-  /// the reaction table carry the patched constants. Engines constructed
-  /// from the overlay replay exactly the trajectory a full recompile of the
-  /// patched model would produce, bit for bit.
+  /// SHARES base's structure — per-type rule lists, redo lists, write
+  /// flags, and observable plans are never recopied or recomputed (and the
+  /// compile counter does not tick) — while the rule table, the rate-tape
+  /// constant-scale operands, and (for flat networks) the reaction table
+  /// carry the patched constants. Engines constructed from the overlay
+  /// replay exactly the trajectory a full recompile of the patched model
+  /// would produce, bit for bit.
   ///
   /// Throws overlay_error when a named rule does not exist or its law is
   /// not mass-action (rate_law::with_constant). Overlaying an overlay is
@@ -167,18 +166,10 @@ class compiled_model {
   void observe_all(const term& state, std::vector<std::uint64_t>& scratch,
                    std::vector<double>& out) const;
 
-  // ---- flat tables (valid when !is_tree()) --------------------------
-  /// Gibson–Bruck dependency list: reactions (excluding `j` itself) whose
-  /// propensity may change after reaction `j` fires, ascending index.
-  const std::vector<std::uint32_t>& depends(std::size_t j) const {
-    return tables_->depends_[j];
-  }
-
  private:
   compiled_model() = default;
 
   void build_tree_tables();
-  void build_flat_tables();
   static std::shared_ptr<const compiled_model> finish(
       std::shared_ptr<compiled_model> cm);
 
@@ -207,9 +198,6 @@ class compiled_model {
   std::vector<std::uint8_t> writes_child_;
   std::vector<observable_plan> observables_;
   rate_tape tape_;
-
-  // Flat tables.
-  std::vector<std::vector<std::uint32_t>> depends_;
 };
 
 }  // namespace cwc

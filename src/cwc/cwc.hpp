@@ -8,7 +8,6 @@
 #include "cwc/gillespie.hpp"
 #include "cwc/model.hpp"
 #include "cwc/model_file.hpp"
-#include "cwc/next_reaction.hpp"
 #include "cwc/multiset.hpp"
 #include "cwc/ode.hpp"
 #include "cwc/parser.hpp"

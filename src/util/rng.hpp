@@ -1,5 +1,5 @@
-// Counter-based, splittable random number generation for reproducible
-// parallel Monte Carlo.
+// Counter-based random number generation for reproducible parallel Monte
+// Carlo.
 //
 // Every trajectory owns an independent stream keyed by (seed, stream id), so
 // simulation results are bit-for-bit identical regardless of how trajectories
@@ -16,8 +16,8 @@
 
 namespace util {
 
-/// SplitMix64 — tiny, fast, full-period 64-bit mixer. Used for seeding and
-/// as the stream-splitting function (Steele et al., OOPSLA'14).
+/// SplitMix64 — tiny, fast, full-period 64-bit mixer (Steele et al.,
+/// OOPSLA'14). Keys every stream and seeds its generator.
 class splitmix64 {
  public:
   using result_type = std::uint64_t;
@@ -68,31 +68,6 @@ class xoshiro256ss {
     return result;
   }
 
-  /// Skip ahead 2^128 draws (the generator's canonical jump polynomial):
-  /// after jump(), the state is what 2^128 calls of operator() would have
-  /// produced. Partitions one stream into non-overlapping substreams.
-  void jump() noexcept {
-    static constexpr std::uint64_t kJump[] = {
-        0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
-        0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL};
-    std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-    for (const std::uint64_t word : kJump) {
-      for (int b = 0; b < 64; ++b) {
-        if (word & (1ULL << b)) {
-          s0 ^= s_[0];
-          s1 ^= s_[1];
-          s2 ^= s_[2];
-          s3 ^= s_[3];
-        }
-        (void)(*this)();
-      }
-    }
-    s_[0] = s0;
-    s_[1] = s1;
-    s_[2] = s2;
-    s_[3] = s3;
-  }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
@@ -108,32 +83,7 @@ class rng_stream {
   rng_stream() noexcept : rng_(0) {}
 
   rng_stream(std::uint64_t seed, std::uint64_t stream_id) noexcept
-      : key_(mix(seed, stream_id)), rng_(key_) {}
-
-  /// Counter-based stream splitting: derive child stream `stream_id` of this
-  /// stream. The child is a pure function of (construction key, stream_id) —
-  /// independent of how many values the parent has already drawn — so
-  /// split(i) is reproducible no matter when or where it is called, and
-  /// rng_stream(seed, a).split(b) == rng_stream(seed, a).split(b) always.
-  /// A derivation utility for hierarchical stream partitioning (e.g. a
-  /// campaign stream splitting per-replica substreams). NB: batch-engine
-  /// lanes do NOT use split(): lane i must own the exact stream
-  /// rng_stream(seed, first_id + i) to replay its scalar engine
-  /// bit-for-bit.
-  rng_stream split(std::uint64_t stream_id) const noexcept {
-    rng_stream child;
-    child.key_ = mix(key_, stream_id);
-    child.rng_ = xoshiro256ss(child.key_);
-    return child;
-  }
-
-  /// Skip this stream ahead 2^128 draws (see xoshiro256ss::jump): carves
-  /// non-overlapping substreams out of one stream when an id-keyed split is
-  /// not available. Discards any cached normal spare.
-  void jump() noexcept {
-    rng_.jump();
-    have_spare_ = false;
-  }
+      : rng_(mix(seed, stream_id)) {}
 
   /// Uniform in [0, 2^64).
   std::uint64_t next_u64() noexcept { return rng_(); }
@@ -194,7 +144,6 @@ class rng_stream {
     return sm();
   }
 
-  std::uint64_t key_ = 0;  ///< construction key; split() derives children from it
   xoshiro256ss rng_;
   double spare_ = 0.0;
   bool have_spare_ = false;

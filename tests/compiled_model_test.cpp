@@ -1,15 +1,13 @@
 // Golden tests for the compile-once layer (cwc/compiled_model.hpp): every
 // engine built from a shared compiled artifact must produce bit-for-bit
-// the sample path of an engine built on its own private artifact, across all
-// three engine kinds (tree direct-method, flat direct-method, flat
-// next-reaction) and all three backends (multicore/distributed/gpu,
-// extending the session_test lockstep pattern). Also proves, with a
-// counting global allocator, that per-trajectory engine construction no
-// longer allocates the static dependency tables, and pins the compiler's
-// flat dependency index against an independently-written reference.
+// the sample path of an engine built on its own private artifact, across
+// both engine kinds (tree and flat direct-method) and all three backends
+// (multicore/distributed/gpu, extending the session_test lockstep
+// pattern). Also proves, with a counting global allocator, that
+// per-trajectory tree-engine construction no longer allocates the static
+// dependency tables.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <vector>
 
 #include "core/cwcsim.hpp"
@@ -63,7 +61,7 @@ TEST(CompiledModel, TreeEngineBitExactVsPrivateRecompile) {
   }
 }
 
-// Flat direct-method and next-reaction engines from one shared artifact.
+// Flat direct-method engines from one shared artifact.
 TEST(CompiledModel, FlatEnginesBitExactVsPrivateRecompile) {
   const auto net = models::make_neurospora_flat({});
   const auto cm = cwc::compiled_model::compile(net);
@@ -77,15 +75,6 @@ TEST(CompiledModel, FlatEnginesBitExactVsPrivateRecompile) {
     shared_eng.run_to(20.0, 0.5, ss);
     expect_same_samples(ss, ls);
     EXPECT_EQ(shared_eng.steps(), own.steps());
-
-    cwc::next_reaction_engine nrm_own(cwc::compiled_model::compile(net), 31,
-                                      id);
-    cwc::next_reaction_engine nrm_shared(cm, 31, id);
-    std::vector<cwc::trajectory_sample> nl, ns;
-    nrm_own.run_to(20.0, 0.5, nl);
-    nrm_shared.run_to(20.0, 0.5, ns);
-    expect_same_samples(ns, nl);
-    EXPECT_EQ(nrm_shared.steps(), nrm_own.steps());
   }
 }
 
@@ -130,43 +119,6 @@ TEST(CompiledModel, ObservablePlansMatchModelObserve) {
   }
 }
 
-// The compiler's flat dependency index against an independent reference
-// implementation (the audited former next_reaction_engine logic, kept here
-// as the test oracle).
-TEST(CompiledModel, FlatDependencyIndexMatchesReference) {
-  for (int which = 0; which < 2; ++which) {
-    const cwc::reaction_network net = which == 0
-                                          ? models::make_neurospora_flat({})
-                                          : models::make_michaelis_menten({});
-    const auto cm = cwc::compiled_model::compile(net);
-    const auto& reactions = net.reactions();
-    const std::size_t r = reactions.size();
-
-    std::vector<std::set<cwc::species_id>> writes(r), reads(r);
-    std::vector<bool> reads_everything(r, false);
-    for (std::size_t j = 0; j < r; ++j) {
-      for (const cwc::stoich& s : reactions[j].reactants) {
-        reads[j].insert(s.sp);
-        writes[j].insert(s.sp);
-      }
-      for (const cwc::stoich& s : reactions[j].products) writes[j].insert(s.sp);
-      if (!reactions[j].law.is_mass_action()) reads_everything[j] = true;
-    }
-    for (std::size_t j = 0; j < r; ++j) {
-      std::vector<std::uint32_t> want;
-      for (std::size_t k = 0; k < r; ++k) {
-        if (k == j) continue;
-        bool affected = reads_everything[k];
-        for (auto it = writes[j].begin(); !affected && it != writes[j].end();
-             ++it)
-          affected = reads[k].count(*it) != 0;
-        if (affected) want.push_back(static_cast<std::uint32_t>(k));
-      }
-      EXPECT_EQ(cm->depends(j), want) << "reaction " << j;
-    }
-  }
-}
-
 // The point of the layer: constructing an engine from the shared artifact
 // allocates strictly less than compiling a private artifact per engine,
 // because the dependency tables / slot maps / footprints are not rebuilt.
@@ -201,20 +153,6 @@ TEST(CompiledModel, ConstructionSkipsStaticTableAllocations) {
 
   // And construction cost is stable run to run (no hidden lazy state).
   EXPECT_EQ(shared_path, ctor_allocs([&] { cwc::engine e(cm, 3, 2); }));
-
-  // The flat engines share the same property.
-  const auto net = models::make_neurospora_flat({});
-  const auto fcm = cwc::compiled_model::compile(net);
-  (void)ctor_allocs([&] {
-    cwc::next_reaction_engine e(cwc::compiled_model::compile(net), 3, 0);
-  });
-  (void)ctor_allocs([&] { cwc::next_reaction_engine e(fcm, 3, 0); });
-  const std::uint64_t nrm_own = ctor_allocs([&] {
-    cwc::next_reaction_engine e(cwc::compiled_model::compile(net), 3, 1);
-  });
-  const std::uint64_t nrm_shared =
-      ctor_allocs([&] { cwc::next_reaction_engine e(fcm, 3, 1); });
-  EXPECT_LT(nrm_shared, nrm_own);
 }
 
 // ---- the session_test lockstep pattern, through the compiled path --------

@@ -1,6 +1,6 @@
-// Tests for the stochastic engines: determinism, statistical correctness
-// against analytic results, quantum-composability (the property quantum
-// scheduling relies on), CWC-vs-flat equivalence, and the ODE baseline.
+// Tests for the stochastic engines: determinism, quantum-composability (the
+// property quantum scheduling relies on), CWC-vs-flat equivalence, and the
+// ODE baseline. cwc_exact_test.cpp checks the engines against exact laws.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -35,25 +35,6 @@ TEST(FlatEngine, DifferentTrajectoriesDiffer) {
   for (std::size_t i = 0; i < sa.size(); ++i)
     if (sa[i].values != sb[i].values) any_diff = true;
   EXPECT_TRUE(any_diff);
-}
-
-TEST(FlatEngine, BirthDeathStationaryMoments) {
-  // Stationary distribution is Poisson(lambda/mu): mean == variance == 50.
-  models::birth_death_params p;
-  p.lambda = 50.0;
-  p.mu = 1.0;
-  p.x0 = 50;  // start at the mode to skip burn-in
-  const auto net = models::make_birth_death(p);
-  stats::welford agg;
-  for (std::uint64_t traj = 0; traj < 64; ++traj) {
-    cwc::flat_engine eng(cwc::compiled_model::compile(net), 7, traj);
-    std::vector<cwc::trajectory_sample> out;
-    eng.run_to(40.0, 0.5, out);
-    for (const auto& s : out)
-      if (s.time >= 10.0) agg.add(s.values[0]);  // discard transient
-  }
-  EXPECT_NEAR(agg.mean(), 50.0, 1.5);
-  EXPECT_NEAR(agg.variance(), 50.0, 8.0);
 }
 
 TEST(FlatEngine, SamplesCoverFullGridIncludingStall) {

@@ -1,7 +1,9 @@
 // Tests for the CWC concrete syntax: term parsing, printing round-trips,
-// rule parsing (transport, creation, dissolution, rate functions), and
-// error reporting.
+// rule parsing (transport, creation, dissolution, rate functions), error
+// reporting, and the whole-model text loader.
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 #include "cwc/cwc.hpp"
 
@@ -172,6 +174,58 @@ TEST(RuleParser, ParsedRuleDrivesEngine) {
   const auto& last = out.back();
   EXPECT_DOUBLE_EQ(last.values[0], 0.0);
   EXPECT_DOUBLE_EQ(last.values[1], 100.0);
+}
+
+// ------------------------------ model files ------------------------------
+
+constexpr const char* kDoc = R"(
+# toy transport model
+compartments cell nucleus
+init (cell: | 10*M 10*FC (nucleus: | 10*FN))
+rule translate   cell: M -> M + FC @ 0.5
+rule import      cell: FC + (nucleus: | ) -> (nucleus: | FN) @ 0.5
+rule export      cell: (nucleus: | FN) -> FC + (nucleus: | ) @ 0.6
+observable M
+observable FN @ nucleus
+)";
+
+TEST(ModelFile, LoadsCompleteDocument) {
+  const auto m = cwc::load_model(kDoc);
+  EXPECT_EQ(m.rules().size(), 3u);
+  ASSERT_EQ(m.observables().size(), 2u);
+  EXPECT_EQ(m.observables()[1].name, "FN@nucleus");
+  EXPECT_DOUBLE_EQ(m.observe(m.initial(), 0), 10.0);
+  EXPECT_DOUBLE_EQ(m.observe(m.initial(), 1), 10.0);
+
+  // The loaded model actually simulates.
+  cwc::engine eng(cwc::compiled_model::compile(m), 5, 0);
+  std::vector<cwc::trajectory_sample> out;
+  eng.run_to(5.0, 1.0, out);
+  EXPECT_EQ(out.size(), 6u);
+}
+
+TEST(ModelFile, StreamOverload) {
+  std::istringstream in(kDoc);
+  const auto m = cwc::load_model(in);
+  EXPECT_EQ(m.rules().size(), 3u);
+}
+
+TEST(ModelFile, ErrorsNameTheLine) {
+  try {
+    cwc::load_model("init 5*A\nrule broken top: A -> @ 1\n");
+    FAIL() << "expected parse_error";
+  } catch (const cwc::parse_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+  }
+}
+
+TEST(ModelFile, RequiresInit) {
+  EXPECT_THROW(cwc::load_model("rule r top: A -> B @ 1\n"), cwc::parse_error);
+}
+
+TEST(ModelFile, RejectsDuplicateInitAndUnknownKeyword) {
+  EXPECT_THROW(cwc::load_model("init A\ninit B\n"), cwc::parse_error);
+  EXPECT_THROW(cwc::load_model("init A\nfrobnicate x\n"), cwc::parse_error);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -425,6 +426,33 @@ TEST(Validate, RejectsDegenerateKnobsWithTypedDiagnostics) {
   // config_error stays catchable as the historical precondition_error.
   EXPECT_THROW(cwcsim::validate(base, cwcsim::distributed{0, 2}),
                util::precondition_error);
+}
+
+// A horizon that is not a finite number, or a grid with more points than
+// num_sample_points can count, is rejected before any engine samples it.
+TEST(Validate, RejectsAHorizonOrGridTheSamplerCannotIndex) {
+  auto field_of = [](cwcsim::sim_config cfg) -> std::string {
+    try {
+      cwcsim::validate(cfg);
+    } catch (const cwcsim::config_error& e) {
+      return e.field();
+    }
+    return "";
+  };
+
+  auto cfg = small_config();
+  cfg.t_end = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(field_of(cfg), "t_end");
+  cfg.t_end = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(field_of(cfg), "t_end");
+
+  cfg = small_config();
+  cfg.t_end = 1e6;
+  cfg.sample_period = 1e-300;
+  EXPECT_EQ(field_of(cfg), "sample_period");
+
+  cfg.sample_period = 1e-9;  // 10^15 points: large, but indexable
+  EXPECT_EQ(field_of(cfg), "");
 }
 
 TEST(Validate, BuilderRejectsBeforeLaunch) {

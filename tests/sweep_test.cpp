@@ -362,11 +362,10 @@ TEST(SweepCampaign, OverlaysShareTheRootTablesWithoutCompiling) {
       EXPECT_EQ(&ov->redo_parent(j), &root->redo_parent(j));
     }
   }
-  for (const auto& ov : {flat_once, flat_twice}) {
-    ASSERT_TRUE(ov->is_overlay());
-    for (std::size_t j = 0; j < flat_root->num_rules(); ++j)
-      EXPECT_EQ(&ov->depends(j), &flat_root->depends(j));
-  }
+  // A flat artifact holds no static tables: its overlays only patch a copy
+  // of the reaction table.
+  EXPECT_TRUE(flat_once->is_overlay());
+  EXPECT_TRUE(flat_twice->is_overlay());
 }
 
 // ---- report surface ---------------------------------------------------------

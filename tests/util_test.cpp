@@ -56,62 +56,6 @@ TEST(Rng, UniformInUnitInterval) {
   EXPECT_NEAR(var, 1.0 / 12.0, 0.01);
 }
 
-TEST(Rng, SplitIsDeterministicAndConsumptionIndependent) {
-  // split(i) depends only on the parent's construction key, not on how much
-  // the parent has been consumed — the property batch lanes rely on.
-  util::rng_stream fresh(42, 7);
-  util::rng_stream drained(42, 7);
-  for (int i = 0; i < 1000; ++i) (void)drained.next_u64();
-  util::rng_stream a = fresh.split(3);
-  util::rng_stream b = drained.split(3);
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
-}
-
-TEST(Rng, SplitStreamsAreIndependentAndCollisionFree) {
-  // Distinct child ids (and the parent itself) must yield decorrelated
-  // streams: across 256 children no first-output collisions and no
-  // pairwise-equal prefixes.
-  util::rng_stream parent(9, 1);
-  std::set<std::uint64_t> firsts;
-  firsts.insert(parent.next_u64());
-  for (std::uint64_t id = 0; id < 256; ++id) {
-    util::rng_stream child = parent.split(id);
-    firsts.insert(child.next_u64());
-  }
-  EXPECT_EQ(firsts.size(), 257u);
-
-  util::rng_stream c0 = parent.split(0);
-  util::rng_stream c1 = parent.split(1);
-  int equal = 0;
-  for (int i = 0; i < 1000; ++i)
-    if (c0.next_u64() == c1.next_u64()) ++equal;
-  EXPECT_LT(equal, 2);
-}
-
-TEST(Rng, SplitOfSplitIsReproducible) {
-  // Hierarchical derivation (campaign seed -> batch -> lane) is a pure
-  // function of the id path.
-  util::rng_stream a = util::rng_stream(5, 0).split(11).split(4);
-  util::rng_stream b = util::rng_stream(5, 0).split(11).split(4);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
-}
-
-TEST(Rng, JumpSkipsAheadDeterministically) {
-  util::rng_stream a(13, 2);
-  util::rng_stream b(13, 2);
-  a.jump();
-  b.jump();
-  // Jumped copies agree with each other but not with the un-jumped stream.
-  util::rng_stream c(13, 2);
-  int equal = 0;
-  for (int i = 0; i < 1000; ++i) {
-    const std::uint64_t av = a.next_u64();
-    EXPECT_EQ(av, b.next_u64());
-    if (av == c.next_u64()) ++equal;
-  }
-  EXPECT_LT(equal, 2);
-}
-
 TEST(Rng, UniformPosNeverZero) {
   util::rng_stream r(3, 3);
   for (int i = 0; i < 100000; ++i) ASSERT_GT(r.next_uniform_pos(), 0.0);
