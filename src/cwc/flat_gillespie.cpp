@@ -14,34 +14,59 @@ flat_engine::flat_engine(std::shared_ptr<const compiled_model> cm,
   props_.assign(net_->reactions().size(), 0.0);
 }
 
+namespace {
+
+/// Propensity of `r` in `state`, whose dense count row is `x`: the reactant
+/// factors multiply in declaration order, a zero factor gives +0.0 without
+/// evaluating the law, mass action is the constant times the factors, and
+/// MM, Hill and custom laws evaluate on the state itself.
+inline double propensity(const reaction& r, const multiset& state,
+                         const std::uint64_t* x) {
+  double comb = 1.0;
+  for (const stoich& s : r.reactants) {
+    comb *= choose(x[s.sp], s.n);
+    if (comb == 0.0) return 0.0;
+  }
+  if (r.law.is_mass_action()) return r.law.constant() * comb;
+  return r.law.evaluate(rate_ctx{state, nullptr, comb});
+}
+
+}  // namespace
+
 double flat_engine::total_propensity() {
+  // The left-to-right fold in declaration order: the same arithmetic as the
+  // tree engine's one-compartment block, so both step a network bit for bit.
+  const std::uint64_t* x = state_.row();
+  const std::vector<reaction>& rs = net_->reactions();
   double total = 0.0;
-  for (std::size_t j = 0; j < props_.size(); ++j) {
-    props_[j] = net_->propensity(j, state_);
+  for (std::size_t j = 0; j < rs.size(); ++j) {
+    props_[j] = propensity(rs[j], state_, x);
     total += props_[j];
   }
   return total;
 }
 
 void flat_engine::fire(double target) {
-  double cum = 0.0;
-  for (std::size_t j = 0; j < props_.size(); ++j) {
+  const std::size_t n = props_.size();
+  std::size_t j = 0;
+  for (double cum = 0.0; j < n; ++j) {
     cum += props_[j];
-    if (cum >= target) {
-      net_->apply(j, state_);
-      ++steps_;
-      return;
-    }
+    if (cum >= target) break;
   }
-  // Floating-point tail: fire the last feasible reaction.
-  for (std::size_t j = props_.size(); j-- > 0;) {
-    if (props_[j] > 0.0) {
-      net_->apply(j, state_);
-      ++steps_;
-      return;
-    }
+  if (j == n) {
+    // Floating-point tail: fire the last feasible reaction.
+    do {
+      util::ensures(j > 0, "flat SSA selection failed");
+      --j;
+    } while (!(props_[j] > 0.0));
   }
-  util::ensures(false, "flat SSA selection failed");
+  // Unchecked update: only a reaction with a positive propensity is
+  // selected, so its reactants (distinct, see add_reaction) are present.
+  std::uint64_t* x = state_.row();
+  const reaction& r = net_->reactions()[j];
+  for (const stoich& s : r.reactants) x[s.sp] -= s.n;
+  for (const stoich& s : r.products) x[s.sp] += s.n;
+  ++steps_;
 }
 
 bool flat_engine::step() {
@@ -63,12 +88,9 @@ bool flat_engine::step() {
 }
 
 void flat_engine::record_sample(double at, std::vector<trajectory_sample>& out) {
-  trajectory_sample s;
-  s.time = at;
-  s.values.reserve(net_->num_species());
-  for (species_id sp = 0; sp < net_->num_species(); ++sp)
-    s.values.push_back(static_cast<double>(state_.count(sp)));
-  out.push_back(std::move(s));
+  const std::uint64_t* x = state_.row();
+  out.push_back(
+      trajectory_sample{at, std::vector<double>(x, x + net_->num_species())});
 }
 
 void flat_engine::run_to(double t_end, double sample_period,

@@ -6,20 +6,6 @@
 
 namespace cwc {
 
-double choose(std::uint64_t n, std::uint64_t k) noexcept {
-  if (k > n) return 0.0;
-  // Small-k fast paths: k <= 2 covers almost every stochiometry in the
-  // model library, and the hot matching loop calls this per species.
-  if (k == 0) return 1.0;
-  if (k == 1) return static_cast<double>(n);
-  if (k == 2) return static_cast<double>(n) * (static_cast<double>(n - 1) / 2.0);
-  double r = 1.0;
-  for (std::uint64_t i = 0; i < k; ++i) {
-    r *= static_cast<double>(n - i) / static_cast<double>(i + 1);
-  }
-  return r;
-}
-
 std::uint64_t multiset::count(species_id s) const {
   return s < counts_.size() ? counts_[s] : 0;
 }

@@ -18,6 +18,10 @@ class multiset {
 
   std::size_t universe() const noexcept { return counts_.size(); }
 
+  /// The dense count row, universe() entries indexed by species id, for a
+  /// hot loop that reads and writes counts without count()/add()/remove().
+  std::uint64_t* row() noexcept { return counts_.data(); }
+
   std::uint64_t count(species_id s) const;
 
   /// Total number of atoms (with multiplicity).
@@ -63,6 +67,18 @@ class multiset {
 };
 
 /// C(n, k) as double (k expected small); 0 when k > n.
-double choose(std::uint64_t n, std::uint64_t k) noexcept;
+inline double choose(std::uint64_t n, std::uint64_t k) noexcept {
+  if (k > n) return 0.0;
+  // Small-k fast paths: k <= 2 covers almost every stochiometry in the
+  // model library, and the hot matching loops call this per species.
+  if (k == 0) return 1.0;
+  if (k == 1) return static_cast<double>(n);
+  if (k == 2) return static_cast<double>(n) * (static_cast<double>(n - 1) / 2.0);
+  double r = 1.0;
+  for (std::uint64_t i = 0; i < k; ++i) {
+    r *= static_cast<double>(n - i) / static_cast<double>(i + 1);
+  }
+  return r;
+}
 
 }  // namespace cwc

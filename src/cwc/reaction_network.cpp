@@ -13,27 +13,20 @@ std::size_t reaction_network::add_reaction(std::string name,
                                            std::vector<stoich> reactants,
                                            std::vector<stoich> products,
                                            rate_law law) {
+  for (std::size_t i = 0; i < reactants.size(); ++i) {
+    util::expects(reactants[i].sp < species_.size(),
+                  "reaction names an undeclared reactant species");
+    for (std::size_t k = 0; k < i; ++k)
+      util::expects(reactants[k].sp != reactants[i].sp,
+                    "reaction names a reactant species twice");
+  }
+  for (const stoich& s : products)
+    util::expects(s.sp < species_.size(),
+                  "reaction names an undeclared product species");
   reactions_.push_back(
       reaction{std::move(name), std::move(reactants), std::move(products),
                std::move(law)});
   return reactions_.size() - 1;
-}
-
-double reaction_network::propensity(std::size_t j, const multiset& state) const {
-  const reaction& r = reactions_.at(j);
-  double comb = 1.0;
-  for (const stoich& s : r.reactants) {
-    comb *= choose(state.count(s.sp), s.n);
-    if (comb == 0.0) return 0.0;
-  }
-  const rate_ctx ctx{state, nullptr, comb};
-  return r.law.evaluate(ctx);
-}
-
-void reaction_network::apply(std::size_t j, multiset& state) const {
-  const reaction& r = reactions_.at(j);
-  for (const stoich& s : r.reactants) state.remove(s.sp, s.n);
-  for (const stoich& s : r.products) state.add(s.sp, s.n);
 }
 
 multiset reaction_network::make_initial_state() const {

@@ -35,7 +35,10 @@ class reaction_network {
   void set_initial(species_id sp, std::uint64_t n);
   const std::vector<std::uint64_t>& initial() const noexcept { return initial_; }
 
-  /// Add `reactants -> products @ law`; returns the reaction index.
+  /// Add `reactants -> products @ law`; returns the reaction index. Every
+  /// species must be declared, and a reactant species may appear once (its
+  /// count carries the multiplicity): flat_engine fires a reaction by
+  /// unchecked updates to its dense count row.
   std::size_t add_reaction(std::string name, std::vector<stoich> reactants,
                            std::vector<stoich> products, rate_law law);
 
@@ -43,13 +46,6 @@ class reaction_network {
   /// Mutable access for the compiled_model overlay layer, which patches
   /// rate constants in an owned copy; not part of the model-building API.
   std::vector<reaction>& reactions_mut() noexcept { return reactions_; }
-
-  /// Propensity of reaction `j` for the given state.
-  double propensity(std::size_t j, const multiset& state) const;
-
-  /// Apply reaction `j` in place. Precondition: propensity(j, state) > 0
-  /// was computed for this state (reactants are present).
-  void apply(std::size_t j, multiset& state) const;
 
   /// Initial state as a multiset sized to the species universe.
   multiset make_initial_state() const;

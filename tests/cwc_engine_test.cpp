@@ -11,6 +11,7 @@
 #include "cwc/cwc.hpp"
 #include "models/models.hpp"
 #include "stats/welford.hpp"
+#include "util/check.hpp"
 
 namespace {
 
@@ -229,18 +230,19 @@ TEST(CwcEngine, StalledEngineStopsStepping) {
   EXPECT_TRUE(eng.stalled());
 }
 
-TEST(ReactionNetwork, PropensityAndApply) {
-  const auto net = models::make_michaelis_menten({});
-  auto state = net.make_initial_state();
-  const auto E = net.species().id("E");
-  const auto S = net.species().id("S");
-  const auto ES = net.species().id("ES");
-  // bind: kf * E * S
-  EXPECT_DOUBLE_EQ(net.propensity(0, state), 0.01 * 100 * 1000);
-  net.apply(0, state);
-  EXPECT_EQ(state.count(E), 99u);
-  EXPECT_EQ(state.count(S), 999u);
-  EXPECT_EQ(state.count(ES), 1u);
+TEST(ReactionNetwork, RejectsUndeclaredAndRepeatedReactantSpecies) {
+  // flat_engine fires by unchecked updates to its count row, which is safe
+  // only for declared species and reactants listed once.
+  cwc::reaction_network net;
+  const auto a = net.declare_species("A");
+  const auto law = cwc::rate_law::mass_action(1.0);
+  EXPECT_THROW(net.add_reaction("ghost-in", {{a + 1, 1}}, {}, law),
+               util::precondition_error);
+  EXPECT_THROW(net.add_reaction("ghost-out", {{a, 1}}, {{a + 1, 1}}, law),
+               util::precondition_error);
+  EXPECT_THROW(net.add_reaction("twice", {{a, 1}, {a, 1}}, {}, law),
+               util::precondition_error);
+  EXPECT_EQ(net.add_reaction("pair", {{a, 2}}, {{a, 1}, {a, 1}}, law), 0u);
 }
 
 TEST(Ode, ExponentialDecayMatchesClosedForm) {
