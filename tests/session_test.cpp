@@ -453,6 +453,23 @@ TEST(Validate, RejectsAHorizonOrGridTheSamplerCannotIndex) {
 
   cfg.sample_period = 1e-9;  // 10^15 points: large, but indexable
   EXPECT_EQ(field_of(cfg), "");
+
+  // A quantum below the gap from t_end to the next double cannot move the
+  // clock there: t_end 4 over 1e-300, and t_end 1e17 (gap 16) over 1.
+  cfg = small_config();
+  cfg.t_end = 4.0;
+  cfg.quantum = 1e-300;
+  EXPECT_EQ(field_of(cfg), "quantum");
+  cfg.t_end = 1e17;
+  cfg.quantum = 1.0;
+  EXPECT_EQ(field_of(cfg), "quantum");
+  cfg.quantum = 16.0;  // the gap itself moves every clock value below 1e17
+  EXPECT_EQ(field_of(cfg), "");
+  cfg.quantum = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(field_of(cfg), "");
+  cfg.t_end = 4.0;
+  cfg.quantum = 4.0;  // one quantum reaches t_end
+  EXPECT_EQ(field_of(cfg), "");
 }
 
 TEST(Validate, BuilderRejectsBeforeLaunch) {

@@ -592,6 +592,21 @@ TEST(Service, AdmissionControlRejectsOverCapacityAndBadConfig) {
     dist::archive_reader r(*msg);
     EXPECT_EQ(svc::read_frame_header(r), svc::svc_tag::open_error);
   }
+  {
+    auto conn = server.connect();
+    svc::open_request rq;
+    rq.conn_id = conn.id();
+    rq.cfg = small_config();
+    rq.cfg.t_end = 4.0;
+    rq.cfg.quantum = 1e-300;  // cannot move the clock: the run never ends
+    rq.model_frame =
+        dist::encode_model(cwcsim::model_ref{&m, nullptr, nullptr});
+    conn.send(svc::encode_open(rq));
+    auto msg = conn.recv_for(1.0);
+    ASSERT_TRUE(msg.has_value());
+    dist::archive_reader r(*msg);
+    EXPECT_EQ(svc::read_frame_header(r), svc::svc_tag::open_error);
+  }
 
   // Client-side validation catches the bad backend descriptor up front.
   EXPECT_THROW(cwcsim::run_builder()
@@ -607,7 +622,7 @@ TEST(Service, AdmissionControlRejectsOverCapacityAndBadConfig) {
       cwcsim::config_error);
 
   const auto st = server.stats();
-  EXPECT_GE(st.sessions_rejected, 2u);  // bad configs (final, not retryable)
+  EXPECT_GE(st.sessions_rejected, 3u);  // bad configs (final, not retryable)
   EXPECT_GE(st.sessions_shed, 3u);      // capacity: initial open + 2 retries
 }
 
