@@ -79,10 +79,13 @@ TEST(FlatEngine, MatchesOneCompartmentTreeEngineBitForBit) {
   // text are one CTMC, and both engines step it with the same arithmetic:
   // reactant factors in declaration order, the left-to-right propensity
   // fold, the selection scan and one exponential plus one uniform draw per
-  // step. Every sample and every step count must therefore be equal, which
-  // makes each engine the other's oracle when its step path is rewritten.
-  // The quantum does not divide the sample period, so draws deferred past
-  // a quantum horizon are kept on both sides too.
+  // step. Every clock value, sample and step count must therefore be
+  // equal, which makes each engine the other's oracle when its step path
+  // is rewritten. Single steps from t = 0 compare the clock while it still
+  // holds nearly every bit of each draw over the propensity total, so a
+  // one-ulp change in a total (an FMA contraction in the fold) shows. The
+  // quantum does not divide the sample period, so draws deferred past a
+  // quantum horizon are kept on both sides too.
   cwc::reaction_network hill;
   const auto X = hill.declare_species("X");
   hill.add_reaction("make", {}, {{X, 1}},
@@ -136,11 +139,25 @@ TEST(FlatEngine, MatchesOneCompartmentTreeEngineBitForBit) {
   };
 
   constexpr double kEnd = 5.0, kQuantum = 0.7, kPeriod = 0.25;
+  constexpr int kSteps = 100;
+  constexpr std::uint64_t kClockTrajectories = 300;
   for (const twin& tw : twins) {
     const auto flat = cwc::compiled_model::compile(tw.net);
     const auto tree = cwc::compiled_model::compile(cwc::load_model(tw.text));
     for (const std::uint64_t seed : {1, 2, 3}) {
+      for (std::uint64_t id = 0; id < kClockTrajectories; ++id) {
+        SCOPED_TRACE(::testing::Message() << tw.name << " seed " << seed
+                                          << " trajectory " << id);
+        cwc::flat_engine fe(flat, seed, id);
+        cwc::engine te(tree, seed, id);
+        for (int k = 0; k < kSteps; ++k) {
+          ASSERT_EQ(fe.step(), te.step());
+          ASSERT_EQ(fe.time(), te.time()) << "step " << k;
+        }
+      }
       for (std::uint64_t id = 0; id < 30; ++id) {
+        SCOPED_TRACE(::testing::Message() << tw.name << " seed " << seed
+                                          << " trajectory " << id);
         cwc::flat_engine fe(flat, seed, id);
         cwc::engine te(tree, seed, id);
         std::vector<cwc::trajectory_sample> fs, ts;
@@ -149,8 +166,6 @@ TEST(FlatEngine, MatchesOneCompartmentTreeEngineBitForBit) {
           fe.run_to(t, kPeriod, fs);
           te.run_to(t, kPeriod, ts);
         }
-        SCOPED_TRACE(::testing::Message() << tw.name << " seed " << seed
-                                          << " trajectory " << id);
         ASSERT_EQ(fs.size(), ts.size());
         for (std::size_t k = 0; k < fs.size(); ++k) {
           ASSERT_EQ(fs[k].time, ts[k].time) << "sample " << k;
