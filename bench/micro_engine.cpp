@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "models/models.hpp"
@@ -48,35 +49,38 @@ void bm_cwc_step_neurospora_reference(benchmark::State& state) {
 }
 BENCHMARK(bm_cwc_step_neurospora_reference);
 
-void bm_flat_step_neurospora(benchmark::State& state) {
-  const auto net = models::make_neurospora_flat({});
-  cwc::flat_engine eng(cwc::compiled_model::compile(net), 1, 0);
+// One flat_engine step per iteration; a stalled trajectory is replaced by
+// the next one outside the timed region.
+void run_flat_steps(benchmark::State& state, cwc::reaction_network net) {
+  const auto cm = cwc::compiled_model::compile(std::move(net));
+  cwc::flat_engine eng(cm, 1, 0);
   std::uint64_t id = 0;
   for (auto _ : state) {
     if (!eng.step()) {
       state.PauseTiming();
-      eng = cwc::flat_engine(cwc::compiled_model::compile(net), 1, ++id);
+      eng = cwc::flat_engine(cm, 1, ++id);
       state.ResumeTiming();
     }
   }
   state.SetItemsProcessed(state.iterations());
+}
+
+void bm_flat_step_neurospora(benchmark::State& state) {
+  run_flat_steps(state, models::make_neurospora_flat({}));
 }
 BENCHMARK(bm_flat_step_neurospora);
 
 void bm_flat_step_lv(benchmark::State& state) {
-  const auto net = models::make_lotka_volterra({});
-  cwc::flat_engine eng(cwc::compiled_model::compile(net), 1, 0);
-  std::uint64_t id = 0;
-  for (auto _ : state) {
-    if (!eng.step()) {
-      state.PauseTiming();
-      eng = cwc::flat_engine(cwc::compiled_model::compile(net), 1, ++id);
-      state.ResumeTiming();
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
+  run_flat_steps(state, models::make_lotka_volterra({}));
 }
 BENCHMARK(bm_flat_step_lv);
+
+// The Schlogl sweep's engine (perfbench schlogl_sweep): four mass-action
+// reactions on one species, two of them higher order.
+void bm_flat_step_schlogl(benchmark::State& state) {
+  run_flat_steps(state, models::make_schlogl({}));
+}
+BENCHMARK(bm_flat_step_schlogl);
 
 void bm_cwc_step_compartment_demo(benchmark::State& state) {
   const auto m = models::make_compartment_demo({});
