@@ -25,12 +25,13 @@ void validate(const sim_config& cfg) {
     throw config_error("t_end", "simulation horizon must be finite and non-negative");
   // Each quantum ends at min(t + quantum, t_end). A quantum at least the gap
   // from t_end to the next larger double moves every clock value below
-  // t_end (and keeps t_end / quantum < 2^53); a smaller one can round t +
-  // quantum back to t, and the run never ends.
-  if (cfg.quantum < cfg.t_end &&
-      cfg.quantum < std::nextafter(cfg.t_end,
-                                   std::numeric_limits<double>::infinity()) -
-                        cfg.t_end)
+  // t_end (and keeps t_end / quantum < 2^53), as does one that reaches t_end
+  // at once; a smaller one can round t + quantum back to t, and the run
+  // never ends.
+  const double gap =
+      std::nextafter(cfg.t_end, std::numeric_limits<double>::infinity()) -
+      cfg.t_end;
+  if (cfg.quantum < gap && cfg.quantum < cfg.t_end)
     throw config_error("quantum", "quantum too small to advance the clock");
   // num_sample_points casts this ratio to uint64_t; 2^63 leaves headroom.
   if (!((cfg.t_end + cwc::sample_tolerance(cfg.t_end, cfg.sample_period)) /

@@ -1,6 +1,8 @@
 // Direct-method SSA over flat reaction networks (Gillespie 1977) with the
 // same quantum/sampling contract as the CWC term engine, so both plug into
-// the same simulation pipeline.
+// the same simulation pipeline. It also shares the term engine's step
+// arithmetic: a network and its one-compartment model text give
+// bit-identical trajectories (tests/cwc_engine_test.cpp).
 #pragma once
 
 #include <cstdint>
