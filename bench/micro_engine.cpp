@@ -1,7 +1,8 @@
 // google-benchmark micro-benchmarks for the simulation engines: SSA step
 // cost across models, CWC tree-matching vs the flat baseline (the "CWC is
 // significantly more complex than a plain Gillespie algorithm" overhead,
-// paper §IV), plus the statistics kernels feeding the DES calibration.
+// paper §IV), the per-job cost of the worker pool every lane round runs
+// on, plus the statistics kernels feeding the DES calibration.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "ff/parallel_for.hpp"
 #include "models/models.hpp"
 #include "stats/stats.hpp"
 #include "util/rng.hpp"
@@ -270,6 +272,21 @@ void bm_quantum_run(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_quantum_run)->Arg(5)->Arg(25)->Arg(100)->Unit(benchmark::kMicrosecond);
+
+// One ff::parallel_for job over 10000 trivial indices on 1, 2 and 4
+// workers: the hand-off and join that every lane round pays.
+void bm_parallel_for_overhead(benchmark::State& state) {
+  ff::parallel_for pf(static_cast<unsigned>(state.range(0)));
+  std::vector<double> data(10000, 1.0);
+  for (auto _ : state) {
+    pf.for_each(0, static_cast<std::int64_t>(data.size()), 0,
+                [&](std::int64_t i) {
+                  data[static_cast<std::size_t>(i)] *= 1.000001;
+                });
+  }
+  state.SetItemsProcessed(state.iterations() * data.size());
+}
+BENCHMARK(bm_parallel_for_overhead)->Arg(1)->Arg(2)->Arg(4);
 
 void bm_summarize_cut(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Micro-benchmark record: runs the google-benchmark suites (micro_engine,
-# micro_ff) with repetitions and writes BENCH_engine.json at the repo root,
+# Micro-benchmark record: runs the google-benchmark suite micro_engine
+# with repetitions and writes BENCH_engine.json at the repo root,
 # one row per benchmark with its median and a noise estimate. This is the
 # per-kernel record; perfbench/ is the end-to-end benchmark.
 #
@@ -10,11 +10,11 @@
 #   build-dir  build tree containing bench/ binaries   (default: build)
 #   min-time   google-benchmark --benchmark_min_time   (default: 0.5)
 #
-# Every benchmark runs REPS times, each time in a fresh process of its
-# suite, one whole suite after the other. State that is fixed for the life
-# of a process (thread placement, allocator layout, the iteration count
-# google-benchmark settles on) moves a row's time from process to process,
-# so repetitions inside one process would understate the noise.
+# Every benchmark runs REPS times, each time in a fresh process of the
+# suite. State that is fixed for the life of a process (thread placement,
+# allocator layout, the iteration count google-benchmark settles on) moves
+# a row's time from process to process, so repetitions inside one process
+# would understate the noise.
 #
 # BENCH_engine.json schema: a JSON object
 #   {
@@ -48,24 +48,21 @@ MIN_TIME="${2:-0.5}"
 REPS=5
 OUT="BENCH_engine.json"
 
-for b in micro_engine micro_ff; do
-  if [ ! -x "$BUILD_DIR/bench/$b" ]; then
-    echo "error: $BUILD_DIR/bench/$b not built" >&2
-    echo "hint: cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j" >&2
-    echo "      (micro benchmarks need libbenchmark-dev installed)" >&2
-    exit 1
-  fi
-done
+SUITE="$BUILD_DIR/bench/micro_engine"
+if [ ! -x "$SUITE" ]; then
+  echo "error: $SUITE not built" >&2
+  echo "hint: cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j" >&2
+  echo "      (micro benchmarks need libbenchmark-dev installed)" >&2
+  exit 1
+fi
 
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
 for rep in $(seq "$REPS"); do
-  for b in micro_engine micro_ff; do
-    "$BUILD_DIR/bench/$b" \
-      --benchmark_format=json \
-      --benchmark_min_time="${MIN_TIME}" > "$TMP/$b.$rep.json"
-  done
+  "$SUITE" \
+    --benchmark_format=json \
+    --benchmark_min_time="${MIN_TIME}" > "$TMP/$rep.json"
 done
 
 python3 - "$TMP" "$MIN_TIME" "$REPS" "$OUT" "$BUILD_DIR" <<'PY'
@@ -81,12 +78,11 @@ UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 # One list of repetitions per benchmark, in declaration order.
 runs = {}
-for suite, name in enumerate(("micro_engine", "micro_ff")):
-    for rep in range(1, reps + 1):
-        doc = json.loads((tmp / f"{name}.{rep}.json").read_text())
-        for b in doc["benchmarks"]:
-            key = (suite, b["family_index"], b["per_family_instance_index"])
-            runs.setdefault(key, []).append(b)
+for rep in range(1, reps + 1):
+    doc = json.loads((tmp / f"{rep}.json").read_text())
+    for b in doc["benchmarks"]:
+        key = (b["family_index"], b["per_family_instance_index"])
+        runs.setdefault(key, []).append(b)
 
 results = []
 for _, reps_seen in sorted(runs.items()):

@@ -6,17 +6,11 @@
 
 namespace ff {
 
-namespace {
-thread_local unsigned tls_slot = 0;
-}
-
-unsigned parallel_for::worker_slot() noexcept { return tls_slot; }
-
 parallel_for::parallel_for(unsigned nworkers) : nworkers_(std::max(1u, nworkers)) {
   // The calling thread participates, so spawn one fewer.
   pool_.reserve(nworkers_ - 1);
   for (unsigned i = 1; i < nworkers_; ++i) {
-    pool_.emplace_back([this, i] { worker_main(i); });
+    pool_.emplace_back([this] { worker_main(); });
   }
 }
 
@@ -30,8 +24,7 @@ parallel_for::~parallel_for() {
     if (t.joinable()) t.join();
 }
 
-void parallel_for::worker_main(unsigned id) {
-  tls_slot = id;
+void parallel_for::worker_main() {
   std::uint64_t seen_epoch = 0;
   for (;;) {
     job* j = nullptr;
@@ -69,7 +62,7 @@ void parallel_for::work_on(job& j) noexcept {
     if (lo >= j.end) return;
     const std::int64_t hi = std::min(lo + j.grain, j.end);
     try {
-      (*j.body)(lo, hi);
+      for (std::int64_t i = lo; i < hi; ++i) (*j.body)(i);
     } catch (...) {
       j.fail(std::current_exception());
       return;
@@ -77,11 +70,10 @@ void parallel_for::work_on(job& j) noexcept {
   }
 }
 
-void parallel_for::for_each_chunk(
-    std::int64_t begin, std::int64_t end, std::int64_t grain,
-    const std::function<void(std::int64_t, std::int64_t)>& body,
-    const std::function<void()>& meanwhile) {
-  util::expects(begin <= end, "for_each_chunk requires begin <= end");
+void parallel_for::for_each(std::int64_t begin, std::int64_t end, std::int64_t grain,
+                            const std::function<void(std::int64_t)>& body,
+                            const std::function<void()>& meanwhile) {
+  util::expects(begin <= end, "for_each requires begin <= end");
   if (begin == end) {
     if (meanwhile) meanwhile();
     return;
@@ -104,7 +96,6 @@ void parallel_for::for_each_chunk(
   }
   cv_work_.notify_all();
 
-  tls_slot = 0;
   if (meanwhile) {
     try {
       meanwhile();
@@ -122,17 +113,6 @@ void parallel_for::for_each_chunk(
     current_ = nullptr;
   }
   if (j.error) std::rethrow_exception(j.error);
-}
-
-void parallel_for::for_each(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                            const std::function<void(std::int64_t)>& body,
-                            const std::function<void()>& meanwhile) {
-  for_each_chunk(
-      begin, end, grain,
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) body(i);
-      },
-      meanwhile);
 }
 
 }  // namespace ff

@@ -1,6 +1,7 @@
-// High-level data-parallel patterns (FastFlow "high-level patterns" layer):
-// a persistent worker pool exposing parallel_for / parallel_reduce with
-// static or dynamic (grain-based work-stealing-by-counter) scheduling.
+// The worker pool every lane round runs on (FastFlow's ParallelFor): a
+// persistent pool of threads that, together with the calling thread, runs
+// body(i) over an index range, handing out chunks of `grain` indices from a
+// shared counter as each participant becomes free.
 //
 // An exception thrown by any participant of a job — a body on a pool
 // thread or on the calling thread, or the caller's `meanwhile` work — is
@@ -40,38 +41,11 @@ class parallel_for {
                 const std::function<void(std::int64_t)>& body,
                 const std::function<void()>& meanwhile = {});
 
-  /// Execute body(lo, hi) over disjoint chunks covering [begin, end).
-  void for_each_chunk(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                      const std::function<void(std::int64_t, std::int64_t)>& body,
-                      const std::function<void()>& meanwhile = {});
-
-  /// Parallel reduction: acc = combine(acc, map(i)) over [begin, end) with
-  /// per-worker partials combined in index order (deterministic for
-  /// commutative-and-associative combine over doubles up to partial order).
-  template <typename T, typename Map, typename Combine>
-  T reduce(std::int64_t begin, std::int64_t end, std::int64_t grain, T init,
-           Map&& map, Combine&& combine) {
-    std::vector<T> partial(nworkers_ + 1, init);
-    std::mutex m;  // protects nothing hot: each worker owns one slot
-    for_each_chunk(begin, end, grain,
-                   [&](std::int64_t lo, std::int64_t hi) {
-                     T local = init;
-                     for (std::int64_t i = lo; i < hi; ++i)
-                       local = combine(local, map(i));
-                     const unsigned slot = worker_slot();
-                     std::lock_guard lk(m);
-                     partial[slot] = combine(partial[slot], local);
-                   });
-    T acc = init;
-    for (const T& p : partial) acc = combine(acc, p);
-    return acc;
-  }
-
  private:
   struct job {
     std::int64_t end = 0;
     std::int64_t grain = 1;
-    const std::function<void(std::int64_t, std::int64_t)>* body = nullptr;
+    const std::function<void(std::int64_t)>* body = nullptr;
     std::atomic<std::int64_t> cursor{0};
     std::atomic<unsigned> running{0};
     std::mutex error_mu;
@@ -81,9 +55,8 @@ class parallel_for {
     void fail(std::exception_ptr e);
   };
 
-  void worker_main(unsigned id);
+  void worker_main();
   static void work_on(job& j) noexcept;
-  static unsigned worker_slot() noexcept;
 
   unsigned nworkers_;
   std::vector<std::thread> pool_;

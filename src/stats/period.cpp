@@ -1,7 +1,6 @@
 #include "stats/period.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.hpp"
 
@@ -64,45 +63,6 @@ std::vector<double> moving_average(const std::vector<double>& x, std::size_t w) 
     out[i] = sum / static_cast<double>(denom);
   }
   return out;
-}
-
-std::vector<double> autocorrelation(const std::vector<double>& x,
-                                    std::size_t max_lag) {
-  const std::size_t n = x.size();
-  std::vector<double> out(max_lag + 1, 0.0);
-  if (n == 0) return out;
-  double mean = 0.0;
-  for (double v : x) mean += v;
-  mean /= static_cast<double>(n);
-  double var = 0.0;
-  for (double v : x) var += (v - mean) * (v - mean);
-  if (var == 0.0) {
-    out[0] = 1.0;
-    return out;
-  }
-  for (std::size_t lag = 0; lag <= max_lag && lag < n; ++lag) {
-    double s = 0.0;
-    for (std::size_t i = 0; i + lag < n; ++i)
-      s += (x[i] - mean) * (x[i + lag] - mean);
-    out[lag] = s / var;
-  }
-  return out;
-}
-
-double autocorrelation_period(const std::vector<double>& x, std::size_t max_lag) {
-  const auto ac = autocorrelation(x, max_lag);
-  // First local maximum after the initial decay below zero.
-  std::size_t start = 1;
-  while (start < ac.size() && ac[start] > 0.0) ++start;
-  double best = 0.0;
-  std::size_t best_lag = 0;
-  for (std::size_t lag = start + 1; lag + 1 < ac.size(); ++lag) {
-    if (ac[lag] > ac[lag - 1] && ac[lag] >= ac[lag + 1] && ac[lag] > best) {
-      best = ac[lag];
-      best_lag = lag;
-    }
-  }
-  return static_cast<double>(best_lag);
 }
 
 }  // namespace stats

@@ -1,7 +1,7 @@
-// Oscillation analysis: peak detection, per-oscillation period extraction,
-// moving averages, and autocorrelation. This is the analysis the paper runs
-// on the cloud (§V-B): "We compute the period of each oscillation and plot
-// the moving average ... of the local period."
+// Oscillation analysis: peak detection, per-oscillation period extraction
+// and moving averages. This is the analysis the paper runs on the cloud
+// (§V-B): "We compute the period of each oscillation and plot the moving
+// average ... of the local period."
 #pragma once
 
 #include <cstddef>
@@ -23,13 +23,5 @@ std::vector<double> local_periods(const std::vector<double>& t,
 /// Centered-causal moving average with window `w` (output[i] averages the
 /// last w values up to i; shorter prefixes average what is available).
 std::vector<double> moving_average(const std::vector<double>& x, std::size_t w);
-
-/// Biased sample autocorrelation at lags 0..max_lag.
-std::vector<double> autocorrelation(const std::vector<double>& x,
-                                    std::size_t max_lag);
-
-/// Dominant period estimated from the first significant autocorrelation
-/// peak, in sample units; 0 when no peak exists.
-double autocorrelation_period(const std::vector<double>& x, std::size_t max_lag);
 
 }  // namespace stats

@@ -188,15 +188,6 @@ TEST(Period, MovingAverage) {
   EXPECT_DOUBLE_EQ(ma[4], 4.0);
 }
 
-TEST(Period, AutocorrelationPeriodOfSinusoid) {
-  std::vector<double> y;
-  for (int i = 0; i < 1000; ++i) y.push_back(std::sin(2 * M_PI * i / 50.0));
-  const double lag = stats::autocorrelation_period(y, 200);
-  EXPECT_NEAR(lag, 50.0, 1.0);
-  const auto ac = stats::autocorrelation(y, 10);
-  EXPECT_DOUBLE_EQ(ac[0], 1.0);
-}
-
 TEST(Cut, SummarizeComputesMomentsMediansClusters) {
   stats::trajectory_cut cut;
   cut.sample_index = 3;
