@@ -98,11 +98,9 @@ struct sample_batch {
 };
 
 /// What one quantum cost (core/quantum.hpp): the work des::capture_workload
-/// prices for the DES platform models, and the wall time a throttled
-/// distributed host stretches.
+/// prices for the DES platform models.
 struct quantum_record {
   std::uint64_t ssa_steps = 0;  ///< deterministic work measure
-  std::uint64_t wall_ns = 0;    ///< measured on this machine
   std::uint32_t samples = 0;    ///< samples emitted in this quantum
 };
 

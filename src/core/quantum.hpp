@@ -18,7 +18,6 @@
 
 #include "core/config.hpp"
 #include "core/messages.hpp"
-#include "util/stopwatch.hpp"
 
 namespace cwcsim {
 
@@ -36,7 +35,6 @@ inline quantum_outcome advance_one_quantum(any_engine& engine,
                                            std::uint64_t trajectory_id,
                                            std::uint64_t quantum_index) {
   quantum_outcome out;
-  util::stopwatch sw;
   const std::uint64_t steps_before = engine.steps();
 
   out.batch.trajectory_id = trajectory_id;
@@ -49,7 +47,6 @@ inline quantum_outcome advance_one_quantum(any_engine& engine,
   }
 
   out.record.ssa_steps = engine.steps() - steps_before;
-  out.record.wall_ns = sw.elapsed_ns();
   out.record.samples = static_cast<std::uint32_t>(out.batch.samples.size());
 
   if (engine.time() >= cfg.t_end) {

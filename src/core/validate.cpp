@@ -47,6 +47,17 @@ void validate(const sim_config& cfg) {
                        "slide larger than the window size would skip cuts");
 }
 
+namespace {
+
+/// Finite and not negative: a time, rate or factor a std::chrono cast or
+/// a cost model can take.
+bool finite_nonneg(double v) { return std::isfinite(v) && v >= 0.0; }
+
+/// A fault probability: in [0, 1), never NaN.
+bool probability(double p) { return p >= 0.0 && p < 1.0; }
+
+}  // namespace
+
 void validate(const sim_config& cfg, const backend& b) {
   validate(cfg);
   struct checker {
@@ -61,21 +72,21 @@ void validate(const sim_config& cfg, const backend& b) {
       if (d.num_hosts > cfg.num_trajectories)
         throw config_error("distributed.num_hosts",
                            "more hosts than trajectories");
-      if (d.network.latency_s < 0.0)
+      if (!finite_nonneg(d.network.latency_s))
         throw config_error("distributed.network.latency_s",
-                           "negative network latency");
-      if (d.network.bytes_per_s < 0.0)
+                           "network latency must be finite and non-negative");
+      if (!finite_nonneg(d.network.bytes_per_s))
         throw config_error("distributed.network.bytes_per_s",
-                           "negative network bandwidth");
-      if (d.network.drop_prob < 0.0 || d.network.drop_prob >= 1.0)
+                           "network bandwidth must be finite and non-negative");
+      if (!probability(d.network.drop_prob))
         throw config_error("distributed.network.drop_prob",
                            "drop probability must be in [0, 1)");
-      if (d.network.dup_prob < 0.0 || d.network.dup_prob >= 1.0)
+      if (!probability(d.network.dup_prob))
         throw config_error("distributed.network.dup_prob",
                            "duplication probability must be in [0, 1)");
-      if (!(d.network.jitter_s >= 0.0))
+      if (!finite_nonneg(d.network.jitter_s))
         throw config_error("distributed.network.jitter_s",
-                           "jitter bound must be non-negative");
+                           "jitter bound must be finite and non-negative");
       if (!d.host_speed.empty() && d.host_speed.size() != d.num_hosts)
         throw config_error("distributed.host_speed",
                            "name every host's speed, or none");
@@ -97,17 +108,30 @@ void validate(const sim_config& cfg, const backend& b) {
       if (!(s.weight >= 1.0 / 1024.0) || !(s.weight <= 1024.0))
         throw config_error("service.weight",
                            "weight must be in [1/1024, 1024]");
-      if (!(s.tick_s > 0.0))
-        throw config_error("service.tick_s", "poll slice must be positive");
-      if (!(s.heartbeat_s > 0.0))
+      if (!(s.tick_s > 0.0 && std::isfinite(s.tick_s)))
+        throw config_error("service.tick_s",
+                           "poll slice must be positive and finite");
+      if (!(s.heartbeat_s > 0.0 && std::isfinite(s.heartbeat_s)))
         throw config_error("service.heartbeat_s",
-                           "heartbeat cadence must be positive");
+                           "heartbeat cadence must be positive and finite");
     }
     void operator()(const gpu& g) const {
       if (g.device.warp_size == 0)
         throw config_error("gpu.device.warp_size", "warps need lanes");
       if (g.device.smx == 0 || g.device.cores_per_smx == 0)
         throw config_error("gpu.device", "device has no cores");
+      if (g.device.concurrent_warps == 0)
+        throw config_error("gpu.device.concurrent_warps",
+                           "the device must issue at least one warp");
+      if (!finite_nonneg(g.device.step_slowdown))
+        throw config_error("gpu.device.step_slowdown",
+                           "step slowdown must be finite and non-negative");
+      if (!finite_nonneg(g.device.kernel_launch_s))
+        throw config_error("gpu.device.kernel_launch_s",
+                           "launch cost must be finite and non-negative");
+      if (!finite_nonneg(g.device.unified_mem_bytes_s))
+        throw config_error("gpu.device.unified_mem_bytes_s",
+                           "memory bandwidth must be finite and non-negative");
       if (g.coherence_time < 0.0)
         throw config_error("gpu.coherence_time",
                            "coherence time must be non-negative");

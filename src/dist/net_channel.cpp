@@ -120,11 +120,6 @@ std::optional<byte_buffer> net_channel::recv_for(double timeout_s) {
   }
 }
 
-std::size_t net_channel::writers() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return writers_;
-}
-
 bool net_channel::drained() const {
   std::lock_guard<std::mutex> lk(mu_);
   return writers_ == 0 && q_.empty();

@@ -79,12 +79,6 @@ class net_channel {
   /// would return std::nullopt immediately).
   bool drained() const;
 
-  /// Current registered writer count. 0 means the channel is at EOS once
-  /// the queue empties — but EOS does not latch: a later add_writer()
-  /// re-opens the channel for the same reader (the run server uses this
-  /// to re-attach a parked session to the connection it had released).
-  std::size_t writers() const;
-
   std::uint64_t messages_sent() const;
   std::uint64_t bytes_sent() const;
   /// Messages/bytes lost to the seeded drop stream (never delivered, not

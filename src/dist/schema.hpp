@@ -32,7 +32,10 @@ namespace dist {
 /// v5: the elastic scheduler leases lane blocks: grants name a block and
 /// its lanes, and one block_result frame carries every live lane of a
 /// (block, quantum).
-inline constexpr std::uint8_t wire_schema_version = 5;
+/// v6: svc sessions are named at connect time: open names a token and the
+/// next sequence it lacks, open_ok carries only the pool width, and one
+/// ack frame replaces credit and heartbeat (retry_after moves to tag 11).
+inline constexpr std::uint8_t wire_schema_version = 6;
 
 /// Framed-archive header version (put_schema_header/check_schema_header).
 inline constexpr std::uint8_t archive_schema_version = wire_schema_version;

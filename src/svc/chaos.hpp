@@ -43,25 +43,26 @@ struct chaos_params {
   /// quantum index. no_quantum = off.
   std::uint64_t engine_throw_at_quantum = no_quantum;
 
-  /// The server's shared-ingress link model: `base` (the configured
-  /// latency/bandwidth) plus this harness's uplink faults.
-  dist::net_params ingress_params(dist::net_params base) const noexcept {
-    base.drop_prob = ingress_drop_prob;
-    base.dup_prob = ingress_dup_prob;
-    base.jitter_s = ingress_delay_s;
-    base.drop_seed = seed;
-    return base;
+  /// The server's shared-ingress link model: an instant link plus this
+  /// harness's uplink faults.
+  dist::net_params ingress_params() const noexcept {
+    dist::net_params p;
+    p.drop_prob = ingress_drop_prob;
+    p.dup_prob = ingress_dup_prob;
+    p.jitter_s = ingress_delay_s;
+    p.drop_seed = seed;
+    return p;
   }
 
-  /// One session downlink's link model; the fault stream is derived from
+  /// One connection downlink's link model; the fault stream is derived from
   /// (seed, conn_id) so each tenant sees its own deterministic pattern.
-  dist::net_params downlink_params(dist::net_params base,
-                                   std::uint64_t conn_id) const noexcept {
-    base.drop_prob = downlink_drop_prob;
-    base.dup_prob = downlink_dup_prob;
-    base.jitter_s = downlink_delay_s;
-    base.drop_seed = seed ^ (conn_id * 0x9e3779b97f4a7c15ULL);
-    return base;
+  dist::net_params downlink_params(std::uint64_t conn_id) const noexcept {
+    dist::net_params p;
+    p.drop_prob = downlink_drop_prob;
+    p.dup_prob = downlink_dup_prob;
+    p.jitter_s = downlink_delay_s;
+    p.drop_seed = seed ^ (conn_id * 0x9e3779b97f4a7c15ULL);
+    return p;
   }
 };
 

@@ -14,14 +14,6 @@ dist::archive_writer begin_frame(svc_tag tag) {
   return w;
 }
 
-dist::byte_buffer encode_addressed_ack(svc_tag tag, std::uint64_t conn_id,
-                                       std::uint64_t consumed_total) {
-  auto w = begin_frame(tag);
-  w.put<std::uint64_t>(conn_id);
-  w.put<std::uint64_t>(consumed_total);
-  return w.take();
-}
-
 }  // namespace
 
 // ---- uplink ------------------------------------------------------------
@@ -31,8 +23,8 @@ dist::byte_buffer encode_open(const open_request& rq) {
   w.put<std::uint64_t>(rq.conn_id);
   w.put<double>(rq.weight);
   w.put<std::uint64_t>(rq.window_credits);
-  w.put<std::uint64_t>(rq.resume_token);
-  w.put<std::uint64_t>(rq.resume_next_seq);
+  w.put<std::uint64_t>(rq.token);
+  w.put<std::uint64_t>(rq.next_seq);
   dist::write_sim_config(w, rq.cfg);
   w.put_vector(rq.model_frame);
   w.put<std::uint64_t>(rq.local_model);
@@ -44,29 +36,27 @@ open_request read_open(dist::archive_reader& r) {
   rq.conn_id = r.get<std::uint64_t>();
   rq.weight = r.get<double>();
   rq.window_credits = r.get<std::uint64_t>();
-  rq.resume_token = r.get<std::uint64_t>();
-  rq.resume_next_seq = r.get<std::uint64_t>();
+  rq.token = r.get<std::uint64_t>();
+  rq.next_seq = r.get<std::uint64_t>();
   rq.cfg = dist::read_sim_config(r);
   rq.model_frame = r.get_vector<std::byte>();
   rq.local_model = r.get<std::uint64_t>();
   return rq;
 }
 
-dist::byte_buffer encode_credit(std::uint64_t conn_id,
-                                std::uint64_t consumed_total) {
-  return encode_addressed_ack(svc_tag::credit, conn_id, consumed_total);
+dist::byte_buffer encode_ack(std::uint64_t conn_id,
+                             std::uint64_t consumed_total) {
+  auto w = begin_frame(svc_tag::ack);
+  w.put<std::uint64_t>(conn_id);
+  w.put<std::uint64_t>(consumed_total);
+  return w.take();
 }
 
-dist::byte_buffer encode_heartbeat(std::uint64_t conn_id,
-                                   std::uint64_t consumed_total) {
-  return encode_addressed_ack(svc_tag::heartbeat, conn_id, consumed_total);
-}
-
-credit_grant read_credit(dist::archive_reader& r) {
-  credit_grant g;
-  g.conn_id = r.get<std::uint64_t>();
-  g.consumed_total = r.get<std::uint64_t>();
-  return g;
+stream_ack read_ack(dist::archive_reader& r) {
+  stream_ack a;
+  a.conn_id = r.get<std::uint64_t>();
+  a.consumed_total = r.get<std::uint64_t>();
+  return a;
 }
 
 dist::byte_buffer encode_cancel(std::uint64_t conn_id) {
@@ -89,23 +79,13 @@ std::uint64_t read_conn_id(dist::archive_reader& r) {
 
 dist::byte_buffer encode_open_ack(const open_ack& a) {
   auto w = begin_frame(svc_tag::open_ok);
-  w.put<std::uint64_t>(a.session_id);
-  w.put<std::uint64_t>(a.session_token);
   w.put<std::uint32_t>(a.pool_workers);
-  w.put<std::uint64_t>(a.window_credits);
-  w.put<std::uint8_t>(a.cache_hit ? 1 : 0);
-  w.put<std::uint8_t>(a.resumed ? 1 : 0);
   return w.take();
 }
 
 open_ack read_open_ack(dist::archive_reader& r) {
   open_ack a;
-  a.session_id = r.get<std::uint64_t>();
-  a.session_token = r.get<std::uint64_t>();
   a.pool_workers = r.get<std::uint32_t>();
-  a.window_credits = r.get<std::uint64_t>();
-  a.cache_hit = r.get<std::uint8_t>() != 0;
-  a.resumed = r.get<std::uint8_t>() != 0;
   return a;
 }
 

@@ -6,24 +6,32 @@
 // reject foreign-build frames with dist::schema_mismatch_error (version
 // registry: dist/schema.hpp). Uplink frames (client -> server) travel on
 // the server's shared MPSC ingress and therefore carry the sender's
-// connection id; downlink frames travel on a per-session channel and need
-// no addressing.
+// connection id; downlink frames travel on the connection's own channel
+// and need no addressing.
 //
-// Reliability model (v3): the downlink *stream* frames — window,
-// trajectory_done, and the terminal complete/error — carry a contiguous
-// per-session sequence number, and the client acknowledges consumption
-// with a CUMULATIVE count (credit/heartbeat frames carry "I have consumed
-// stream frames [0, n)"). Cumulative acks make every uplink flow frame
-// idempotent: a dropped or duplicated credit/heartbeat is healed by the
-// next one. The server retains sent-but-unacknowledged stream frames in a
-// bounded replay buffer, so a client that detects a sequence gap (a
-// dropped downlink frame) or loses its connection can reconnect and
-// resume the SAME session — open_request::resume_token names it,
-// resume_next_seq says what the client already has, and the server
-// replays only the missing tail. Execution state checkpoints server-side
-// as (lane block, completed-quantum high-water mark); lanes are pure
-// functions of (seed, trajectory_id), so a lost quantum deterministically
-// replays without disturbing the stream.
+// Sessions (v6): run_server::connect() issues every connection a token
+// (client_conn::token()) before it carries a frame, and a session is named
+// by the token of the connection it was opened on. An open names its
+// session and the next stream sequence number the client lacks. The server
+// resumes a session it knows on the sending connection, replaying from
+// that number, and re-acks an open for the session already attached there.
+// A session it does not know is admitted only under the sending
+// connection's own token with next_seq 0; any other open gets open_error,
+// so no client can take over a token it was not issued.
+//
+// Reliability: the downlink *stream* frames — window, trajectory_done,
+// and the terminal complete/error — carry a contiguous per-session
+// sequence number, and the client acknowledges consumption with a
+// CUMULATIVE count (the ack frame: "I have consumed stream frames
+// [0, n)"). Cumulative acks make every ack idempotent: a dropped or
+// duplicated one is healed by the next. The server retains
+// sent-but-unacknowledged stream frames in a bounded replay buffer, so a
+// client that detects a sequence gap (a dropped downlink frame) or loses
+// its connection re-opens the SAME session on a fresh connection and the
+// server replays only the missing tail. Execution state checkpoints
+// server-side as (lane block, completed-quantum high-water mark); lanes
+// are pure functions of (seed, trajectory_id), so a lost quantum
+// deterministically replays without disturbing the stream.
 //
 // Flow control is window-based: the server keeps at most
 // `window_credits` stream frames in flight beyond the client's cumulative
@@ -36,7 +44,7 @@
 // Liveness: every uplink frame refreshes the session's lease; a client
 // that goes silent past the server's heartbeat timeout is presumed dead
 // and reaped (its session parks recoverable for the retention window,
-// then expires). heartbeat is the no-op uplink frame clients send when
+// then expires). Clients re-send their cumulative ack as a heartbeat when
 // they have nothing else to say. A server shedding load answers open
 // requests with a typed retry_after frame instead of admitting.
 #pragma once
@@ -49,23 +57,22 @@ namespace svc {
 /// Frame kind, first byte of every svc frame.
 enum class svc_tag : std::uint8_t {
   // ---- uplink: client -> server (shared ingress, addressed) ----
-  open = 1,     ///< submit a run request (model + config + QoS knobs)
-  credit = 2,   ///< cumulative consumption ack (backpressure release)
+  open = 1,     ///< open or resume a session (model + config + QoS knobs)
+  ack = 2,      ///< cumulative consumption ack; also the liveness heartbeat
   cancel = 3,   ///< cooperative stop: tear down, reply with complete frame
   close = 4,    ///< disconnect: tear down silently (no reply expected)
-  // ---- downlink: server -> client (per-session channel) ----
+  // ---- downlink: server -> client (per-connection channel) ----
   open_ok = 5,    ///< session admitted (or resumed); streaming begins
   open_error = 6, ///< admission/validation rejected the request (final)
   window = 7,     ///< one window_summary (sequenced stream frame)
   trajectory_done = 8,  ///< one completion notice (sequenced stream frame)
   complete = 9,   ///< run over (normally or via cancel); last frame
   error = 10,     ///< tenant-isolated failure; last frame
-  // ---- v3 resilience frames ----
-  heartbeat = 11,   ///< uplink: liveness refresh + cumulative ack
-  retry_after = 12, ///< downlink: shed under load — come back later
+  retry_after = 11, ///< shed under load — come back later
 };
 
-/// Uplink: everything the server needs to run a campaign for one tenant.
+/// Uplink: everything the server needs to run a campaign for one tenant,
+/// and the session it is (or becomes).
 struct open_request {
   std::uint64_t conn_id = 0;
   /// Fair-share weight of this session in the deficit round-robin
@@ -74,12 +81,12 @@ struct open_request {
   /// Bound of the per-session stream-frame windows (pending queue AND
   /// in-flight-beyond-ack replay buffer); 0 = server default.
   std::uint64_t window_credits = 0;
-  /// Resume an existing session instead of opening a fresh one: the
-  /// session_token a previous open_ack handed out. 0 = fresh open.
-  std::uint64_t resume_token = 0;
-  /// With resume_token: the next stream sequence number this client has
-  /// NOT yet consumed (the server replays from here).
-  std::uint64_t resume_next_seq = 0;
+  /// The session: client_conn::token() of the connection it was first
+  /// opened on.
+  std::uint64_t token = 0;
+  /// The next stream sequence number this client has NOT yet consumed
+  /// (the server replays from here); 0 on a session's first open.
+  std::uint64_t next_seq = 0;
   cwcsim::sim_config cfg{};
   /// The model description as one dist/model_codec frame. Empty when the
   /// model cannot cross the wire (custom rate laws) and the client
@@ -90,16 +97,9 @@ struct open_request {
   std::uint64_t local_model = 0;
 };
 
-/// Downlink: the session was admitted (or an existing one resumed).
+/// Downlink: the session was admitted (or resumed).
 struct open_ack {
-  std::uint64_t session_id = 0;
-  /// Capability for resume(): quote it in open_request::resume_token to
-  /// re-attach to this session after a disconnect or a reap.
-  std::uint64_t session_token = 0;
   std::uint32_t pool_workers = 0;  ///< shared pool width (for reports)
-  std::uint64_t window_credits = 0;  ///< the bound actually applied
-  bool cache_hit = false;  ///< model served from the compiled-model cache
-  bool resumed = false;    ///< this ack re-attached an existing session
 };
 
 /// Downlink: the open was shed under load; retry after the hinted delay.
@@ -123,12 +123,9 @@ struct run_complete {
 
 dist::byte_buffer encode_open(const open_request& rq);
 /// Cumulative ack: "I have consumed stream frames [0, consumed_total)".
-dist::byte_buffer encode_credit(std::uint64_t conn_id,
-                                std::uint64_t consumed_total);
-/// Liveness refresh; carries the same cumulative ack so a lost credit
-/// frame is healed by the next heartbeat.
-dist::byte_buffer encode_heartbeat(std::uint64_t conn_id,
-                                   std::uint64_t consumed_total);
+/// Re-sent unchanged as the heartbeat, so a lost ack is healed by the next.
+dist::byte_buffer encode_ack(std::uint64_t conn_id,
+                             std::uint64_t consumed_total);
 dist::byte_buffer encode_cancel(std::uint64_t conn_id);
 dist::byte_buffer encode_close(std::uint64_t conn_id);
 
@@ -150,11 +147,11 @@ dist::byte_buffer encode_error(std::uint64_t seq, const std::string& reason);
 svc_tag read_frame_header(dist::archive_reader& r);
 
 open_request read_open(dist::archive_reader& r);
-struct credit_grant {
+struct stream_ack {
   std::uint64_t conn_id = 0;
   std::uint64_t consumed_total = 0;
 };
-credit_grant read_credit(dist::archive_reader& r);  ///< credit/heartbeat
+stream_ack read_ack(dist::archive_reader& r);
 std::uint64_t read_conn_id(dist::archive_reader& r);  ///< cancel/close
 
 open_ack read_open_ack(dist::archive_reader& r);

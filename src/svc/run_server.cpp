@@ -32,6 +32,13 @@ clock_t_::duration to_duration(double seconds) {
       std::chrono::duration<double>(seconds));
 }
 
+/// The token connection `conn_id` is issued. Not security — a bijection of
+/// the id, so distinct connections never share a token, and scrambled
+/// enough that a buggy client cannot name a neighbour by off-by-one.
+std::uint64_t session_token(std::uint64_t conn_id) {
+  return (0x9E3779B97F4A7C15ULL * conn_id) ^ 0xD1B54A32D192ED03ULL;
+}
+
 /// One lane block — trajectories [first, first + lanes) — leased to the
 /// pool one quantum at a time, and at the same time the session's
 /// checkpoint record for it: `quantum` is the completed-quantum high-water
@@ -82,13 +89,11 @@ enum class end_kind : std::uint8_t {
 ///     count, deficit, lifecycle flags, liveness timestamps.
 struct session final : cwcsim::event_sink {
   // Immutable after admission.
-  std::uint64_t token = 0;  ///< resume capability (tokens_ key)
+  std::uint64_t token = 0;  ///< the session's name (tokens_ key)
   double weight = 1.0;
   std::uint64_t capacity = 8;  ///< stream-frame window bound
   cwcsim::sim_config cfg{};
   std::shared_ptr<const cwc::compiled_model> model;
-  bool ack_cache_hit = false;      ///< remembered for idempotent re-acks
-  std::uint32_t ack_pool_workers = 0;
 
   /// Current connection id (sched_mu: resume re-keys it).
   std::uint64_t id = 0;
@@ -128,7 +133,6 @@ struct session final : cwcsim::event_sink {
   /// Reaped and not re-attached since: out of the ring, its connection
   /// abandoned.
   bool parked = false;
-  bool ever_resumed = false;
   end_kind ending = end_kind::none;
   std::string fail_reason;
   bool finalized = false;
@@ -151,18 +155,6 @@ struct session final : cwcsim::event_sink {
     }
     backlog.store(pending.size(), std::memory_order_relaxed);
     unacked_n.store(unacked.size(), std::memory_order_relaxed);
-  }
-
-  /// The admission ack naming this session on connection conn_id.
-  dist::byte_buffer ack_frame(std::uint64_t conn_id, bool resumed) const {
-    open_ack ack;
-    ack.session_id = conn_id;
-    ack.session_token = token;
-    ack.pool_workers = ack_pool_workers;
-    ack.window_credits = capacity;
-    ack.cache_hit = ack_cache_hit;
-    ack.resumed = resumed;
-    return encode_open_ack(ack);
   }
 
   /// Apply a cumulative ack ("client consumed [0, total)"). Returns true
@@ -210,7 +202,7 @@ struct run_server::impl {
       : cfg_(cfg),
         cache_(cfg.model_cache_entries),
         ingress_(std::make_shared<dist::net_channel>(
-            cfg.chaos.ingress_params(cfg.network))),
+            cfg.chaos.ingress_params())),
         chaos_throw_armed_(cfg.chaos.engine_throw_at_quantum !=
                            chaos_params::no_quantum) {
     // The reaper piggybacks on the dispatcher loop; sample each enabled
@@ -249,10 +241,9 @@ struct run_server::impl {
   bool shutting_down_ = false;
   /// Live, attached sessions by connection id (what the scheduler serves).
   std::unordered_map<std::uint64_t, std::shared_ptr<session>> sessions_;
-  /// Every admitted session by resume token, from admission until its
-  /// record expires — the resume registry (live, parked, and completed).
+  /// Every admitted session by token, from admission until its record
+  /// expires — what an open can name (live, parked, and completed).
   std::unordered_map<std::uint64_t, std::shared_ptr<session>> tokens_;
-  std::uint64_t next_token_ = 0;
   std::vector<std::shared_ptr<session>> ring_;  ///< DRR service order
   std::size_t cursor_ = 0;
   server_stats stats_{};
@@ -272,10 +263,14 @@ struct run_server::impl {
     // of returning at once, so an idle dispatcher sleeps instead of spinning.
     ingress_->add_writer();
     dispatcher_ = std::thread([this] { dispatcher_loop(); });
-    const unsigned n = cfg_.pool_workers == 0 ? 1 : cfg_.pool_workers;
+    const unsigned n = pool_width();
     workers_.reserve(n);
     for (unsigned i = 0; i < n; ++i)
       workers_.emplace_back([this] { worker_loop(); });
+  }
+
+  unsigned pool_width() const {
+    return cfg_.pool_workers == 0 ? 1 : cfg_.pool_workers;
   }
 
   void stop() {
@@ -330,14 +325,12 @@ struct run_server::impl {
       case svc_tag::open:
         handle_open(read_open(r));
         break;
-      case svc_tag::credit:
-      case svc_tag::heartbeat: {
-        // Both carry the cumulative consumption ack; heartbeat is just
-        // the one a client sends when it has nothing else to say. Either
-        // refreshes the liveness lease.
-        const credit_grant g = read_credit(r);
-        if (auto s = find_and_touch(g.conn_id))
-          apply_ack(*s, g.consumed_total);
+      case svc_tag::ack: {
+        // The cumulative consumption ack, also re-sent as the heartbeat;
+        // it refreshes the liveness lease.
+        const stream_ack a = read_ack(r);
+        if (auto s = find_and_touch(a.conn_id))
+          apply_ack(*s, a.consumed_total);
         break;
       }
       case svc_tag::cancel: {
@@ -462,41 +455,32 @@ struct run_server::impl {
       down = it->second;
     }
 
-    if (rq.resume_token != 0) {
-      handle_resume(rq, std::move(down));
-      return;
-    }
-
     const auto reject = [&](const std::string& why) {
-      {
-        const std::lock_guard<std::mutex> lk(sched_mu_);
-        ++stats_.sessions_rejected;
-      }
-      down->send(encode_open_error(why));
+      const std::lock_guard<std::mutex> lk(sched_mu_);
+      reject_locked(*down, why);
     };
 
     {
       const std::lock_guard<std::mutex> lk(sched_mu_);
-      auto it = sessions_.find(rq.conn_id);
-      if (it != sessions_.end()) {
-        // Duplicate open (the ack was lost, or the frame was duplicated):
-        // idempotent — re-send the stored ack, change nothing.
-        resend_ack_locked(*it->second);
-        it->second->last_uplink = clock_t_::now();
+      if (shutting_down_) {
+        reject_locked(*down, "server shutting down");
         return;
       }
-      // This connection may have run a session that already parked or
-      // completed (its original ack never arrived): re-attach instead of
-      // opening a duplicate run.
-      for (auto& [tok, s] : tokens_) {
-        if (s->id == rq.conn_id) {
-          attach_locked(s, rq.conn_id, 0, down);
-          return;
-        }
+      const auto here = sessions_.find(rq.conn_id);
+      const auto known = tokens_.find(rq.token);
+      if (known != tokens_.end() &&
+          (here == sessions_.end() || here->second == known->second)) {
+        attach_locked(known->second, rq.conn_id, rq.next_seq, down);
+        return;
       }
-      if (shutting_down_) {
-        ++stats_.sessions_rejected;
-        down->send(encode_open_error("server shutting down"));
+      if (here != sessions_.end()) {
+        reject_locked(*down, "connection already carries a session");
+        return;
+      }
+      // A session the server does not know starts here, under the token
+      // this connection was issued: no client can claim one it was not.
+      if (rq.token != session_token(rq.conn_id) || rq.next_seq != 0) {
+        reject_locked(*down, "unknown or expired session token");
         return;
       }
     }
@@ -520,7 +504,8 @@ struct run_server::impl {
     }
 
     // Shedding, checked before the (possibly expensive) model compile so a
-    // turned-away open costs the server almost nothing.
+    // turned-away open costs the server almost nothing. Only this thread
+    // admits, so the live count cannot grow before the admission below.
     {
       const std::lock_guard<std::mutex> lk(sched_mu_);
       if (shed_locked(*down)) return;
@@ -530,10 +515,9 @@ struct run_server::impl {
     // cache (one compile per distinct model, shared across tenants); an
     // in-process token looks up a pre-registered artifact.
     std::shared_ptr<const cwc::compiled_model> cm;
-    bool cache_hit = false;
     if (!rq.model_frame.empty()) {
       try {
-        cm = cache_.get_or_compile(rq.model_frame, &cache_hit);
+        cm = cache_.get_or_compile(rq.model_frame);
       } catch (const std::exception& e) {
         reject(std::string("model frame rejected: ") + e.what());
         return;
@@ -553,14 +537,13 @@ struct run_server::impl {
 
     auto s = std::make_shared<session>();
     s->id = rq.conn_id;
+    s->token = rq.token;
     s->weight = rq.weight;
     s->capacity = rq.window_credits != 0 ? rq.window_credits
                                          : cfg_.default_window_credits;
     s->cfg = rq.cfg;
     s->model = std::move(cm);
     s->down = down;
-    s->ack_cache_hit = cache_hit;
-    s->ack_pool_workers = cfg_.pool_workers == 0 ? 1 : cfg_.pool_workers;
     // s->cfg is stable for the session's lifetime (session lives on the
     // heap behind shared_ptr), satisfying analysis_stage's reference.
     s->analysis.emplace(s->cfg, s->model->num_observables(), *s, 0u);
@@ -575,19 +558,10 @@ struct run_server::impl {
 
     {
       const std::lock_guard<std::mutex> lk(sched_mu_);
-      if (sessions_.count(s->id) != 0) {
-        // Lost a race with a duplicated open of ourselves: ack and defer
-        // to the session that won.
-        resend_ack_locked(*sessions_[s->id]);
-        return;
-      }
       if (shutting_down_) {
-        ++stats_.sessions_rejected;
-        down->send(encode_open_error("server shutting down"));
+        reject_locked(*down, "server shutting down");
         return;
       }
-      if (shed_locked(*down)) return;
-      s->token = make_token_locked();
       const auto now = clock_t_::now();
       s->last_uplink = now;
       s->last_ack_progress = now;
@@ -595,13 +569,24 @@ struct run_server::impl {
       // the admission frame that precedes streaming), so send it before
       // the session becomes visible to workers — a fast run could
       // otherwise stream windows and retire ahead of the ack.
-      down->send(s->ack_frame(s->id, false));
+      down->send(ack_frame());
       sessions_.emplace(s->id, s);
       tokens_.emplace(s->token, s);
       ring_.push_back(s);
       ++stats_.sessions_opened;
       sched_cv_.notify_all();
     }
+  }
+
+  /// A final open_error. Callers hold sched_mu.
+  void reject_locked(dist::net_channel& down, const std::string& why) {
+    ++stats_.sessions_rejected;
+    down.send(encode_open_error(why));
+  }
+
+  /// The admission ack (open_ok), the same for every session.
+  dist::byte_buffer ack_frame() const {
+    return encode_open_ack({static_cast<std::uint32_t>(pool_width())});
   }
 
   /// Admission: once max_sessions are live, turn the open away with a
@@ -614,76 +599,32 @@ struct run_server::impl {
     return true;
   }
 
-  std::uint64_t make_token_locked() {
-    // Not security — just unguessable enough that a buggy client cannot
-    // collide with a neighbour by off-by-one.
-    std::uint64_t t = 0;
-    while (t == 0 || tokens_.count(t) != 0)
-      t = (0x9E3779B97F4A7C15ULL * ++next_token_) ^ 0xD1B54A32D192ED03ULL;
-    return t;
-  }
-
-  /// Re-send the admission ack for an already-admitted session (duplicate
-  /// open frame). Callers hold sched_mu.
-  void resend_ack_locked(session& s) {
-    const std::lock_guard<std::mutex> fl(s.flow_mu);
-    if (s.down) s.down->send(s.ack_frame(s.id, s.ever_resumed));
-  }
-
-  // -------------------------------------------------------------- resume
-
-  void handle_resume(const open_request& rq,
-                     std::shared_ptr<dist::net_channel> down) {
-    const std::lock_guard<std::mutex> lk(sched_mu_);
-    auto it = tokens_.find(rq.resume_token);
-    if (it == tokens_.end()) {
-      ++stats_.sessions_rejected;
-      down->send(encode_open_error("unknown or expired session token"));
-      return;
-    }
-    if (shutting_down_) {
-      ++stats_.sessions_rejected;
-      down->send(encode_open_error("server shutting down"));
-      return;
-    }
-    attach_locked(it->second, rq.conn_id, rq.resume_next_seq, down);
-  }
-
   /// Attach (or re-attach) a session to a connection: ack first, then
   /// replay the stream tail the client has not consumed, then carry on —
   /// or, for a finalized session, replay tail + terminal and detach
-  /// again. Idempotent: re-attaching the same connection re-acks and
-  /// re-replays; the client dedups by sequence number. Callers hold
-  /// sched_mu.
+  /// again. A session already attached to this connection is only
+  /// re-acked (its ack was lost, or the open duplicated): its stream there
+  /// is intact. Callers hold sched_mu.
   void attach_locked(const std::shared_ptr<session>& sp, std::uint64_t conn_id,
-                     std::uint64_t resume_next_seq,
+                     std::uint64_t next_seq,
                      const std::shared_ptr<dist::net_channel>& down) {
     session& s = *sp;
     const auto now = clock_t_::now();
-    const bool was_parked = s.parked;
-    if (s.id != conn_id) {
-      // The client abandoned the old connection without a close frame, so
-      // nothing else will drop its downlink from the registry.
-      forget_connection_locked(s.id);
-    }
     {
       const std::lock_guard<std::mutex> fl(s.flow_mu);
-      if (s.down && s.down != down) {
-        // The client moved to a new connection; release the old downlink
-        // so anything still reading it sees EOS.
-        s.down->close_writer();
+      down->send(ack_frame());
+      if (s.down == down) {
+        s.last_uplink = now;
+        return;
       }
+      // The client moved to a new connection; release the old downlink so
+      // anything still reading it sees EOS.
+      if (s.down) s.down->close_writer();
       s.down = down;
-      // Degraded path: re-attaching to the SAME connection after a park
-      // or retire closed its writer slot (a falsely-presumed-dead client
-      // re-sending its open). EOS does not latch on net_channel, so
-      // restoring a slot re-opens the downlink for the same reader.
-      if (down->writers() == 0) down->add_writer();
-      down->send(s.ack_frame(conn_id, true));
-      // The client owns frames [0, resume_next_seq); everything sent
-      // beyond that may have died with the old connection — roll it back
-      // in front of the unsent tail and re-send in order.
-      s.on_ack_locked(resume_next_seq);
+      // The client owns frames [0, next_seq); everything sent beyond that
+      // may have died with the old connection — roll it back in front of
+      // the unsent tail and re-send in order.
+      s.on_ack_locked(next_seq);
       while (!s.unacked.empty()) {
         s.pending.push_front(std::move(s.unacked.back()));
         s.unacked.pop_back();
@@ -700,6 +641,11 @@ struct run_server::impl {
         s.flush_locked();
       }
     }
+    if (s.id != conn_id) {
+      // The client abandoned the old connection without a close frame, so
+      // nothing else will drop its downlink from the registry.
+      forget_connection_locked(s.id);
+    }
     if (s.finalized) {
       // The record follows the client, so a later move erases this
       // connection's downlink too; the client is back, so expiry leaves it
@@ -714,13 +660,12 @@ struct run_server::impl {
     sessions_.erase(s.id);
     s.id = conn_id;
     sessions_[s.id] = sp;
-    if (was_parked) {
+    if (s.parked) {
       s.parked = false;
       if (s.ending == end_kind::none && !s.finished) ring_.push_back(sp);
     }
     s.last_uplink = now;
     s.last_ack_progress = now;
-    s.ever_resumed = true;
     ++stats_.sessions_resumed;
     // The replay may have drained a finished session's stream, or the
     // re-attach may have unblocked scheduling.
@@ -1058,14 +1003,10 @@ struct run_server::impl {
 // -------------------------------------------------------------- run_server
 
 run_server::run_server(svc_config cfg) : cfg_(cfg) {
-  // The session protocol's reliability layer recovers from CHAOS faults
-  // (svc_config::chaos, drawn from seeded streams); the base link model
-  // stays lossless so latency/bandwidth shaping and fault injection are
-  // independent knobs.
-  util::expects(cfg_.network.drop_prob == 0.0 && cfg_.network.dup_prob == 0.0 &&
-                    cfg_.network.jitter_s == 0.0,
-                "run_server: fault injection on the service link goes "
-                "through svc_config::chaos, not net_params");
+  // A session with no window could never be scheduled (its backlog is
+  // never below its capacity).
+  util::expects(cfg_.default_window_credits > 0,
+                "run_server: default_window_credits must be positive");
   util::expects(std::isfinite(cfg_.server_tick_s) && cfg_.server_tick_s > 0.0,
                 "run_server: server_tick_s must be positive and finite");
   const auto knob = [](double v) { return std::isfinite(v) && v >= 0.0; };
@@ -1094,13 +1035,12 @@ client_conn run_server::connect() {
   {
     const std::lock_guard<std::mutex> lk(impl_->conn_mu_);
     id = impl_->next_conn_++;
-    down = std::make_shared<dist::net_channel>(
-        cfg_.chaos.downlink_params(cfg_.network, id));
+    down = std::make_shared<dist::net_channel>(cfg_.chaos.downlink_params(id));
     down->add_writer();  // the server's writer slot; closed at retire/park
     impl_->downlinks_.emplace(id, down);
   }
   impl_->ingress_->add_writer();  // the connection's uplink slot
-  return client_conn(id, impl_->ingress_, std::move(down));
+  return client_conn(id, session_token(id), impl_->ingress_, std::move(down));
 }
 
 std::uint64_t run_server::register_local_model(
@@ -1134,7 +1074,10 @@ server_stats run_server::stats() const {
 // -------------------------------------------------------------- client_conn
 
 client_conn::client_conn(client_conn&& o) noexcept
-    : id_(o.id_), up_(std::move(o.up_)), down_(std::move(o.down_)) {
+    : id_(o.id_),
+      token_(o.token_),
+      up_(std::move(o.up_)),
+      down_(std::move(o.down_)) {
   o.id_ = 0;
   o.up_.reset();
 }
@@ -1143,6 +1086,7 @@ client_conn& client_conn::operator=(client_conn&& o) noexcept {
   if (this != &o) {
     close();
     id_ = o.id_;
+    token_ = o.token_;
     up_ = std::move(o.up_);
     down_ = std::move(o.down_);
     o.id_ = 0;

@@ -46,9 +46,14 @@
 //     sessions park *recoverable* for session_retention_s (checkpoints,
 //     analysis state, and unacknowledged stream frames retained), then
 //     expire, releasing every lease with the ledger still balancing.
-//   - resume        — open_request::resume_token re-attaches a client to
-//     its session (parked or live): the server replays unacknowledged
-//     stream frames from the client's resume_next_seq and carries on.
+//   - sessions      — connect() issues each connection a token before it
+//     carries a frame; a session is named by the token of the connection
+//     it was opened on, so a client can resume from its first frame on.
+//     There is one open path: an open naming a known session (live,
+//     parked or completed) re-attaches it to the sending connection and
+//     replays unacknowledged stream frames from the open's next_seq; an
+//     open naming an unknown session is admitted only under the sending
+//     connection's own token with next_seq 0, and refused otherwise.
 //     Completed sessions retain their terminal frame for the retention
 //     window, so a client that lost the last frame can still finish.
 //   - analysis      — the same cwcsim::analysis_stage every backend
@@ -99,7 +104,6 @@ struct svc_config {
   /// Per-session stream-frame window bound (pending queue and in-flight
   /// replay buffer), when the open request does not name one.
   std::uint64_t default_window_credits = 8;
-  dist::net_params network{};  ///< link model for ingress + downlinks
   double server_tick_s = 0.005;  ///< dispatcher recv_for slice
 
   // ---- resilience knobs ----
@@ -150,10 +154,11 @@ struct server_stats {
   cache_stats cache;
 };
 
-/// A client's two transport endpoints, from run_server::connect().
-/// Move-only RAII: destroying (or close()-ing) an un-opened or mid-run
-/// connection signals disconnect, which tears the session down and
-/// releases its leases — a vanished tenant can never pin pool capacity.
+/// A client's two transport endpoints and its session token, from
+/// run_server::connect(). Move-only RAII: destroying (or close()-ing) an
+/// un-opened or mid-run connection signals disconnect, which tears the
+/// session down and releases its leases — a vanished tenant can never pin
+/// pool capacity.
 class client_conn {
  public:
   client_conn() = default;
@@ -164,6 +169,11 @@ class client_conn {
   ~client_conn();
 
   std::uint64_t id() const noexcept { return id_; }
+
+  /// The token a session opened on this connection is named by
+  /// (open_request::token), held before any frame is read; a client that
+  /// loses this connection resumes the session on a fresh one with it.
+  std::uint64_t token() const noexcept { return token_; }
 
   /// Send one uplink frame (svc/proto.hpp encoders).
   void send(dist::byte_buffer frame);
@@ -192,11 +202,13 @@ class client_conn {
 
  private:
   friend class run_server;
-  client_conn(std::uint64_t id, std::shared_ptr<dist::net_channel> up,
+  client_conn(std::uint64_t id, std::uint64_t token,
+              std::shared_ptr<dist::net_channel> up,
               std::shared_ptr<dist::net_channel> down)
-      : id_(id), up_(std::move(up)), down_(std::move(down)) {}
+      : id_(id), token_(token), up_(std::move(up)), down_(std::move(down)) {}
 
   std::uint64_t id_ = 0;
+  std::uint64_t token_ = 0;
   /// The server's shared ingress (shared_ptr: a connection outliving the
   /// server degrades to sends nobody reads, never a dangling pointer).
   std::shared_ptr<dist::net_channel> up_;
@@ -215,8 +227,8 @@ class run_server {
 
   const svc_config& config() const noexcept { return cfg_; }
 
-  /// Register a client link: the returned endpoints speak svc/proto.hpp
-  /// frames. One session per connection.
+  /// Register a client link and issue its session token: the returned
+  /// endpoints speak svc/proto.hpp frames. One session per connection.
   client_conn connect();
 
   /// In-process fallback for models that cannot cross the wire (custom

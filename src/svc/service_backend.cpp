@@ -12,18 +12,18 @@
 //     silent server gets the (idempotent) open re-sent.
 //   - consumption: stream frames are consumed strictly in sequence
 //     order; duplicates (seq < expected) are dropped, and every consumed
-//     frame acknowledges cumulatively, so lost credit frames heal
-//     themselves.
-//   - liveness: a heartbeat (carrying the same cumulative ack) goes up
-//     every service::heartbeat_s, keeping the session's lease fresh even
-//     when the subscriber is slow.
-//   - recovery: a sequence gap (seq > expected: a dropped downlink
-//     frame) or a dead downlink abandons the connection — NO close
-//     frame, the session must survive — reconnects, and resumes via the
-//     session token from the admission ack; the server replays exactly
-//     the tail the client has not consumed. A terminal frame whose seq
-//     is ahead of the client triggers the same resume, so the run never
-//     "completes" with silently missing windows.
+//     frame acknowledges cumulatively, so lost acks heal themselves.
+//   - liveness: the same cumulative ack goes up again every
+//     service::heartbeat_s, keeping the session's lease fresh even when
+//     the subscriber is slow.
+//   - recovery: the session is named by the first connection's token,
+//     held before any frame is read. A sequence gap (seq > expected: a
+//     dropped downlink frame) or a dead downlink abandons the connection
+//     — NO close frame, the session must survive — and re-opens the
+//     session on a fresh connection; the server replays exactly the tail
+//     the client has not consumed. A terminal frame whose seq is ahead of
+//     the client triggers the same resume, so the run never "completes"
+//     with silently missing windows.
 #include <algorithm>
 #include <chrono>
 #include <string>
@@ -59,25 +59,27 @@ class service_driver final : public cwcsim::backend_driver {
       model_bytes = static_cast<double>(rq.model_frame.size());
     } else {
       // Custom rate laws cannot cross the wire: share the compiled
-      // artifact in-process and send a token instead (run_builder::open()
-      // compiled the model before constructing this driver).
+      // artifact in-process and send its registration instead
+      // (run_builder::open() compiled the model before constructing this
+      // driver).
       rq.local_model = srv.register_local_model(model_.compiled);
     }
     // Every open of this run, first or re-sent after a reconnect, names
-    // the token; release it once the run is over, whatever its outcome.
+    // the registration; release it once the run is over, whatever its
+    // outcome.
     const struct local_model_release {
       run_server& srv;
-      std::uint64_t token;
+      std::uint64_t local_model;
       ~local_model_release() {
-        if (token != 0) srv.release_local_model(token);
+        if (local_model != 0) srv.release_local_model(local_model);
       }
     } release_local{srv, rq.local_model};
 
     client_conn conn = srv.connect();
+    rq.token = conn.token();  // names the session on every connection
     // Session-spanning state: survives reconnects.
-    std::uint64_t token = 0;     ///< resume capability from the open ack
     std::uint64_t expected = 0;  ///< next stream seq to consume
-    open_ack ack;
+    std::uint32_t pool_workers = 0;  ///< from the first open ack
     bool admitted = false;
     bool cancel_sent = false;
     bool complete_seen = false;
@@ -92,18 +94,10 @@ class service_driver final : public cwcsim::backend_driver {
 
     const auto send_open = [&] {
       rq.conn_id = conn.id();
-      rq.resume_token = token;
-      rq.resume_next_seq = expected;
+      rq.next_seq = expected;
       conn.send(encode_open(rq));
     };
     const auto reconnect = [&] {
-      if (token == 0 && expected != 0)
-        throw std::runtime_error(
-            "service: connection lost before the session was established");
-      // token == 0 && expected == 0: the downlink died before the open
-      // ack arrived and nothing was consumed — starting over from
-      // scratch on a fresh connection is safe (a half-open server
-      // session for the dead connection is reaped as a vanish).
       if (++resumes > 64)
         throw std::runtime_error("service: giving up after repeated resumes");
       acc_msgs += conn.messages_received();
@@ -135,29 +129,13 @@ class service_driver final : public cwcsim::backend_driver {
       const auto now = std::chrono::steady_clock::now();
       if (admitted &&
           now - last_hb >= std::chrono::duration<double>(b_.heartbeat_s)) {
-        conn.send(encode_heartbeat(conn.id(), expected));
+        conn.send(encode_ack(conn.id(), expected));
         last_hb = now;
       }
 
       auto msg = conn.recv_for(b_.tick_s);
       if (!msg) {
         if (conn.downlink_drained()) {
-          if (token == 0 && expected != 0) {
-            // The server parked us (reap) before the open ack ever got
-            // through. A fresh connection could not resume without a
-            // token and consumed frames forbid starting over — but the
-            // uplink still works, so keep re-opening on THIS connection:
-            // the server re-attaches by connection id and re-opens the
-            // downlink (EOS does not latch). recv_for returns instantly
-            // on a drained channel, so pace the loop ourselves.
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(b_.tick_s));
-            ++empty_polls;
-            if (empty_polls % resend_every == 0) send_open();
-            if (static_cast<double>(empty_polls) * b_.tick_s > give_up_s)
-              throw std::runtime_error("service: server unresponsive");
-            continue;
-          }
           // The server released this downlink mid-run (reap, or a
           // restart): resume on a fresh connection.
           reconnect();
@@ -173,16 +151,11 @@ class service_driver final : public cwcsim::backend_driver {
 
       dist::archive_reader r(*msg);
       switch (read_frame_header(r)) {
-        case svc_tag::open_ok: {
-          const open_ack a = read_open_ack(r);
-          if (!admitted) {
-            ack = a;
-            token = a.session_token != 0 ? a.session_token : token;
-            admitted = true;
-          }
+        case svc_tag::open_ok:
           // Duplicate acks (re-sent for a duplicated open) are dropped.
+          if (!admitted) pool_workers = read_open_ack(r).pool_workers;
+          admitted = true;
           break;
-        }
         case svc_tag::open_error:
           throw std::runtime_error("service: open rejected: " +
                                    read_reason(r));
@@ -205,16 +178,6 @@ class service_driver final : public cwcsim::backend_driver {
         case svc_tag::window: {
           seq_window sw2 = read_window(r);
           if (sw2.seq > expected) {
-            if (token == 0) {
-              // Gap before the open ack arrived (the ack was dropped):
-              // we cannot resume yet, but the lost frame is still in the
-              // server's replay buffer. Ignore everything past the gap
-              // and keep re-opening until the re-sent ack lands — the
-              // next gapped frame then resumes normally.
-              ++empty_polls;
-              if (empty_polls % resend_every == 0) send_open();
-              break;
-            }
             reconnect();  // gap: a downlink frame was lost
             break;
           }
@@ -223,17 +186,12 @@ class service_driver final : public cwcsim::backend_driver {
             sink.window(std::move(sw2.window));
           }
           // Cumulative ack: also re-assures the server after a duplicate.
-          conn.send(encode_credit(conn.id(), expected));
+          conn.send(encode_ack(conn.id(), expected));
           break;
         }
         case svc_tag::trajectory_done: {
           seq_task_done td = read_trajectory_done(r);
           if (td.seq > expected) {
-            if (token == 0) {  // pre-ack gap: see the window case
-              ++empty_polls;
-              if (empty_polls % resend_every == 0) send_open();
-              break;
-            }
             reconnect();
             break;
           }
@@ -242,21 +200,15 @@ class service_driver final : public cwcsim::backend_driver {
             report.result.completions.push_back(td.done);
             sink.trajectory_done(td.done);
           }
-          conn.send(encode_credit(conn.id(), expected));
+          conn.send(encode_ack(conn.id(), expected));
           break;
         }
         case svc_tag::complete: {
           const run_complete c = read_complete(r);
           if (c.seq > expected) {
-            // The stream ended but we missed frames. With a token,
-            // resume; without one (the ack never arrived) re-open on the
-            // same connection — the server re-attaches the finalized
-            // session by connection id and replays tail + terminal.
-            // Never accept a short stream.
-            if (token != 0)
-              reconnect();
-            else
-              send_open();
+            // The stream ended but we missed frames: resume and collect
+            // them. Never accept a short stream.
+            reconnect();
             break;
           }
           fin = c;
@@ -266,10 +218,7 @@ class service_driver final : public cwcsim::backend_driver {
         case svc_tag::error: {
           seq_error er = read_error(r);
           if (er.seq > expected) {
-            if (token != 0)
-              reconnect();  // collect the tail before surfacing the failure
-            else
-              send_open();
+            reconnect();  // collect the tail before surfacing the failure
             break;
           }
           error_seen = true;
@@ -287,7 +236,7 @@ class service_driver final : public cwcsim::backend_driver {
                                error_reason);
 
     report.stopped = fin.stopped;
-    report.result.sim_workers = ack.pool_workers;
+    report.result.sim_workers = pool_workers;
     report.result.stat_engines = 1;  // the server's per-session analysis
     report.network.emplace();
     report.network->messages =

@@ -7,10 +7,15 @@
 //
 // Models: Neurospora (tree, batchable) at 12 trajectories and at 40 (two
 // run-server lane blocks), the stalling compartment_demo (vesicle churn,
-// lanes stall at their own times), Schlögl (flat) and a tree model with a
-// custom rate law (not batchable). Backends: multicore{0, 4, 32} and
-// gpu{k40} at batch widths 0 and 32, each on 1 and 3 simulation workers,
-// and `service` over a run_server with 1 and 3 pool workers.
+// lanes stall at their own times), Schlögl (flat), a tree model with a
+// custom rate law (not batchable) and birth–death (flat) with k-means off.
+// Backends: multicore{0, 4, 32} and gpu{k40} at batch widths 0 and 32, each
+// on 1 and 3 simulation workers, `service` over a run_server with 1 and 3
+// pool workers, and `distributed` clusters of 1×1, 3×1 and 2×2
+// hosts×workers (no kills; they ignore sim_workers, so one row per model).
+// Every row also checks its report's extras: `network` on the distributed
+// and service rows (with traffic), `device` on the gpu rows, neither on
+// multicore.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -37,7 +42,8 @@ enum class model_kind {
   neurospora_wide,
   stalling_demo,
   schlogl,
-  custom_law
+  custom_law,
+  birth_death
 };
 
 struct model_case {
@@ -96,6 +102,11 @@ model_case make_case(model_kind k) {
       return {models::make_schlogl({}), base_config(16, 4.0, 0.25, 1.0)};
     case model_kind::custom_law:
       return {custom_law_model(), base_config(12, 10.0, 0.5, 2.0)};
+    case model_kind::birth_death: {
+      auto cfg = base_config(8, 5.0, 0.5, 2.0);
+      cfg.kmeans_k = 0;
+      return {models::make_birth_death({}), cfg};
+    }
   }
   return {};
 }
@@ -127,6 +138,14 @@ struct named_backend {
   cwcsim::backend backend;
 };
 
+/// A cluster over a modeled link, so frames take time and bytes to cross.
+cwcsim::distributed cluster(unsigned hosts, unsigned workers) {
+  cwcsim::distributed d{hosts, workers};
+  d.network.latency_s = 1e-4;
+  d.network.bytes_per_s = 50e6;
+  return d;
+}
+
 std::vector<named_backend> backends() {
   const auto k40 = simt::devices::tesla_k40();
   return {{"multicore0", cwcsim::multicore{0}},
@@ -135,8 +154,14 @@ std::vector<named_backend> backends() {
           {"gpu0", cwcsim::gpu{k40, 25.0, 0}},
           {"gpu32", cwcsim::gpu{k40, 25.0, 32}},
           // Its server is built per row; see MatchesSerialOracle.
-          {"service", cwcsim::service{}}};
+          {"service", cwcsim::service{}},
+          {"dist1x1", cluster(1, 1)},
+          {"dist3x1", cluster(3, 1)},
+          {"dist2x2", cluster(2, 2)}};
 }
+
+/// Rows [0, kInProcess) run on sim_workers threads; the rest are clusters.
+constexpr std::size_t kInProcess = 6;
 
 using row = std::tuple<model_kind, std::size_t, unsigned>;
 
@@ -175,25 +200,48 @@ TEST_P(conformance, MatchesSerialOracle) {
   expect_bit_identical(rep.result.windows, f.want.windows);
   EXPECT_EQ(oracle::completion_set(rep.result.completions), f.want.completions);
   EXPECT_EQ(oracle::completion_set(streamed), f.want.completions);
+
+  static const char* const drivers[] = {"multicore", "distributed", "gpu",
+                                        "service"};
+  EXPECT_EQ(rep.backend, drivers[backend.index()]);
+  const bool networked = std::holds_alternative<cwcsim::distributed>(backend) ||
+                         std::holds_alternative<cwcsim::service>(backend);
+  ASSERT_EQ(rep.network.has_value(), networked);
+  if (networked) {
+    EXPECT_GT(rep.network->messages, 0u);
+    EXPECT_GT(rep.network->bytes, 0.0);
+  }
+  EXPECT_EQ(rep.device.has_value(), std::holds_alternative<cwcsim::gpu>(backend));
 }
 
 std::string row_name(const ::testing::TestParamInfo<row>& info) {
   static const char* const models[] = {"neurospora", "neurospora_wide",
-                                       "stalling_demo", "schlogl", "custom_law"};
+                                       "stalling_demo", "schlogl",
+                                       "custom_law", "birth_death"};
   const auto [kind, b, workers] = info.param;
-  return std::string(models[static_cast<int>(kind)]) + "_" + backends()[b].name +
-         "_w" + std::to_string(workers);
+  std::string name =
+      std::string(models[static_cast<int>(kind)]) + "_" + backends()[b].name;
+  if (b < kInProcess) name += "_w" + std::to_string(workers);
+  return name;
 }
+
+const auto kModels = ::testing::Values(
+    model_kind::neurospora, model_kind::neurospora_wide,
+    model_kind::stalling_demo, model_kind::schlogl, model_kind::custom_law,
+    model_kind::birth_death);
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, conformance,
-    ::testing::Combine(::testing::Values(model_kind::neurospora,
-                                         model_kind::neurospora_wide,
-                                         model_kind::stalling_demo,
-                                         model_kind::schlogl,
-                                         model_kind::custom_law),
-                       ::testing::Range<std::size_t>(0, 6),
+    ::testing::Combine(kModels, ::testing::Range<std::size_t>(0, kInProcess),
                        ::testing::Values(1u, 3u)),
+    row_name);
+
+INSTANTIATE_TEST_SUITE_P(
+    Cluster, conformance,
+    ::testing::Combine(kModels,
+                       ::testing::Range<std::size_t>(kInProcess,
+                                                     backends().size()),
+                       ::testing::Values(1u)),
     row_name);
 
 // The matrix's models cover both lane kinds: a batch width > 1 runs SoA

@@ -117,7 +117,7 @@ cwc::model make_churn_model() {
 
 /// The scalar side of the lockstep: one quantum with the same horizon
 /// clamp and stall fast-forward every backend worker applies
-/// (core/quantum.hpp's advance_one_quantum, minus the instrumentation).
+/// (core/quantum.hpp's advance_one_quantum, minus its cost record).
 void advance_scalar_quantum(cwc::engine& e, double quantum, double t_end,
                             double sample_period,
                             std::vector<cwc::trajectory_sample>& out) {

@@ -19,6 +19,7 @@
 #include "dist/dist.hpp"
 #include "models/models.hpp"
 #include "simt/simt.hpp"
+#include "svc/svc.hpp"
 #include "sweep/sweep.hpp"
 #include "window_equality.hpp"
 
@@ -426,6 +427,49 @@ TEST(Validate, RejectsDegenerateKnobsWithTypedDiagnostics) {
   // config_error stays catchable as the historical precondition_error.
   EXPECT_THROW(cwcsim::validate(base, cwcsim::distributed{0, 2}),
                util::precondition_error);
+}
+
+// Backend knobs that would otherwise reach a std::chrono cast (an
+// infinite poll slice or heartbeat) or fail only once the run has started
+// (a device with no warp slots, a cost model with a negative or non-finite
+// factor) get one typed error per field.
+TEST(Validate, RejectsServiceAndDeviceKnobsThatWouldFailMidRun) {
+  const auto base = small_config();
+  const auto field_of = [&](const cwcsim::backend& b) -> std::string {
+    try {
+      cwcsim::validate(base, b);
+    } catch (const cwcsim::config_error& e) {
+      return e.field();
+    }
+    return "";
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+  svc::run_server server;
+  cwcsim::service s{&server};
+  s.tick_s = kInf;
+  EXPECT_EQ(field_of(s), "service.tick_s");
+  s = cwcsim::service{&server};
+  s.heartbeat_s = kInf;
+  EXPECT_EQ(field_of(s), "service.heartbeat_s");
+  EXPECT_EQ(field_of(cwcsim::service{&server}), "");
+
+  cwcsim::gpu g{simt::devices::tesla_k40()};
+  g.device.concurrent_warps = 0;
+  EXPECT_EQ(field_of(g), "gpu.device.concurrent_warps");
+  for (const double v : {-1.0, kInf, kNaN}) {
+    g = cwcsim::gpu{simt::devices::tesla_k40()};
+    g.device.step_slowdown = v;
+    EXPECT_EQ(field_of(g), "gpu.device.step_slowdown");
+    g = cwcsim::gpu{simt::devices::tesla_k40()};
+    g.device.kernel_launch_s = v;
+    EXPECT_EQ(field_of(g), "gpu.device.kernel_launch_s");
+    g = cwcsim::gpu{simt::devices::tesla_k40()};
+    g.device.unified_mem_bytes_s = v;
+    EXPECT_EQ(field_of(g), "gpu.device.unified_mem_bytes_s");
+  }
+  EXPECT_EQ(field_of(cwcsim::gpu{simt::devices::tesla_k40()}), "");
 }
 
 // A horizon that is not a finite number, or a grid with more points than

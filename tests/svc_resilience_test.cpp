@@ -21,6 +21,7 @@
 #include "core/cwcsim.hpp"
 #include "dist/dist.hpp"
 #include "models/models.hpp"
+#include "serial_oracle.hpp"
 #include "svc/svc.hpp"
 #include "window_equality.hpp"
 
@@ -62,7 +63,6 @@ struct stream_state {
   std::vector<cwcsim::window_summary> windows;
   std::uint64_t completions = 0;
   std::uint64_t expected = 0;  ///< next stream seq to consume
-  svc::open_ack ack{};
   bool admitted = false;
   bool complete = false;
   svc::run_complete fin{};
@@ -84,19 +84,15 @@ void pump(svc::client_conn& conn, stream_state& st, double budget_s,
          !st.failed && st.expected < min_consumed) {
     auto msg = conn.recv_for(0.02);
     if (!msg) {
-      conn.send(svc::encode_heartbeat(conn.id(), st.expected));
+      conn.send(svc::encode_ack(conn.id(), st.expected));
       continue;
     }
     dist::archive_reader r(*msg);
     switch (svc::read_frame_header(r)) {
-      case svc::svc_tag::open_ok: {
-        const auto a = svc::read_open_ack(r);
-        if (!st.admitted) {
-          st.ack = a;
-          st.admitted = true;
-        }
+      case svc::svc_tag::open_ok:
+        (void)svc::read_open_ack(r);
+        st.admitted = true;
         break;
-      }
       case svc::svc_tag::open_error:
         st.failed = true;
         st.error = "open_error: " + svc::read_reason(r);
@@ -112,7 +108,7 @@ void pump(svc::client_conn& conn, stream_state& st, double budget_s,
           ++st.expected;
           st.windows.push_back(std::move(w.window));
         }
-        conn.send(svc::encode_credit(conn.id(), st.expected));
+        conn.send(svc::encode_ack(conn.id(), st.expected));
         break;
       }
       case svc::svc_tag::trajectory_done: {
@@ -126,7 +122,7 @@ void pump(svc::client_conn& conn, stream_state& st, double budget_s,
           ++st.expected;
           ++st.completions;
         }
-        conn.send(svc::encode_credit(conn.id(), st.expected));
+        conn.send(svc::encode_ack(conn.id(), st.expected));
         break;
       }
       case svc::svc_tag::complete:
@@ -145,10 +141,13 @@ void pump(svc::client_conn& conn, stream_state& st, double budget_s,
   }
 }
 
-svc::open_request make_open(const cwcsim::model_ref& m, std::uint64_t conn_id,
+/// A session's first open on `conn`, named by the connection's own token.
+svc::open_request make_open(const cwcsim::model_ref& m,
+                            const svc::client_conn& conn,
                             const cwcsim::sim_config& cfg) {
   svc::open_request rq;
-  rq.conn_id = conn_id;
+  rq.conn_id = conn.id();
+  rq.token = conn.token();
   rq.cfg = cfg;
   rq.model_frame = dist::encode_model(m);
   return rq;
@@ -172,14 +171,15 @@ TEST(Resilience, ReaperParksVanishedClientAndResumeIsBitExact) {
 
   const cwcsim::model_ref mref{&m, nullptr, nullptr};
   stream_state st;
+  std::uint64_t token = 0;
   {
     auto conn = server.connect();
-    conn.send(svc::encode_open(make_open(mref, conn.id(), cfg)));
+    token = conn.token();
+    conn.send(svc::encode_open(make_open(mref, conn, cfg)));
     // Consume a little of the stream, then crash (no close frame).
     pump(conn, st, 5.0, 2);
     ASSERT_FALSE(st.failed) << st.error;
     ASSERT_TRUE(st.admitted);
-    ASSERT_NE(st.ack.session_token, 0u);
     conn.abandon();
   }
 
@@ -197,14 +197,14 @@ TEST(Resilience, ReaperParksVanishedClientAndResumeIsBitExact) {
   auto conn2 = server.connect();
   svc::open_request rq;
   rq.conn_id = conn2.id();
-  rq.resume_token = st.ack.session_token;
-  rq.resume_next_seq = st.expected;
+  rq.token = token;
+  rq.next_seq = st.expected;
   conn2.send(svc::encode_open(rq));
   st.admitted = false;
   pump(conn2, st, 10.0);
   ASSERT_FALSE(st.failed) << st.error;
   ASSERT_TRUE(st.complete);
-  EXPECT_TRUE(st.ack.resumed);
+  EXPECT_TRUE(st.admitted);
   EXPECT_EQ(st.fin.seq, st.expected) << "terminal frame reports missed frames";
   EXPECT_EQ(st.completions, cfg.num_trajectories);
   expect_bit_identical(st.windows, batch.windows);
@@ -215,11 +215,114 @@ TEST(Resilience, ReaperParksVanishedClientAndResumeIsBitExact) {
   EXPECT_EQ(fin.sessions_completed, 1u);
 }
 
+TEST(Resilience, ResumesBeforeReadingAnyFrame) {
+  // The token comes with the connection, so a client that loses its first
+  // connection before it read a single frame — not even the open ack —
+  // still resumes its session on a fresh one, from sequence 0.
+  const auto m = models::make_neurospora_cwc({});
+  const auto cfg = tiny_config();
+  const auto want = oracle::serial_run(cwc::compiled_model::compile(m), cfg);
+
+  svc::svc_config sc;
+  sc.pool_workers = 2;
+  sc.default_window_credits = 4;
+  svc::run_server server(sc);
+
+  const cwcsim::model_ref mref{&m, nullptr, nullptr};
+  auto first = server.connect();
+  const std::uint64_t token = first.token();
+  first.send(svc::encode_open(make_open(mref, first, cfg)));
+  first.abandon();
+
+  auto conn = server.connect();
+  auto rq = make_open(mref, conn, cfg);
+  rq.token = token;
+  conn.send(svc::encode_open(rq));
+  stream_state st;
+  pump(conn, st, 10.0);
+  ASSERT_FALSE(st.failed) << st.error;
+  ASSERT_TRUE(st.complete);
+  EXPECT_EQ(st.fin.seq, st.expected);
+  EXPECT_EQ(st.completions, cfg.num_trajectories);
+  expect_bit_identical(st.windows, want.windows);
+
+  expect_ledger_balanced(server);
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.sessions_opened, 1u);
+  EXPECT_EQ(stats.sessions_resumed, 1u);
+}
+
+TEST(Resilience, OpenNamingNoSessionItMayStartIsRefused) {
+  // An unknown session starts only under the sending connection's own
+  // token at sequence 0. Claiming to resume one, or opening under another
+  // connection's token, gets open_error and admits nothing — and leaves
+  // that token to the connection it was issued to.
+  const auto m = models::make_neurospora_cwc({});
+  const auto cfg = tiny_config();
+  const cwcsim::model_ref mref{&m, nullptr, nullptr};
+  svc::run_server server;
+  auto owner = server.connect();
+
+  const auto refused = [&](svc::open_request rq, svc::client_conn& conn) {
+    conn.send(svc::encode_open(rq));
+    stream_state st;
+    pump(conn, st, 5.0);
+    EXPECT_FALSE(st.admitted);
+    EXPECT_NE(st.error.find("open_error"), std::string::npos) << st.error;
+  };
+  {
+    auto conn = server.connect();
+    auto rq = make_open(mref, conn, cfg);
+    rq.next_seq = 3;
+    refused(rq, conn);
+  }
+  {
+    auto conn = server.connect();
+    auto rq = make_open(mref, conn, cfg);
+    rq.token = owner.token();
+    refused(rq, conn);
+  }
+  auto st = server.stats();
+  EXPECT_EQ(st.sessions_opened, 0u);
+  EXPECT_EQ(st.sessions_rejected, 2u);
+
+  owner.send(svc::encode_open(make_open(mref, owner, cfg)));
+  stream_state os;
+  pump(owner, os, 10.0);
+  ASSERT_FALSE(os.failed) << os.error;
+  EXPECT_TRUE(os.complete);
+
+  // A connection carries one session. Once it has resumed one, an open
+  // starting another there is refused, though it names the connection's
+  // own token.
+  auto lost = server.connect();
+  auto long_cfg = cfg;
+  long_cfg.t_end = 500.0;
+  auto first = make_open(mref, lost, long_cfg);
+  first.window_credits = 1;
+  lost.send(svc::encode_open(first));
+  lost.abandon();
+  auto busy = server.connect();
+  auto resume = make_open(mref, busy, long_cfg);
+  resume.token = first.token;
+  busy.send(svc::encode_open(resume));
+  stream_state bs;
+  pump(busy, bs, 5.0, 1);
+  ASSERT_TRUE(bs.admitted) << bs.error;
+  busy.send(svc::encode_open(make_open(mref, busy, cfg)));
+  pump(busy, bs, 5.0);
+  EXPECT_NE(bs.error.find("open_error"), std::string::npos) << bs.error;
+
+  st = server.stats();
+  EXPECT_EQ(st.sessions_opened, 2u);
+  EXPECT_EQ(st.sessions_resumed, 1u);
+  EXPECT_EQ(st.sessions_rejected, 3u);
+}
+
 TEST(Resilience, LocalModelOutlivesAReapedHalfOpenSession) {
-  // A client whose open ack is lost cannot resume without its token, so
-  // it re-sends the same open, naming the same local model, on a fresh
-  // connection. The server may have reaped and retired the first session
-  // by then; the registration must still resolve.
+  // A session reaped at zero retention is gone for good, so its client
+  // opens a new one on a fresh connection, naming the same local model.
+  // The registration must outlive the first session.
   cwc::reaction_network local;
   const auto a = local.declare_species("A");
   local.set_initial(a, 40);
@@ -247,6 +350,7 @@ TEST(Resilience, LocalModelOutlivesAReapedHalfOpenSession) {
     // never speaks again: the reaper retires the session.
     auto conn = server.connect();
     rq.conn_id = conn.id();
+    rq.token = conn.token();
     conn.send(svc::encode_open(rq));
     svc::server_stats st = server.stats();
     for (int i = 0; i < 500 && st.sessions_reaped == 0; ++i) {
@@ -260,6 +364,7 @@ TEST(Resilience, LocalModelOutlivesAReapedHalfOpenSession) {
 
   auto conn2 = server.connect();
   rq.conn_id = conn2.id();
+  rq.token = conn2.token();
   conn2.send(svc::encode_open(rq));
   stream_state st;
   pump(conn2, st, 10.0);
@@ -290,7 +395,7 @@ TEST(Resilience, VanishedClientLeavesNoDownlink) {
     {
       auto conn = server.connect();
       conn.send(svc::encode_open(
-          make_open(cwcsim::model_ref{&m, nullptr, nullptr}, conn.id(), cfg)));
+          make_open(cwcsim::model_ref{&m, nullptr, nullptr}, conn, cfg)));
       stream_state st;
       pump(conn, st, 5.0, 1);
       ASSERT_FALSE(st.failed) << st.error;
@@ -330,12 +435,12 @@ TEST(Resilience, WedgedSubscriberIsReapedDespiteHeartbeats) {
 
   auto conn = server.connect();
   conn.send(svc::encode_open(
-      make_open(cwcsim::model_ref{&m, nullptr, nullptr}, conn.id(), cfg)));
+      make_open(cwcsim::model_ref{&m, nullptr, nullptr}, conn, cfg)));
 
   // Heartbeat dutifully, never ack anything.
   svc::server_stats stats = server.stats();
   for (int i = 0; i < 500 && stats.sessions_reaped == 0; ++i) {
-    conn.send(svc::encode_heartbeat(conn.id(), 0));
+    conn.send(svc::encode_ack(conn.id(), 0));
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     stats = server.stats();
   }
@@ -409,7 +514,7 @@ TEST(Resilience, DuplicateOpenIsIdempotent) {
   auto conn = server.connect();
   const auto open =
       svc::encode_open(make_open(cwcsim::model_ref{&m, nullptr, nullptr},
-                                 conn.id(), cfg));
+                                 conn, cfg));
   conn.send(open);
   conn.send(open);  // the retry a client fires when the ack seems lost
 
@@ -473,7 +578,7 @@ TEST(Resilience, BackoffPastThirtyTwoShedsStaysDefined) {
   auto blocker = server.connect();
   auto long_cfg = cfg;
   long_cfg.t_end = 500.0;
-  auto rq = make_open(cwcsim::model_ref{&m, nullptr, nullptr}, blocker.id(),
+  auto rq = make_open(cwcsim::model_ref{&m, nullptr, nullptr}, blocker,
                       long_cfg);
   rq.window_credits = 1;
   blocker.send(svc::encode_open(rq));
@@ -574,7 +679,7 @@ TEST(Chaos, MatrixSurvivorsBitExactLedgerBalanced) {
       auto ghost = server.connect();
       auto gcfg = cfg;
       gcfg.t_end = 120.0;  // long campaign it will abandon
-      ghost.send(svc::encode_open(make_open(mref, ghost.id(), gcfg)));
+      ghost.send(svc::encode_open(make_open(mref, ghost, gcfg)));
       stream_state gs;
       pump(ghost, gs, 5.0, 1);
       ghost.abandon();
@@ -614,6 +719,11 @@ TEST(Chaos, MatrixSurvivorsBitExactLedgerBalanced) {
     }
     if (c.ch.engine_throw_at_quantum != svc::chaos_params::no_quantum) {
       EXPECT_GE(st.quanta_retried, 1u);
+    }
+    if (std::string(c.name) == "downlink-drop") {
+      // This row's seeded streams drop stream frames, and the driver heals
+      // each gap by resuming its session by token on a fresh connection.
+      EXPECT_GE(st.sessions_resumed, 1u);
     }
   }
 }
@@ -663,7 +773,7 @@ TEST(Hardening, MalformedUplinkFramesNeverKillTheServer) {
 
   const auto valid_open =
       svc::encode_open(make_open(cwcsim::model_ref{&m, nullptr, nullptr},
-                                 conn.id(), cfg));
+                                 conn, cfg));
   // Truncations at every prefix of the header and a sweep through the
   // payload: all must be dropped without wedging the dispatcher.
   for (std::size_t len = 0; len < std::min<std::size_t>(valid_open.size(), 64);
@@ -678,7 +788,7 @@ TEST(Hardening, MalformedUplinkFramesNeverKillTheServer) {
   }
   {
     // Foreign schema version.
-    auto f = svc::encode_credit(conn.id(), 1);
+    auto f = svc::encode_ack(conn.id(), 1);
     f[1] = std::byte{0x7F};
     conn.send(f);
   }
@@ -690,8 +800,8 @@ TEST(Hardening, MalformedUplinkFramesNeverKillTheServer) {
     conn.send(f);
   }
   // Flow/teardown frames for sessions that do not exist.
-  conn.send(svc::encode_credit(9999, 123));
-  conn.send(svc::encode_heartbeat(9999, ~std::uint64_t{0}));
+  conn.send(svc::encode_ack(9999, 123));
+  conn.send(svc::encode_ack(9999, ~std::uint64_t{0}));
   conn.send(svc::encode_cancel(9999));
   conn.send(svc::encode_close(9999));
   conn.send(svc::encode_close(9999));  // duplicate terminal uplink
@@ -712,7 +822,7 @@ TEST(Hardening, TruncatedDownlinkFramesThrowCleanly) {
       svc::encode_window(5, w),
       svc::encode_complete({9, false, 2, 7}),
       svc::encode_error(4, "boom"),
-      svc::encode_open_ack({1, 2, 3, 4, true, false}),
+      svc::encode_open_ack({3}),
       svc::encode_retry_after({0.5, "busy"}),
   };
   for (const auto& f : frames) {
@@ -788,7 +898,7 @@ TEST(Chaos, SoakMultiTenantUnderSustainedFaults) {
     auto ghost = server.connect();
     auto gcfg = cfg;
     gcfg.t_end = 1e6;
-    ghost.send(svc::encode_open(make_open(mref, ghost.id(), gcfg)));
+    ghost.send(svc::encode_open(make_open(mref, ghost, gcfg)));
     stream_state gs;
     pump(ghost, gs, 5.0, 1);
     ghost.abandon();

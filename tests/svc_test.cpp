@@ -68,22 +68,13 @@ TEST(SvcProto, OpenFrameRoundTrips) {
 
 TEST(SvcProto, ControlAndTerminalFramesRoundTrip) {
   {
-    const auto f = svc::encode_credit(7, 3);
+    // The cumulative ack, which is also the heartbeat.
+    const auto f = svc::encode_ack(7, 3);
     dist::archive_reader r(f);
-    ASSERT_EQ(svc::read_frame_header(r), svc::svc_tag::credit);
-    const auto g = svc::read_credit(r);
+    ASSERT_EQ(svc::read_frame_header(r), svc::svc_tag::ack);
+    const auto g = svc::read_ack(r);
     EXPECT_EQ(g.conn_id, 7u);
     EXPECT_EQ(g.consumed_total, 3u);
-  }
-  {
-    // Heartbeat carries the same cumulative ack and decodes with the same
-    // reader (a lost credit frame is healed by the next heartbeat).
-    const auto f = svc::encode_heartbeat(11, 42);
-    dist::archive_reader r(f);
-    ASSERT_EQ(svc::read_frame_header(r), svc::svc_tag::heartbeat);
-    const auto g = svc::read_credit(r);
-    EXPECT_EQ(g.conn_id, 11u);
-    EXPECT_EQ(g.consumed_total, 42u);
   }
   {
     const auto f = svc::encode_cancel(9);
@@ -93,22 +84,13 @@ TEST(SvcProto, ControlAndTerminalFramesRoundTrip) {
   }
   {
     svc::open_ack a;
-    a.session_id = 3;
-    a.session_token = 0xDEADBEEFULL;
     a.pool_workers = 8;
-    a.window_credits = 4;
-    a.cache_hit = true;
-    a.resumed = true;
     const auto f = svc::encode_open_ack(a);
     dist::archive_reader r(f);
     ASSERT_EQ(svc::read_frame_header(r), svc::svc_tag::open_ok);
     const auto b = svc::read_open_ack(r);
-    EXPECT_EQ(b.session_id, 3u);
-    EXPECT_EQ(b.session_token, 0xDEADBEEFULL);
     EXPECT_EQ(b.pool_workers, 8u);
-    EXPECT_EQ(b.window_credits, 4u);
-    EXPECT_TRUE(b.cache_hit);
-    EXPECT_TRUE(b.resumed);
+    EXPECT_TRUE(r.exhausted());
   }
   {
     svc::shed_notice n;
@@ -149,16 +131,16 @@ TEST(SvcProto, ControlAndTerminalFramesRoundTrip) {
 TEST(SvcProto, OpenResumeFieldsRoundTrip) {
   svc::open_request rq;
   rq.conn_id = 6;
-  rq.resume_token = 0xFEEDFACEULL;
-  rq.resume_next_seq = 321;
+  rq.token = 0xFEEDFACEULL;
+  rq.next_seq = 321;
   rq.cfg = small_config();
   rq.local_model = 2;
   const auto f = svc::encode_open(rq);
   dist::archive_reader r(f);
   ASSERT_EQ(svc::read_frame_header(r), svc::svc_tag::open);
   const auto back = svc::read_open(r);
-  EXPECT_EQ(back.resume_token, 0xFEEDFACEULL);
-  EXPECT_EQ(back.resume_next_seq, 321u);
+  EXPECT_EQ(back.token, 0xFEEDFACEULL);
+  EXPECT_EQ(back.next_seq, 321u);
   EXPECT_EQ(back.local_model, 2u);
   EXPECT_TRUE(back.model_frame.empty());
 }
@@ -193,7 +175,7 @@ TEST(SvcProto, WindowFrameRoundTripsBitExact) {
 }
 
 TEST(SvcProto, ForeignSchemaVersionRejected) {
-  auto f = svc::encode_credit(1, 1);
+  auto f = svc::encode_ack(1, 1);
   // Byte 0 is the tag; byte 1 the schema version (dist/schema.hpp).
   f[1] = std::byte{0x7F};
   dist::archive_reader r(f);
@@ -201,7 +183,7 @@ TEST(SvcProto, ForeignSchemaVersionRejected) {
 }
 
 TEST(SvcProto, UnknownTagRejected) {
-  auto f = svc::encode_credit(1, 1);
+  auto f = svc::encode_ack(1, 1);
   f[0] = std::byte{0xEE};
   dist::archive_reader r(f);
   EXPECT_THROW(svc::read_frame_header(r), std::runtime_error);
@@ -456,6 +438,7 @@ TEST(Service, DisconnectMidRunReleasesQuantaAndBalancesCounters) {
     auto conn = server.connect();
     svc::open_request rq;
     rq.conn_id = conn.id();
+    rq.token = conn.token();
     rq.cfg = cfg;
     rq.model_frame =
         dist::encode_model(cwcsim::model_ref{&m, nullptr, nullptr});
@@ -544,6 +527,7 @@ TEST(Service, AdmissionControlRejectsOverCapacityAndBadConfig) {
   {
     svc::open_request rq;
     rq.conn_id = parked.id();
+    rq.token = parked.token();
     rq.cfg = long_cfg;
     rq.model_frame =
         dist::encode_model(cwcsim::model_ref{&m, nullptr, nullptr});
@@ -568,6 +552,7 @@ TEST(Service, AdmissionControlRejectsOverCapacityAndBadConfig) {
     auto conn = server.connect();
     svc::open_request rq;
     rq.conn_id = conn.id();
+    rq.token = conn.token();
     rq.cfg = small_config();
     rq.cfg.window_slide = 0;  // invalid
     rq.model_frame =
@@ -582,6 +567,7 @@ TEST(Service, AdmissionControlRejectsOverCapacityAndBadConfig) {
     auto conn = server.connect();
     svc::open_request rq;
     rq.conn_id = conn.id();
+    rq.token = conn.token();
     rq.cfg = small_config();
     rq.cfg.t_end = std::numeric_limits<double>::quiet_NaN();  // no horizon
     rq.model_frame =
@@ -596,6 +582,7 @@ TEST(Service, AdmissionControlRejectsOverCapacityAndBadConfig) {
     auto conn = server.connect();
     svc::open_request rq;
     rq.conn_id = conn.id();
+    rq.token = conn.token();
     rq.cfg = small_config();
     rq.cfg.t_end = 4.0;
     rq.cfg.quantum = 1e-300;  // cannot move the clock: the run never ends
@@ -624,6 +611,15 @@ TEST(Service, AdmissionControlRejectsOverCapacityAndBadConfig) {
   const auto st = server.stats();
   EXPECT_GE(st.sessions_rejected, 3u);  // bad configs (final, not retryable)
   EXPECT_GE(st.sessions_shed, 3u);      // capacity: initial open + 2 retries
+}
+
+TEST(Service, ServerRejectsAZeroDefaultWindow) {
+  // A tenant that names no credits gets the default window; at zero its
+  // session would be admitted and never scheduled, since a backlog is never
+  // below a capacity of 0.
+  svc::svc_config sc;
+  sc.default_window_credits = 0;
+  EXPECT_THROW({ svc::run_server server(sc); }, util::precondition_error);
 }
 
 TEST(Service, FinishedSessionReleasesItsModelToTheCache) {
@@ -815,6 +811,7 @@ TEST(Service, DestroyServerWithLiveParkedSessionsClosesEveryDownlink) {
       auto conn = server.connect();
       svc::open_request rq;
       rq.conn_id = conn.id();
+      rq.token = conn.token();
       rq.cfg = long_cfg;
       rq.model_frame =
           dist::encode_model(cwcsim::model_ref{&m, nullptr, nullptr});
