@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
     const auto lanes_per_s = [&](std::size_t width) {
       util::stopwatch sw;
       const auto report =
-          cwcsim::run(model, cfg, cwcsim::gpu{dev, 25.0, width});
+          cwcsim::run(model, cfg, cwcsim::gpu{dev, width});
       const double secs = sw.elapsed_s();
       return std::pair<double, double>(
           static_cast<double>(report.result.completions.size()) / secs, secs);

@@ -106,8 +106,6 @@ struct distributed {
 /// statistical engines summarise the cuts beside both.
 struct gpu {
   simt::device_spec device{};
-  /// Path-decoherence time of the divergence model (see simt::gpu_params).
-  double coherence_time = 25.0;
   /// Lanes per batch engine (the paper's lockstep-kernel granularity):
   /// when > 1, each kernel advances SoA batches of this many same-model
   /// trajectories instead of scalar engines one by one. Bit-identical
@@ -119,24 +117,15 @@ struct gpu {
 /// Run as one tenant of a shared svc::run_server: the model and config
 /// ship to the server as schema-versioned frames over the dist transport,
 /// quanta execute on the server's shared pool under deficit-weighted fair
-/// scheduling, and windows stream back under credit-based backpressure —
-/// bit-exact with a multicore run of the same (model, seed, config). The
-/// server must outlive the run.
+/// scheduling, and windows stream back under the server's window-based
+/// backpressure — bit-exact with a multicore run of the same (model, seed,
+/// config). The client takes its timing from the server (heartbeats well
+/// inside its heartbeat timeout). The server must outlive the run.
 struct service {
   svc::run_server* server = nullptr;
   /// Fair-share weight under contention (relative quanta share),
   /// in [1/1024, 1024].
   double weight = 1.0;
-  /// Stream-frame window bound (pending queue and in-flight replay
-  /// buffer; 0 = server default).
-  std::uint64_t window_credits = 0;
-  /// Client-side downlink poll slice in seconds.
-  double tick_s = 0.01;
-  /// Liveness heartbeat cadence (uplink lease refresh + cumulative ack).
-  double heartbeat_s = 0.25;
-  /// Shed-open (retry_after) attempts before the driver gives up; also
-  /// bounds the capped exponential backoff between attempts.
-  unsigned open_retries = 5;
 };
 
 /// Where a run executes. Swap this one value to move the same model and

@@ -108,12 +108,6 @@ void validate(const sim_config& cfg, const backend& b) {
       if (!(s.weight >= 1.0 / 1024.0) || !(s.weight <= 1024.0))
         throw config_error("service.weight",
                            "weight must be in [1/1024, 1024]");
-      if (!(s.tick_s > 0.0 && std::isfinite(s.tick_s)))
-        throw config_error("service.tick_s",
-                           "poll slice must be positive and finite");
-      if (!(s.heartbeat_s > 0.0 && std::isfinite(s.heartbeat_s)))
-        throw config_error("service.heartbeat_s",
-                           "heartbeat cadence must be positive and finite");
     }
     void operator()(const gpu& g) const {
       if (g.device.warp_size == 0)
@@ -132,9 +126,6 @@ void validate(const sim_config& cfg, const backend& b) {
       if (!finite_nonneg(g.device.unified_mem_bytes_s))
         throw config_error("gpu.device.unified_mem_bytes_s",
                            "memory bandwidth must be finite and non-negative");
-      if (g.coherence_time < 0.0)
-        throw config_error("gpu.coherence_time",
-                           "coherence time must be non-negative");
     }
   };
   std::visit(checker{cfg}, b);

@@ -35,7 +35,9 @@ namespace dist {
 /// v6: svc sessions are named at connect time: open names a token and the
 /// next sequence it lacks, open_ok carries only the pool width, and one
 /// ack frame replaces credit and heartbeat (retry_after moves to tag 11).
-inline constexpr std::uint8_t wire_schema_version = 6;
+/// v7: svc frames carry no server settings: open loses its window, open_ok
+/// its payload (the pool width) and retry_after its retry hint.
+inline constexpr std::uint8_t wire_schema_version = 7;
 
 /// Framed-archive header version (put_schema_header/check_schema_header).
 inline constexpr std::uint8_t archive_schema_version = wire_schema_version;

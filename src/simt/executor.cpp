@@ -57,4 +57,8 @@ kernel_stats kernel_makespan(std::span<const double> lane_seconds,
   return st;
 }
 
+double path_divergence(double quantum) {
+  return std::min(1.0, quantum / coherence_time);
+}
+
 }  // namespace simt

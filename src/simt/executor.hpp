@@ -38,4 +38,13 @@ kernel_stats kernel_makespan(std::span<const double> lane_seconds,
                              const device_spec& dev,
                              double path_divergence = 0.0);
 
+/// Simulated-time scale over which lanes' instruction paths decohere
+/// (phase mixing of the oscillator ensemble).
+inline constexpr double coherence_time = 25.0;
+
+/// The path divergence of a kernel that advances every lane one quantum:
+/// min(1, quantum / coherence_time). Fine quanta keep re-packed warps in
+/// lockstep, long quanta serialise them (paper §V-C).
+double path_divergence(double quantum);
+
 }  // namespace simt

@@ -37,7 +37,6 @@ class gpu_driver final : public cwcsim::backend_driver {
       : model_(model),
         cfg_(cfg),
         dev_(b.device),
-        coherence_time_(b.coherence_time),
         batch_width_(b.batch_width),
         ns_per_step_(des::measure_sim_ns_per_step(model_, cfg_)) {}
 
@@ -49,7 +48,6 @@ class gpu_driver final : public cwcsim::backend_driver {
   cwcsim::model_ref model_;
   cwcsim::sim_config cfg_;
   device_spec dev_;
-  double coherence_time_;
   std::size_t batch_width_;
   double ns_per_step_;  ///< calibration for lane-time accounting
 };
@@ -76,9 +74,6 @@ void gpu_driver::run(cwcsim::event_sink& sink, cwcsim::run_report& report) {
   cwcsim::analysis_stage analysis(cfg_, model_.num_observables(), sink,
                                   cfg_.stat_engines);
 
-  const double theta =
-      coherence_time_ > 0.0 ? std::min(1.0, cfg_.quantum / coherence_time_)
-                            : 0.0;
   double total_lane_s = 0.0;
   double total_warp_s = 0.0;
   // Warp re-packing predictor per trajectory: its last quantum's steps.
@@ -115,7 +110,8 @@ void gpu_driver::run(cwcsim::event_sink& sink, cwcsim::run_report& report) {
                      });
     lane_seconds.clear();
     for (const auto& [pred, sec] : packed) lane_seconds.push_back(sec);
-    const kernel_stats ks = kernel_makespan(lane_seconds, dev_, theta);
+    const kernel_stats ks =
+        kernel_makespan(lane_seconds, dev_, path_divergence(cfg_.quantum));
 
     const double mem_s =
         dev_.unified_mem_bytes_s > 0 ? bytes / dev_.unified_mem_bytes_s : 0.0;

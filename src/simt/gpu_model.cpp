@@ -57,11 +57,8 @@ gpu_outcome simulate_gpu(const des::workload& w, const des::calibration& cal,
       prev_steps[i] = qw.steps;
     }
 
-    const double theta =
-        params.coherence_time > 0.0
-            ? std::min(1.0, w.quantum / params.coherence_time)
-            : 0.0;
-    const kernel_stats ks = kernel_makespan(lanes, dev, theta);
+    const kernel_stats ks =
+        kernel_makespan(lanes, dev, path_divergence(w.quantum));
     const double mem_s =
         dev.unified_mem_bytes_s > 0 ? bytes / dev.unified_mem_bytes_s : 0.0;
     const double kernel_s = ks.device_seconds + mem_s;

@@ -20,11 +20,6 @@ struct gpu_params {
   std::size_t window_size = 16;
   std::size_t window_slide = 16;
   double bytes_per_sample = 64.0;
-  /// Simulated-time scale over which lanes' instruction paths decohere
-  /// (phase mixing of the oscillator ensemble). Path divergence per kernel
-  /// is min(1, quantum / coherence_time) — fine quanta keep re-packed
-  /// warps in lockstep, long quanta serialise them (paper §V-C).
-  double coherence_time = 25.0;
 };
 
 struct gpu_outcome {

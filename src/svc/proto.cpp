@@ -22,7 +22,6 @@ dist::byte_buffer encode_open(const open_request& rq) {
   auto w = begin_frame(svc_tag::open);
   w.put<std::uint64_t>(rq.conn_id);
   w.put<double>(rq.weight);
-  w.put<std::uint64_t>(rq.window_credits);
   w.put<std::uint64_t>(rq.token);
   w.put<std::uint64_t>(rq.next_seq);
   dist::write_sim_config(w, rq.cfg);
@@ -35,7 +34,6 @@ open_request read_open(dist::archive_reader& r) {
   open_request rq;
   rq.conn_id = r.get<std::uint64_t>();
   rq.weight = r.get<double>();
-  rq.window_credits = r.get<std::uint64_t>();
   rq.token = r.get<std::uint64_t>();
   rq.next_seq = r.get<std::uint64_t>();
   rq.cfg = dist::read_sim_config(r);
@@ -77,16 +75,8 @@ std::uint64_t read_conn_id(dist::archive_reader& r) {
 
 // ---- downlink ----------------------------------------------------------
 
-dist::byte_buffer encode_open_ack(const open_ack& a) {
-  auto w = begin_frame(svc_tag::open_ok);
-  w.put<std::uint32_t>(a.pool_workers);
-  return w.take();
-}
-
-open_ack read_open_ack(dist::archive_reader& r) {
-  open_ack a;
-  a.pool_workers = r.get<std::uint32_t>();
-  return a;
+dist::byte_buffer encode_open_ok() {
+  return begin_frame(svc_tag::open_ok).take();
 }
 
 dist::byte_buffer encode_open_error(const std::string& reason) {
@@ -97,18 +87,10 @@ dist::byte_buffer encode_open_error(const std::string& reason) {
 
 std::string read_reason(dist::archive_reader& r) { return r.get_string(); }
 
-dist::byte_buffer encode_retry_after(const shed_notice& n) {
+dist::byte_buffer encode_retry_after(const std::string& reason) {
   auto w = begin_frame(svc_tag::retry_after);
-  w.put<double>(n.retry_after_s);
-  w.put_string(n.reason);
+  w.put_string(reason);
   return w.take();
-}
-
-shed_notice read_retry_after(dist::archive_reader& r) {
-  shed_notice n;
-  n.retry_after_s = r.get<double>();
-  n.reason = r.get_string();
-  return n;
 }
 
 dist::byte_buffer encode_error(std::uint64_t seq, const std::string& reason) {

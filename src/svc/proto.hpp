@@ -9,7 +9,7 @@
 // connection id; downlink frames travel on the connection's own channel
 // and need no addressing.
 //
-// Sessions (v6): run_server::connect() issues every connection a token
+// Sessions (v7): run_server::connect() issues every connection a token
 // (client_conn::token()) before it carries a frame, and a session is named
 // by the token of the connection it was opened on. An open names its
 // session and the next stream sequence number the client lacks. The server
@@ -33,20 +33,24 @@
 // are pure functions of (seed, trajectory_id), so a lost quantum
 // deterministically replays without disturbing the stream.
 //
-// Flow control is window-based: the server keeps at most
-// `window_credits` stream frames in flight beyond the client's cumulative
-// ack, and stops granting a session pool quanta once its queue of
-// produced-but-unsent frames reaches the same bound. A subscriber that
+// Flow control is window-based: the server keeps at most its
+// svc_config::window_credits stream frames in flight beyond the client's
+// cumulative ack, and stops granting a session pool quanta once its queue
+// of produced-but-unsent frames reaches the same bound. A subscriber that
 // falls behind stops acking, the session's server-side queues fill, and
 // the scheduler parks it — the slow tenant throttles itself, never the
-// shared pool.
+// shared pool. The window is the server's alone: no frame carries one.
 //
 // Liveness: every uplink frame refreshes the session's lease; a client
 // that goes silent past the server's heartbeat timeout is presumed dead
 // and reaped (its session parks recoverable for the retention window,
 // then expires). Clients re-send their cumulative ack as a heartbeat when
 // they have nothing else to say. A server shedding load answers open
-// requests with a typed retry_after frame instead of admitting.
+// requests with a typed retry_after frame instead of admitting; the
+// client's backoff is its own, so the frame carries only a reason.
+// Frames carry no server settings: open_ok is a bare admission tag, and a
+// client reads the pool width and heartbeat timeout from the server's
+// config.
 #pragma once
 
 #include "core/backend.hpp"
@@ -57,7 +61,7 @@ namespace svc {
 /// Frame kind, first byte of every svc frame.
 enum class svc_tag : std::uint8_t {
   // ---- uplink: client -> server (shared ingress, addressed) ----
-  open = 1,     ///< open or resume a session (model + config + QoS knobs)
+  open = 1,     ///< open or resume a session (model + config + weight)
   ack = 2,      ///< cumulative consumption ack; also the liveness heartbeat
   cancel = 3,   ///< cooperative stop: tear down, reply with complete frame
   close = 4,    ///< disconnect: tear down silently (no reply expected)
@@ -78,9 +82,6 @@ struct open_request {
   /// Fair-share weight of this session in the deficit round-robin
   /// scheduler (relative quanta share under contention).
   double weight = 1.0;
-  /// Bound of the per-session stream-frame windows (pending queue AND
-  /// in-flight-beyond-ack replay buffer); 0 = server default.
-  std::uint64_t window_credits = 0;
   /// The session: client_conn::token() of the connection it was first
   /// opened on.
   std::uint64_t token = 0;
@@ -95,17 +96,6 @@ struct open_request {
   /// In-process fallback token from run_server::register_local_model();
   /// meaningful only when model_frame is empty.
   std::uint64_t local_model = 0;
-};
-
-/// Downlink: the session was admitted (or resumed).
-struct open_ack {
-  std::uint32_t pool_workers = 0;  ///< shared pool width (for reports)
-};
-
-/// Downlink: the open was shed under load; retry after the hinted delay.
-struct shed_notice {
-  double retry_after_s = 0.0;
-  std::string reason;
 };
 
 /// Downlink: the run finished (all trajectories, or torn down by cancel).
@@ -129,9 +119,10 @@ dist::byte_buffer encode_ack(std::uint64_t conn_id,
 dist::byte_buffer encode_cancel(std::uint64_t conn_id);
 dist::byte_buffer encode_close(std::uint64_t conn_id);
 
-dist::byte_buffer encode_open_ack(const open_ack& a);
+/// open_ok: the session was admitted (or resumed); no payload.
+dist::byte_buffer encode_open_ok();
 dist::byte_buffer encode_open_error(const std::string& reason);
-dist::byte_buffer encode_retry_after(const shed_notice& n);
+dist::byte_buffer encode_retry_after(const std::string& reason);
 dist::byte_buffer encode_window(std::uint64_t seq,
                                 const cwcsim::window_summary& w);
 dist::byte_buffer encode_trajectory_done(std::uint64_t seq,
@@ -154,9 +145,7 @@ struct stream_ack {
 stream_ack read_ack(dist::archive_reader& r);
 std::uint64_t read_conn_id(dist::archive_reader& r);  ///< cancel/close
 
-open_ack read_open_ack(dist::archive_reader& r);
-std::string read_reason(dist::archive_reader& r);  ///< open_error
-shed_notice read_retry_after(dist::archive_reader& r);
+std::string read_reason(dist::archive_reader& r);  ///< open_error, retry_after
 struct seq_window {
   std::uint64_t seq = 0;
   cwcsim::window_summary window;

@@ -27,6 +27,13 @@ namespace {
 
 using clock_t_ = std::chrono::steady_clock;
 
+/// The dispatcher's ingress receive slice.
+constexpr double server_tick_s = 0.005;
+
+/// Failed executions of one quantum re-tried (with deterministic
+/// checkpoint replay) before the session is declared failed.
+constexpr std::uint32_t max_quantum_retries = 2;
+
 clock_t_::duration to_duration(double seconds) {
   return std::chrono::duration_cast<clock_t_::duration>(
       std::chrono::duration<double>(seconds));
@@ -91,7 +98,7 @@ struct session final : cwcsim::event_sink {
   // Immutable after admission.
   std::uint64_t token = 0;  ///< the session's name (tokens_ key)
   double weight = 1.0;
-  std::uint64_t capacity = 8;  ///< stream-frame window bound
+  std::uint64_t capacity = 8;  ///< svc_config::window_credits
   cwcsim::sim_config cfg{};
   std::shared_ptr<const cwc::compiled_model> model;
 
@@ -263,14 +270,9 @@ struct run_server::impl {
     // of returning at once, so an idle dispatcher sleeps instead of spinning.
     ingress_->add_writer();
     dispatcher_ = std::thread([this] { dispatcher_loop(); });
-    const unsigned n = pool_width();
-    workers_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
+    workers_.reserve(cfg_.pool_workers);
+    for (unsigned i = 0; i < cfg_.pool_workers; ++i)
       workers_.emplace_back([this] { worker_loop(); });
-  }
-
-  unsigned pool_width() const {
-    return cfg_.pool_workers == 0 ? 1 : cfg_.pool_workers;
   }
 
   void stop() {
@@ -302,7 +304,7 @@ struct run_server::impl {
   void dispatcher_loop() {
     auto next_reap = clock_t_::now();
     while (!dispatcher_stop_.load()) {
-      auto msg = ingress_->recv_for(cfg_.server_tick_s);
+      auto msg = ingress_->recv_for(server_tick_s);
       if (msg) {
         try {
           handle_frame(*msg);
@@ -539,8 +541,7 @@ struct run_server::impl {
     s->id = rq.conn_id;
     s->token = rq.token;
     s->weight = rq.weight;
-    s->capacity = rq.window_credits != 0 ? rq.window_credits
-                                         : cfg_.default_window_credits;
+    s->capacity = cfg_.window_credits;
     s->cfg = rq.cfg;
     s->model = std::move(cm);
     s->down = down;
@@ -569,7 +570,7 @@ struct run_server::impl {
       // the admission frame that precedes streaming), so send it before
       // the session becomes visible to workers — a fast run could
       // otherwise stream windows and retire ahead of the ack.
-      down->send(ack_frame());
+      down->send(encode_open_ok());
       sessions_.emplace(s->id, s);
       tokens_.emplace(s->token, s);
       ring_.push_back(s);
@@ -584,18 +585,12 @@ struct run_server::impl {
     down.send(encode_open_error(why));
   }
 
-  /// The admission ack (open_ok), the same for every session.
-  dist::byte_buffer ack_frame() const {
-    return encode_open_ack({static_cast<std::uint32_t>(pool_width())});
-  }
-
   /// Admission: once max_sessions are live, turn the open away with a
   /// retryable retry_after frame. Callers hold sched_mu.
   bool shed_locked(dist::net_channel& down) {
     if (sessions_.size() < cfg_.max_sessions) return false;
     ++stats_.sessions_shed;
-    down.send(
-        encode_retry_after({cfg_.retry_after_hint_s, "server at capacity"}));
+    down.send(encode_retry_after("server at capacity"));
     return true;
   }
 
@@ -612,7 +607,7 @@ struct run_server::impl {
     const auto now = clock_t_::now();
     {
       const std::lock_guard<std::mutex> fl(s.flow_mu);
-      down->send(ack_frame());
+      down->send(encode_open_ok());
       if (s.down == down) {
         s.last_uplink = now;
         return;
@@ -869,7 +864,7 @@ struct run_server::impl {
       stats_.quanta_discarded += lanes;
     }
     if (failure && s.ending == end_kind::none &&
-        b.retries >= cfg_.max_quantum_retries)
+        b.retries >= max_quantum_retries)
       begin_teardown_locked(s, end_kind::failed, *failure);
     if (s.ending != end_kind::none || (!failure && b.live == 0)) {
       // A finished block, or one its session no longer runs: unpin the
@@ -1003,16 +998,17 @@ struct run_server::impl {
 // -------------------------------------------------------------- run_server
 
 run_server::run_server(svc_config cfg) : cfg_(cfg) {
+  cfg_.pool_workers = std::max(cfg_.pool_workers, 1u);
   // A session with no window could never be scheduled (its backlog is
-  // never below its capacity).
-  util::expects(cfg_.default_window_credits > 0,
-                "run_server: default_window_credits must be positive");
-  util::expects(std::isfinite(cfg_.server_tick_s) && cfg_.server_tick_s > 0.0,
-                "run_server: server_tick_s must be positive and finite");
+  // never below its capacity), and a server with no session slot sheds
+  // every open.
+  util::expects(cfg_.window_credits > 0,
+                "run_server: window_credits must be positive");
+  util::expects(cfg_.max_sessions > 0,
+                "run_server: max_sessions must be positive");
   const auto knob = [](double v) { return std::isfinite(v) && v >= 0.0; };
   util::expects(knob(cfg_.heartbeat_timeout_s) && knob(cfg_.stall_grace_s) &&
-                    knob(cfg_.session_retention_s) &&
-                    knob(cfg_.retry_after_hint_s),
+                    knob(cfg_.session_retention_s),
                 "run_server: resilience timeouts must be >= 0 and finite");
   const auto prob = [](double p) { return std::isfinite(p) && p >= 0.0 && p < 1.0; };
   util::expects(prob(cfg_.chaos.ingress_drop_prob) &&

@@ -37,8 +37,8 @@
 //     of (seed, trajectory_id), so when a quantum fails (an engine throw —
 //     the in-process stand-in for a worker crash) the server drops the
 //     block's executor, rebuilds it by silently replaying rounds
-//     [0, high-water) and re-executes ONLY the lost quantum, up to
-//     max_quantum_retries times, before declaring the session failed.
+//     [0, high-water) and re-executes ONLY the lost quantum, up to two
+//     times, before declaring the session failed.
 //   - liveness      — every uplink frame refreshes a session's lease; a
 //     reaper retires zombies: a client silent past heartbeat_timeout_s is
 //     presumed dead, and a subscriber that stops acknowledging for
@@ -67,13 +67,21 @@
 //     most window_credits stream frames in flight beyond the client's
 //     cumulative ack, and a session whose produced-but-unsent queue
 //     reaches the same bound stops receiving quanta until the subscriber
-//     drains. Slow tenants throttle only themselves.
+//     drains. Slow tenants throttle only themselves. The window is the
+//     server's: every session gets the same one.
 //   - teardown      — cancel (cooperative stop: pending frames flush, a
 //     complete{stopped} frame answers) and close (disconnect: the
 //     session vanishes silently). Both release the session's queued
 //     block leases back to the pool immediately; in-flight quanta
 //     finish and are discarded, with quanta_executed ==
 //     quanta_accepted + quanta_discarded always balancing.
+//   - settings      — svc_config holds only deployment settings (the pool,
+//     the session and cache bounds, the window, the three deadlines) and
+//     the chaos test seam; the dispatcher's 5 ms receive slice, the two
+//     quantum retries and the client's backoff are constants. Clients read
+//     the settings they need through config() (the pool width for their
+//     report, the heartbeat timeout their heartbeat stays well inside), so
+//     no frame carries a setting.
 //   - chaos         — svc_config::chaos (svc/chaos.hpp) injects seeded
 //     drop/duplicate/delay on the ingress and every downlink, and a
 //     one-shot engine throw at a chosen quantum index, so the whole
@@ -97,18 +105,19 @@
 namespace svc {
 
 struct svc_config {
-  unsigned pool_workers = 4;   ///< shared quantum-execution threads
+  /// Shared quantum-execution threads; the constructor raises 0 to 1.
+  unsigned pool_workers = 4;
   /// Admission bound on live sessions: opens beyond it are shed with
-  /// retry_after (retryable), never rejected.
+  /// retry_after (retryable), never rejected. Must be positive.
   std::size_t max_sessions = 64;
-  /// Per-session stream-frame window bound (pending queue and in-flight
-  /// replay buffer), when the open request does not name one.
-  std::uint64_t default_window_credits = 8;
-  double server_tick_s = 0.005;  ///< dispatcher recv_for slice
+  /// Every session's stream-frame window bound (pending queue and
+  /// in-flight replay buffer). Must be positive.
+  std::uint64_t window_credits = 8;
 
   // ---- resilience knobs ----
   /// A live session whose client sent NO uplink frame for this long is
-  /// presumed dead and reaped. 0 disables liveness reaping.
+  /// presumed dead and reaped. 0 disables liveness reaping. The
+  /// cwcsim::service client heartbeats every min(0.25 s, a quarter of it).
   double heartbeat_timeout_s = 10.0;
   /// A session whose stream queues are full and whose cumulative ack has
   /// not advanced for this long is a wedged subscriber: reaped. 0
@@ -118,11 +127,6 @@ struct svc_config {
   /// (and a finished one keeps its terminal record) for resume(). 0
   /// disables recovery: reaped sessions tear down immediately.
   double session_retention_s = 30.0;
-  /// Failed quantum executions re-tried (with deterministic checkpoint
-  /// replay) before the session is declared failed.
-  std::uint32_t max_quantum_retries = 2;
-  /// The retry hint a shed open carries back to the client.
-  double retry_after_hint_s = 0.05;
   /// Bound on the compiled-model cache (LRU; live models stay pinned).
   std::size_t model_cache_entries = 64;
   /// Seeded fault injection (off by default; see svc/chaos.hpp).
@@ -225,6 +229,7 @@ class run_server {
   run_server(const run_server&) = delete;
   run_server& operator=(const run_server&) = delete;
 
+  /// The settings this server runs with (pool_workers at least 1).
   const svc_config& config() const noexcept { return cfg_; }
 
   /// Register a client link and issue its session token: the returned

@@ -7,15 +7,17 @@
 // engine + analysis_stage composition.
 //
 // Resilience (the client half of proto.hpp's reliability model):
-//   - admission: a shed open (retry_after frame) backs off with capped
-//     exponential delay and retries, up to service::open_retries; a
-//     silent server gets the (idempotent) open re-sent.
+//   - admission: a shed open (retry_after frame) backs off 50 ms, doubling
+//     up to 1 s, and is retried at most five times; a silent server gets
+//     the (idempotent) open re-sent every 0.2 s, and an open unanswered
+//     for 10 s fails the run. Once admitted, the client waits as long as
+//     the run takes: the server closes the downlink of a session it drops.
 //   - consumption: stream frames are consumed strictly in sequence
 //     order; duplicates (seq < expected) are dropped, and every consumed
 //     frame acknowledges cumulatively, so lost acks heal themselves.
 //   - liveness: the same cumulative ack goes up again every
-//     service::heartbeat_s, keeping the session's lease fresh even when
-//     the subscriber is slow.
+//     min(0.25 s, a quarter of the server's heartbeat_timeout_s), keeping
+//     the session's lease fresh even when the subscriber is slow.
 //   - recovery: the session is named by the first connection's token,
 //     held before any frame is read. A sequence gap (seq > expected: a
 //     dropped downlink frame) or a dead downlink abandons the connection
@@ -24,6 +26,11 @@
 //     the client has not consumed. A terminal frame whose seq is ahead of
 //     the client triggers the same resume, so the run never "completes"
 //     with silently missing windows.
+//
+// The client has no settings of its own beyond its weight: it polls the
+// downlink in 10 ms slices, and it reads what depends on the server — the
+// heartbeat timeout and the pool width its report names — from
+// run_server::config(), never from a frame that might be lost.
 #include <algorithm>
 #include <chrono>
 #include <string>
@@ -36,6 +43,26 @@
 
 namespace svc {
 namespace {
+
+constexpr double poll_s = 0.01;  ///< downlink receive slice
+/// While unadmitted, the open is re-sent after this many empty polls
+/// (0.2 s), and the run fails after give_up_s of downlink silence.
+constexpr unsigned resend_polls = 20;
+constexpr double give_up_s = 10.0;
+/// Shed opens retried before the run fails, and the backoff before the
+/// first retry; it doubles with each retry up to max_backoff_s.
+constexpr unsigned open_retries = 5;
+constexpr double first_backoff_s = 0.05;
+constexpr double max_backoff_s = 1.0;
+
+/// The heartbeat cadence against a server: a quarter of its heartbeat
+/// timeout, and never slower than 0.25 s.
+double heartbeat_s(const svc_config& sc) {
+  constexpr double slowest = 0.25;
+  return sc.heartbeat_timeout_s > 0.0
+             ? std::min(slowest, sc.heartbeat_timeout_s / 4.0)
+             : slowest;
+}
 
 class service_driver final : public cwcsim::backend_driver {
  public:
@@ -51,7 +78,6 @@ class service_driver final : public cwcsim::backend_driver {
 
     open_request rq;
     rq.weight = b_.weight;
-    rq.window_credits = b_.window_credits;
     rq.cfg = cfg_;
     double model_bytes = 0.0;
     if (dist::wire_encodable(model_)) {
@@ -79,7 +105,6 @@ class service_driver final : public cwcsim::backend_driver {
     rq.token = conn.token();  // names the session on every connection
     // Session-spanning state: survives reconnects.
     std::uint64_t expected = 0;  ///< next stream seq to consume
-    std::uint32_t pool_workers = 0;  ///< from the first open ack
     bool admitted = false;
     bool cancel_sent = false;
     bool complete_seen = false;
@@ -113,11 +138,7 @@ class service_driver final : public cwcsim::backend_driver {
       send_open();
     };
 
-    // Re-send the (idempotent) open after this much downlink silence
-    // while unadmitted, and give up entirely after `give_up_s` of it.
-    const unsigned resend_every =
-        std::max(1u, static_cast<unsigned>(0.2 / std::max(b_.tick_s, 1e-4)));
-    const double give_up_s = 10.0;
+    const std::chrono::duration<double> heartbeat(heartbeat_s(srv.config()));
     auto last_hb = std::chrono::steady_clock::now();
 
     send_open();
@@ -127,13 +148,12 @@ class service_driver final : public cwcsim::backend_driver {
         cancel_sent = true;
       }
       const auto now = std::chrono::steady_clock::now();
-      if (admitted &&
-          now - last_hb >= std::chrono::duration<double>(b_.heartbeat_s)) {
+      if (admitted && now - last_hb >= heartbeat) {
         conn.send(encode_ack(conn.id(), expected));
         last_hb = now;
       }
 
-      auto msg = conn.recv_for(b_.tick_s);
+      auto msg = conn.recv_for(poll_s);
       if (!msg) {
         if (conn.downlink_drained()) {
           // The server released this downlink mid-run (reap, or a
@@ -141,9 +161,13 @@ class service_driver final : public cwcsim::backend_driver {
           reconnect();
           continue;
         }
+        // Only an open can go unanswered: the server closes the downlink
+        // of a session it drops, so an admitted session may stay quiet
+        // (sparse windows) for as long as the run takes.
+        if (admitted) continue;
         ++empty_polls;
-        if (!admitted && empty_polls % resend_every == 0) send_open();
-        if (static_cast<double>(empty_polls) * b_.tick_s > give_up_s)
+        if (empty_polls % resend_polls == 0) send_open();
+        if (static_cast<double>(empty_polls) * poll_s > give_up_s)
           throw std::runtime_error("service: server unresponsive");
         continue;
       }
@@ -152,25 +176,19 @@ class service_driver final : public cwcsim::backend_driver {
       dist::archive_reader r(*msg);
       switch (read_frame_header(r)) {
         case svc_tag::open_ok:
-          // Duplicate acks (re-sent for a duplicated open) are dropped.
-          if (!admitted) pool_workers = read_open_ack(r).pool_workers;
           admitted = true;
           break;
         case svc_tag::open_error:
           throw std::runtime_error("service: open rejected: " +
                                    read_reason(r));
         case svc_tag::retry_after: {
-          const shed_notice n = read_retry_after(r);
+          const std::string why = read_reason(r);
           if (admitted) break;  // stale/duplicated: already in
-          if (++shed_attempts > b_.open_retries)
-            throw std::runtime_error("service: open rejected: " + n.reason);
-          // Capped exponential backoff from the server's hint. The
-          // exponent is capped too, so open_retries > 32 cannot overflow
-          // the shift.
-          const double base = n.retry_after_s > 0.0 ? n.retry_after_s : 0.01;
-          const unsigned doublings = std::min(shed_attempts - 1, 30u);
-          const double delay =
-              std::min(base * static_cast<double>(1u << doublings), 1.0);
+          if (++shed_attempts > open_retries)
+            throw std::runtime_error("service: open rejected: " + why);
+          const double delay = std::min(
+              first_backoff_s * static_cast<double>(1u << (shed_attempts - 1)),
+              max_backoff_s);
           std::this_thread::sleep_for(std::chrono::duration<double>(delay));
           send_open();
           break;
@@ -236,7 +254,7 @@ class service_driver final : public cwcsim::backend_driver {
                                error_reason);
 
     report.stopped = fin.stopped;
-    report.result.sim_workers = pool_workers;
+    report.result.sim_workers = srv.config().pool_workers;
     report.result.stat_engines = 1;  // the server's per-session analysis
     report.network.emplace();
     report.network->messages =

@@ -151,8 +151,8 @@ std::vector<named_backend> backends() {
   return {{"multicore0", cwcsim::multicore{0}},
           {"multicore4", cwcsim::multicore{4}},
           {"multicore32", cwcsim::multicore{32}},
-          {"gpu0", cwcsim::gpu{k40, 25.0, 0}},
-          {"gpu32", cwcsim::gpu{k40, 25.0, 32}},
+          {"gpu0", cwcsim::gpu{k40, 0}},
+          {"gpu32", cwcsim::gpu{k40, 32}},
           // Its server is built per row; see MatchesSerialOracle.
           {"service", cwcsim::service{}},
           {"dist1x1", cluster(1, 1)},

@@ -309,7 +309,7 @@ TEST(BatchEngine, BatchedGpuBackendSurvivesStaggeredGroupRetirement) {
   };
 
   const auto gpu_batched = cwcsim::run(
-      m, cfg, cwcsim::gpu{simt::devices::laptop_gpu(), 25.0, /*batch_width=*/2});
+      m, cfg, cwcsim::gpu{simt::devices::laptop_gpu(), /*batch_width=*/2});
   EXPECT_GT(gpu_batched.device->kernels, 1u);  // retirement really staggers
   expect_same_windows(gpu_batched);
 

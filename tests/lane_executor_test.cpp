@@ -311,9 +311,9 @@ TEST(LaneExecutor, GpuScalarAndBatchLanesAgree) {
   cfg.window_slide = 5;
 
   const auto scalar = cwcsim::run(
-      m, cfg, cwcsim::gpu{simt::devices::tesla_k40(), 25.0, /*batch_width=*/0});
+      m, cfg, cwcsim::gpu{simt::devices::tesla_k40(), /*batch_width=*/0});
   const auto batched = cwcsim::run(
-      m, cfg, cwcsim::gpu{simt::devices::tesla_k40(), 25.0, /*batch_width=*/5});
+      m, cfg, cwcsim::gpu{simt::devices::tesla_k40(), /*batch_width=*/5});
 
   ASSERT_EQ(scalar.result.completions.size(), cfg.num_trajectories);
   ASSERT_EQ(batched.result.completions.size(), cfg.num_trajectories);

@@ -92,7 +92,7 @@ TEST(Session, OneProgramThreeBackendsBitExactStreams) {
   // same stream: lane exactness makes batching a scheduling detail.
   const auto mb = run_on(cwcsim::multicore{/*batch_width=*/4});
   const auto gb =
-      run_on(cwcsim::gpu{simt::devices::tesla_k40(), 25.0, /*batch_width=*/5});
+      run_on(cwcsim::gpu{simt::devices::tesla_k40(), /*batch_width=*/5});
 
   expect_bit_identical(mc.result.windows, batch.windows);
   expect_bit_identical(dc.result.windows, batch.windows);
@@ -136,7 +136,7 @@ TEST(Session, StatEnginesRunAndAreReportedOnEveryBackend) {
        {cwcsim::backend{cwcsim::multicore{}},
         cwcsim::backend{cwcsim::multicore{/*batch_width=*/32}},
         cwcsim::backend{cwcsim::distributed{3, 1}},
-        cwcsim::backend{cwcsim::gpu{simt::devices::tesla_k40(), 25.0,
+        cwcsim::backend{cwcsim::gpu{simt::devices::tesla_k40(),
                                     /*batch_width=*/32}}}) {
     const auto report = cwcsim::run(m, cfg, b);
     SCOPED_TRACE(report.backend);
@@ -161,7 +161,7 @@ TEST(Session, ThrowingWindowSubscriberSurfacesFromWait) {
        {cwcsim::backend{cwcsim::multicore{}},
         cwcsim::backend{cwcsim::multicore{/*batch_width=*/4}},
         cwcsim::backend{cwcsim::distributed{2, 1}},
-        cwcsim::backend{cwcsim::gpu{simt::devices::laptop_gpu(), 25.0,
+        cwcsim::backend{cwcsim::gpu{simt::devices::laptop_gpu(),
                                     /*batch_width=*/4}}}) {
     auto s = cwcsim::run_builder().model(m).config(cfg).backend(b).open();
     s.on_window([](const cwcsim::window_summary&) {
@@ -321,7 +321,7 @@ INSTANTIATE_TEST_SUITE_P(
         // Batched deployments: stop must be honoured at the quantum
         // (kernel) boundary, leaving a partial but ordered stream.
         cwcsim::backend{cwcsim::multicore{/*batch_width=*/4}},
-        cwcsim::backend{cwcsim::gpu{simt::devices::laptop_gpu(), 25.0,
+        cwcsim::backend{cwcsim::gpu{simt::devices::laptop_gpu(),
                                     /*batch_width=*/4}}));
 
 TEST(Session, StopBeforeStartDrainsImmediately) {
@@ -429,10 +429,9 @@ TEST(Validate, RejectsDegenerateKnobsWithTypedDiagnostics) {
                util::precondition_error);
 }
 
-// Backend knobs that would otherwise reach a std::chrono cast (an
-// infinite poll slice or heartbeat) or fail only once the run has started
-// (a device with no warp slots, a cost model with a negative or non-finite
-// factor) get one typed error per field.
+// Backend knobs that would fail only once the run has started (a device
+// with no warp slots, a cost model with a negative or non-finite factor)
+// get one typed error per field.
 TEST(Validate, RejectsServiceAndDeviceKnobsThatWouldFailMidRun) {
   const auto base = small_config();
   const auto field_of = [&](const cwcsim::backend& b) -> std::string {
@@ -447,12 +446,6 @@ TEST(Validate, RejectsServiceAndDeviceKnobsThatWouldFailMidRun) {
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
   svc::run_server server;
-  cwcsim::service s{&server};
-  s.tick_s = kInf;
-  EXPECT_EQ(field_of(s), "service.tick_s");
-  s = cwcsim::service{&server};
-  s.heartbeat_s = kInf;
-  EXPECT_EQ(field_of(s), "service.heartbeat_s");
   EXPECT_EQ(field_of(cwcsim::service{&server}), "");
 
   cwcsim::gpu g{simt::devices::tesla_k40()};

@@ -156,7 +156,7 @@ TEST(GpuSimulator, HostWorkersChangeNeitherResultsNorDeviceModel) {
 
   for (const std::size_t width : {0u, 32u}) {
     SCOPED_TRACE(testing::Message() << "batch width " << width);
-    const cwcsim::gpu b{simt::devices::tesla_k40(), 25.0, width};
+    const cwcsim::gpu b{simt::devices::tesla_k40(), width};
     auto one = cfg;
     one.sim_workers = 1;
     auto three = cfg;

@@ -90,7 +90,6 @@ void pump(svc::client_conn& conn, stream_state& st, double budget_s,
     dist::archive_reader r(*msg);
     switch (svc::read_frame_header(r)) {
       case svc::svc_tag::open_ok:
-        (void)svc::read_open_ack(r);
         st.admitted = true;
         break;
       case svc::svc_tag::open_error:
@@ -162,11 +161,10 @@ TEST(Resilience, ReaperParksVanishedClientAndResumeIsBitExact) {
 
   svc::svc_config sc;
   sc.pool_workers = 2;
-  sc.default_window_credits = 4;
+  sc.window_credits = 4;
   sc.heartbeat_timeout_s = 0.3;
   sc.stall_grace_s = 5.0;
   sc.session_retention_s = 30.0;
-  sc.server_tick_s = 0.002;
   svc::run_server server(sc);
 
   const cwcsim::model_ref mref{&m, nullptr, nullptr};
@@ -225,7 +223,7 @@ TEST(Resilience, ResumesBeforeReadingAnyFrame) {
 
   svc::svc_config sc;
   sc.pool_workers = 2;
-  sc.default_window_credits = 4;
+  sc.window_credits = 4;
   svc::run_server server(sc);
 
   const cwcsim::model_ref mref{&m, nullptr, nullptr};
@@ -298,8 +296,7 @@ TEST(Resilience, OpenNamingNoSessionItMayStartIsRefused) {
   auto lost = server.connect();
   auto long_cfg = cfg;
   long_cfg.t_end = 500.0;
-  auto first = make_open(mref, lost, long_cfg);
-  first.window_credits = 1;
+  const auto first = make_open(mref, lost, long_cfg);
   lost.send(svc::encode_open(first));
   lost.abandon();
   auto busy = server.connect();
@@ -335,10 +332,9 @@ TEST(Resilience, LocalModelOutlivesAReapedHalfOpenSession) {
 
   svc::svc_config sc;
   sc.pool_workers = 2;
-  sc.default_window_credits = 4;
+  sc.window_credits = 4;
   sc.heartbeat_timeout_s = 0.3;
   sc.session_retention_s = 0.0;  // a reaped session retires at once
-  sc.server_tick_s = 0.002;
   svc::run_server server(sc);
 
   svc::open_request rq;
@@ -390,7 +386,6 @@ TEST(Resilience, VanishedClientLeavesNoDownlink) {
     sc.pool_workers = 2;
     sc.heartbeat_timeout_s = 0.1;
     sc.session_retention_s = retention;
-    sc.server_tick_s = 0.002;
     svc::run_server server(sc);
     {
       auto conn = server.connect();
@@ -426,11 +421,10 @@ TEST(Resilience, WedgedSubscriberIsReapedDespiteHeartbeats) {
 
   svc::svc_config sc;
   sc.pool_workers = 2;
-  sc.default_window_credits = 2;
+  sc.window_credits = 2;
   sc.heartbeat_timeout_s = 10.0;  // liveness reaping effectively off
   sc.stall_grace_s = 0.2;
   sc.session_retention_s = 30.0;
-  sc.server_tick_s = 0.002;
   svc::run_server server(sc);
 
   auto conn = server.connect();
@@ -447,6 +441,30 @@ TEST(Resilience, WedgedSubscriberIsReapedDespiteHeartbeats) {
   EXPECT_GE(stats.sessions_reaped, 1u)
       << "a wedged subscriber must be reaped even while heartbeating";
   expect_ledger_balanced(server);
+}
+
+TEST(Resilience, DefaultClientHeartbeatsInsideTheServerTimeout) {
+  // The client heartbeats every min(0.25 s, a quarter of the server's
+  // heartbeat timeout). Three windows over the whole run leave the
+  // downlink quiet for long stretches, so only the heartbeat keeps a
+  // default client's lease fresh inside a 0.2 s timeout.
+  const auto m = models::make_neurospora_cwc({});
+  cwcsim::sim_config cfg;
+  cfg.num_trajectories = 32;
+  cfg.t_end = 600.0;
+  cfg.quantum = 5.0;
+  cfg.window_size = 400;
+  cfg.window_slide = 400;
+  cfg.kmeans_k = 0;
+  const auto want = cwcsim::run(m, cfg, cwcsim::multicore{}).result;
+
+  svc::svc_config sc;
+  sc.pool_workers = 2;
+  sc.heartbeat_timeout_s = 0.2;
+  svc::run_server server(sc);
+  const auto got = cwcsim::run(m, cfg, cwcsim::service{&server});
+  expect_bit_identical(got.result.windows, want.windows);
+  EXPECT_EQ(server.stats().sessions_reaped, 0u);
 }
 
 // ------------------------------ recovery ----------------------------------
@@ -491,7 +509,6 @@ TEST(Resilience, EngineFailingBeyondRetryBudgetFailsOnlyItsTenant) {
 
   svc::svc_config sc;
   sc.pool_workers = 2;
-  sc.max_quantum_retries = 1;
   svc::run_server server(sc);
 
   EXPECT_THROW(cwcsim::run(sick, cfg, cwcsim::service{&server}),
@@ -537,13 +554,11 @@ TEST(Resilience, WatermarkShedsThenAdmitsWhenLoadClears) {
   svc::svc_config sc;
   sc.pool_workers = 2;
   sc.max_sessions = 1;              // shed at one live session
-  sc.retry_after_hint_s = 0.02;
   svc::run_server server(sc);
 
   // Tenant A occupies the only slot; tenant B is shed with retry_after,
   // backs off, and is admitted once A completes — no hard failure.
-  cwcsim::service be{&server};
-  be.open_retries = 10;
+  const cwcsim::service be{&server};
   cwcsim::run_report rep_a, rep_b;
   std::thread ta([&] { rep_a = cwcsim::run(m, cfg, be); });
   std::thread tb([&] { rep_b = cwcsim::run(m, cfg, be); });
@@ -559,44 +574,6 @@ TEST(Resilience, WatermarkShedsThenAdmitsWhenLoadClears) {
   EXPECT_GE(st.sessions_shed, 1u);
   EXPECT_EQ(st.sessions_rejected, 0u);
   expect_ledger_balanced(server);
-}
-
-TEST(Resilience, BackoffPastThirtyTwoShedsStaysDefined) {
-  // open_retries above 32: the 33rd shed's backoff would shift a 32-bit 1
-  // by 32 (undefined behaviour, which UBSan aborts on) unless the
-  // exponent is capped like the delay.
-  const auto m = models::make_neurospora_cwc({});
-  const auto cfg = tiny_config();
-  svc::svc_config sc;
-  sc.pool_workers = 1;
-  sc.max_sessions = 1;
-  sc.retry_after_hint_s = 1e-12;  // keeps 34 doublings in the milliseconds
-  svc::run_server server(sc);
-
-  // A raw tenant takes the only slot and stops reading: with one credit
-  // and a long horizon its session stays live for the whole test.
-  auto blocker = server.connect();
-  auto long_cfg = cfg;
-  long_cfg.t_end = 500.0;
-  auto rq = make_open(cwcsim::model_ref{&m, nullptr, nullptr}, blocker,
-                      long_cfg);
-  rq.window_credits = 1;
-  blocker.send(svc::encode_open(rq));
-  stream_state bs;
-  pump(blocker, bs, 10.0, 1);
-  ASSERT_TRUE(bs.admitted) << bs.error;
-
-  cwcsim::service be{&server};
-  be.open_retries = 34;
-  try {
-    (void)cwcsim::run(m, cfg, be);
-    FAIL() << "expected the open to be rejected after 34 retries";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("server at capacity"),
-              std::string::npos)
-        << e.what();
-  }
-  EXPECT_GE(server.stats().sessions_shed, 35u);
 }
 
 // ----------------------------- chaos matrix -------------------------------
@@ -664,11 +641,10 @@ TEST(Chaos, MatrixSurvivorsBitExactLedgerBalanced) {
     SCOPED_TRACE(c.name);
     svc::svc_config sc;
     sc.pool_workers = 2;
-    sc.default_window_credits = 4;
+    sc.window_credits = 4;
     sc.heartbeat_timeout_s = 0.3;
     sc.stall_grace_s = 2.0;
     sc.session_retention_s = 30.0;
-    sc.server_tick_s = 0.002;
     sc.chaos = c.ch;
     svc::run_server server(sc);
 
@@ -686,9 +662,7 @@ TEST(Chaos, MatrixSurvivorsBitExactLedgerBalanced) {
     }
 
     // Two driver tenants ride the faulty links end to end.
-    cwcsim::service be{&server};
-    be.tick_s = 0.004;
-    be.heartbeat_s = 0.05;
+    const cwcsim::service be{&server};
     cwcsim::run_report rep_a, rep_b;
     std::thread ta([&] { rep_a = cwcsim::run(m, cfg, be); });
     std::thread tb([&] { rep_b = cwcsim::run(m, cfg, be); });
@@ -737,12 +711,9 @@ TEST(Chaos, ReconnectingTenantsLeaveNoDownlinks) {
   const auto cfg = tiny_config();
   svc::svc_config sc;
   sc.session_retention_s = 0.2;
-  sc.server_tick_s = 0.002;
   sc.chaos.downlink_drop_prob = 0.1;
   svc::run_server server(sc);
-  cwcsim::service be{&server};
-  be.tick_s = 0.004;
-  be.heartbeat_s = 0.05;
+  const cwcsim::service be{&server};
 
   constexpr int kTenants = 40;
   for (int i = 0; i < kTenants; ++i) {
@@ -759,6 +730,26 @@ TEST(Chaos, ReconnectingTenantsLeaveNoDownlinks) {
   EXPECT_EQ(st.sessions_completed, static_cast<std::uint64_t>(kTenants));
   EXPECT_GE(st.sessions_resumed, 1u) << "no tenant reconnected";
   EXPECT_EQ(st.connections, 0u);
+}
+
+TEST(Chaos, LostOpenAckStillReportsThePoolWidth) {
+  // The report's sim_workers is the server's pool width, read from its
+  // config: a session whose only open_ok is dropped on the downlink still
+  // reports both workers, not 0.
+  const auto net = models::make_birth_death({});
+  auto cfg = tiny_config();
+  cfg.num_trajectories = 1;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    svc::svc_config sc;
+    sc.pool_workers = 2;
+    sc.chaos.downlink_drop_prob = 0.2;
+    sc.chaos.seed = seed;
+    svc::run_server server(sc);
+    const auto r = cwcsim::run(net, cfg, cwcsim::service{&server});
+    EXPECT_EQ(r.result.completions.size(), 1u);
+    EXPECT_EQ(r.result.sim_workers, 2u);
+  }
 }
 
 // --------------------------- protocol hardening ---------------------------
@@ -822,8 +813,8 @@ TEST(Hardening, TruncatedDownlinkFramesThrowCleanly) {
       svc::encode_window(5, w),
       svc::encode_complete({9, false, 2, 7}),
       svc::encode_error(4, "boom"),
-      svc::encode_open_ack({3}),
-      svc::encode_retry_after({0.5, "busy"}),
+      svc::encode_open_ok(),
+      svc::encode_retry_after("busy"),
   };
   for (const auto& f : frames) {
     for (std::size_t len = 0; len < f.size(); ++len) {
@@ -842,11 +833,8 @@ TEST(Hardening, TruncatedDownlinkFramesThrowCleanly) {
               case svc::svc_tag::error:
                 svc::read_error(r);
                 break;
-              case svc::svc_tag::open_ok:
-                svc::read_open_ack(r);
-                break;
               case svc::svc_tag::retry_after:
-                svc::read_retry_after(r);
+                svc::read_reason(r);
                 break;
               default:
                 throw std::runtime_error("unexpected tag survived");
@@ -876,11 +864,10 @@ TEST(Chaos, SoakMultiTenantUnderSustainedFaults) {
 
   svc::svc_config sc;
   sc.pool_workers = 4;
-  sc.default_window_credits = 4;
+  sc.window_credits = 4;
   sc.heartbeat_timeout_s = 0.3;
   sc.stall_grace_s = 2.0;
   sc.session_retention_s = 5.0;
-  sc.server_tick_s = 0.002;
   sc.chaos.ingress_drop_prob = 0.05;
   sc.chaos.downlink_drop_prob = 0.05;
   sc.chaos.ingress_dup_prob = 0.05;
@@ -911,9 +898,7 @@ TEST(Chaos, SoakMultiTenantUnderSustainedFaults) {
   std::vector<std::thread> tenants;
   for (int i = 0; i < 8; ++i)
     tenants.emplace_back([&] {
-      cwcsim::service be{&server};
-      be.tick_s = 0.004;
-      be.heartbeat_s = 0.05;
+      const cwcsim::service be{&server};
       while (std::chrono::steady_clock::now() < deadline && ok.load()) {
         try {
           const auto rep = cwcsim::run(m, cfg, be);

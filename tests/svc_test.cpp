@@ -45,7 +45,6 @@ TEST(SvcProto, OpenFrameRoundTrips) {
   svc::open_request rq;
   rq.conn_id = 42;
   rq.weight = 2.5;
-  rq.window_credits = 17;
   rq.cfg = small_config();
   rq.model_frame = dist::encode_model(cwcsim::model_ref{nullptr, &net, nullptr});
   rq.local_model = 0;
@@ -56,8 +55,8 @@ TEST(SvcProto, OpenFrameRoundTrips) {
   const auto back = svc::read_open(r);
   EXPECT_EQ(back.conn_id, rq.conn_id);
   EXPECT_EQ(back.weight, rq.weight);
-  EXPECT_EQ(back.window_credits, rq.window_credits);
   EXPECT_EQ(back.model_frame, rq.model_frame);
+  EXPECT_TRUE(r.exhausted());
   // The whole config, so a field the codec drops fails here.
   EXPECT_EQ(back.cfg, rq.cfg);
 
@@ -83,25 +82,20 @@ TEST(SvcProto, ControlAndTerminalFramesRoundTrip) {
     EXPECT_EQ(svc::read_conn_id(r), 9u);
   }
   {
-    svc::open_ack a;
-    a.pool_workers = 8;
-    const auto f = svc::encode_open_ack(a);
+    // open_ok carries no payload: the client reads the pool width from
+    // the server's config.
+    const auto f = svc::encode_open_ok();
     dist::archive_reader r(f);
     ASSERT_EQ(svc::read_frame_header(r), svc::svc_tag::open_ok);
-    const auto b = svc::read_open_ack(r);
-    EXPECT_EQ(b.pool_workers, 8u);
     EXPECT_TRUE(r.exhausted());
   }
   {
-    svc::shed_notice n;
-    n.retry_after_s = 0.125;
-    n.reason = "session watermark reached";
-    const auto f = svc::encode_retry_after(n);
+    // retry_after carries only its reason: the backoff is the client's.
+    const auto f = svc::encode_retry_after("session watermark reached");
     dist::archive_reader r(f);
     ASSERT_EQ(svc::read_frame_header(r), svc::svc_tag::retry_after);
-    const auto b = svc::read_retry_after(r);
-    EXPECT_DOUBLE_EQ(b.retry_after_s, 0.125);
-    EXPECT_EQ(b.reason, "session watermark reached");
+    EXPECT_EQ(svc::read_reason(r), "session watermark reached");
+    EXPECT_TRUE(r.exhausted());
   }
   {
     svc::run_complete c;
@@ -175,11 +169,16 @@ TEST(SvcProto, WindowFrameRoundTripsBitExact) {
 }
 
 TEST(SvcProto, ForeignSchemaVersionRejected) {
-  auto f = svc::encode_ack(1, 1);
-  // Byte 0 is the tag; byte 1 the schema version (dist/schema.hpp).
-  f[1] = std::byte{0x7F};
-  dist::archive_reader r(f);
-  EXPECT_THROW(svc::read_frame_header(r), dist::schema_mismatch_error);
+  // A frame of the previous schema (6) would decode misaligned, so it is
+  // refused whole, like a foreign one.
+  ASSERT_EQ(dist::svc_frame_version, 7u);
+  for (const std::uint8_t version : {0x7F, 6}) {
+    auto f = svc::encode_ack(1, 1);
+    // Byte 0 is the tag; byte 1 the schema version (dist/schema.hpp).
+    f[1] = std::byte{version};
+    dist::archive_reader r(f);
+    EXPECT_THROW(svc::read_frame_header(r), dist::schema_mismatch_error);
+  }
 }
 
 TEST(SvcProto, UnknownTagRejected) {
@@ -372,20 +371,20 @@ TEST(Service, SlowSubscriberThrottlesOnlyItself) {
 
   svc::svc_config sc;
   sc.pool_workers = 2;
+  sc.window_credits = 2;
   svc::run_server server(sc);
   const auto batch_fast = cwcsim::run(m, cfg).result;
   const auto batch_slow = cwcsim::run(m, slow_cfg).result;
 
   std::atomic<std::uint64_t> slow_completions{0};
 
-  // The slow tenant: tiny credit window and a subscriber that naps per
-  // window, so its pending queue saturates and the scheduler parks it.
-  cwcsim::service slow_be{&server};
-  slow_be.window_credits = 2;
+  // The slow tenant: a subscriber that naps per window behind the tiny
+  // credit window, so its pending queue saturates and the scheduler parks
+  // it.
   auto slow = cwcsim::run_builder()
                   .model(m)
                   .config(slow_cfg)
-                  .backend(slow_be)
+                  .backend(cwcsim::service{&server})
                   .open();
   slow.on_window([&](const cwcsim::window_summary&) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -430,7 +429,7 @@ TEST(Service, DisconnectMidRunReleasesQuantaAndBalancesCounters) {
 
   svc::svc_config sc;
   sc.pool_workers = 2;
-  sc.default_window_credits = 2;
+  sc.window_credits = 2;
   svc::run_server server(sc);
 
   // A raw protocol client: open, consume a couple of windows, vanish.
@@ -519,7 +518,7 @@ TEST(Service, AdmissionControlRejectsOverCapacityAndBadConfig) {
 
   svc::svc_config sc;
   sc.max_sessions = 1;
-  sc.default_window_credits = 1;
+  sc.window_credits = 1;
   svc::run_server server(sc);
 
   // Occupy the single slot with a parked session (no credits granted).
@@ -539,11 +538,9 @@ TEST(Service, AdmissionControlRejectsOverCapacityAndBadConfig) {
   }
 
   // Second tenant: server at capacity -> typed retry_after frames; the
-  // driver backs off, retries open_retries times, then gives up with a
-  // typed failure on the client.
-  cwcsim::service impatient{&server};
-  impatient.open_retries = 2;  // keep the backoff short for the test
-  EXPECT_THROW(cwcsim::run(m, small_config(), impatient),
+  // driver backs off, retries five times, then gives up with a typed
+  // failure on the client.
+  EXPECT_THROW(cwcsim::run(m, small_config(), cwcsim::service{&server}),
                std::runtime_error);
 
   // Server-side validation: a degenerate config is rejected per-tenant
@@ -610,15 +607,18 @@ TEST(Service, AdmissionControlRejectsOverCapacityAndBadConfig) {
 
   const auto st = server.stats();
   EXPECT_GE(st.sessions_rejected, 3u);  // bad configs (final, not retryable)
-  EXPECT_GE(st.sessions_shed, 3u);      // capacity: initial open + 2 retries
+  EXPECT_GE(st.sessions_shed, 3u);      // capacity: initial open + retries
 }
 
-TEST(Service, ServerRejectsAZeroDefaultWindow) {
-  // A tenant that names no credits gets the default window; at zero its
-  // session would be admitted and never scheduled, since a backlog is never
-  // below a capacity of 0.
+TEST(Service, ServerRejectsAZeroWindowOrSessionBound) {
+  // Every session gets the server's window; at zero a session would be
+  // admitted and never scheduled, since a backlog is never below a
+  // capacity of 0. With no session slot, every open would be shed.
   svc::svc_config sc;
-  sc.default_window_credits = 0;
+  sc.window_credits = 0;
+  EXPECT_THROW({ svc::run_server server(sc); }, util::precondition_error);
+  sc = svc::svc_config{};
+  sc.max_sessions = 0;
   EXPECT_THROW({ svc::run_server server(sc); }, util::precondition_error);
 }
 
@@ -805,7 +805,7 @@ TEST(Service, DestroyServerWithLiveParkedSessionsClosesEveryDownlink) {
   std::vector<svc::client_conn> conns;
   {
     svc::svc_config sc;
-    sc.default_window_credits = 1;
+    sc.window_credits = 1;
     svc::run_server server(sc);
     for (int i = 0; i < 4; ++i) {
       auto conn = server.connect();
