@@ -27,7 +27,7 @@ des::workload synthetic_heavy_tail(std::uint64_t n, std::uint64_t quanta) {
     const double scale = std::exp(1.5 * rng.next_normal());  // heavy tail
     traj.resize(quanta);
     for (std::uint64_t q = 0; q < quanta; ++q) {
-      traj[q].steps =
+      traj[q].ssa_steps =
           1 + static_cast<std::uint64_t>(2000.0 * scale * rng.next_uniform_pos());
       traj[q].samples = 1;
     }

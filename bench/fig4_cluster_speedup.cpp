@@ -21,7 +21,6 @@ int main() {
   cp.stat_engines = 4;
   cp.window_size = 16;
   cp.window_slide = 4;
-  cp.bytes_per_sample = 3 * 8 + 16;  // 3 observables + framing
 
   // Sequential baseline: one engine on one node, same analysis.
   des::farm_params seq;

@@ -202,7 +202,6 @@ int main(int argc, char** argv) {
   cp.stat_engines = 4;
   cp.window_size = 16;
   cp.window_slide = 4;
-  cp.bytes_per_sample = 3 * 8 + 16;
 
   // Baseline: sequential run on a single EC2 vcore.
   des::host_spec one_core = des::platforms::ec2_quadcore_vm();

@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("batch-width", 0));
 
   const auto dev = simt::devices::tesla_k40();
-  std::printf("device: %s (%u SMX, %u cores)\n\n", dev.name.c_str(), dev.smx,
-              dev.total_cores());
+  std::printf("device: %s (warps of %u lanes, %u issuing at once)\n\n",
+              dev.name.c_str(), dev.warp_size, dev.concurrent_warps);
 
   std::printf("%10s %10s %14s %14s %10s\n", "quantum", "kernels", "device time",
               "divergence", "mean M(T)");

@@ -16,8 +16,11 @@ struct progress {
   std::uint64_t trajectories_done = 0;
   std::uint64_t trajectories_total = 0;
   std::uint64_t windows_emitted = 0;
-  /// Quantum grants re-issued by an elastic scheduler (straggler deadline
-  /// expiry or host failure). 0 on non-elastic backends and healthy runs.
+  /// Trajectory quanta an elastic scheduler re-issued (straggler deadline
+  /// expiry or host failure): a re-issued lease of one lane block counts
+  /// once per unfinished trajectory in the block, like the run server's
+  /// quanta_* counters, not once per grant. 0 on non-elastic backends and
+  /// healthy runs.
   std::uint64_t quanta_reissued = 0;
 };
 

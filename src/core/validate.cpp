@@ -112,8 +112,6 @@ void validate(const sim_config& cfg, const backend& b) {
     void operator()(const gpu& g) const {
       if (g.device.warp_size == 0)
         throw config_error("gpu.device.warp_size", "warps need lanes");
-      if (g.device.smx == 0 || g.device.cores_per_smx == 0)
-        throw config_error("gpu.device", "device has no cores");
       if (g.device.concurrent_warps == 0)
         throw config_error("gpu.device.concurrent_warps",
                            "the device must issue at least one warp");

@@ -1,6 +1,7 @@
 #include "cwc/compiled_model.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "util/check.hpp"
 
@@ -35,12 +36,75 @@ bool any_bit(const std::vector<char>& a) {
   return false;
 }
 
+// ---- declared ids --------------------------------------------------------
+// The engines index dense per-species and per-compartment-type tables by
+// the ids a tree model names, so compile rejects an id outside the model's
+// symbol tables, naming it. The parser never produces one; a hand-built
+// rule or a hostile wire frame may.
+
+void check_declared(const model& m) {
+  const std::size_t num_species = m.species().size();
+  const std::size_t num_types = m.compartment_types().size();
+  std::string where;
+  const auto undeclared = [&](const char* what, std::uint32_t id) {
+    throw util::precondition_error("precondition violated: " + where +
+                                   " names undeclared " + what + " " +
+                                   std::to_string(id));
+  };
+  const auto species = [&](species_id s) {
+    if (s >= num_species) undeclared("species", s);
+  };
+  const auto all_species = [&](const multiset& ms) {
+    ms.for_each([&](species_id s, std::uint64_t) { species(s); });
+  };
+  const auto type = [&](comp_type_id t) {
+    if (t >= num_types) undeclared("compartment type", t);
+  };
+
+  for (const rule& r : m.rules()) {
+    where = "rule '" + r.name() + "'";
+    if (r.context() != any_compartment) type(r.context());
+    all_species(r.reactants());
+    all_species(r.products());
+    all_species(r.child_products());
+    if (r.child_pattern().has_value()) {
+      type(r.child_pattern()->type);
+      all_species(r.child_pattern()->wrap_req);
+      all_species(r.child_pattern()->content_req);
+    }
+    for (const comp_product& p : r.new_compartments()) {
+      type(p.type);
+      all_species(p.wrap);
+      all_species(p.content);
+    }
+    if (!r.law().is_mass_action() &&
+        r.law().law_kind() != rate_law::kind::custom)
+      species(r.law().driver());
+  }
+  where = "the initial term";
+  std::vector<const compartment*> pending{&m.initial()};
+  while (!pending.empty()) {
+    const compartment& c = *pending.back();
+    pending.pop_back();
+    type(c.type());
+    all_species(c.wrap());
+    all_species(c.content());
+    for (const auto& child : c.children()) pending.push_back(child.get());
+  }
+  for (const observable& o : m.observables()) {
+    where = "observable '" + o.name + "'";
+    species(o.sp);
+    if (o.scope.has_value()) type(*o.scope);
+  }
+}
+
 }  // namespace
 
 std::atomic<std::uint64_t> compiled_model::compiles_{0};
 
 std::shared_ptr<const compiled_model> compiled_model::finish(
     std::shared_ptr<compiled_model> cm) {
+  if (cm->tree_ != nullptr) check_declared(*cm->tree_);
   compiles_.fetch_add(1, std::memory_order_relaxed);
   if (cm->tree_ != nullptr) cm->build_tree_tables();
   return cm;

@@ -46,9 +46,13 @@ namespace cwc {
 
 class compiled_model {
  public:
-  /// Compile a CWC term model the caller keeps alive.
+  /// Compile a CWC term model the caller keeps alive. Throws
+  /// util::precondition_error, naming the id, when a rule, the initial term
+  /// or an observable names a species or compartment type the model never
+  /// declared.
   static std::shared_ptr<const compiled_model> compile(const model& m);
   /// Compile a CWC term model, taking ownership (wire-decoded models).
+  /// Throws as compile(const model&) does.
   static std::shared_ptr<const compiled_model> compile(model&& m);
   /// Compile a flat reaction network the caller keeps alive.
   static std::shared_ptr<const compiled_model> compile(const reaction_network& n);

@@ -11,7 +11,12 @@
 
 namespace des {
 
+namespace {
 
+/// Serialized size of one task a host pulls from the master.
+constexpr double kTaskBytes = 256.0;
+
+}  // namespace
 
 sim_outcome simulate_multicore(const workload& w, const calibration& cal,
                                const host_spec& host, const farm_params& farm) {
@@ -56,8 +61,8 @@ sim_outcome simulate_multicore(const workload& w, const calibration& cal,
       q.pop_front();
       --free_count;
       task_state& st = tasks[traj];
-      const quantum_work& qw = w.quanta[traj][st.next_quantum];
-      const double service = static_cast<double>(qw.steps) * step_cost;
+      const cwcsim::quantum_record& qw = w.quanta[traj][st.next_quantum];
+      const double service = static_cast<double>(qw.ssa_steps) * step_cost;
       out.sim_busy_s += service;
       cpu.submit(service, [&, lane, traj, qw] {
         task_state& ts = tasks[traj];
@@ -144,10 +149,10 @@ sim_outcome simulate_cluster(const workload& w, const calibration& cal,
     const std::uint64_t traj = global_ready.front();
     global_ready.pop_front();
     ++out.messages;
-    out.comm_bytes += cluster.bytes_per_task;
+    out.comm_bytes += kTaskBytes;
     // Request travels up (latency only), task body comes down the link.
     eng.after(cluster.network.latency_s, [&, h, traj] {
-      hosts[h].down->send(cluster.bytes_per_task, [&, h, traj] {
+      hosts[h].down->send(kTaskBytes, [&, h, traj] {
         hosts[h].ready.push_back(traj);
         try_dispatch(h);
       });
@@ -161,8 +166,8 @@ sim_outcome simulate_cluster(const workload& w, const calibration& cal,
       host.ready.pop_front();
       --host.free_workers;
       task_state& st = tasks[traj];
-      const quantum_work& qw = w.quanta[traj][st.next_quantum];
-      const double service = static_cast<double>(qw.steps) * host.step_cost;
+      const cwcsim::quantum_record& qw = w.quanta[traj][st.next_quantum];
+      const double service = static_cast<double>(qw.ssa_steps) * host.step_cost;
       out.sim_busy_s += service;
       host.cpu->submit(service, [&, h, traj, qw] {
         host_rt& hr = hosts[h];
@@ -174,7 +179,7 @@ sim_outcome simulate_cluster(const workload& w, const calibration& cal,
 
         if (qw.samples > 0) {
           const double bytes =
-              64.0 + static_cast<double>(qw.samples) * cluster.bytes_per_sample;
+              64.0 + static_cast<double>(qw.samples) * w.sample_bytes();
           ++out.messages;
           out.comm_bytes += bytes;
           hr.up->send(bytes, [&, first, samples = qw.samples] {

@@ -53,9 +53,6 @@ struct cluster_params {
   unsigned stat_engines = 4;
   std::size_t window_size = 1;
   std::size_t window_slide = 1;
-  /// Serialized size of one trajectory sample (values + framing).
-  double bytes_per_sample = 64.0;
-  double bytes_per_task = 256.0;
 };
 
 /// Distributed run (paper Fig. 4-6 settings): hosts pull trajectories from

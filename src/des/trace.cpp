@@ -13,7 +13,7 @@ namespace des {
 std::uint64_t workload::total_steps() const noexcept {
   std::uint64_t s = 0;
   for (const auto& t : quanta)
-    for (const auto& q : t) s += q.steps;
+    for (const auto& q : t) s += q.ssa_steps;
   return s;
 }
 
@@ -42,12 +42,12 @@ workload workload::rebin(std::uint64_t factor) const {
   workload out = *this;
   out.quantum = quantum * static_cast<double>(factor);
   for (auto& traj : out.quanta) {
-    std::vector<quantum_work> merged;
+    std::vector<cwcsim::quantum_record> merged;
     merged.reserve((traj.size() + factor - 1) / factor);
     for (std::size_t i = 0; i < traj.size(); i += factor) {
-      quantum_work q;
+      cwcsim::quantum_record q;
       for (std::size_t j = i; j < std::min(traj.size(), i + factor); ++j) {
-        q.steps += traj[j].steps;
+        q.ssa_steps += traj[j].ssa_steps;
         q.samples += traj[j].samples;
       }
       merged.push_back(q);
@@ -81,7 +81,7 @@ workload capture_workload(const cwcsim::model_ref& model,
     while (eng.time() < cfg.t_end) {
       const cwcsim::quantum_outcome out =
           cwcsim::advance_one_quantum(eng, cfg, i, qs.size());
-      qs.push_back({out.record.ssa_steps, out.record.samples});
+      qs.push_back(out.record);
     }
   }
   return w;

@@ -16,11 +16,6 @@
 
 namespace des {
 
-struct quantum_work {
-  std::uint64_t steps = 0;    ///< SSA steps executed in this quantum
-  std::uint32_t samples = 0;  ///< trajectory samples emitted in this quantum
-};
-
 /// The complete per-quantum work profile of one simulation campaign.
 struct workload {
   std::uint64_t num_trajectories = 0;
@@ -30,8 +25,14 @@ struct workload {
   double sample_period = 0.0;
   double quantum = 0.0;
 
-  /// quanta[i] = ordered quanta of trajectory i.
-  std::vector<std::vector<quantum_work>> quanta;
+  /// quanta[i] = ordered quanta of trajectory i: SSA steps and samples.
+  std::vector<std::vector<cwcsim::quantum_record>> quanta;
+
+  /// Serialized size of one trajectory sample: 8 bytes per observable and
+  /// 16 of framing, what the live gpu backend charges per sample.
+  double sample_bytes() const noexcept {
+    return 8.0 * static_cast<double>(observables) + 16.0;
+  }
 
   std::uint64_t total_steps() const noexcept;
   std::uint64_t total_quanta() const noexcept;

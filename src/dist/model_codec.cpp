@@ -88,13 +88,23 @@ void write_multiset(archive_writer& w, const cwc::multiset& ms) {
   });
 }
 
-cwc::multiset read_multiset(archive_reader& r) {
+/// A multiset over the frame's `species` table: its universe and every id
+/// are checked against the table before anything is allocated or grown.
+cwc::multiset read_multiset(archive_reader& r, std::uint64_t species) {
   const auto universe = r.get<std::uint64_t>();
+  if (universe > species)
+    throw std::runtime_error("model frame: multiset universe " +
+                             std::to_string(universe) + " exceeds " +
+                             std::to_string(species) + " species");
   cwc::multiset ms(static_cast<std::size_t>(universe));
   const auto distinct = r.get<std::uint64_t>();
   for (std::uint64_t i = 0; i < distinct; ++i) {
     const auto s = r.get<cwc::species_id>();
     const auto n = r.get<std::uint64_t>();
+    if (s >= species)
+      throw std::runtime_error(
+          "model frame: multiset names undeclared species " +
+          std::to_string(s));
     ms.set(s, n);
   }
   return ms;
@@ -108,16 +118,17 @@ void write_term(archive_writer& w, const cwc::compartment& c) {
   for (const auto& child : c.children()) write_term(w, *child);
 }
 
-std::unique_ptr<cwc::compartment> read_term(archive_reader& r) {
+std::unique_ptr<cwc::compartment> read_term(archive_reader& r,
+                                            std::uint64_t species) {
   const auto type = r.get<cwc::comp_type_id>();
-  auto wrap = read_multiset(r);
-  auto content = read_multiset(r);
+  auto wrap = read_multiset(r, species);
+  auto content = read_multiset(r, species);
   auto c = std::make_unique<cwc::compartment>(type, std::move(wrap),
                                               std::move(content));
   const auto n = r.get<std::uint64_t>();
   // Nesting consumes wire bytes per level, so depth is bounded by the
   // buffer size the reader already validated.
-  for (std::uint64_t i = 0; i < n; ++i) c->add_child(read_term(r));
+  for (std::uint64_t i = 0; i < n; ++i) c->add_child(read_term(r, species));
   return c;
 }
 
@@ -145,35 +156,35 @@ void write_rule(archive_writer& w, const cwc::rule& r) {
   w.put<std::uint8_t>(static_cast<std::uint8_t>(r.fate()));
 }
 
-cwc::rule read_rule(archive_reader& r) {
+cwc::rule read_rule(archive_reader& r, std::uint64_t species) {
   std::string name = r.get_string();
   const auto context = r.get<cwc::comp_type_id>();
   cwc::rule rr(std::move(name), context, read_law(r));
 
   // Rebuild through the builder calls the original model used: re-adding
   // the serialized entries reproduces the multisets count-for-count.
-  read_multiset(r).for_each([&](cwc::species_id s, std::uint64_t n) {
+  read_multiset(r, species).for_each([&](cwc::species_id s, std::uint64_t n) {
     rr.consume(s, n);
   });
   if (r.get<std::uint8_t>() != 0) {
     cwc::comp_pattern pat;
     pat.type = r.get<cwc::comp_type_id>();
-    pat.wrap_req = read_multiset(r);
-    pat.content_req = read_multiset(r);
+    pat.wrap_req = read_multiset(r, species);
+    pat.content_req = read_multiset(r, species);
     rr.match_child(std::move(pat));
   }
-  read_multiset(r).for_each([&](cwc::species_id s, std::uint64_t n) {
+  read_multiset(r, species).for_each([&](cwc::species_id s, std::uint64_t n) {
     rr.produce(s, n);
   });
-  read_multiset(r).for_each([&](cwc::species_id s, std::uint64_t n) {
+  read_multiset(r, species).for_each([&](cwc::species_id s, std::uint64_t n) {
     rr.produce_in_child(s, n);
   });
   const auto n_new = r.get<std::uint64_t>();
   for (std::uint64_t i = 0; i < n_new; ++i) {
     cwc::comp_product p;
     p.type = r.get<cwc::comp_type_id>();
-    p.wrap = read_multiset(r);
-    p.content = read_multiset(r);
+    p.wrap = read_multiset(r, species);
+    p.content = read_multiset(r, species);
     rr.create_compartment(std::move(p));
   }
   const auto fate = r.get<std::uint8_t>();
@@ -221,8 +232,9 @@ cwc::model read_tree_model(archive_reader& r) {
       throw std::runtime_error("model frame: compartment types out of order");
   }
   const auto n_rules = r.get<std::uint64_t>();
-  for (std::uint64_t i = 0; i < n_rules; ++i) m.add_rule(read_rule(r));
-  m.set_initial(read_term(r));
+  for (std::uint64_t i = 0; i < n_rules; ++i)
+    m.add_rule(read_rule(r, n_species));
+  m.set_initial(read_term(r, n_species));
   const auto n_obs = r.get<std::uint64_t>();
   for (std::uint64_t i = 0; i < n_obs; ++i) {
     std::string name = r.get_string();

@@ -44,7 +44,12 @@ std::uint64_t model_fingerprint(const byte_buffer& frame) noexcept;
 
 /// Decode a frame produced by encode_model() and compile it. The returned
 /// artifact owns its decoded model. Throws schema_mismatch_error on a
-/// version mismatch, std::runtime_error on a malformed frame.
+/// version mismatch; std::runtime_error on a malformed frame, among them a
+/// multiset whose universe or species ids lie past the frame's species
+/// table (checked before the multiset is allocated); and
+/// util::precondition_error when a rule, the initial term or an observable
+/// names an undeclared species or compartment type (compiled_model::
+/// compile's check).
 std::shared_ptr<const cwc::compiled_model> decode_model(
     const byte_buffer& bytes);
 

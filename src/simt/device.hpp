@@ -13,8 +13,6 @@ namespace simt {
 
 struct device_spec {
   std::string name;
-  unsigned smx = 15;             ///< streaming multiprocessors
-  unsigned cores_per_smx = 192;  ///< CUDA cores per SMX
   unsigned warp_size = 32;
   /// Warps the device sustains concurrently at full throughput. Effective
   /// occupancy is far below cores/warp_size for register/local-memory-
@@ -29,8 +27,6 @@ struct device_spec {
   /// migration of the instance working set is ~100s of microseconds).
   double kernel_launch_s = 300e-6;
   double unified_mem_bytes_s = 6e9;  ///< host<->device traffic bandwidth
-
-  unsigned total_cores() const noexcept { return smx * cores_per_smx; }
 };
 
 namespace devices {
@@ -42,8 +38,6 @@ inline device_spec tesla_k40() { return device_spec{"tesla-k40"}; }
 inline device_spec laptop_gpu() {
   device_spec d;
   d.name = "laptop-gpu";
-  d.smx = 4;
-  d.cores_per_smx = 128;
   d.concurrent_warps = 6;
   d.step_slowdown = 2.5;
   return d;

@@ -50,11 +50,11 @@ gpu_outcome simulate_gpu(const des::workload& w, const des::calibration& cal,
     double bytes = 0.0;
     lanes.reserve(live.size());
     for (const std::uint64_t i : live) {
-      const des::quantum_work& qw = w.quanta[i][q];
-      lanes.push_back(static_cast<double>(qw.steps) * lane_step_s);
+      const cwcsim::quantum_record& qw = w.quanta[i][q];
+      lanes.push_back(static_cast<double>(qw.ssa_steps) * lane_step_s);
       deliveries.emplace_back(i, qw.samples);
-      bytes += static_cast<double>(qw.samples) * params.bytes_per_sample;
-      prev_steps[i] = qw.steps;
+      bytes += static_cast<double>(qw.samples) * w.sample_bytes();
+      prev_steps[i] = qw.ssa_steps;
     }
 
     const kernel_stats ks =

@@ -19,7 +19,6 @@ struct gpu_params {
   unsigned stat_engines = 2;
   std::size_t window_size = 16;
   std::size_t window_slide = 16;
-  double bytes_per_sample = 64.0;
 };
 
 struct gpu_outcome {

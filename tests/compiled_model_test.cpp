@@ -1,11 +1,10 @@
 // Golden tests for the compile-once layer (cwc/compiled_model.hpp): every
 // engine built from a shared compiled artifact must produce bit-for-bit
 // the sample path of an engine built on its own private artifact, across
-// both engine kinds (tree and flat direct-method) and all three backends
-// (multicore/distributed/gpu, extending the session_test lockstep
-// pattern). Also proves, with a counting global allocator, that
-// per-trajectory tree-engine construction no longer allocates the static
-// dependency tables.
+// both engine kinds (tree and flat direct-method); every backend runs on
+// that artifact in conformance_test's matrix. Also proves, with a
+// counting global allocator, that per-trajectory tree-engine construction
+// no longer allocates the static dependency tables.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -14,12 +13,8 @@
 #include "counting_allocator.hpp"
 #include "cwc/cwc.hpp"
 #include "models/models.hpp"
-#include "simt/simt.hpp"
-#include "window_equality.hpp"
 
 namespace {
-
-using testing_windows::expect_bit_identical;
 
 void expect_same_samples(const std::vector<cwc::trajectory_sample>& a,
                          const std::vector<cwc::trajectory_sample>& b) {
@@ -153,41 +148,6 @@ TEST(CompiledModel, ConstructionSkipsStaticTableAllocations) {
 
   // And construction cost is stable run to run (no hidden lazy state).
   EXPECT_EQ(shared_path, ctor_allocs([&] { cwc::engine e(cm, 3, 2); }));
-}
-
-// ---- the session_test lockstep pattern, through the compiled path --------
-// One model, three backends, all sharing (or wire-shipping + recompiling)
-// one artifact: the streamed windows must stay bit-exact with the batch
-// pipeline — i.e. with the pre-refactor engines the seed suites pin.
-TEST(CompiledModel, ThreeBackendsBitExactThroughCompileOnce) {
-  const auto m = models::make_neurospora_cwc({});
-  cwcsim::sim_config cfg;
-  cfg.num_trajectories = 8;
-  cfg.t_end = 10.0;
-  cfg.sample_period = 0.5;
-  cfg.quantum = 2.5;
-  cfg.sim_workers = 2;
-  cfg.stat_engines = 2;
-  cfg.window_size = 7;
-  cfg.window_slide = 7;
-  cfg.kmeans_k = 2;
-  cfg.seed = 99;
-
-  const auto batch = cwcsim::run(m, cfg).result;
-  ASSERT_FALSE(batch.windows.empty());
-
-  for (const cwcsim::backend& b :
-       {cwcsim::backend{cwcsim::multicore{}},
-        cwcsim::backend{cwcsim::distributed{2, 2}},
-        cwcsim::backend{cwcsim::gpu{simt::devices::laptop_gpu()}}}) {
-    const auto report = cwcsim::run(m, cfg, b);
-    expect_bit_identical(report.result.windows, batch.windows);
-    // The distributed backend shipped the model exactly once per host.
-    if (std::holds_alternative<cwcsim::distributed>(b)) {
-      ASSERT_TRUE(report.network.has_value());
-      EXPECT_GT(report.network->model_bytes, 0.0);
-    }
-  }
 }
 
 }  // namespace

@@ -175,7 +175,8 @@ TEST(Trace, CapturePerQuantumMatchesLaneRounds) {
     for (const std::size_t width : {std::size_t{0}, std::size_t{4}}) {
       SCOPED_TRACE(testing::Message() << "batch width " << width);
       // rounds[i][q] = lane i's (steps, samples) in round q.
-      std::vector<std::vector<des::quantum_work>> rounds(cfg.num_trajectories);
+      std::vector<std::vector<cwcsim::quantum_record>> rounds(
+          cfg.num_trajectories);
       cwcsim::lane_executor lanes(
           {mr.compiled}, cfg,
           cwcsim::lane_executor::ensemble(cfg.num_trajectories), width,
@@ -192,7 +193,7 @@ TEST(Trace, CapturePerQuantumMatchesLaneRounds) {
         for (std::size_t q = 0; q < rounds[i].size(); ++q) {
           SCOPED_TRACE(testing::Message() << "trajectory " << i << " quantum "
                                           << q);
-          EXPECT_EQ(w.quanta[i][q].steps, rounds[i][q].steps);
+          EXPECT_EQ(w.quanta[i][q].ssa_steps, rounds[i][q].ssa_steps);
           EXPECT_EQ(w.quanta[i][q].samples, rounds[i][q].samples);
         }
       }
@@ -204,7 +205,7 @@ TEST(Trace, CapturePerQuantumMatchesLaneRounds) {
       SCOPED_TRACE(testing::Message() << "trajectory " << d.trajectory_id);
       const auto& qs = w.quanta[d.trajectory_id];
       std::uint64_t steps = 0;
-      for (const auto& q : qs) steps += q.steps;
+      for (const auto& q : qs) steps += q.ssa_steps;
       EXPECT_EQ(d.quanta, qs.size());
       EXPECT_EQ(d.steps, steps);
     }

@@ -1,16 +1,20 @@
 // Additional distributed-runtime coverage beyond the seed suite:
 // bandwidth throttling timing, empty-buffer reads, degenerate zero-length
 // containers on the wire, the versioned-frame schema header, and the
-// compiled-model codec (ship the model once per run).
+// compiled-model codec (ship the model once per run; reject a frame that
+// names an undeclared id or oversizes a multiset).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
-
-#include <cmath>
-#include <limits>
 
 #include "core/cwcsim.hpp"
 #include "dist/dist.hpp"
@@ -585,6 +589,85 @@ TEST(ModelCodec, DecodeRejectsTruncatedFrame) {
   const auto net = models::make_birth_death({});
   auto frame = dist::encode_model(cwcsim::model_ref{nullptr, &net, nullptr});
   frame.resize(frame.size() / 2);
+  EXPECT_THROW(dist::decode_model(frame), std::runtime_error);
+}
+
+/// A one-species tree model: "10*A" and observable A.
+cwc::model one_species_model() {
+  cwc::model m;
+  m.set_initial(cwc::parse_term(m, "10*A"));
+  m.add_observable("A", 0);
+  return m;
+}
+
+// A model naming a species or compartment type it never declared must not
+// reach the engines, which index dense tables by those ids: compile
+// rejects it naming the id, and decode_model, the run server's model-cache
+// path, rejects its frame.
+TEST(ModelCodec, UndeclaredIdsAreRejectedByCompileAndDecode) {
+  const auto expect_rejected = [](const char* id, const cwc::model& m) {
+    SCOPED_TRACE(id);
+    try {
+      cwc::compiled_model::compile(m);
+      ADD_FAILURE() << "compiled";
+    } catch (const util::precondition_error& e) {
+      EXPECT_NE(std::string(e.what()).find(id), std::string::npos) << e.what();
+    }
+    EXPECT_ANY_THROW(
+        dist::decode_model(dist::encode_model({&m, nullptr, nullptr})));
+  };
+  const auto rule = [](cwc::comp_type_id context = cwc::top_compartment) {
+    return cwc::rule("r", context, cwc::rate_law::mass_action(1.0));
+  };
+  cwc::comp_pattern child;
+  child.type = 5;
+  cwc::comp_product created;
+  created.type = 6;
+  const std::pair<const char*, cwc::rule> bad_rules[] = {
+      {"species 9", rule().consume(9)},
+      {"species 8", rule().produce(8)},
+      {"species 4", cwc::rule("mm", cwc::top_compartment,
+                              cwc::rate_law::michaelis_menten(1.0, 1.0, 4))},
+      {"compartment type 3", rule(3)},
+      {"compartment type 5", rule().match_child(child)},
+      {"compartment type 6", rule().create_compartment(created)}};
+  for (const auto& [id, r] : bad_rules) {
+    auto m = one_species_model();
+    m.add_rule(r);
+    expect_rejected(id, m);
+  }
+  auto m = one_species_model();
+  auto t = cwc::parse_term(m, "10*A");
+  t->add_child(std::make_unique<cwc::compartment>(7));
+  m.set_initial(std::move(t));
+  expect_rejected("compartment type 7", m);
+  m = one_species_model();
+  m.add_observable("ghost", 5);
+  expect_rejected("species 5", m);
+  m = one_species_model();
+  m.add_observable("scoped", 0, 2);
+  expect_rejected("compartment type 2", m);
+}
+
+// A frame's multiset universe sizes a dense row: the decoder bounds it by
+// the frame's species table before it allocates.
+TEST(ModelCodec, DecodeRejectsMultisetUniversePastSpeciesTable) {
+  constexpr std::uint64_t kUniverse = 0x5A5A;
+  auto m = one_species_model();
+  cwc::multiset content(kUniverse);
+  content.set(0, 10);
+  m.set_initial(std::make_unique<cwc::compartment>(
+      cwc::top_compartment, cwc::multiset{}, std::move(content)));
+  auto frame = dist::encode_model({&m, nullptr, nullptr});
+  EXPECT_THROW(dist::decode_model(frame), std::runtime_error);
+
+  // The same frame claiming 2^40 entries throws before allocating 8 TiB.
+  const auto at = std::search(frame.begin(), frame.end(),
+                              reinterpret_cast<const std::byte*>(&kUniverse),
+                              reinterpret_cast<const std::byte*>(&kUniverse) + 8);
+  ASSERT_NE(at, frame.end());
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  std::memcpy(&*at, &huge, sizeof huge);
   EXPECT_THROW(dist::decode_model(frame), std::runtime_error);
 }
 

@@ -17,9 +17,8 @@
 
 #include "core/cwcsim.hpp"
 #include "core/lane_executor.hpp"
-#include "core/quantum.hpp"
 #include "models/models.hpp"
-#include "simt/simt.hpp"
+#include "serial_oracle.hpp"
 
 namespace {
 
@@ -88,21 +87,10 @@ lane_trace run_standalone(const lane_executor::cell_list& cells,
   lane_trace t;
   for (const lane_executor::lane& l :
        lane_executor::ensemble(n, static_cast<std::uint32_t>(cells.size()))) {
-    cwcsim::any_engine eng(cells[l.cell], cfg.seed, l.trajectory_id);
-    std::vector<cwc::trajectory_sample> all;
-    std::uint64_t q = 0;
-    while (true) {
-      auto out = cwcsim::advance_one_quantum(eng, cfg, l.trajectory_id, q++);
-      all.insert(all.end(), out.batch.samples.begin(),
-                 out.batch.samples.end());
-      if (out.finished) {
-        t.retired.emplace_back(l.cell, l.trajectory_id, out.done.quanta,
-                               out.done.steps);
-        break;
-      }
-    }
-    t.samples.push_back(std::move(all));
-    t.steps.push_back(eng.steps());
+    auto r = oracle::replay_trajectory(cells[l.cell], cfg, l.trajectory_id);
+    t.retired.emplace_back(l.cell, l.trajectory_id, r.quanta, r.steps);
+    t.samples.push_back(std::move(r.samples));
+    t.steps.push_back(r.steps);
   }
   std::stable_sort(t.retired.begin(), t.retired.end(),
                    [](const retirement& a, const retirement& b) {
@@ -275,9 +263,9 @@ TEST(LaneExecutor, StaggeredStallsMatchStandaloneEngines) {
   const lane_executor::cell_list cells = {
       cwc::compiled_model::compile(stalling_demo())};
   const auto cfg = small_config();
-  const lane_trace oracle = run_standalone(cells, cfg, 10);
-  EXPECT_LT(std::get<2>(oracle.retired.front()),
-            std::get<2>(oracle.retired.back()))
+  const lane_trace standalone = run_standalone(cells, cfg, 10);
+  EXPECT_LT(std::get<2>(standalone.retired.front()),
+            std::get<2>(standalone.retired.back()))
       << "every lane retired in the same round";
   expect_lockstep_exact(cells, cfg, 10);
 }
@@ -301,33 +289,6 @@ TEST(LaneExecutor, UnbatchableCellsRunScalarLanes) {
   cfg.t_end = 4.0;
   const lane_trace want = run_standalone({flat}, cfg, 6);
   expect_same(run_executor({flat}, cfg, 6, 32, 3), want);
-}
-
-TEST(LaneExecutor, GpuScalarAndBatchLanesAgree) {
-  const auto m = stalling_demo();
-  auto cfg = small_config();
-  cfg.num_trajectories = 12;
-  cfg.window_size = 5;
-  cfg.window_slide = 5;
-
-  const auto scalar = cwcsim::run(
-      m, cfg, cwcsim::gpu{simt::devices::tesla_k40(), /*batch_width=*/0});
-  const auto batched = cwcsim::run(
-      m, cfg, cwcsim::gpu{simt::devices::tesla_k40(), /*batch_width=*/5});
-
-  ASSERT_EQ(scalar.result.completions.size(), cfg.num_trajectories);
-  ASSERT_EQ(batched.result.completions.size(), cfg.num_trajectories);
-  for (std::size_t i = 0; i < cfg.num_trajectories; ++i) {
-    SCOPED_TRACE(i);
-    const auto& a = scalar.result.completions[i];
-    const auto& b = batched.result.completions[i];
-    EXPECT_EQ(a.trajectory_id, b.trajectory_id);
-    EXPECT_EQ(a.quanta, b.quanta);
-    EXPECT_EQ(a.steps, b.steps);
-  }
-  ASSERT_TRUE(scalar.device.has_value());
-  ASSERT_TRUE(batched.device.has_value());
-  EXPECT_EQ(scalar.device->kernels, batched.device->kernels);
 }
 
 }  // namespace

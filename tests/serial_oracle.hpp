@@ -1,12 +1,14 @@
-// The serial oracle of the conformance suite: what every in-process backend
-// must produce, computed with no backend scheduling code at all. One
+// The serial oracle of the conformance suite: what every backend must
+// produce, computed with no backend scheduling code at all. One
 // standalone engine per trajectory, built on the compiled model and
-// advanced with advance_one_quantum to t_end, trajectory after trajectory;
-// its samples go through cut_assembler, each released cut is summarised
-// with stats::summarize_cut, and the cuts are cut into sliding windows
-// exactly as stats::sliding_window_builder cuts them (trailing partial
-// window included). No farm, lane executor, worker pool or analysis stage
-// is involved, so the oracle does not change when those do.
+// advanced with advance_one_quantum to t_end (replay_trajectory, which
+// the lane-executor and sweep suites replay lanes with too), trajectory
+// after trajectory; its samples go through cut_assembler, each released
+// cut is summarised with stats::summarize_cut, and the cuts are cut into
+// sliding windows exactly as stats::sliding_window_builder cuts them
+// (trailing partial window included). No farm, lane executor, worker pool
+// or analysis stage is involved, so the oracle does not change when those
+// do.
 #pragma once
 
 #include <algorithm>
@@ -32,6 +34,33 @@ struct serial_result {
   std::vector<completion> completions;  ///< in trajectory order
 };
 
+/// One trajectory replayed on its own engine: every sample it emitted, and
+/// its completion's quanta and steps.
+struct trajectory_replay {
+  std::vector<cwc::trajectory_sample> samples;
+  std::uint64_t quanta = 0;
+  std::uint64_t steps = 0;
+};
+
+/// Trajectory `id` of `cm` on one standalone engine seeded (cfg.seed, id),
+/// advanced with advance_one_quantum until it reaches cfg.t_end.
+inline trajectory_replay replay_trajectory(
+    const std::shared_ptr<const cwc::compiled_model>& cm,
+    const cwcsim::sim_config& cfg, std::uint64_t id) {
+  cwcsim::any_engine engine(cm, cfg.seed, id);
+  trajectory_replay out;
+  for (std::uint64_t q = 0;; ++q) {
+    auto step = cwcsim::advance_one_quantum(engine, cfg, id, q);
+    out.samples.insert(out.samples.end(), step.batch.samples.begin(),
+                       step.batch.samples.end());
+    if (step.finished) {
+      out.quanta = step.done.quanta;
+      out.steps = step.done.steps;
+      return out;
+    }
+  }
+}
+
 /// Completions as a sorted list: the set a backend's completions must equal,
 /// whatever order it reported them in.
 inline std::vector<completion> completion_set(
@@ -55,18 +84,12 @@ inline serial_result serial_run(
   };
 
   for (std::uint64_t id = 0; id < cfg.num_trajectories; ++id) {
-    cwcsim::any_engine engine(cm, cfg.seed, id);
-    for (std::uint64_t q = 0;; ++q) {
-      auto step = cwcsim::advance_one_quantum(engine, cfg, id, q);
-      for (const auto& s : step.batch.samples)
-        assembler.ingest(id, s, [&](stats::trajectory_cut&& c) {
-          take(builder.push(std::move(c)));
-        });
-      if (step.finished) {
-        out.completions.emplace_back(id, step.done.quanta, step.done.steps);
-        break;
-      }
-    }
+    const trajectory_replay t = replay_trajectory(cm, cfg, id);
+    for (const auto& s : t.samples)
+      assembler.ingest(id, s, [&](stats::trajectory_cut&& c) {
+        take(builder.push(std::move(c)));
+      });
+    out.completions.emplace_back(id, t.quanta, t.steps);
   }
   take(builder.flush());
 

@@ -1,10 +1,10 @@
-// Tests for the unified streaming run API (core/session.hpp): one
-// run_builder program swapping backends, on-line window subscription
-// bit-exact with the batch results, ordered delivery, cooperative
+// Tests for the unified streaming run API (core/session.hpp): builder
+// lifetimes, subscriber errors, ordered delivery, cooperative
 // cancellation, centralized validation, and the sampling-grid hardening.
+// Whether a subscriber's stream equals the report on every backend is
+// conformance_test's matrix.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <limits>
 #include <memory>
@@ -21,11 +21,8 @@
 #include "simt/simt.hpp"
 #include "svc/svc.hpp"
 #include "sweep/sweep.hpp"
-#include "window_equality.hpp"
 
 namespace {
-
-using testing_windows::expect_bit_identical;
 
 // The builders keep a pointer to the model, so a temporary must not bind:
 // `run_builder().model(make_model())...open()` would run a destroyed model.
@@ -53,97 +50,6 @@ cwcsim::sim_config small_config() {
   cfg.kmeans_k = 2;
   cfg.seed = 4321;
   return cfg;
-}
-
-// The acceptance criterion of the redesign: a single run_builder program
-// executes the same model on all three backends by swapping only the
-// backend argument, receives windows through on_window before wait()
-// returns, and the stream is bit-exact with the default multicore run's
-// collected result.
-TEST(Session, OneProgramThreeBackendsBitExactStreams) {
-  const auto m = models::make_neurospora_cwc({});
-  const auto cfg = small_config();
-  const auto batch = cwcsim::run(m, cfg).result;
-  ASSERT_FALSE(batch.windows.empty());
-
-  auto run_on = [&](cwcsim::backend b) {
-    std::vector<cwcsim::window_summary> streamed;
-    std::atomic<bool> wait_returned{false};
-    auto s = cwcsim::run_builder()
-                 .model(m)
-                 .config(cfg)
-                 .backend(std::move(b))
-                 .open();
-    s.on_window([&](const cwcsim::window_summary& w) {
-      EXPECT_FALSE(wait_returned.load());
-      streamed.push_back(w);
-    });
-    auto report = s.wait();
-    wait_returned.store(true);
-    // The collected report stream and the subscriber stream are the same.
-    expect_bit_identical(streamed, report.result.windows);
-    return report;
-  };
-
-  const auto mc = run_on(cwcsim::multicore{});
-  const auto dc = run_on(cwcsim::distributed{3, 2});
-  const auto gc = run_on(cwcsim::gpu{simt::devices::tesla_k40()});
-  // The batched deployments (SoA lockstep lanes) must produce the exact
-  // same stream: lane exactness makes batching a scheduling detail.
-  const auto mb = run_on(cwcsim::multicore{/*batch_width=*/4});
-  const auto gb =
-      run_on(cwcsim::gpu{simt::devices::tesla_k40(), /*batch_width=*/5});
-
-  expect_bit_identical(mc.result.windows, batch.windows);
-  expect_bit_identical(dc.result.windows, batch.windows);
-  expect_bit_identical(gc.result.windows, batch.windows);
-  expect_bit_identical(mb.result.windows, batch.windows);
-  expect_bit_identical(gb.result.windows, batch.windows);
-  EXPECT_EQ(mb.result.completions.size(), cfg.num_trajectories);
-  EXPECT_EQ(gb.result.completions.size(), cfg.num_trajectories);
-  ASSERT_TRUE(gb.device.has_value());
-  EXPECT_GT(gb.device->kernels, 0u);
-
-  EXPECT_EQ(mc.backend, "multicore");
-  EXPECT_EQ(dc.backend, "distributed");
-  EXPECT_EQ(gc.backend, "gpu");
-  EXPECT_FALSE(mc.stopped);
-
-  // Structured per-backend extras.
-  EXPECT_FALSE(mc.network.has_value());
-  EXPECT_FALSE(mc.device.has_value());
-  ASSERT_TRUE(dc.network.has_value());
-  EXPECT_GT(dc.network->messages, 0u);
-  EXPECT_GT(dc.network->bytes, 0.0);
-  ASSERT_TRUE(gc.device.has_value());
-  EXPECT_GT(gc.device->kernels, 0u);
-  EXPECT_GE(gc.device->divergence_factor, 1.0);
-
-  // Completions stream on every backend.
-  EXPECT_EQ(mc.result.completions.size(), cfg.num_trajectories);
-  EXPECT_EQ(dc.result.completions.size(), cfg.num_trajectories);
-  EXPECT_EQ(gc.result.completions.size(), cfg.num_trajectories);
-}
-
-// stat_engines is the analysis stage's worker count on every backend, and
-// the report says what ran; the windows stay bit-exact with multicore{}'s.
-TEST(Session, StatEnginesRunAndAreReportedOnEveryBackend) {
-  const auto m = models::make_neurospora_cwc({});
-  auto cfg = small_config();
-  const auto reference = cwcsim::run(m, cfg).result;
-  cfg.stat_engines = 3;
-  for (const cwcsim::backend& b :
-       {cwcsim::backend{cwcsim::multicore{}},
-        cwcsim::backend{cwcsim::multicore{/*batch_width=*/32}},
-        cwcsim::backend{cwcsim::distributed{3, 1}},
-        cwcsim::backend{cwcsim::gpu{simt::devices::tesla_k40(),
-                                    /*batch_width=*/32}}}) {
-    const auto report = cwcsim::run(m, cfg, b);
-    SCOPED_TRACE(report.backend);
-    EXPECT_EQ(report.result.stat_engines, 3u);
-    expect_bit_identical(report.result.windows, reference.windows);
-    EXPECT_EQ(report.result.completions.size(), cfg.num_trajectories);
-  }
 }
 
 // A throwing subscriber stops the analysis stage, yet every backend's run
@@ -370,17 +276,6 @@ TEST(Session, SubscriptionAfterStartIsRejected) {
   EXPECT_THROW(s.on_window([](const cwcsim::window_summary&) {}),
                util::precondition_error);
   (void)s.wait();
-}
-
-TEST(Session, RunFacadeMatchesBatchHelper) {
-  const auto net = models::make_birth_death({});
-  auto cfg = small_config();
-  cfg.t_end = 6.0;
-  cfg.kmeans_k = 0;
-  const auto report = cwcsim::run(net, cfg);
-  const auto batch = cwcsim::run(net, cfg).result;
-  expect_bit_identical(report.result.windows, batch.windows);
-  EXPECT_EQ(report.backend, "multicore");
 }
 
 // ------------------------- centralized validation -------------------------

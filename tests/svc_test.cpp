@@ -1,8 +1,9 @@
 // Tests for the simulation-as-a-service layer (src/svc/): the session
 // frame protocol, the compiled-model cache, and the multi-tenant run
-// server — bit-exactness with multicore, compile-once sharing across
-// tenants, credit-based backpressure isolation, fair completion under
-// contention, and teardown accounting.
+// server — compile-once sharing across tenants, hostile model frames,
+// credit-based backpressure isolation, fair completion under contention,
+// and teardown accounting. A lone tenant's run against the serial oracle
+// is conformance_test's service rows.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
@@ -10,6 +11,7 @@
 #include <chrono>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -282,48 +284,6 @@ TEST(ModelCache, ReleasedPinsAreTrimmedByNextInsert) {
 }
 
 // ------------------------------- run server -------------------------------
-
-TEST(Service, BitExactWithMulticoreSameSeed) {
-  const auto m = models::make_neurospora_cwc({});
-  const auto cfg = small_config();
-  const auto batch = cwcsim::run(m, cfg).result;
-  ASSERT_FALSE(batch.windows.empty());
-
-  svc::run_server server;
-  std::vector<cwcsim::window_summary> streamed;
-  auto s = cwcsim::run_builder()
-               .model(m)
-               .config(cfg)
-               .backend(cwcsim::service{&server})
-               .open();
-  s.on_window(
-      [&](const cwcsim::window_summary& w) { streamed.push_back(w); });
-  const auto report = s.wait();
-
-  EXPECT_EQ(report.backend, "service");
-  EXPECT_FALSE(report.stopped);
-  expect_bit_identical(report.result.windows, batch.windows);
-  expect_bit_identical(streamed, batch.windows);
-  EXPECT_EQ(report.result.completions.size(), cfg.num_trajectories);
-  ASSERT_TRUE(report.network.has_value());
-  EXPECT_GT(report.network->messages, 0u);
-  EXPECT_GT(report.network->bytes, 0.0);
-  EXPECT_GT(report.network->model_bytes, 0.0);
-  EXPECT_GT(report.network->grants, 0u);
-
-  const auto st = server.stats();
-  EXPECT_EQ(st.sessions_opened, 1u);
-  EXPECT_EQ(st.sessions_completed, 1u);
-  EXPECT_EQ(st.cache.compiles, 1u);
-  EXPECT_EQ(st.quanta_executed, st.quanta_accepted + st.quanta_discarded);
-  EXPECT_EQ(st.quanta_discarded, 0u);
-  // The quanta counters and the session's grants count trajectory quanta,
-  // however many trajectories one lease advances.
-  std::uint64_t quanta = 0;
-  for (const auto& d : report.result.completions) quanta += d.quanta;
-  EXPECT_EQ(st.quanta_accepted, quanta);
-  EXPECT_EQ(report.network->grants, quanta);
-}
 
 TEST(Service, EightTenantsOneCompileEveryTenantFinishes) {
   const auto m = models::make_neurospora_cwc({});
@@ -645,31 +605,57 @@ TEST(Service, FinishedSessionReleasesItsModelToTheCache) {
   EXPECT_EQ(st.cache.evictions, 1u);
 }
 
-TEST(Service, CustomRateLawFallsBackToLocalModelSharing) {
-  // Custom rate laws cannot cross the wire (dist/model_codec.hpp); the
-  // service driver registers the compiled artifact in-process instead,
-  // transparently, and the run stays bit-exact with multicore.
-  cwc::reaction_network net;
-  const auto a = net.declare_species("A");
-  net.set_initial(a, 60);
-  net.add_reaction("opaque-decay", {{a, 1}}, {},
-                   cwc::rate_law::custom([](const cwc::rate_ctx& ctx) {
-                     return 0.4 * ctx.combinations;
-                   }));
-  ASSERT_FALSE(
-      dist::wire_encodable(cwcsim::model_ref{nullptr, &net, nullptr}));
+// A tree-model frame naming a species its tables never declared is turned
+// away at open, not run on the pool every tenant shares: the engines index
+// dense per-species tables by that id. A well-formed co-tenant on the same
+// server finishes untouched.
+TEST(Service, HostileModelFrameIsRejectedAndCoTenantFinishes) {
+  const auto m = models::make_neurospora_cwc({});
+  const auto cfg = small_config();
+  const auto batch = cwcsim::run(m, cfg).result;
 
-  auto cfg = small_config();
-  cfg.kmeans_k = 0;
-  const auto batch = cwcsim::run(net, cfg).result;
+  cwc::model hostile;
+  hostile.set_initial(cwc::parse_term(hostile, "10*A"));
+  hostile.add_observable("A", 0);
+  cwc::rule eat("eat", cwc::top_compartment, cwc::rate_law::mass_action(1.0));
+  hostile.add_rule(std::move(eat.consume(9)));  // species 9 was never declared
 
-  svc::run_server server;
-  const auto report = cwcsim::run(net, cfg, cwcsim::service{&server});
+  svc::svc_config sc;
+  sc.pool_workers = 2;
+  svc::run_server server(sc);
+  auto co_tenant = cwcsim::run_builder()
+                       .model(m)
+                       .config(cfg)
+                       .backend(cwcsim::service{&server})
+                       .open();
+  co_tenant.start();
+
+  // run_builder compiles before it connects, and compiling rejects the
+  // model; the bare driver sends the frame unchecked, as a foreign client
+  // would.
+  struct discard final : cwcsim::event_sink {
+    void window(cwcsim::window_summary&&) override {}
+    void trajectory_done(const cwcsim::task_done&) override {}
+    bool stop_requested() const noexcept override { return false; }
+  } sink;
+  cwcsim::run_report rejected;
+  try {
+    cwcsim::detail::make_service_driver(
+        cwcsim::model_ref{&hostile, nullptr, nullptr}, cfg,
+        cwcsim::service{&server})
+        ->run(sink, rejected);
+    ADD_FAILURE() << "the hostile tenant was admitted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("open rejected: model frame rejected: "),
+              std::string::npos)
+        << e.what();
+  }
+
+  const auto report = co_tenant.wait();
+  EXPECT_FALSE(report.stopped);
   expect_bit_identical(report.result.windows, batch.windows);
   EXPECT_EQ(report.result.completions.size(), cfg.num_trajectories);
-  ASSERT_TRUE(report.network.has_value());
-  EXPECT_EQ(report.network->model_bytes, 0.0);  // nothing crossed the wire
-  EXPECT_EQ(server.stats().cache.compiles, 0u);  // cache bypassed
+  EXPECT_EQ(server.stats().sessions_completed, 1u);
 }
 
 TEST(Service, WeightedTenantsBothComplete) {

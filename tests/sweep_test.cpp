@@ -14,8 +14,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/quantum.hpp"
 #include "models/models.hpp"
+#include "serial_oracle.hpp"
 #include "stats/quantile.hpp"
 #include "sweep/sweep.hpp"
 
@@ -37,23 +37,6 @@ cwcsim::sim_config small_config() {
   return cfg;
 }
 
-/// A standalone engine on artifact `cm`, advanced with the exact
-/// per-quantum contract every backend worker uses; returns its full
-/// sample stream.
-std::vector<cwc::trajectory_sample> standalone_samples(
-    std::shared_ptr<const cwc::compiled_model> cm,
-    const cwcsim::sim_config& cfg, std::uint64_t id) {
-  cwcsim::any_engine eng(cm, cfg.seed, id);
-  std::vector<cwc::trajectory_sample> all;
-  std::uint64_t q = 0;
-  while (true) {
-    auto out = cwcsim::advance_one_quantum(eng, cfg, id, q++);
-    all.insert(all.end(), out.batch.samples.begin(), out.batch.samples.end());
-    if (out.finished) break;
-  }
-  return all;
-}
-
 /// Reference reductions computed independently of the sweep runner: cuts
 /// assembled per sample index from standalone trajectories of `cm`, each
 /// folded in trajectory order with the same Welford/P-squared/k-means
@@ -68,7 +51,7 @@ std::vector<cwcsim::sweep::point_summary> reference_points(
   };
   std::map<std::uint64_t, cut> cuts;
   for (std::uint64_t i = 0; i < cfg.num_trajectories; ++i) {
-    for (const auto& s : standalone_samples(cm, cfg, i)) {
+    for (const auto& s : oracle::replay_trajectory(cm, cfg, i).samples) {
       const auto k =
           static_cast<std::uint64_t>(s.time / cfg.sample_period + 0.5);
       auto [it, fresh] = cuts.try_emplace(k);

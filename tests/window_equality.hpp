@@ -14,6 +14,27 @@
 
 namespace testing_windows {
 
+/// One observable's Welford state, field by field.
+inline void expect_same_moments(const stats::welford& x, const stats::welford& y) {
+  const auto a = x.snapshot();
+  const auto b = y.snapshot();
+  ASSERT_EQ(a.n, b.n);
+  ASSERT_EQ(a.mean, b.mean);
+  ASSERT_EQ(a.m2, b.m2);
+  ASSERT_EQ(a.min, b.min);
+  ASSERT_EQ(a.max, b.max);
+}
+
+/// One cut's k-means result, field by field.
+inline void expect_same_clusters(const stats::kmeans_result& x,
+                                 const stats::kmeans_result& y) {
+  ASSERT_EQ(x.centroids, y.centroids);
+  ASSERT_EQ(x.assignment, y.assignment);
+  ASSERT_EQ(x.sizes, y.sizes);
+  ASSERT_EQ(x.inertia, y.inertia);
+  ASSERT_EQ(x.iterations, y.iterations);
+}
+
 inline void expect_bit_identical(const std::vector<cwcsim::window_summary>& got,
                                  const std::vector<cwcsim::window_summary>& want) {
   ASSERT_EQ(got.size(), want.size());
@@ -30,20 +51,10 @@ inline void expect_bit_identical(const std::vector<cwcsim::window_summary>& got,
       ASSERT_EQ(x.moments.size(), y.moments.size());
       for (std::size_t d = 0; d < x.moments.size(); ++d) {
         SCOPED_TRACE(::testing::Message() << "observable " << d);
-        const auto a = x.moments[d].snapshot();
-        const auto b = y.moments[d].snapshot();
-        ASSERT_EQ(a.n, b.n);
-        ASSERT_EQ(a.mean, b.mean);
-        ASSERT_EQ(a.m2, b.m2);
-        ASSERT_EQ(a.min, b.min);
-        ASSERT_EQ(a.max, b.max);
+        ASSERT_NO_FATAL_FAILURE(expect_same_moments(x.moments[d], y.moments[d]));
       }
       ASSERT_EQ(x.medians, y.medians);
-      ASSERT_EQ(x.clusters.centroids, y.clusters.centroids);
-      ASSERT_EQ(x.clusters.assignment, y.clusters.assignment);
-      ASSERT_EQ(x.clusters.sizes, y.clusters.sizes);
-      ASSERT_EQ(x.clusters.inertia, y.clusters.inertia);
-      ASSERT_EQ(x.clusters.iterations, y.clusters.iterations);
+      ASSERT_NO_FATAL_FAILURE(expect_same_clusters(x.clusters, y.clusters));
     }
   }
 }
