@@ -33,7 +33,7 @@
 //
 // Every run row also checks what it reports: the on_window stream equals
 // the report's windows and ends before wait() returns; sim_workers and
-// stat_engines are what the driver ran; `network` on the distributed and
+// stat_engines are what the backend ran; `network` on the distributed and
 // service rows (traffic, and model_bytes > 0 exactly when the model crosses
 // the wire), with per-host quanta summing to the completions' on clusters
 // and the server's session, quantum and cache counters on service;
@@ -235,7 +235,7 @@ TEST_P(conformance, MatchesSerialOracle) {
   auto* const service = std::get_if<cwcsim::service>(&backend);
   const bool gpu = std::holds_alternative<cwcsim::gpu>(backend);
 
-  // The simulation workers the driver runs: a cluster's hosts × workers,
+  // The simulation workers the backend runs: a cluster's hosts × workers,
   // else sim_workers (a service row's server pool).
   const unsigned ran =
       dist != nullptr ? dist->num_hosts * dist->workers_per_host : workers;

@@ -631,7 +631,7 @@ TEST(Service, HostileModelFrameIsRejectedAndCoTenantFinishes) {
   co_tenant.start();
 
   // run_builder compiles before it connects, and compiling rejects the
-  // model; the bare driver sends the frame unchecked, as a foreign client
+  // model; make_service_driver sends the frame unchecked, as a foreign client
   // would.
   struct discard final : cwcsim::event_sink {
     void window(cwcsim::window_summary&&) override {}
