@@ -38,9 +38,11 @@ kernel_mode resolve_mode(kernel_mode requested) {
 
 bool batch_engine::supports(const compiled_model& cm) {
   if (!cm.is_tree()) return false;
-  // Overlay-aware rule table: an overlay's laws live in its patched copies.
-  for (const rule& r : cm.rules())
-    if (r.law().law_kind() == rate_law::kind::custom) return false;
+  // The lanes evaluate every rule through the tape, which has no closed
+  // form for a custom law.
+  const rate_tape& tape = cm.tape();
+  for (std::size_t j = 0; j < tape.num_programs(); ++j)
+    if (tape.program(j).head == tape_head::custom) return false;
   return true;
 }
 

@@ -13,7 +13,7 @@
 //
 // Exactness contract: for each column, the wide tape evaluation computes
 // the SAME factor sequence, grouping, and head expression tree as
-// rate_tape::eval (which in turn matches rule::match_propensity); the wide
+// rate_tape::eval, the scalar tree engine's evaluator too; the wide
 // folds run the same left-to-right accumulation order per column as the
 // scalar per-lane folds. Infeasible or garbage columns (freed pool slots
 // hold stale-but-defined values) are masked to +0.0 by the feasibility
@@ -140,7 +140,7 @@ inline void tape_eval_wide(const rate_tape& tape, const tape_program& pg,
                          ws.have.data(), ws.tmp.data());
     const double* __restrict__ w = ws.w.data();
     const double* __restrict__ cc = ws.cc.data();
-    // match_propensity's grouping: comb * (w * cc).
+    // rate_tape::eval's grouping: comb * (w * cc).
     for (std::size_t c = 0; c < cap; ++c) comb[c] *= w[c] * cc[c];
   }
 

@@ -121,18 +121,17 @@ std::shared_ptr<const compiled_model> compiled_model::overlay(
 
   if (base->is_tree()) {
     ov->tree_ = base->tree_;
-    // Start from base's (possibly already overlaid) rules and tape so
-    // stacked overlays compose; both are small flat copies — the shared
-    // dependency index and plans above are never touched.
-    ov->overlay_rules_.emplace(base->rules());
+    // Start from base's (possibly already overlaid) tape so stacked
+    // overlays compose; it is a small flat copy, and the rule table, the
+    // dependency index and the plans stay shared.
     ov->tape_ = base->tape_;
+    const std::vector<rule>& rules = base->rules();
     for (const auto& [name, value] : overrides) {
       bool found = false;
-      for (std::size_t j = 0; j < ov->overlay_rules_->size(); ++j) {
-        rule& r = (*ov->overlay_rules_)[j];
-        if (r.name() != name) continue;
-        r = r.with_law(r.law().with_constant(value, name));
-        ov->tape_.patch_constant(j, value);
+      for (std::size_t j = 0; j < rules.size(); ++j) {
+        if (rules[j].name() != name) continue;
+        ov->tape_.patch_constant(
+            j, rules[j].law().with_constant(value, name).constant());
         found = true;
       }
       if (!found)

@@ -4,14 +4,14 @@
 // A simulation campaign farms out 10⁴–10⁵ trajectories of *one* model, yet
 // the static lookup structure an engine needs — which rules apply in which
 // compartment type, the rule→rule dependency index that drives incremental
-// propensity maintenance, the observable evaluation plans — is a pure
-// function of the model. compiled_model hoists all of it out of the
-// per-trajectory constructor: the session/backend layer compiles once
-// before the farm spins up, every engine constructs from the shared
-// artifact, the distributed runtime ships the model description once per
-// run over the wire (dist/model_codec.hpp) and recompiles on arrival, and
-// the DES/SIMT workload capture derives its description from the same
-// artifact.
+// propensity maintenance, the rate tape that evaluates every propensity,
+// the observable evaluation plans — is a pure function of the model.
+// compiled_model hoists all of it out of the per-trajectory constructor:
+// the session/backend layer compiles once before the farm spins up, every
+// engine constructs from the shared artifact, the distributed runtime
+// ships the model description once per run over the wire
+// (dist/model_codec.hpp) and recompiles on arrival, and the DES/SIMT
+// workload capture derives its description from the same artifact.
 //
 // Sharing and ownership rules:
 //   - compiled_model is immutable after compile() returns; concurrent
@@ -64,17 +64,19 @@ class compiled_model {
   using rate_override = std::pair<std::string, double>;
 
   /// A rate-constant overlay of `base`: a cheap per-sweep-cell artifact that
-  /// SHARES base's structure — per-type rule lists, redo lists, write
-  /// flags, and observable plans are never recopied or recomputed (and the
-  /// compile counter does not tick) — while the rule table, the rate-tape
-  /// constant-scale operands, and (for flat networks) the reaction table
-  /// carry the patched constants. Engines constructed from the overlay
-  /// replay exactly the trajectory a full recompile of the patched model
-  /// would produce, bit for bit.
+  /// SHARES base's structure — the rule table, per-type rule lists, redo
+  /// lists, write flags, and observable plans are never recopied or
+  /// recomputed (and the compile counter does not tick). A tree overlay's
+  /// patched constants live only in its copy of the rate tape, which every
+  /// tree engine evaluates; a flat overlay patches a copy of the reaction
+  /// table. Engines constructed from the overlay replay exactly the
+  /// trajectory a full recompile of the patched model would produce, bit
+  /// for bit.
   ///
-  /// Throws overlay_error when a named rule does not exist or its law is
-  /// not mass-action (rate_law::with_constant). Overlaying an overlay is
-  /// allowed; tables keep routing to the structural root.
+  /// Throws overlay_error when a named rule does not exist, its law is not
+  /// mass-action, or the value is negative, NaN or infinite
+  /// (rate_law::with_constant). Overlaying an overlay is allowed; tables
+  /// keep routing to the structural root.
   static std::shared_ptr<const compiled_model> overlay(
       std::shared_ptr<const compiled_model> base,
       const std::vector<rate_override>& overrides);
@@ -107,13 +109,11 @@ class compiled_model {
   // structural root for overlays — so an overlay shares the root's
   // dependency index and plans without copying a single table.
 
-  /// The rule table of a tree model, declaration order: the root's rules,
-  /// or this overlay's patched copies. Engines must read rules (and thus
-  /// rate laws) through HERE, never via tree()->rules(), or overlays would
-  /// silently evaluate the base constants.
-  const std::vector<rule>& rules() const noexcept {
-    return overlay_rules_.has_value() ? *overlay_rules_ : tree_->rules();
-  }
+  /// The rule table of a tree model, declaration order; an overlay shares
+  /// its root's. Its rate laws carry the ROOT's constants: engines evaluate
+  /// mass-action, Michaelis-Menten and Hill laws through tape(), and read a
+  /// rule's law only to call a custom law, which cannot be overlaid.
+  const std::vector<rule>& rules() const noexcept { return tree_->rules(); }
 
   /// Rules applicable inside a compartment of type `t`, declaration order.
   const std::vector<std::uint32_t>& rules_for_type(comp_type_id t) const {
@@ -157,8 +157,9 @@ class compiled_model {
   }
 
   /// The rate-law bytecode tape of a tree model (one program per rule,
-  /// declaration order) — the batch engine's dispatch-free propensity
-  /// evaluator. Empty for flat artifacts.
+  /// declaration order) — the one propensity evaluator of the scalar and
+  /// batch tree engines, and where an overlay's constants live. Empty for
+  /// flat artifacts.
   const rate_tape& tape() const noexcept { return tape_; }
 
   /// Evaluate every observable of a tree model in ONE pre-order walk
@@ -187,8 +188,6 @@ class compiled_model {
   const compiled_model* tables_ = this;
   /// Keeps the root alive for overlays; nullptr for compiled artifacts.
   std::shared_ptr<const compiled_model> base_;
-  /// Patched rule copies of a tree overlay (absent on compiled artifacts).
-  std::optional<std::vector<rule>> overlay_rules_;
 
   static std::atomic<std::uint64_t> compiles_;  ///< full-compile counter
 

@@ -1,8 +1,6 @@
 #include "cwc/gillespie.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
+#include <bit>
 
 #include "util/check.hpp"
 
@@ -10,10 +8,17 @@ namespace cwc {
 
 namespace {
 
-/// a ≈ b under a relative tolerance (absolute near zero).
-bool approx_equal(double a, double b, double rel_tol) {
-  const double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
-  return std::fabs(a - b) <= rel_tol * scale;
+/// The cache holds exactly what a fresh collect computes, so the self-check
+/// compares doubles bit for bit.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Widen a compartment's count rows to the model's species count: the rate
+/// tape indexes them densely by every species id the model declares.
+void size_rows(compartment& c, std::size_t num_species) {
+  c.content().grow_to(num_species);
+  c.wrap().grow_to(num_species);
 }
 
 }  // namespace
@@ -33,6 +38,11 @@ engine::engine(std::shared_ptr<const compiled_model> cm, std::uint64_t seed,
 engine::comp_block& engine::ensure_block(compartment& c) {
   auto it = cache_.find(&c);
   if (it != cache_.end()) return *it->second;
+  // First sight of `c` (the initial term, or a compartment a firing
+  // created): size its rows, and its children's, which the pre-order walk
+  // reaches only after this block has enumerated its child-pattern rules.
+  size_rows(c, cm_->num_species());
+  for (const auto& child : c.children()) size_rows(*child, cm_->num_species());
   auto blk = std::make_unique<comp_block>();
   blk->comp = &c;
   const auto& applicable = cm_->rules_for_type(c.type());
@@ -45,16 +55,42 @@ engine::comp_block& engine::ensure_block(compartment& c) {
   return ref;
 }
 
+template <typename F>
+void engine::visit_matches(const compartment& c, std::uint32_t rule_idx,
+                           F&& f) const {
+  const rate_tape& tape = cm_->tape();
+  const tape_program& pg = tape.program(rule_idx);
+  const std::uint64_t* host = c.content().row();
+  const auto propensity = [&](const compartment* child) {
+    const std::uint64_t* wrap =
+        child != nullptr ? child->wrap().row() : nullptr;
+    const std::uint64_t* content =
+        child != nullptr ? child->content().row() : nullptr;
+    if (pg.head != tape_head::custom)
+      return tape.eval(pg, host, wrap, content, 1);
+    const double comb = tape.combinations(pg, host, wrap, content, 1);
+    if (comb == 0.0) return 0.0;
+    return cm_->rules()[rule_idx].law().evaluate(rate_ctx{
+        c.content(), child != nullptr ? &child->content() : nullptr, comb});
+  };
+  if (!pg.has_child) {
+    const double p = propensity(nullptr);
+    if (p > 0.0) f(kNoChild, p);
+    return;
+  }
+  const auto& children = c.children();
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    if (children[i]->type() != pg.child_type) continue;
+    const double p = propensity(children[i].get());
+    if (p > 0.0) f(static_cast<std::uint32_t>(i), p);
+  }
+}
+
 void engine::enumerate_slot(comp_block& b, rule_slot& sl) {
   sl.matches.clear();  // capacity retained: no allocation once warmed up
-  cm_->rules()[sl.rule].for_each_match(
-      *b.comp, [&](std::size_t child, double p) {
-        sl.matches.push_back(
-            match_rec{child == rule::no_child
-                          ? kNoChild
-                          : static_cast<std::uint32_t>(child),
-                      p});
-      });
+  visit_matches(*b.comp, sl.rule, [&](std::uint32_t child, double p) {
+    sl.matches.push_back(match_rec{child, p});
+  });
 }
 
 void engine::resum_block(comp_block& b) {
@@ -77,16 +113,14 @@ void engine::rebuild_order() {
 }
 
 void engine::refresh_all() {
-  // The naive reference collector: walk the whole tree and re-enumerate
-  // every (compartment, rule, child) match from the current state.
-  order_.clear();
-  state_->visit_with_parent([&](compartment& c, compartment* parent) {
-    comp_block& b = ensure_block(c);
-    b.parent = parent;
-    for (rule_slot& sl : b.slots) enumerate_slot(b, sl);
-    resum_block(b);
-    order_.push_back(&b);
-  });
+  // The naive reference collector: walk the whole tree (which sizes the rows
+  // of every compartment a firing created) and then re-enumerate every
+  // (compartment, rule, child) match from the current state.
+  rebuild_order();
+  for (comp_block* b : order_) {
+    for (rule_slot& sl : b->slots) enumerate_slot(*b, sl);
+    resum_block(*b);
+  }
 }
 
 void engine::refresh_block(comp_block& b,
@@ -284,7 +318,7 @@ void engine::run_to(double t_end, double sample_period,
   time_ = t_end;
 }
 
-bool engine::check_match_cache(double rel_tol) const {
+bool engine::check_match_cache() const {
   bool ok = true;
   std::size_t idx = 0;
   double cached_total = 0.0;
@@ -302,36 +336,33 @@ bool engine::check_match_cache(double rel_tol) const {
       return;
     }
     double fresh_sub = 0.0;
-    for (std::size_t si = 0; si < applicable.size(); ++si) {
+    for (std::size_t si = 0; si < applicable.size() && ok; ++si) {
       const rule_slot& sl = b.slots[si];
       if (sl.rule != applicable[si]) {
         ok = false;
         return;
       }
       std::size_t mi = 0;
-      cm_->rules()[sl.rule].for_each_match(
-          c, [&](std::size_t child, double p) {
-            fresh_sub += p;
-            if (!ok || mi >= sl.matches.size()) {
-              ok = false;
-              return;
-            }
-            const match_rec& mr = sl.matches[mi++];
-            const std::uint32_t want =
-                child == rule::no_child ? kNoChild
-                                        : static_cast<std::uint32_t>(child);
-            if (mr.child != want || !approx_equal(mr.propensity, p, rel_tol))
-              ok = false;
-          });
+      visit_matches(c, sl.rule, [&](std::uint32_t child, double p) {
+        fresh_sub += p;
+        if (mi >= sl.matches.size()) {
+          ok = false;
+          return;
+        }
+        const match_rec& mr = sl.matches[mi++];
+        if (mr.child != child || !same_bits(mr.propensity, p)) ok = false;
+      });
       if (mi != sl.matches.size()) ok = false;
-      if (!ok) return;
     }
-    if (!approx_equal(fresh_sub, b.subtotal, rel_tol)) ok = false;
+    if (!ok || !same_bits(fresh_sub, b.subtotal)) {
+      ok = false;
+      return;
+    }
     cached_total += b.subtotal;
     fresh_total += fresh_sub;
   });
   if (idx != order_.size()) ok = false;
-  return ok && approx_equal(fresh_total, cached_total, rel_tol);
+  return ok && same_bits(fresh_total, cached_total);
 }
 
 }  // namespace cwc

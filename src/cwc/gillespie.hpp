@@ -8,8 +8,13 @@
 // laws conservatively depend on everything). The dependency index and the
 // rest of the static per-model tables live in cwc::compiled_model
 // (compiled_model.hpp) — compiled once, shared by every trajectory's
-// engine. The steady-state step is allocation-free: match lists and the
-// sample values buffer are reused.
+// engine. Every match's propensity comes from the model's rate tape
+// (compiled_model::tape(), rate_tape.hpp), the evaluator the batch engine
+// runs too, over each compartment's dense count rows; the engine sizes
+// those rows to the model's species count when it first sees the
+// compartment. A custom law gets the tape's combinatorics and is called
+// with its rate_ctx. The steady-state step is allocation-free: match lists
+// and the sample values buffer are reused.
 //
 // Reproducibility: every engine owns an rng_stream keyed by
 // (seed, trajectory id), so a trajectory's sample path is a pure function
@@ -84,10 +89,11 @@ class engine {
               std::vector<trajectory_sample>& out);
 
   /// Cross-check the cached match blocks against a fresh full collect:
-  /// match sets must agree exactly (rule, child, order) and subtotals
-  /// within `rel_tol`. Debug builds run this automatically every
-  /// `kConsistencyPeriod` steps; the lockstep test calls it directly.
-  bool check_match_cache(double rel_tol = 1e-9) const;
+  /// match sets (rule, child, order), propensities, block subtotals and
+  /// the total must agree bit for bit. Allocation-free. Builds without
+  /// NDEBUG run this automatically every `kConsistencyPeriod` steps; the
+  /// lockstep test calls it directly.
+  bool check_match_cache() const;
 
   /// How often debug builds self-check the cache (in SSA steps).
   static constexpr std::uint64_t kConsistencyPeriod = 256;
@@ -120,6 +126,12 @@ class engine {
 
   // ---- cache maintenance -------------------------------------------
   comp_block& ensure_block(compartment& c);
+  /// Invoke f(child, propensity) for every positive-propensity match of
+  /// rule `rule_idx` inside `c`, children in index order (kNoChild for a
+  /// match that binds none). The refresh and the self-check share it.
+  template <typename F>
+  void visit_matches(const compartment& c, std::uint32_t rule_idx,
+                     F&& f) const;
   void enumerate_slot(comp_block& b, rule_slot& sl);
   void resum_block(comp_block& b);
   void rebuild_order();

@@ -66,19 +66,6 @@ void multiset::remove_all(const multiset& other) {
   }
 }
 
-double multiset::combinations(const multiset& pattern) const {
-  double prod = 1.0;
-  const std::size_t n = pattern.counts_.size();
-  for (species_id s = 0; s < n; ++s) {
-    const std::uint64_t m = pattern.counts_[s];
-    if (m == 0) continue;
-    const std::uint64_t have = count(s);
-    if (have < m) return 0.0;  // infeasible: stop before the remaining species
-    prod *= choose(have, m);
-  }
-  return prod;
-}
-
 bool multiset::operator==(const multiset& other) const {
   const std::size_t n = std::max(counts_.size(), other.counts_.size());
   for (species_id s = 0; s < n; ++s)

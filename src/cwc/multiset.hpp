@@ -21,6 +21,11 @@ class multiset {
   /// The dense count row, universe() entries indexed by species id, for a
   /// hot loop that reads and writes counts without count()/add()/remove().
   std::uint64_t* row() noexcept { return counts_.data(); }
+  const std::uint64_t* row() const noexcept { return counts_.data(); }
+
+  /// Widen the universe to at least `n` species (new counts are zero), so
+  /// that row() may be read at any id below `n`.
+  void grow_to(std::size_t n);
 
   std::uint64_t count(species_id s) const;
 
@@ -47,11 +52,6 @@ class multiset {
   /// Remove other from this; throws when not contained.
   void remove_all(const multiset& other);
 
-  /// Gillespie combinatorics: number of distinct ways to choose the pattern
-  /// from this multiset, prod_s C(count(s), pattern(s)). Returns 0 when the
-  /// pattern is not contained.
-  double combinations(const multiset& pattern) const;
-
   bool operator==(const multiset& other) const;
 
   /// Iterate non-zero entries: f(species_id, count).
@@ -62,7 +62,6 @@ class multiset {
   }
 
  private:
-  void grow_to(std::size_t n);
   std::vector<std::uint64_t> counts_;
 };
 

@@ -6,43 +6,58 @@
 
 namespace cwc {
 
+namespace {
+
+bool finite_nonneg(double v) { return std::isfinite(v) && v >= 0.0; }
+bool finite_pos(double v) { return std::isfinite(v) && v > 0.0; }
+
+}  // namespace
+
 rate_law rate_law::mass_action(double k) {
-  util::expects(k >= 0.0, "mass-action constant must be non-negative");
+  util::expects(finite_nonneg(k),
+                "mass-action constant must be finite and non-negative");
   return rate_law(kind::mass_action, k, 0, 0, 0, false, nullptr);
 }
 
 rate_law rate_law::michaelis_menten(double vmax, double km, species_id driver,
                                     bool driver_in_child) {
-  util::expects(vmax >= 0.0 && km > 0.0, "MM parameters out of range");
+  util::expects(finite_nonneg(vmax) && finite_pos(km),
+                "MM parameters out of range");
   return rate_law(kind::michaelis_menten, vmax, km, 0, driver, driver_in_child,
                   nullptr);
 }
 
-rate_law rate_law::hill_repression(double v, double k, double n, species_id driver,
-                                   bool driver_in_child) {
-  util::expects(v >= 0.0 && k > 0.0 && n >= 0.0, "Hill parameters out of range");
-  rate_law law(kind::hill_repression, v, k, n, driver, driver_in_child, nullptr);
+rate_law rate_law::hill(kind which, double v, double k, double n,
+                        species_id driver, bool driver_in_child) {
+  util::expects(finite_nonneg(v) && finite_pos(k) && finite_nonneg(n),
+                "Hill parameters out of range");
+  rate_law law(which, v, k, n, driver, driver_in_child, nullptr);
   law.kn_ = std::pow(k, n);
+  // K^n overflowing to inf gives inf/inf = NaN, and underflowing to 0 gives
+  // 0/0 at a zero driver count.
+  util::expects(finite_pos(law.kn_),
+                "Hill K^n must be a positive finite double");
   law.exp_ = detail::hill_int_exp_of(n);
   return law;
 }
 
+rate_law rate_law::hill_repression(double v, double k, double n, species_id driver,
+                                   bool driver_in_child) {
+  return hill(kind::hill_repression, v, k, n, driver, driver_in_child);
+}
+
 rate_law rate_law::hill_activation(double v, double k, double n, species_id driver,
                                    bool driver_in_child) {
-  util::expects(v >= 0.0 && k > 0.0 && n >= 0.0, "Hill parameters out of range");
-  rate_law law(kind::hill_activation, v, k, n, driver, driver_in_child, nullptr);
-  law.kn_ = std::pow(k, n);
-  law.exp_ = detail::hill_int_exp_of(n);
-  return law;
+  return hill(kind::hill_activation, v, k, n, driver, driver_in_child);
 }
 
 rate_law rate_law::with_constant(double k, std::string_view rule_name) const {
   if (kind_ != kind::mass_action)
     throw overlay_error(std::string(rule_name),
                         "only mass-action constants can be overlaid");
-  if (!(k >= 0.0))  // NaN rejected too
+  if (!finite_nonneg(k))
     throw overlay_error(std::string(rule_name),
-                        "overlay constant must be non-negative");
+                        "overlay constant must be finite and non-negative");
   rate_law law = *this;
   law.a_ = k;
   return law;

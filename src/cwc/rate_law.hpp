@@ -92,6 +92,10 @@ class rate_law {
     custom,
   };
 
+  // The factories throw util::precondition_error for a negative, NaN or
+  // infinite parameter, a non-positive K or Km, and a Hill K^n that is not
+  // a positive finite double.
+
   /// Elementary mass-action kinetics with stochastic rate constant `k`.
   static rate_law mass_action(double k);
 
@@ -116,11 +120,14 @@ class rate_law {
   static rate_law custom(custom_fn fn);
 
   /// Propensity of one candidate match. Non-negative; 0 disables the match.
+  /// The flat engine evaluates its non-mass-action laws here, and the tree
+  /// engine its custom laws; tree engines evaluate every other law through
+  /// the rate tape (rate_tape.hpp), which mirrors evaluate_direct.
   double evaluate(const rate_ctx& ctx) const;
 
-  /// The closed-form law arithmetic shared by evaluate() and the batch
-  /// engine's SoA evaluator: propensity from the mass-action combinatorial
-  /// factor and the driver species' copy number (ignored by mass_action).
+  /// The closed-form law arithmetic of evaluate(): propensity from the
+  /// mass-action combinatorial factor and the driver species' copy number
+  /// (ignored by mass_action).
   /// Not defined for custom laws (they need the full rate_ctx) — callers
   /// must check law_kind() first; evaluate() routes custom laws itself.
   double evaluate_direct(double combinations, double driver_count) const;
@@ -144,7 +151,8 @@ class rate_law {
   /// compiled law table instead of rebuilding M models). Throws
   /// overlay_error for every non-mass-action law: MM/Hill carry several
   /// coupled parameters and custom laws an opaque callable, so "the"
-  /// constant is ill-defined for them. `rule_name` only labels the error.
+  /// constant is ill-defined for them. Throws overlay_error too for a
+  /// negative, NaN or infinite `k`. `rule_name` only labels the error.
   rate_law with_constant(double k, std::string_view rule_name = "") const;
 
   // ---- introspection (wire codec / tape compiler / diagnostics) -----
@@ -170,6 +178,10 @@ class rate_law {
            bool driver_in_child, custom_fn fn)
       : kind_(k), a_(a), b_(b), c_(c), driver_(driver),
         driver_in_child_(driver_in_child), fn_(std::move(fn)) {}
+
+  /// The shared body of the two Hill factories.
+  static rate_law hill(kind which, double v, double k, double n,
+                       species_id driver, bool driver_in_child);
 
   double driver_count(const rate_ctx& ctx) const;
 

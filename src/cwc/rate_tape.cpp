@@ -12,7 +12,7 @@ rate_tape rate_tape::compile(const model& m) {
     tape_program pg;
     pg.first_op = static_cast<std::uint32_t>(t.ops_.size());
     // Segments in host -> wrap -> child order; multiset::for_each visits
-    // species ascending, the order multiset::combinations multiplies in.
+    // species ascending.
     const auto emit = [&t](const multiset& ms) {
       const std::size_t n0 = t.ops_.size();
       ms.for_each([&t](species_id s, std::uint64_t k) {
@@ -26,6 +26,7 @@ rate_tape rate_tape::compile(const model& m) {
     pg.n_host = emit(r.reactants());
     if (r.child_pattern().has_value()) {
       pg.has_child = true;
+      pg.child_type = r.child_pattern()->type;
       pg.n_wrap = emit(r.child_pattern()->wrap_req);
       pg.n_child = emit(r.child_pattern()->content_req);
     }

@@ -1,10 +1,23 @@
 #include "cwc/reaction_network.hpp"
 
+#include <string>
+
 #include "util/check.hpp"
 
 namespace cwc {
 
+namespace {
+
+[[noreturn]] void undeclared(const std::string& where, species_id sp) {
+  throw util::precondition_error("precondition violated: " + where +
+                                 " names undeclared species " +
+                                 std::to_string(sp));
+}
+
+}  // namespace
+
 void reaction_network::set_initial(species_id sp, std::uint64_t n) {
+  if (sp >= species_.size()) undeclared("set_initial", sp);
   if (initial_.size() <= sp) initial_.resize(sp + 1, 0);
   initial_[sp] = n;
 }
@@ -23,6 +36,9 @@ std::size_t reaction_network::add_reaction(std::string name,
   for (const stoich& s : products)
     util::expects(s.sp < species_.size(),
                   "reaction names an undeclared product species");
+  if (!law.is_mass_action() && law.law_kind() != rate_law::kind::custom &&
+      law.driver() >= species_.size())
+    undeclared("reaction '" + name + "' rate law", law.driver());
   reactions_.push_back(
       reaction{std::move(name), std::move(reactants), std::move(products),
                std::move(law)});

@@ -32,13 +32,16 @@ class reaction_network {
   const symbol_table& species() const noexcept { return species_; }
   std::size_t num_species() const noexcept { return species_.size(); }
 
+  /// Initial copy number of a declared species; throws
+  /// util::precondition_error naming an undeclared one.
   void set_initial(species_id sp, std::uint64_t n);
   const std::vector<std::uint64_t>& initial() const noexcept { return initial_; }
 
   /// Add `reactants -> products @ law`; returns the reaction index. Every
-  /// species must be declared, and a reactant species may appear once (its
-  /// count carries the multiplicity): flat_engine fires a reaction by
-  /// unchecked updates to its dense count row.
+  /// species must be declared, the driver of a Michaelis-Menten or Hill law
+  /// too, and a reactant species may appear once (its count carries the
+  /// multiplicity): flat_engine fires a reaction by unchecked updates to
+  /// its dense count row.
   std::size_t add_reaction(std::string name, std::vector<stoich> reactants,
                            std::vector<stoich> products, rate_law law);
 

@@ -46,41 +46,6 @@ rule& rule::set_child_fate(child_fate f) {
   return *this;
 }
 
-double rule::match_propensity(const compartment& host,
-                              const compartment* child) const {
-  double comb = host.content().combinations(reactants_);
-  if (comb == 0.0) return 0.0;
-  if (child_pattern_.has_value()) {
-    util::expects(child != nullptr, "child pattern without candidate child");
-    if (child->type() != child_pattern_->type) return 0.0;
-    const double cw = child->wrap().combinations(child_pattern_->wrap_req);
-    const double cc = child->content().combinations(child_pattern_->content_req);
-    comb *= cw * cc;
-    if (comb == 0.0) return 0.0;
-  }
-  const rate_ctx ctx{host.content(), child != nullptr ? &child->content() : nullptr,
-                     comb};
-  return law_.evaluate(ctx);
-}
-
-std::vector<rule::match> rule::enumerate(const compartment& host) const {
-  std::vector<match> out;
-  for_each_match(host, [&](std::size_t child, double p) {
-    out.push_back({child == no_child ? std::nullopt
-                                     : std::optional<std::size_t>(child),
-                   p});
-  });
-  return out;
-}
-
-double rule::total_propensity(const compartment& host) const {
-  double sum = 0.0;
-  if (!child_pattern_.has_value()) return match_propensity(host, nullptr);
-  for (std::size_t i = 0; i < host.num_children(); ++i)
-    sum += match_propensity(host, &host.child(i));
-  return sum;
-}
-
 void rule::apply(compartment& host, const match& m, apply_effects* fx) const {
   if (fx != nullptr) fx->reset();
   host.content().remove_all(reactants_);

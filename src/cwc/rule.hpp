@@ -1,4 +1,6 @@
-// CWC rewrite rules and their stochastic matching semantics.
+// CWC rewrite rules: their patterns, kinetics and rewrite semantics. The
+// propensity of a match is computed from the compiled rate tape
+// (rate_tape.hpp), never from the rule itself.
 //
 // A rule applies inside compartments of a given type (its *context*). Its
 // left-hand side consumes a multiset of atoms from the compartment content
@@ -75,15 +77,6 @@ class rule {
   comp_type_id context() const noexcept { return context_; }
   const rate_law& law() const noexcept { return law_; }
 
-  /// A copy of this rule with `law` in place of the original — the sweep
-  /// overlay primitive. Patterns, products, and fate are shared structure
-  /// semantics and copy verbatim; only the kinetics change.
-  rule with_law(rate_law law) const {
-    rule r = *this;
-    r.law_ = std::move(law);
-    return r;
-  }
-
   /// True when this rule can fire inside a compartment of type `t`.
   bool applies_in(comp_type_id t) const noexcept {
     return context_ == any_compartment || context_ == t;
@@ -113,53 +106,20 @@ class rule {
   }
   child_fate fate() const noexcept { return fate_; }
 
-  /// One way this rule can fire in `host`: which child (if any) is bound and
-  /// with what propensity.
+  /// One way this rule can fire in `host`: which child, if any, is bound.
   struct match {
     std::optional<std::size_t> child_index;
-    double propensity = 0.0;
   };
 
-  /// Sentinel child index passed to for_each_match callbacks for matches
-  /// that bind no child.
-  static constexpr std::size_t no_child = static_cast<std::size_t>(-1);
-
-  /// Allocation-free form of enumerate(): invokes f(child_index, propensity)
-  /// for every positive-propensity match — child_index is `no_child` for a
-  /// childless match, otherwise children are visited in index order. This is
-  /// the engine's hot path; enumerate() below is the convenience wrapper.
-  template <typename F>
-  void for_each_match(const compartment& host, F&& f) const {
-    if (!child_pattern_.has_value()) {
-      const double p = match_propensity(host, nullptr);
-      if (p > 0.0) f(no_child, p);
-      return;
-    }
-    const std::size_t n = host.num_children();
-    for (std::size_t i = 0; i < n; ++i) {
-      const double p = match_propensity(host, &host.child(i));
-      if (p > 0.0) f(i, p);
-    }
-  }
-
-  /// Enumerate all matches of this rule inside `host` (host's type must
-  /// already satisfy applies_in). Matches with zero propensity are omitted.
-  std::vector<match> enumerate(const compartment& host) const;
-
-  /// Total propensity of the rule inside `host` (sum over matches).
-  double total_propensity(const compartment& host) const;
-
   /// Fire the rule in `host`, binding the child selected in `m`.
-  /// Precondition: `m` was produced by enumerate() on the current state.
+  /// Precondition: the match is feasible in the current state (the engine
+  /// fires only matches with a positive propensity).
   /// When `fx` is non-null it is reset and filled with the compartments this
   /// firing touched (the engine's dirty set); a null `fx` discards removed
   /// subtrees immediately, preserving the historical behaviour.
   void apply(compartment& host, const match& m, apply_effects* fx = nullptr) const;
 
  private:
-  double match_propensity(const compartment& host,
-                          const compartment* child) const;
-
   std::string name_;
   comp_type_id context_;
   rate_law law_;

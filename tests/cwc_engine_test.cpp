@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cwc/cwc.hpp"
@@ -75,16 +76,20 @@ TEST(FlatEngine, QuantumCompositionInvariance) {
 }
 
 TEST(FlatEngine, MatchesOneCompartmentTreeEngineBitForBit) {
-  // A flat network and the same network written as a one-compartment model
-  // text are one CTMC, and both engines step it with the same arithmetic:
+  // A flat network and the same network written as a one-compartment tree
+  // model are one CTMC, and both engines step it with the same arithmetic:
   // reactant factors in declaration order, the left-to-right propensity
   // fold, the selection scan and one exponential plus one uniform draw per
   // step. Every clock value, sample and step count must therefore be
   // equal, which makes each engine the other's oracle when its step path
-  // is rewritten. Single steps from t = 0 compare the clock while it still
-  // holds nearly every bit of each draw over the propensity total, so a
-  // one-ulp change in a total (an FMA contraction in the fold) shows. The
-  // quantum does not divide the sample period, so draws deferred past a
+  // is rewritten. The twins cover every law kind: mass action, Michaelis-
+  // Menten, Hill repression and activation, and a custom law, which the
+  // flat engine evaluates through rate_law::evaluate and the tree engine
+  // through its rate tape (the custom law through its callable, over the
+  // tape's combinatorics). Single steps from t = 0 compare the clock while
+  // it still holds nearly every bit of each draw over the propensity total,
+  // so a one-ulp change in a total (an FMA contraction in the fold) shows.
+  // The quantum does not divide the sample period, so draws deferred past a
   // quantum horizon are kept on both sides too.
   cwc::reaction_network hill;
   const auto X = hill.declare_species("X");
@@ -92,21 +97,73 @@ TEST(FlatEngine, MatchesOneCompartmentTreeEngineBitForBit) {
                     cwc::rate_law::hill_repression(30.0, 10.0, 2.0, X));
   hill.add_reaction("decay", {{X, 1}}, {}, cwc::rate_law::mass_action(1.0));
 
+  // Michaelis-Menten conversion of a substrate fed at a constant rate.
+  cwc::reaction_network mm;
+  const auto S = mm.declare_species("S");
+  const auto P = mm.declare_species("P");
+  mm.add_reaction("feed", {}, {{S, 1}}, cwc::rate_law::mass_action(40.0));
+  mm.add_reaction("convert", {{S, 1}}, {{P, 1}},
+                  cwc::rate_law::michaelis_menten(100.0, 30.0, S));
+  mm.add_reaction("clear", {{P, 1}}, {}, cwc::rate_law::mass_action(1.0));
+
+  // Hill-activated birth whose activator starts at zero, so the law's
+  // zero-driver branch runs before the activator appears.
+  cwc::reaction_network act;
+  const auto A = act.declare_species("A");
+  const auto Y = act.declare_species("Y");
+  act.add_reaction("a-make", {}, {{A, 1}}, cwc::rate_law::mass_action(5.0));
+  act.add_reaction("a-decay", {{A, 1}}, {}, cwc::rate_law::mass_action(0.2));
+  act.add_reaction("activate", {}, {{Y, 1}},
+                   cwc::rate_law::hill_activation(40.0, 15.0, 2.0, A));
+  act.add_reaction("y-decay", {{Y, 1}}, {}, cwc::rate_law::mass_action(1.0));
+
+  // A custom law over a 2*M pattern that reads ctx.combinations and a
+  // count from ctx.local: the flat engine hands it its state, the tree
+  // engine the compartment's content, both with the same combinatorics.
+  const auto dimer_law = [](cwc::species_id d) {
+    return cwc::rate_law::custom([d](const cwc::rate_ctx& ctx) {
+      return 0.02 * ctx.combinations /
+             (1.0 + 0.1 * static_cast<double>(ctx.local.count(d)));
+    });
+  };
+  cwc::reaction_network dimer;
+  const auto M = dimer.declare_species("M");
+  const auto D = dimer.declare_species("D");
+  dimer.add_reaction("m-make", {}, {{M, 1}}, cwc::rate_law::mass_action(30.0));
+  dimer.add_reaction("dimerize", {{M, 2}}, {{D, 1}}, dimer_law(D));
+  dimer.add_reaction("d-decay", {{D, 1}}, {}, cwc::rate_law::mass_action(0.5));
+  // The tree twin is built by hand (model texts have no custom laws), its
+  // rules in the network's order: the fold and the selection scan follow it.
+  cwc::model dimer_tree;
+  const auto tm = dimer_tree.declare_species("M");
+  const auto td = dimer_tree.declare_species("D");
+  dimer_tree.set_initial(std::make_unique<cwc::term>(cwc::top_compartment));
+  dimer_tree.add_rule(
+      cwc::parse_rule(dimer_tree, "m-make", "top: 0 -> M @ 30"));
+  dimer_tree.add_rule(
+      cwc::rule("dimerize", cwc::top_compartment, dimer_law(td))
+          .consume(tm, 2)
+          .produce(td));
+  dimer_tree.add_rule(
+      cwc::parse_rule(dimer_tree, "d-decay", "top: D -> 0 @ 0.5"));
+  dimer_tree.add_observable("M", tm);
+  dimer_tree.add_observable("D", td);
+
   struct twin {
     const char* name;
     cwc::reaction_network net;
-    const char* text;  ///< observables list the network's species in order
+    cwc::model tree;  ///< observables list the network's species in order
   };
   const twin twins[] = {
-      {"schlogl", models::make_schlogl({}), R"(
+      {"schlogl", models::make_schlogl({}), cwc::load_model(R"(
         init 250*X
         rule autocatalysis top: 2*X -> 3*X @ 3e-2
         rule reverse top: 3*X -> 2*X @ 1e-4
         rule inflow top: 0 -> X @ 200
         rule outflow top: X -> 0 @ 3.5
         observable X
-      )"},
-      {"michaelis_menten", models::make_michaelis_menten({}), R"(
+      )")},
+      {"enzyme", models::make_michaelis_menten({}), cwc::load_model(R"(
         init 100*E 1000*S
         rule bind top: E + S -> ES @ 0.01
         rule unbind top: ES -> E + S @ 1
@@ -115,27 +172,45 @@ TEST(FlatEngine, MatchesOneCompartmentTreeEngineBitForBit) {
         observable S
         observable ES
         observable P
-      )"},
-      {"lotka_volterra", models::make_lotka_volterra({}), R"(
+      )")},
+      {"lotka_volterra", models::make_lotka_volterra({}), cwc::load_model(R"(
         init 200*prey 80*predator
         rule prey-birth top: prey -> 2*prey @ 1
         rule predation top: prey + predator -> 2*predator @ 0.005
         rule predator-death top: predator -> 0 @ 0.6
         observable prey
         observable predator
-      )"},
-      {"birth_death", models::make_birth_death({}), R"(
+      )")},
+      {"birth_death", models::make_birth_death({}), cwc::load_model(R"(
         init
         rule birth top: 0 -> X @ 50
         rule death top: X -> 0 @ 1
         observable X
-      )"},
-      {"hill_repressed_birth", hill, R"(
+      )")},
+      {"hill_repressed_birth", hill, cwc::load_model(R"(
         init
         rule make top: 0 -> X @ hill_rep(30, 10, 2, X)
         rule decay top: X -> 0 @ 1
         observable X
-      )"},
+      )")},
+      {"michaelis_menten_law", mm, cwc::load_model(R"(
+        init
+        rule feed top: 0 -> S @ 40
+        rule convert top: S -> P @ mm(100, 30, S)
+        rule clear top: P -> 0 @ 1
+        observable S
+        observable P
+      )")},
+      {"hill_activated_birth", act, cwc::load_model(R"(
+        init
+        rule a-make top: 0 -> A @ 5
+        rule a-decay top: A -> 0 @ 0.2
+        rule activate top: 0 -> Y @ hill_act(40, 15, 2, A)
+        rule y-decay top: Y -> 0 @ 1
+        observable A
+        observable Y
+      )")},
+      {"custom_dimerization", dimer, std::move(dimer_tree)},
   };
 
   constexpr double kEnd = 5.0, kQuantum = 0.7, kPeriod = 0.25;
@@ -143,7 +218,7 @@ TEST(FlatEngine, MatchesOneCompartmentTreeEngineBitForBit) {
   constexpr std::uint64_t kClockTrajectories = 300;
   for (const twin& tw : twins) {
     const auto flat = cwc::compiled_model::compile(tw.net);
-    const auto tree = cwc::compiled_model::compile(cwc::load_model(tw.text));
+    const auto tree = cwc::compiled_model::compile(tw.tree);
     for (const std::uint64_t seed : {1, 2, 3}) {
       for (std::uint64_t id = 0; id < kClockTrajectories; ++id) {
         SCOPED_TRACE(::testing::Message() << tw.name << " seed " << seed
@@ -258,6 +333,41 @@ TEST(ReactionNetwork, RejectsUndeclaredAndRepeatedReactantSpecies) {
   EXPECT_THROW(net.add_reaction("twice", {{a, 1}, {a, 1}}, {}, law),
                util::precondition_error);
   EXPECT_EQ(net.add_reaction("pair", {{a, 2}}, {{a, 1}, {a, 1}}, law), 0u);
+}
+
+TEST(ReactionNetwork, RejectsUndeclaredInitialAndDriverSpecies) {
+  // The flat engine's count row holds the declared species only: an initial
+  // count or a Michaelis-Menten/Hill driver past it would be dropped or read
+  // out of bounds.
+  cwc::reaction_network net;
+  const auto a = net.declare_species("A");
+  const auto expect_names = [](const char* id, const auto& call) {
+    SCOPED_TRACE(id);
+    try {
+      call();
+      ADD_FAILURE() << "accepted";
+    } catch (const util::precondition_error& e) {
+      EXPECT_NE(std::string(e.what()).find(id), std::string::npos) << e.what();
+    }
+  };
+  expect_names("species 7", [&] { net.set_initial(7, 3); });
+  expect_names("species 6", [&] {
+    net.add_reaction("mm", {{a, 1}}, {},
+                     cwc::rate_law::michaelis_menten(1.0, 2.0, 6));
+  });
+  expect_names("species 5", [&] {
+    net.add_reaction("rep", {}, {{a, 1}},
+                     cwc::rate_law::hill_repression(1.0, 2.0, 2.0, 5));
+  });
+  expect_names("species 4", [&] {
+    net.add_reaction("act", {}, {{a, 1}},
+                     cwc::rate_law::hill_activation(1.0, 2.0, 2.0, 4));
+  });
+  EXPECT_TRUE(net.reactions().empty());
+  net.set_initial(a, 3);
+  EXPECT_EQ(net.add_reaction("mm", {{a, 1}}, {},
+                             cwc::rate_law::michaelis_menten(1.0, 2.0, a)),
+            0u);
 }
 
 TEST(Ode, ExponentialDecayMatchesClosedForm) {

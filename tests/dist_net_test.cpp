@@ -10,6 +10,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -669,6 +670,105 @@ TEST(ModelCodec, DecodeRejectsMultisetUniversePastSpeciesTable) {
   const std::uint64_t huge = std::uint64_t{1} << 40;
   std::memcpy(&*at, &huge, sizeof huge);
   EXPECT_THROW(dist::decode_model(frame), std::runtime_error);
+}
+
+/// A flat-model frame over the one-species table {A}, written field by
+/// field in encode_model's layout after the encoder's header and table: a
+/// reaction A -> 0 under Michaelis-Menten kinetics driven by `mm_driver`
+/// (no reaction when empty), then the initial counts. These are the frames
+/// a reaction_network refuses to build.
+dist::byte_buffer one_species_flat_frame(
+    std::optional<cwc::species_id> mm_driver,
+    const std::vector<std::uint64_t>& initial) {
+  cwc::reaction_network net;
+  net.declare_species("A");
+  auto frame = dist::encode_model({nullptr, &net, nullptr});
+  // Drop the empty reaction list and the empty initial-count vector.
+  frame.resize(frame.size() - 2 * sizeof(std::uint64_t));
+  dist::archive_writer w;
+  w.put<std::uint64_t>(mm_driver.has_value() ? 1 : 0);
+  if (mm_driver.has_value()) {
+    w.put_string("mm");
+    w.put<std::uint8_t>(
+        static_cast<std::uint8_t>(cwc::rate_law::kind::michaelis_menten));
+    w.put<double>(1.0);  // Vmax
+    w.put<double>(2.0);  // Km
+    w.put<cwc::species_id>(*mm_driver);
+    w.put<std::uint8_t>(0);  // driver in the host
+    w.put_vector(std::vector<cwc::stoich>{{0, 1}});
+    w.put_vector(std::vector<cwc::stoich>{});
+  }
+  w.put_vector(initial);
+  const dist::byte_buffer tail = w.take();
+  frame.insert(frame.end(), tail.begin(), tail.end());
+  return frame;
+}
+
+// The flat counterpart of UndeclaredIdsAreRejectedByCompileAndDecode: an
+// initial count or a rate-law driver past the frame's species table.
+TEST(ModelCodec, DecodeRejectsUndeclaredFlatIds) {
+  // Well-formed controls decode, so each rejection below is the id's.
+  EXPECT_NO_THROW(dist::decode_model(one_species_flat_frame(0, {10})));
+  EXPECT_NO_THROW(
+      dist::decode_model(one_species_flat_frame(std::nullopt, {10})));
+
+  const auto expect_rejected = [](const char* id,
+                                  const dist::byte_buffer& frame) {
+    SCOPED_TRACE(id);
+    try {
+      dist::decode_model(frame);
+      ADD_FAILURE() << "decoded";
+    } catch (const util::precondition_error& e) {
+      EXPECT_NE(std::string(e.what()).find(id), std::string::npos) << e.what();
+    }
+  };
+  expect_rejected("species 1", one_species_flat_frame(std::nullopt, {10, 7}));
+  expect_rejected("species 3", one_species_flat_frame(3, {10}));
+}
+
+/// `frame` with the first occurrence of the double `from` replaced by `to`.
+void patch_double(dist::byte_buffer& frame, double from, double to) {
+  const auto* f = reinterpret_cast<const std::byte*>(&from);
+  const auto at = std::search(frame.begin(), frame.end(), f, f + sizeof from);
+  ASSERT_NE(at, frame.end());
+  std::memcpy(&*at, &to, sizeof to);
+}
+
+// The decoder builds every law through its factory, so a frame carrying an
+// infinite rate constant or a Hill K^n that is not a positive finite double
+// is rejected before any engine could run it.
+TEST(ModelCodec, DecodeRejectsNonFiniteRateParameters) {
+  cwc::reaction_network net;
+  const auto x = net.declare_species("X");
+  net.add_reaction("birth", {}, {{x, 1}}, cwc::rate_law::mass_action(1.5));
+  net.add_reaction("make", {}, {{x, 1}},
+                   cwc::rate_law::hill_repression(30.0, 10.25, 2.0, x));
+  net.add_reaction("decay", {{x, 1}}, {}, cwc::rate_law::mass_action(1.0));
+  const auto frame = dist::encode_model({nullptr, &net, nullptr});
+  EXPECT_NO_THROW(dist::decode_model(frame));
+
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double, double> patches[] = {
+      {1.5, inf},        // mass_action(+inf)
+      {30.0, inf},       // Hill v = +inf
+      {10.25, 1e200},    // K^n overflows to +inf
+      {10.25, 1e-200}};  // K^n underflows to 0
+  for (const auto& [from, to] : patches) {
+    SCOPED_TRACE(::testing::Message() << from << " -> " << to);
+    auto patched = frame;
+    patch_double(patched, from, to);
+    EXPECT_THROW(dist::decode_model(patched), util::precondition_error);
+  }
+
+  // A tree frame goes through the same factories.
+  cwc::model m;
+  m.set_initial(cwc::parse_term(m, "10*A"));
+  m.add_rule(cwc::parse_rule(m, "decay", "top: A -> 0 @ 1.5"));
+  m.add_observable("A", 0);
+  auto tree = dist::encode_model({&m, nullptr, nullptr});
+  EXPECT_NO_THROW(dist::decode_model(tree));
+  patch_double(tree, 1.5, inf);
+  EXPECT_THROW(dist::decode_model(tree), util::precondition_error);
 }
 
 TEST(DistributedModelShipping, ShipsOneFramePerHostPerRun) {

@@ -1,6 +1,7 @@
 // Property tests for the rate-law bytecode tape and the wide batch kernels:
-// tape evaluation must match the scalar rule/rate-law arithmetic BIT FOR BIT
-// across randomized parameters and copy numbers for every law kind, and the
+// tape evaluation, and the combinatorics a custom law receives, must match
+// the per-rule matcher of tests/match_oracle.hpp BIT FOR BIT across
+// randomized parameters and copy numbers for every law kind, and the
 // lane-innermost wide kernel must match the scalar tape walk column by
 // column. Plus unit pins for the Hill edge cases (n == 0, zero driver
 // count) that the branchless tape forms must preserve.
@@ -9,10 +10,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <vector>
 
 #include "cwc/cwc.hpp"
+#include "match_oracle.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -28,8 +31,8 @@ namespace {
 }
 
 /// One rule per law kind / op-k specialisation, all firing in `top` with a
-/// single pod child candidate — so rule::total_propensity(host) IS the one
-/// match's propensity (or 0.0 when infeasible), the exact scalar value the
+/// single pod child candidate — so the oracle's total_propensity(host) IS
+/// the one match's propensity (or 0.0 when infeasible), the exact value the
 /// tape must reproduce.
 cwc::model make_tape_model() {
   cwc::model m;
@@ -98,6 +101,19 @@ cwc::model make_tape_model() {
     r.produce_in_child(B);
     m.add_rule(std::move(r));
   }
+  {  // custom law over a child match: the tape serves its combinatorics
+    cwc::rule r("cst", cwc::top_compartment,
+                cwc::rate_law::custom([](const cwc::rate_ctx& ctx) {
+                  return 0.5 * ctx.combinations;
+                }));
+    r.consume(A, 2);
+    cwc::comp_pattern pat;
+    pat.type = pod;
+    pat.wrap_req.add(mem);
+    pat.content_req.add(C);
+    r.match_child(std::move(pat));
+    m.add_rule(std::move(r));
+  }
 
   m.add_observable("A", A, std::nullopt);
   return m;
@@ -144,9 +160,18 @@ TEST(RateTape, MatchesScalarRulePropensityBitForBit) {
     host.add_child(std::move(child));
 
     for (std::size_t j = 0; j < rules.size(); ++j) {
-      const double want = rules[j].total_propensity(host);
-      const double got = tape.eval(tape.program(j), host_c.data(),
-                                   child_w.data(), child_c.data(), 1);
+      const cwc::tape_program& pg = tape.program(j);
+      const cwc::compartment* bound = pg.has_child ? &host.child(0) : nullptr;
+      EXPECT_TRUE(same_bits(
+          tape.combinations(pg, host_c.data(), child_w.data(), child_c.data(),
+                            1),
+          match_oracle::match_combinations(rules[j], host, bound)))
+          << "rule " << j << " (" << rules[j].name() << ") iter " << iter;
+      // The tree engine calls a custom law itself, over those combinatorics.
+      if (pg.head == cwc::tape_head::custom) continue;
+      const double want = match_oracle::total_propensity(rules[j], host);
+      const double got = tape.eval(pg, host_c.data(), child_w.data(),
+                                   child_c.data(), 1);
       EXPECT_TRUE(same_bits(got, want))
           << "rule " << j << " (" << rules[j].name() << ") iter " << iter;
     }
@@ -197,6 +222,9 @@ TEST(RateTape, CompiledProgramsMirrorLawParameters) {
     EXPECT_EQ(pg.kn, law.param_kn()) << rules[j].name();
     EXPECT_EQ(pg.hill_exp, law.hill_int_exp()) << rules[j].name();
     EXPECT_EQ(pg.has_child, rules[j].child_pattern().has_value());
+    if (pg.has_child) {
+      EXPECT_EQ(pg.child_type, rules[j].child_pattern()->type);
+    }
   }
   // Integer-exponent classification: 4.0 and 2.0 take the fixed-trip
   // product path, 2.5 keeps libm pow, n == 0 is the 0-trip product.
@@ -252,6 +280,31 @@ TEST(RateLaw, HillFactoriesRejectBadParameters) {
                util::precondition_error);
   EXPECT_THROW(cwc::rate_law::hill_activation(1.0, 2.0, -1.0, 0),
                util::precondition_error);
+}
+
+// An infinite parameter would reach the engines as an infinite or NaN
+// propensity: mass_action(+inf) makes every firing take zero time, so a run
+// never ends. A Hill K^n that overflows gives inf/inf = NaN, and one that
+// underflows to 0 gives 0/0 at a zero driver count.
+TEST(RateLaw, FactoriesRejectNonFiniteParameters) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(cwc::rate_law::mass_action(inf), util::precondition_error);
+  EXPECT_THROW(cwc::rate_law::michaelis_menten(inf, 1.0, 0),
+               util::precondition_error);
+  EXPECT_THROW(cwc::rate_law::michaelis_menten(1.0, inf, 0),
+               util::precondition_error);
+  for (const auto hill :
+       {&cwc::rate_law::hill_repression, &cwc::rate_law::hill_activation}) {
+    EXPECT_THROW(hill(inf, 10.0, 2.0, 0, false), util::precondition_error);
+    EXPECT_THROW(hill(30.0, inf, 2.0, 0, false), util::precondition_error);
+    EXPECT_THROW(hill(30.0, 10.0, inf, 0, false), util::precondition_error);
+    EXPECT_THROW(hill(30.0, 1e200, 2.0, 0, false), util::precondition_error);
+    EXPECT_THROW(hill(30.0, 1e-200, 2.0, 0, false), util::precondition_error);
+    EXPECT_NO_THROW(hill(30.0, 1e100, 2.0, 0, false));  // K^n = 1e200
+  }
+  const auto k = cwc::rate_law::mass_action(1.0);
+  EXPECT_THROW(k.with_constant(inf, "k"), cwc::overlay_error);
+  EXPECT_EQ(k.with_constant(2.5, "k").constant(), 2.5);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -225,6 +226,22 @@ TEST(SweepValidate, NonMassActionOverlayRejected) {
   }
 }
 
+// An infinite overlay constant would make every firing take zero time. The
+// overlay rejects it with overlay_error, which run_sweep reports as
+// config_error{"sweep.overlay"} (NonMassActionOverlayRejected above), so no
+// engine ever runs it.
+TEST(SweepValidate, InfiniteOverlayConstantRejected) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  const auto m = models::make_compartment_demo({});
+  const auto tree = cwc::compiled_model::compile(m);
+  EXPECT_THROW(cwc::compiled_model::overlay(tree, {{"grow", inf}}),
+               cwc::overlay_error);
+  const auto net = models::make_schlogl({});
+  const auto flat = cwc::compiled_model::compile(net);
+  EXPECT_THROW(cwc::compiled_model::overlay(flat, {{"inflow", inf}}),
+               cwc::overlay_error);
+}
+
 // ---- determinism: sweep == standalone recompile ----------------------------
 
 TEST(SweepCampaign, FlatFarmMatchesRecompiledStandalone) {
@@ -334,6 +351,7 @@ TEST(SweepCampaign, OverlaysShareTheRootTablesWithoutCompiling) {
   const std::size_t types = m.compartment_types().size();
   for (const auto& ov : {once, twice}) {
     ASSERT_TRUE(ov->is_overlay());
+    EXPECT_EQ(&ov->rules(), &root->rules());
     EXPECT_EQ(&ov->observable_plans(), &root->observable_plans());
     for (std::size_t t = 0; t < types; ++t) {
       const auto type = static_cast<cwc::comp_type_id>(t);
@@ -345,6 +363,13 @@ TEST(SweepCampaign, OverlaysShareTheRootTablesWithoutCompiling) {
       EXPECT_EQ(&ov->redo_parent(j), &root->redo_parent(j));
     }
   }
+  // A tree overlay's constants live only in its tape.
+  std::size_t grow = 0;
+  while (root->rules()[grow].name() != "grow") ++grow;
+  EXPECT_EQ(once->tape().program(grow).a, 2.0);
+  EXPECT_EQ(twice->tape().program(grow).a, 0.5);
+  EXPECT_EQ(root->tape().program(grow).a,
+            root->rules()[grow].law().constant());
   // A flat artifact holds no static tables: its overlays only patch a copy
   // of the reaction table.
   EXPECT_TRUE(flat_once->is_overlay());
